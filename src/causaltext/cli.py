@@ -22,7 +22,7 @@ from .gateway import (
     choose_verifier,
     make_mock_backend,
 )
-from .graphs import Dag, GraphSpec, sample_dag, sample_spec_space
+from .graphs import Dag, GraphSpec, is_acyclic, sample_dag, sample_spec_space
 from .metrics import SupportGraph, edge_prf, project_dag, shd, sid
 from .store import RunManifest, SampleRecord, SampleStore
 from .textgen import generate_text, missing_concepts
@@ -115,7 +115,7 @@ def graphgen(config_path, seed, out, per_n):
 
 
 def _build_gateway(cfg, backend_name, mock_script, cache_path):
-    cache = ResponseCache(cache_path) if cache_path else ResponseCache()
+    cache = ResponseCache(cache_path)
     if mock_script is not None:
         if os.path.exists(mock_script):
             with open(mock_script) as fh:
@@ -230,7 +230,6 @@ def evaluate(store_path, reference, out):
             else:
                 ref = rec.dag.edges
             removed = []
-            from .graphs import is_acyclic
             if not is_acyclic(ref):
                 projected, removed = project_dag(SupportGraph(n=ref.shape[0], support=ref.astype(float)), threshold=0.5)
                 ref = projected.edges
@@ -363,9 +362,7 @@ def consensus(ratings, raters, out):
 def cache(cache_path, clear):
     """Inspect or clear an on-disk response cache."""
     try:
-        store = ResponseCache(cache_path if os.path.exists(cache_path) else None)
-        if store.path is None:
-            store.path = cache_path
+        store = ResponseCache(cache_path)
         if clear:
             store.clear()
             click.echo("cache cleared")

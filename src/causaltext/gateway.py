@@ -13,11 +13,12 @@ import hashlib
 import importlib.resources
 import itertools
 import json
+import logging
 import os
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .errors import (
     TransportError,
     UnboundPlaceholder,
 )
+
+log = logging.getLogger(__name__)
 
 SYSTEM_MESSAGE = "You are a helpful assistant. Follow the user's instructions exactly."
 
@@ -136,27 +139,27 @@ def build_payload(profile: BackendProfile, prompt: str) -> dict:
     }
 
 
-@dataclass
 class UsageLedger:
-    records: list = field(default_factory=list)  # (sample_id, input_tokens, output_tokens)
+    """Running token and call counts, per sample and overall."""
+
+    def __init__(self):
+        self._per_sample: dict = {}
+        self._totals = {"input": 0, "output": 0, "total": 0, "calls": 0}
 
     def record(self, sample_id, input_tokens: int, output_tokens: int) -> None:
-        self.records.append((sample_id, int(input_tokens), int(output_tokens)))
+        ti, to = int(input_tokens), int(output_tokens)
+        acc = self._per_sample.setdefault(sample_id, {"input": 0, "output": 0, "total": 0, "calls": 0})
+        for counts in (acc, self._totals):
+            counts["input"] += ti
+            counts["output"] += to
+            counts["total"] += ti + to
+            counts["calls"] += 1
 
     def per_sample(self) -> dict:
-        out: dict = {}
-        for sid, ti, to in self.records:
-            acc = out.setdefault(sid, {"input": 0, "output": 0, "total": 0, "calls": 0})
-            acc["input"] += ti
-            acc["output"] += to
-            acc["total"] += ti + to
-            acc["calls"] += 1
-        return out
+        return {sid: dict(counts) for sid, counts in self._per_sample.items()}
 
     def totals(self) -> dict:
-        ti = sum(r[1] for r in self.records)
-        to = sum(r[2] for r in self.records)
-        return {"input": ti, "output": to, "total": ti + to, "calls": len(self.records)}
+        return dict(self._totals)
 
 
 def _approx_tokens(text: str) -> int:
@@ -201,8 +204,11 @@ class HttpBackend:
                 raise AuthError(f"HTTP {resp.status_code} from {self.endpoint}")
             if resp.status_code != 200:
                 raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            body = resp.json()
-            text = body["choices"][0]["message"]["content"]
+            try:
+                body = resp.json()
+                text = body["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise MalformedOutput(f"malformed response body: {exc!r}", raw_text=resp.text[:200])
             usage = body.get("usage", {})
             return text, {
                 "input_tokens": usage.get("prompt_tokens", _approx_tokens(payload["messages"][1]["content"])),
@@ -375,17 +381,50 @@ def make_cache_key(concepts, adjacency, backend_id: str, template_name: str) -> 
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def read_jsonl(path: str):
+    """Stream the JSON value of each line of a JSON Lines file, if it exists.
+
+    Every complete line must parse.  A last line with no trailing newline
+    is either a write cut short, which does not parse and is dropped with
+    a warning, or a whole single-object file, which is kept.  Either way
+    the file is left ending in a newline, so the next append starts a line
+    of its own.
+    """
+    if not os.path.exists(path):
+        return
+    with open(path) as fh:
+        for line in fh:
+            if line.endswith("\n"):
+                if line.strip():
+                    yield json.loads(line)
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError:
+                log.warning("dropping the torn last line of %s (%d characters)", path, len(line))
+                os.truncate(path, os.path.getsize(path) - len(line.encode()))
+            else:
+                with open(path, "a") as out:
+                    out.write("\n")
+                yield value
+
+
 class ResponseCache:
-    """Key -> JSON value store, in memory with optional disk persistence."""
+    """Key -> JSON value store, in memory with an optional append-only log.
+
+    Each line of the log file is one ``{key: value}`` object and the last
+    line for a key wins, so a single-object cache file reads as a one-line
+    log.
+    """
 
     def __init__(self, path=None):
         self.path = path
         self.data: dict = {}
-        if path is not None and os.path.exists(path):
+        if path is not None:
             try:
-                with open(path) as fh:
-                    self.data = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+                for entry in read_jsonl(path):
+                    self.data.update(entry)
+            except (OSError, ValueError) as exc:
                 raise CacheIoError(f"cannot read cache at {path}: {exc}")
 
     def get(self, key: str):
@@ -395,10 +434,8 @@ class ResponseCache:
         self.data[key] = value
         if self.path is not None:
             try:
-                tmp = f"{self.path}.tmp"
-                with open(tmp, "w") as fh:
-                    json.dump(self.data, fh)
-                os.replace(tmp, self.path)
+                with open(self.path, "a") as fh:
+                    fh.write(json.dumps({key: value}) + "\n")
             except OSError as exc:
                 raise CacheIoError(f"cannot write cache at {self.path}: {exc}")
 

@@ -248,63 +248,29 @@ def sample_dag(spec: GraphSpec) -> tuple[Dag, MotifReport]:
         mediator_chains_requested=spec.mediator_chains,
     )
 
-    def inject(kind, count, rng, place):
+    def inject(kind, count, rng, pairs):
+        # each motif adds the two edges ``pairs`` among three nodes sorted by
+        # topological order, all or nothing
         injected = 0
-        for _ in range(count):
+        for _ in range(count if n >= 3 else 0):
             for _attempt in range(MOTIF_RETRY_BUDGET):
-                nodes = place(rng)
-                if nodes is not None:
+                nodes = [order[k] for k in sorted(rng.choice(n, size=3, replace=False))]
+                snapshot = (edges.copy(), in_deg.copy(), out_deg.copy())
+                if all(
+                    _try_add_edge(edges, nodes[s], nodes[t], in_deg, out_deg, spec.max_parents, spec.max_children)
+                    for s, t in pairs
+                ):
                     injected += 1
-                    report.motifs.append((kind, nodes))
+                    report.motifs.append((kind, tuple(int(v) for v in nodes)))
                     break
+                edges[:], in_deg[:], out_deg[:] = snapshot
         return injected
 
-    def place_confounder(rng):
-        # c -> a and c -> b with c earliest in the order
-        if n < 3:
-            return None
-        a_, b_, c_ = sorted(rng.choice(n, size=3, replace=False))
-        c, x, y = order[a_], order[b_], order[c_]
-        snapshot = (edges.copy(), in_deg.copy(), out_deg.copy())
-        if _try_add_edge(edges, c, x, in_deg, out_deg, spec.max_parents, spec.max_children) and _try_add_edge(
-            edges, c, y, in_deg, out_deg, spec.max_parents, spec.max_children
-        ):
-            return (int(c), int(x), int(y))
-        edges[:], in_deg[:], out_deg[:] = snapshot
-        return None
-
-    def place_collider(rng):
-        # a -> v and b -> v with v latest in the order
-        if n < 3:
-            return None
-        a_, b_, c_ = sorted(rng.choice(n, size=3, replace=False))
-        x, y, v = order[a_], order[b_], order[c_]
-        snapshot = (edges.copy(), in_deg.copy(), out_deg.copy())
-        if _try_add_edge(edges, x, v, in_deg, out_deg, spec.max_parents, spec.max_children) and _try_add_edge(
-            edges, y, v, in_deg, out_deg, spec.max_parents, spec.max_children
-        ):
-            return (int(x), int(y), int(v))
-        edges[:], in_deg[:], out_deg[:] = snapshot
-        return None
-
-    def place_chain(rng):
-        # i -> m -> j along the order
-        if n < 3:
-            return None
-        a_, b_, c_ = sorted(rng.choice(n, size=3, replace=False))
-        i, m, j = order[a_], order[b_], order[c_]
-        snapshot = (edges.copy(), in_deg.copy(), out_deg.copy())
-        if _try_add_edge(edges, i, m, in_deg, out_deg, spec.max_parents, spec.max_children) and _try_add_edge(
-            edges, m, j, in_deg, out_deg, spec.max_parents, spec.max_children
-        ):
-            return (int(i), int(m), int(j))
-        edges[:], in_deg[:], out_deg[:] = snapshot
-        return None
-
-    report.confounders_injected = inject("confounder", report.confounders_requested, rng_conf, place_confounder)
-    report.colliders_injected = inject("collider", report.colliders_requested, rng_coll, place_collider)
+    # confounder c -> a, c -> b; collider a -> v, b -> v; chain i -> m -> j
+    report.confounders_injected = inject("confounder", report.confounders_requested, rng_conf, ((0, 1), (0, 2)))
+    report.colliders_injected = inject("collider", report.colliders_requested, rng_coll, ((0, 2), (1, 2)))
     report.mediator_chains_injected = inject(
-        "mediator_chain", report.mediator_chains_requested, rng_chain, place_chain
+        "mediator_chain", report.mediator_chains_requested, rng_chain, ((0, 1), (1, 2))
     )
 
     return Dag(n=n, edges=edges), report

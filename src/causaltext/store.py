@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
 
 from .assignment import ConceptAssignment
+from .gateway import read_jsonl
 from .graphs import Dag, GraphSpec
 from .textgen import Paragraph
 
@@ -69,18 +69,13 @@ class SampleStore:
     """Append-only JSON Lines store with an in-memory id index.
 
     Safe to reopen mid-run: existing ids are loaded so interrupted batch
-    jobs can resume without duplicates.
+    jobs can resume without duplicates, and a record cut short by a kill
+    is dropped so that it is generated again.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._ids: set = set()
-        if os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        self._ids.add(json.loads(line)["id"])
+        self._ids: set = {obj["id"] for obj in read_jsonl(path)}
 
     def __contains__(self, sample_id: str) -> bool:
         return sample_id in self._ids
@@ -100,19 +95,8 @@ class SampleStore:
         self._ids.add(record.id)
 
     def __iter__(self):
-        if not os.path.exists(self.path):
-            return
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield SampleRecord.from_json(json.loads(line))
-
-    def get(self, sample_id: str) -> SampleRecord | None:
-        for rec in self:
-            if rec.id == sample_id:
-                return rec
-        return None
+        for obj in read_jsonl(self.path):
+            yield SampleRecord.from_json(obj)
 
 
 @dataclass

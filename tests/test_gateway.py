@@ -192,6 +192,42 @@ class TestCache:
         c2.clear()
         assert len(ResponseCache(path)) == 0
 
+    def test_put_appends_one_line(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        c = ResponseCache(path)
+        for k, (key, value) in enumerate([("a", 1), ("b", {"x": [1, 2]}), ("a", 3)], start=1):
+            c.put(key, value)
+            with open(path) as fh:
+                lines = fh.readlines()
+            assert len(lines) == k and lines[-1] == json.dumps({key: value}) + "\n"
+        assert ResponseCache(path).data == {"a": 3, "b": {"x": [1, 2]}}  # the last line for a key wins
+
+    def test_torn_last_line_dropped_with_warning(self, tmp_path, caplog):
+        path = str(tmp_path / "cache.jsonl")
+        c = ResponseCache(path)
+        c.put("k1", {"v": 1})
+        c.put("k2", {"v": 2})
+        with open(path, "r+") as fh:
+            fh.truncate(len(fh.read()) - 4)  # cut inside the k2 line
+        with caplog.at_level("WARNING", logger="causaltext.gateway"):
+            c2 = ResponseCache(path)
+        assert c2.data == {"k1": {"v": 1}}
+        assert any("torn last line" in r.message for r in caplog.records)
+        c2.put("k3", {"v": 3})
+        assert ResponseCache(path).data == {"k1": {"v": 1}, "k3": {"v": 3}}
+
+    def test_single_object_cache_file_is_read(self, tmp_path):
+        path = str(tmp_path / "cache.json")
+        old = {"a": {"x": 1}, "b": [1, 2]}
+        with open(path, "w") as fh:
+            json.dump(old, fh)  # one object, no trailing newline
+        c = ResponseCache(path)
+        assert c.data == old
+        c.put("c", 3)
+        assert ResponseCache(path).data == {**old, "c": 3}
+        with open(path) as fh:
+            assert fh.read() == json.dumps(old) + "\n" + json.dumps({"c": 3}) + "\n"
+
 
 class TestLedger:
     def test_totals_equal_sum_over_samples(self):
@@ -202,6 +238,15 @@ class TestLedger:
         per = led.per_sample()
         assert per["s1"]["total"] == 25 and per["s1"]["calls"] == 2
         assert led.totals()["total"] == sum(v["total"] for v in per.values())
+
+    def test_returned_counts_are_copies(self):
+        led = UsageLedger()
+        led.record("s", 2, 3)
+        led.per_sample()["s"]["total"] = 99
+        led.totals()["calls"] = 99
+        led.record("s", 1, 1)
+        assert led.per_sample() == {"s": {"input": 3, "output": 4, "total": 7, "calls": 2}}
+        assert led.totals() == {"input": 3, "output": 4, "total": 7, "calls": 2}
 
     def test_gateway_records_usage(self):
         gw = Gateway(ScriptedMockBackend(["one two three"]))
@@ -242,3 +287,20 @@ class TestHttpBackend:
         b = HttpBackend("http://localhost:1/v1", "SOME_KEY", retries=1, backoff=0.0)
         with pytest.raises(TransportError):
             b.complete(build_payload(BackendProfile.for_role("m", "proposer"), "p"))
+
+    @pytest.mark.parametrize("content", [b"<html>bad gateway</html>", b'{"choices": []}'])
+    def test_malformed_body_raises_malformed_output(self, monkeypatch, content):
+        import requests
+
+        def fake_post(*args, **kwargs):
+            resp = requests.models.Response()
+            resp.status_code = 200
+            resp._content = content
+            return resp
+
+        monkeypatch.setenv("SOME_KEY", "secret")
+        monkeypatch.setattr(requests, "post", fake_post)
+        b = HttpBackend("http://localhost:1/v1", "SOME_KEY", retries=0)
+        with pytest.raises(MalformedOutput) as exc:
+            b.complete(build_payload(BackendProfile.for_role("m", "proposer"), "p"))
+        assert exc.value.raw_text == content.decode()

@@ -159,6 +159,30 @@ class TestGenerateEvaluate:
         assert "skipped 8" in r.output
         assert len(SampleStore(store)) == 8
 
+    def test_resume_regenerates_torn_last_record(self, tmp_path, caplog):
+        runner, graphs, store = self.run_pipeline(tmp_path)
+        with open(store) as fh:
+            lines = fh.readlines()
+        before = [json.loads(line) for line in lines]
+        with open(store, "w") as fh:
+            fh.writelines(lines[:-1])
+            fh.write(lines[-1][: len(lines[-1]) // 2])  # a kill in the middle of the last append
+        with caplog.at_level("WARNING", logger="causaltext.gateway"):
+            r = runner.invoke(
+                main,
+                ["generate", "--graphs", graphs, "--out", store,
+                 "--mock-script", '{"mode": "oracle"}', "--resume"],
+            )
+        assert r.exit_code == 0, r.output
+        assert "generated 1, failed 0, skipped 7" in r.output
+        assert any("torn last line" in rec.message for rec in caplog.records)
+        with open(store) as fh:
+            after = [json.loads(line) for line in fh]
+        for obj in before + after:
+            obj.pop("created_at")
+        assert after == before
+        assert len(SampleStore(store)) == 8
+
     def test_rerun_without_resume_fails(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)
         r = runner.invoke(

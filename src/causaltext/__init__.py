@@ -1,6 +1,14 @@
 """Generation of natural-language corpora with ground-truth causal graphs,
 plus the metrics and statistics used to evaluate them."""
 
+import os
+
+# Every matrix the package multiplies is small, so a BLAS thread pool only
+# costs start-up work on other cores, some of it after the import returns.
+# This takes effect only if numpy is not loaded yet, and an explicit setting
+# wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .assignment import (
     ConceptAssignment,
     LoopConfig,

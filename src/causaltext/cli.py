@@ -187,7 +187,7 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
             rec.loop_status = result.status
             rec.loop_iterations = result.iterations
             rec.best_l_b = result.best_l_b if result.best_l_b != float("inf") else None
-            rec.tokens = {"total": gw.ledger.per_sample().get(sid_, {}).get("total", 0)}
+            rec.tokens = {"total": gw.ledger.sample(sid_)["total"]}
             done += 1
         except CausaltextError as exc:
             rec.error = f"{type(exc).__name__}: {exc}"

@@ -148,7 +148,7 @@ class UsageLedger:
 
     def record(self, sample_id, input_tokens: int, output_tokens: int) -> None:
         ti, to = int(input_tokens), int(output_tokens)
-        acc = self._per_sample.setdefault(sample_id, {"input": 0, "output": 0, "total": 0, "calls": 0})
+        acc = self._per_sample.setdefault(sample_id, dict.fromkeys(self._totals, 0))
         for counts in (acc, self._totals):
             counts["input"] += ti
             counts["output"] += to
@@ -157,6 +157,10 @@ class UsageLedger:
 
     def per_sample(self) -> dict:
         return {sid: dict(counts) for sid, counts in self._per_sample.items()}
+
+    def sample(self, sample_id) -> dict:
+        """One sample's counts as a fresh dict, zeros if it made no call."""
+        return dict(self._per_sample.get(sample_id) or dict.fromkeys(self._totals, 0))
 
     def totals(self) -> dict:
         return dict(self._totals)

@@ -147,16 +147,19 @@ class MotifReport:
 
 def is_acyclic(adj: np.ndarray) -> bool:
     """Check acyclicity by iteratively peeling nodes with zero in-degree."""
-    a = np.asarray(adj, dtype=bool).copy()
-    alive = np.ones(a.shape[0], dtype=bool)
-    while alive.any():
-        indeg = a[alive][:, alive].sum(axis=0)
-        sources = np.flatnonzero(alive)[indeg == 0]
-        if sources.size == 0:
-            return False
-        alive[sources] = False
-        a[sources, :] = False
-    return True
+    rows = np.asarray(adj, dtype=bool).tolist()
+    children = [[v for v, edge in enumerate(row) if edge] for row in rows]
+    indeg = [sum(col) for col in zip(*rows)]
+    stack = [v for v, d in enumerate(indeg) if d == 0]
+    peeled = 0
+    while stack:
+        u = stack.pop()
+        peeled += 1
+        for v in children[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                stack.append(v)
+    return peeled == len(indeg)
 
 
 def topological_order(adj: np.ndarray) -> list[int]:

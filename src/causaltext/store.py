@@ -70,12 +70,19 @@ class SampleStore:
 
     Safe to reopen mid-run: existing ids are loaded so interrupted batch
     jobs can resume without duplicates, and a record cut short by a kill
-    is dropped so that it is generated again.
+    is dropped so that it is generated again.  The index is read on first
+    use, so a store that is only iterated is read once.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._ids: set = {obj["id"] for obj in read_jsonl(path)}
+        self._index: set | None = None
+
+    @property
+    def _ids(self) -> set:
+        if self._index is None:
+            self._index = {obj["id"] for obj in read_jsonl(self.path)}
+        return self._index
 
     def __contains__(self, sample_id: str) -> bool:
         return sample_id in self._ids
@@ -88,6 +95,7 @@ class SampleStore:
         return set(self._ids)
 
     def append(self, record: SampleRecord) -> None:
+        # the index read also drops a torn last line before this write
         if record.id in self._ids:
             raise ValueError(f"duplicate sample id {record.id!r}")
         with open(self.path, "a") as fh:

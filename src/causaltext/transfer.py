@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import (
     DegenerateGroups,
@@ -29,6 +28,7 @@ METRICS = ("f1", "shd", "sid")
 CORPORA = ("generated", "real")
 DEFAULT_NS = tuple(range(3, 11))
 EXHAUSTIVE_CAP = 2_000_000
+_ANOVA_BATCH = 1 << 18  # level codes per batch of null ANOVA F statistics
 
 
 @dataclass
@@ -95,13 +95,55 @@ class ScoreTable:
 
 
 def center_within_n(scores: np.ndarray) -> np.ndarray:
-    """Subtract the across-algorithm mean inside each bucket (row)."""
+    """Subtract the across-algorithm mean inside each bucket (along the last axis)."""
     scores = np.asarray(scores, dtype=float)
-    return scores - scores.mean(axis=1, keepdims=True)
+    return scores - scores.mean(axis=-1, keepdims=True)
 
 
-def _pearson_flat(x: np.ndarray, y: np.ndarray) -> float:
-    return float(sps.pearsonr(x, y)[0])
+def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlation along the last axis; nan where an input is constant.
+
+    Takes the steps of ``scipy.stats.pearsonr`` in its order (centre, scale
+    by the largest deviation, norm, dot product, clip), so the values agree
+    with it to the last bit.
+    """
+    xm = x - x.mean(axis=-1, keepdims=True)
+    ym = y - y.mean(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xmax = np.abs(xm).max(axis=-1, keepdims=True)
+        ymax = np.abs(ym).max(axis=-1, keepdims=True)
+        normxm = xmax * np.linalg.norm(xm / xmax, ord=2, axis=-1, keepdims=True)
+        normym = ymax * np.linalg.norm(ym / ymax, ord=2, axis=-1, keepdims=True)
+        r = np.clip(np.vecdot(xm / normxm, ym / normym, axis=-1), -1.0, 1.0)
+    if x.shape[-1] == 2:
+        r = np.round(r)
+    constant = (x == x[..., :1]).all(axis=-1) | (y == y[..., :1]).all(axis=-1)
+    return np.where(constant, np.nan, r)
+
+
+def _rank(values: np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis, tied values sharing their mean rank."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    n = values.shape[-1]
+    pos = np.broadcast_to(np.arange(n), values.shape)
+    # sorted positions where a run of equal values starts, and where one ends
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.roll(starts, -1, axis=-1)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=-1)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman correlation of two vectors, as ``scipy.stats.spearmanr`` computes it."""
+    if (x == x[0]).all() or (y == y[0]).all():
+        return math.nan
+    ranked = np.apply_along_axis(_rank, 0, np.column_stack((x, y)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
 def _stratified_permutation_p(
@@ -159,8 +201,7 @@ def _stratified_permutation_p(
 
 def _rank_matrix(values: np.ndarray) -> np.ndarray:
     """Ranks of the pooled entries, reshaped back to (buckets x algorithms)."""
-    flat = values.ravel()
-    return sps.rankdata(flat).reshape(values.shape)
+    return _rank(values.ravel()).reshape(values.shape)
 
 
 def _stratified_bootstrap(
@@ -172,29 +213,31 @@ def _stratified_bootstrap(
     """Percentile CIs for (pearson, spearman, r^2) under within-bucket resampling.
 
     Resamples algorithm indices with replacement inside each bucket and
-    recomputes the within-n centered statistics on each replicate.
+    recomputes the within-n centered statistics on each replicate, all
+    replicates at once.  A replicate whose centered scores are constant in
+    either corpus is skipped; with none left the CIs are NaN.
     """
     rng = np.random.default_rng(seed)
     buckets, a = x.shape
-    rs, rhos, r2s = [], [], []
-    for _ in range(b):
-        idx = rng.integers(0, a, size=(buckets, a))
-        xb = np.take_along_axis(x, idx, axis=1)
-        yb = np.take_along_axis(y, idx, axis=1)
-        xbc = center_within_n(xb).ravel()
-        ybc = center_within_n(yb).ravel()
-        if xbc.std() == 0 or ybc.std() == 0:
-            continue
-        r = _pearson_flat(xbc, ybc)
-        rs.append(r)
-        rhos.append(float(sps.spearmanr(xbc, ybc)[0]))
-        r2s.append(r * r)
+    # one draw of b replicates consumes the stream like b draws of one each
+    idx = rng.integers(0, a, size=(b, buckets, a))
+    xbc, ybc = (
+        center_within_n(np.take_along_axis(m[None], idx, axis=2)).reshape(b, buckets * a)
+        for m in (x, y)
+    )
+    keep = (xbc.std(axis=1) != 0) & (ybc.std(axis=1) != 0)
+    if not keep.any():
+        nan = (float("nan"), float("nan"))
+        return {"pearson": nan, "spearman": nan, "r_squared": nan}
+    xbc, ybc = xbc[keep], ybc[keep]
+    r = _pearson(xbc, ybc)
+    rho = _pearson(_rank(xbc), _rank(ybc))
+
     def ci(vals):
-        if not vals:
-            return (float("nan"), float("nan"))
         lo, hi = np.percentile(vals, [2.5, 97.5])
         return (float(lo), float(hi))
-    return {"pearson": ci(rs), "spearman": ci(rhos), "r_squared": ci(r2s)}
+
+    return {"pearson": ci(r), "spearman": ci(rho), "r_squared": ci(r * r)}
 
 
 @dataclass
@@ -276,8 +319,8 @@ def agreement(
         y = table.matrix(metric, "real")
         xc, yc = center_within_n(x), center_within_n(y)
         xf, yf = xc.ravel(), yc.ravel()
-        r = _pearson_flat(xf, yf)
-        rho = float(sps.spearmanr(xf, yf)[0])
+        r = float(_pearson(xf, yf))
+        rho = _spearman(xf, yf)
         p_pearson, mode, n_perm = _stratified_permutation_p(
             xc, yc, b_permutations, seed, exhaustive, exhaustive_cap
         )
@@ -344,23 +387,61 @@ class AnovaResult:
     n_permutations: int
 
 
-def _anova_f(values: np.ndarray, levels: np.ndarray):
+def _anova_f_rows(values: np.ndarray, codes: np.ndarray):
+    """One-way ANOVA (F, partial eta^2) of ``values`` for each row of level codes.
+
+    ``codes`` is (rows x len(values)); every row holds the same multiset of
+    codes 0..k-1.  Each group is summed in index order and with the same
+    operations a scalar loop over the groups uses, so every row gives the
+    same floating-point result as a one-row call with that labelling.  F is
+    inf when there is an effect but no error term (df1 or df2 zero, or zero
+    within-group variance), else 0.
+    """
     grand = values.mean()
-    ss_effect = 0.0
-    ss_error = 0.0
-    for lv in np.unique(levels):
-        grp = values[levels == lv]
-        ss_effect += len(grp) * (grp.mean() - grand) ** 2
-        ss_error += ((grp - grp.mean()) ** 2).sum()
-    k = len(np.unique(levels))
-    n = len(values)
-    df1, df2 = k - 1, n - k
-    if df1 == 0 or df2 == 0 or ss_error == 0:
-        f = math.inf if ss_effect > 0 else 0.0
-    else:
+    counts = np.bincount(codes[0])
+    ss_effect = np.zeros(len(codes))
+    ss_error = np.zeros(len(codes))
+    for lv, size in enumerate(counts):
+        grp = values[np.nonzero(codes == lv)[1].reshape(len(codes), size)]
+        mean = grp.mean(axis=1)
+        # Python's float power, not numpy's array square: the two round
+        # differently in about one case in a thousand
+        ss_effect += size * ((mean - grand).astype(object) ** 2).astype(float)
+        ss_error += ((grp - mean[:, None]) ** 2).sum(axis=1)
+    df1, df2 = len(counts) - 1, codes.shape[1] - len(counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
         f = (ss_effect / df1) / (ss_error / df2)
-    eta = ss_effect / (ss_effect + ss_error) if (ss_effect + ss_error) > 0 else 0.0
+        eta = ss_effect / (ss_effect + ss_error)
+    no_error = (ss_error == 0) | (df1 == 0) | (df2 == 0)
+    f = np.where(no_error, np.where(ss_effect > 0, math.inf, 0.0), f)
+    eta = np.where(ss_effect + ss_error > 0, eta, 0.0)
     return f, eta
+
+
+def _sampled_arrangements(per_stratum: list, b: int, rows: int, rng):
+    """Batches of ``b`` random within-stratum label arrangements.
+
+    Draws one permutation per stratum per replicate, in that order.
+    """
+    for start in range(0, b, rows):
+        batch = [np.empty((min(rows, b - start), len(ix)), dtype=np.intp) for ix in per_stratum]
+        for r in range(len(batch[0])):
+            for perm, ix in zip(batch, per_stratum):
+                perm[r] = rng.permutation(len(ix))
+        yield batch
+
+
+def _all_arrangements(per_stratum: list, rows: int):
+    """Batches of every within-stratum label arrangement, last stratum fastest."""
+    tables = [
+        np.array(list(itertools.permutations(range(len(ix)))), dtype=np.intp)
+        for ix in per_stratum
+    ]
+    sizes = [len(t) for t in tables]
+    total = math.prod(sizes)
+    for start in range(0, total, rows):
+        digits = np.unravel_index(np.arange(start, min(start + rows, total)), sizes)
+        yield [t[d] for t, d in zip(tables, digits)]
 
 
 def permutation_anova(
@@ -399,38 +480,28 @@ def permutation_anova(
         mask = stratum_of == n
         resid[mask] -= resid[mask].mean()
 
-    f_obs, eta = _anova_f(resid, levels)
+    codes = np.unique(levels, return_inverse=True)[1].astype(np.intp)
+    f_obs, eta = (float(v[0]) for v in _anova_f_rows(resid, codes[None]))
 
-    total = 1
-    for n in strata:
-        total *= math.factorial(int((stratum_of == n).sum()))
-    if total <= exhaustive_cap:
-        count, total_used = 0, 0
-        per_stratum = [np.flatnonzero(stratum_of == n) for n in strata]
-        for combo in itertools.product(
-            *[itertools.permutations(range(len(ix))) for ix in per_stratum]
-        ):
-            perm_levels = levels.copy()
-            for ix, p in zip(per_stratum, combo):
-                perm_levels[ix] = levels[ix][list(p)]
-            f_b, _ = _anova_f(resid, perm_levels)
-            total_used += 1
-            if f_b >= f_obs - 1e-12:
-                count += 1
-        return AnovaResult(count / total_used, eta, f_obs, "exhaustive", total_used)
-
-    if seed is None:
-        raise ValueError("seed required for sampled permutation mode")
-    rng = np.random.default_rng(seed)
-    count = 0
     per_stratum = [np.flatnonzero(stratum_of == n) for n in strata]
-    for _ in range(b):
-        perm_levels = levels.copy()
-        for ix in per_stratum:
-            perm_levels[ix] = levels[ix][rng.permutation(len(ix))]
-        f_b, _ = _anova_f(resid, perm_levels)
-        if f_b >= f_obs - 1e-12:
-            count += 1
+    rows = max(1, _ANOVA_BATCH // len(codes))
+    total = math.prod(math.factorial(len(ix)) for ix in per_stratum)
+    exhaustive = total <= exhaustive_cap
+    if exhaustive:
+        batches = _all_arrangements(per_stratum, rows)
+    elif seed is None:
+        raise ValueError("seed required for sampled permutation mode")
+    else:
+        batches = _sampled_arrangements(per_stratum, b, rows, np.random.default_rng(seed))
+    count = 0
+    for perms in batches:
+        null_codes = np.empty((len(perms[0]), len(codes)), dtype=np.intp)
+        for ix, perm in zip(per_stratum, perms):
+            null_codes[:, ix] = codes[ix][perm]
+        f_b, _ = _anova_f_rows(resid, null_codes)
+        count += int((f_b >= f_obs - 1e-12).sum())
+    if exhaustive:
+        return AnovaResult(count / total, eta, f_obs, "exhaustive", total)
     return AnovaResult((1 + count) / (b + 1), eta, f_obs, "sampled", b)
 
 

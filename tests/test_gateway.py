@@ -248,6 +248,18 @@ class TestLedger:
         assert led.per_sample() == {"s": {"input": 3, "output": 4, "total": 7, "calls": 2}}
         assert led.totals() == {"input": 3, "output": 4, "total": 7, "calls": 2}
 
+    def test_sample_is_a_copy_of_one_samples_counts(self):
+        led = UsageLedger()
+        led.record("s1", 10, 5)
+        led.record("s2", 1, 1)
+        one = led.sample("s1")
+        assert one == led.per_sample()["s1"]
+        one["total"] = 99
+        assert led.sample("s1") == {"input": 10, "output": 5, "total": 15, "calls": 1}
+        assert led.sample("unseen") == {"input": 0, "output": 0, "total": 0, "calls": 0}
+        led.sample("unseen")["calls"] = 1
+        assert "unseen" not in led.per_sample()
+
     def test_gateway_records_usage(self):
         gw = Gateway(ScriptedMockBackend(["one two three"]))
         gw.complete(BackendProfile.for_role("m", "proposer"), "a b", sample_id="s")

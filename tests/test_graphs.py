@@ -16,6 +16,32 @@ from causaltext.graphs import (
 )
 
 
+def matrix_peel_is_acyclic(adj):
+    """Reference: peel every zero in-degree node of the live subgraph at once."""
+    a = np.asarray(adj, dtype=bool).copy()
+    alive = np.ones(a.shape[0], dtype=bool)
+    while alive.any():
+        indeg = a[alive][:, alive].sum(axis=0)
+        sources = np.flatnonzero(alive)[indeg == 0]
+        if sources.size == 0:
+            return False
+        alive[sources] = False
+        a[sources, :] = False
+    return True
+
+
+@st.composite
+def adjacency(draw):
+    """A 0/1 matrix on 1..10 nodes: random, or an order-respecting DAG."""
+    n = draw(st.integers(1, 10))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    a = np.array(bits, dtype=np.int8).reshape(n, n)
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        a = np.triu(a, 1)[np.ix_(order, order)]
+    return a
+
+
 def make_spec(**kw):
     base = dict(n=5, p=0.4, max_parents=4, max_children=4, gamma_c=0.0, gamma_v=0.0, mediator_chains=0, seed=0)
     base.update(kw)
@@ -65,6 +91,11 @@ class TestAcyclicity:
         a = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         assert is_acyclic(a)
         assert topological_order(a) == [0, 1, 2]
+
+    @given(adjacency())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_matrix_peel(self, a):
+        assert is_acyclic(a) == matrix_peel_is_acyclic(a)
 
     def test_topological_order_rejects_cycles(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import causaltext
+from causaltext import store as store_mod
 from causaltext.assignment import ConceptAssignment
 from causaltext.cli import load_config, loop_config_from, main, sample_seed
 from causaltext.errors import InvalidConfig
@@ -55,6 +59,17 @@ class TestStore:
         with pytest.raises(ValueError):
             st.append(make_record("a"))
 
+    def test_append_to_torn_store_drops_the_torn_line_first(self, tmp_path, caplog):
+        path = str(tmp_path / "s.jsonl")
+        SampleStore(path).append(make_record("a"))
+        line = json.dumps(make_record("b").to_json())
+        with open(path, "a") as fh:
+            fh.write(line[: len(line) // 2])
+        with caplog.at_level("WARNING", logger="causaltext.gateway"):
+            SampleStore(path).append(make_record("c"))
+        assert any("torn last line" in rec.message for rec in caplog.records)
+        assert [r.id for r in SampleStore(path)] == ["a", "c"]
+
     def test_manifest_matches_recomputation(self, tmp_path):
         st = SampleStore(str(tmp_path / "s.jsonl"))
         st.append(make_record("a", n=3, status="Success", iterations=1, tokens=100))
@@ -68,6 +83,30 @@ class TestStore:
         assert mf.median_tokens == 300
         assert mf.total_tokens == 1300
         assert mf.errors == 1
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(causaltext.__file__)))
+        code = (
+            "import sys, causaltext, causaltext.cli\n"
+            "print('scipy' in sys.modules)\n"
+            f"table = causaltext.ScoreTable.from_csv({os.path.join(DATA, 'scores_gpt5.csv')!r})\n"
+            "causaltext.agreement(table, b_permutations=20, b_bootstrap=20, exhaustive=False)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False"]
+
+    def test_blas_pool_defaults_to_one_thread(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(causaltext.__file__)))
+        code = "import os, causaltext; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        for setting, want in ((None, "1"), ("2", "2")):
+            run_env = {**env, "PYTHONPATH": src, **({"OPENBLAS_NUM_THREADS": setting} if setting else {})}
+            out = subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True, text=True, check=True)
+            assert out.stdout.strip() == want
 
 
 class TestConfig:
@@ -202,6 +241,20 @@ class TestGenerateEvaluate:
             assert row["coverage_ok"] is True
         for n, agg in result["per_n"].items():
             assert agg["f1"]["mean"] == 1.0
+
+    def test_evaluate_reads_store_once(self, tmp_path, monkeypatch):
+        runner, graphs, store = self.run_pipeline(tmp_path)
+        calls = []
+
+        def counting_read_jsonl(path):
+            calls.append(path)
+            return read_jsonl(path)
+
+        read_jsonl = store_mod.read_jsonl
+        monkeypatch.setattr(store_mod, "read_jsonl", counting_read_jsonl)
+        r = runner.invoke(main, ["evaluate", "--store", store])
+        assert r.exit_code == 0, r.output
+        assert calls == [store]
 
     def test_evaluate_with_reference_dir(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)

@@ -12,6 +12,7 @@ from causaltext.errors import (
     PoolTooSmall,
     TooFewAlgorithms,
 )
+from causaltext import transfer
 from causaltext.transfer import (
     ScoreTable,
     agreement,
@@ -54,6 +55,55 @@ class TestCentering:
         rng = np.random.default_rng(0)
         x = rng.random((8, 3))
         assert np.abs(center_within_n(x).sum(axis=1)).max() < 1e-12
+
+
+def correlation_inputs():
+    """Vector pairs of 2 to 39 entries: plain, rounded (with ties), centred."""
+    rng = np.random.default_rng(21)
+    pairs = []
+    for k in range(300):
+        x = rng.normal(size=int(rng.integers(2, 40))) * 10 ** rng.uniform(-4, 4)
+        y = 0.3 * x + rng.normal(size=len(x))
+        if k % 3 == 1:
+            x, y = np.round(x, 1), np.round(y, 0)
+        if k % 3 == 2:
+            x, y = x - x.mean(), y - y.mean()
+        pairs.append((x, y))
+    return pairs
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.filterwarnings("ignore:An input array is constant")
+class TestCorrelations:
+    """The numpy statistics against scipy.stats, to the last bit."""
+
+    def test_pearson_matches_scipy(self):
+        for x, y in correlation_inputs():
+            assert same_float(float(transfer._pearson(x, y)), sps.pearsonr(x, y)[0])
+
+    def test_spearman_matches_scipy(self):
+        for x, y in correlation_inputs():
+            assert same_float(transfer._spearman(x, y), sps.spearmanr(x, y)[0])
+
+    def test_ranks_match_scipy(self):
+        for x, y in correlation_inputs():
+            assert (transfer._rank(y) == sps.rankdata(y)).all()
+        rows = np.round(np.random.default_rng(3).normal(size=(50, 24)), 1)
+        assert (transfer._rank(rows) == sps.rankdata(rows, axis=1)).all()
+
+    def test_row_wise_pearson_matches_scipy(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(50, 24)), rng.normal(size=(50, 24))
+        want = [sps.pearsonr(a, b)[0] for a, b in zip(x, y)]
+        assert (transfer._pearson(x, y) == want).all()
+
+    def test_constant_input_gives_nan(self):
+        x, y = np.full(5, 0.3), np.arange(5.0)
+        assert math.isnan(transfer._pearson(x, y)) and math.isnan(transfer._pearson(y, x))
+        assert math.isnan(transfer._spearman(x, y))
 
 
 class TestScoreTable:
@@ -159,6 +209,88 @@ class TestAgreement:
             agreement(t, seed=0, exhaustive=False, with_bootstrap=False)
 
 
+def pearson_1d(x, y):
+    xm, ym = x - x.mean(), y - y.mean()
+    return float(xm @ ym / math.sqrt((xm @ xm) * (ym @ ym)))
+
+
+def average_ranks(v):
+    """1-based ranks, tied values sharing the mean of their positions."""
+    first, last = {}, {}
+    for i, u in enumerate(sorted(v.tolist())):
+        first.setdefault(u, i)
+        last[u] = i
+    return np.array([(first[u] + last[u]) / 2 + 1 for u in v.tolist()])
+
+
+def loop_bootstrap(x, y, b, seed):
+    """Reference: the per-replicate bootstrap loop, one draw per replicate.
+
+    Returns the CIs and the number of replicates kept.  A 1-D Pearson and a
+    Pearson of average ranks stand in for scipy's pearsonr and spearmanr,
+    which cost about 0.3 ms a call and would put half a minute of loops into
+    the suite.
+    """
+    rng = np.random.default_rng(seed)
+    buckets, a = x.shape
+    rs, rhos = [], []
+    for _ in range(b):
+        idx = rng.integers(0, a, size=(buckets, a))
+        xb = np.take_along_axis(x, idx, axis=1)
+        yb = np.take_along_axis(y, idx, axis=1)
+        xbc = (xb - xb.mean(axis=1, keepdims=True)).ravel()
+        ybc = (yb - yb.mean(axis=1, keepdims=True)).ravel()
+        if xbc.std() == 0 or ybc.std() == 0:
+            continue
+        rs.append(pearson_1d(xbc, ybc))
+        rhos.append(pearson_1d(average_ranks(xbc), average_ranks(ybc)))
+
+    def ci(vals):
+        if not vals:
+            return (float("nan"), float("nan"))
+        lo, hi = np.percentile(vals, [2.5, 97.5])
+        return (float(lo), float(hi))
+
+    cis = {"pearson": ci(rs), "spearman": ci(rhos), "r_squared": ci([r * r for r in rs])}
+    return cis, len(rs)
+
+
+def assert_cis_close(got, want, tol=1e-12):
+    assert got.keys() == want.keys()
+    for key in want:
+        for g, w in zip(got[key], want[key]):
+            assert (math.isnan(g) and math.isnan(w)) or abs(g - w) <= tol, (key, got, want)
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("fname", ["scores_gpt5.csv", "scores_deepseek.csv", "scores_qwen.csv"])
+    @pytest.mark.parametrize("drop", [None, 0, 1, 2])
+    def test_matches_loop_on_fixtures(self, fname, drop):
+        t = ScoreTable.from_csv(os.path.join(DATA, fname))
+        if drop is not None:
+            t = t.drop(t.algorithms[drop])
+        for metric in ("f1", "shd", "sid"):
+            x, y = t.matrix(metric, "generated"), t.matrix(metric, "real")
+            for seed in (0, 1, 7):
+                want, kept = loop_bootstrap(x, y, 400, seed)
+                assert kept > 0
+                assert_cis_close(transfer._stratified_bootstrap(x, y, 400, seed), want)
+
+    def test_skips_constant_replicates(self):
+        # two algorithms in one bucket: a replicate that draws one algorithm
+        # twice has constant centred scores and is skipped
+        x, y = np.array([[0.1, 0.5]]), np.array([[0.3, 0.2]])
+        want, kept = loop_bootstrap(x, y, 200, 3)
+        assert 0 < kept < 200
+        assert_cis_close(transfer._stratified_bootstrap(x, y, 200, 3), want)
+
+    def test_all_replicates_skipped_gives_nan(self):
+        x, y = np.array([[0.4, 0.4]]), np.array([[0.3, 0.2]])
+        assert loop_bootstrap(x, y, 50, 0)[1] == 0
+        cis = transfer._stratified_bootstrap(x, y, 50, 0)
+        assert all(math.isnan(v) for pair in cis.values() for v in pair)
+
+
 class TestLeaveOneOut:
     def test_drop_to_one_rejected(self):
         t = linear_table(algs=("a", "b"))
@@ -212,6 +344,97 @@ class TestBenjaminiHochberg:
         adj = benjamini_hochberg(p)
         for k in p:
             assert p[k] <= adj[k] + 1e-12 and adj[k] <= 1.0
+
+
+def loop_anova_f(values, levels):
+    """Reference: the scalar one-way ANOVA F the batched one replaced."""
+    grand = values.mean()
+    ss_effect = 0.0
+    ss_error = 0.0
+    for lv in np.unique(levels):
+        grp = values[levels == lv]
+        ss_effect += len(grp) * (grp.mean() - grand) ** 2
+        ss_error += ((grp - grp.mean()) ** 2).sum()
+    k = len(np.unique(levels))
+    n = len(values)
+    df1, df2 = k - 1, n - k
+    if df1 == 0 or df2 == 0 or ss_error == 0:
+        f = math.inf if ss_effect > 0 else 0.0
+    else:
+        f = (ss_effect / df1) / (ss_error / df2)
+    eta = ss_effect / (ss_effect + ss_error) if (ss_effect + ss_error) > 0 else 0.0
+    return f, eta
+
+
+def loop_permutation_anova(groups, b, seed, exhaustive_cap):
+    """Reference: one relabelling and one F statistic per arrangement.
+
+    Returns (p_value, partial_eta_squared, f_statistic, mode, n_permutations).
+    """
+    strata = sorted({n for n, _ in groups})
+    values, levels, stratum_of = [], [], []
+    for (n, lv), vals in groups.items():
+        for v in vals:
+            values.append(float(v))
+            levels.append(lv)
+            stratum_of.append(n)
+    values = np.array(values)
+    levels = np.array(levels, dtype=object)
+    stratum_of = np.array(stratum_of)
+    resid = values.copy()
+    for n in strata:
+        mask = stratum_of == n
+        resid[mask] -= resid[mask].mean()
+    f_obs, eta = loop_anova_f(resid, levels)
+    per_stratum = [np.flatnonzero(stratum_of == n) for n in strata]
+    total = math.prod(math.factorial(len(ix)) for ix in per_stratum)
+    count = 0
+    if total <= exhaustive_cap:
+        for combo in itertools.product(*[itertools.permutations(range(len(ix))) for ix in per_stratum]):
+            perm_levels = levels.copy()
+            for ix, p in zip(per_stratum, combo):
+                perm_levels[ix] = levels[ix][list(p)]
+            count += loop_anova_f(resid, perm_levels)[0] >= f_obs - 1e-12
+        return count / total, eta, f_obs, "exhaustive", total
+    rng = np.random.default_rng(seed)
+    for _ in range(b):
+        perm_levels = levels.copy()
+        for ix in per_stratum:
+            perm_levels[ix] = levels[ix][rng.permutation(len(ix))]
+        count += loop_anova_f(resid, perm_levels)[0] >= f_obs - 1e-12
+    return (1 + count) / (b + 1), eta, f_obs, "sampled", b
+
+
+def anova_cases():
+    rng = np.random.default_rng(11)
+    noisy = {(n, lv): rng.normal(size=3) for n in (3, 4, 5) for lv in ("a", "b", "c")}
+    # levels a large constant apart: F near 1e10, so equal-F arrangements must
+    # match the observed F to the last bit to be counted
+    separated = {(n, lv): rng.normal(size=2) * 1e-3 + 1e3 * k for n in (3, 4) for k, lv in enumerate("xy")}
+    rounded = {(n, lv): np.round(rng.normal(size=2), 1) for n in (3, 4) for lv in ("lo", "hi")}
+    one_each = {(3, lv): [float(k)] for k, lv in enumerate("pqr")}  # df2 = 0
+    no_error = {(n, lv): [k, k] for n in (3, 4) for k, lv in enumerate("uv")}  # ss_error = 0
+    # a group mean whose squared distance from the grand mean numpy's array
+    # square and Python's float power round differently
+    rng = np.random.default_rng(148)
+    power_rounding = {(n, lv): rng.normal(size=3) for n in (3, 4) for lv in ("a", "b", "c")}
+    return {"noisy": noisy, "separated": separated, "rounded": rounded,
+            "one_each": one_each, "no_error": no_error, "power_rounding": power_rounding}
+
+
+class TestBatchedAnova:
+    @pytest.mark.parametrize("case", sorted(anova_cases()))
+    @pytest.mark.parametrize("batch", [None, 7])
+    @pytest.mark.parametrize("cap", [0, 200_000])
+    def test_matches_loop_exactly(self, case, batch, cap, monkeypatch):
+        if batch is not None:  # several batches, the last one partial
+            monkeypatch.setattr(transfer, "_ANOVA_BATCH", batch)
+        groups = anova_cases()[case]
+        want = loop_permutation_anova(groups, b=300, seed=4, exhaustive_cap=cap)
+        res = permutation_anova(groups, b=300, seed=4, exhaustive_cap=cap)
+        got = (res.p_value, res.partial_eta_squared, res.f_statistic, res.mode, res.n_permutations)
+        assert got == want
+        assert res.mode == ("sampled" if cap == 0 or case in ("noisy", "power_rounding") else "exhaustive")
 
 
 class TestPermutationAnova:

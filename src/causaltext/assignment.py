@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedOutput, SchemaViolation, VerificationError
-from .gateway import load_template, make_cache_key, render_prompt
+from .gateway import TEMPLATE_SPECS, load_template, make_cache_key, render_prompt
 from .graphs import Dag
 
 DETERMINERS = ("a", "an", "the")
@@ -36,12 +36,9 @@ class ConceptAssignment:
     domain: str
 
     def validate(self, n: int | None = None) -> None:
+        """Raise SchemaViolation on a wrong count or on concepts that collide after normalization."""
         if n is not None and len(self.concepts) != n:
             raise SchemaViolation(f"expected {n} concepts, got {len(self.concepts)}")
-        self.overlapping()  # raises on duplicates
-
-    def overlapping(self) -> list:
-        """Indices of concepts that collide after normalization; raises if any."""
         seen: dict = {}
         clashes = []
         for idx, c in enumerate(self.concepts):
@@ -55,7 +52,6 @@ class ConceptAssignment:
                 "overlapping concepts after normalization: "
                 + ", ".join(repr(self.concepts[i]) for i in sorted(set(clashes)))
             )
-        return clashes
 
     def to_json(self) -> dict:
         return {"concepts": list(self.concepts), "domain": self.domain}
@@ -151,7 +147,7 @@ def _parse_node_entries(entries, n: int) -> list:
     return [found[i] for i in range(n)]
 
 
-ASSIGNMENT_KEY = "Real concepts assigned to variables"
+(ASSIGNMENT_KEY,) = TEMPLATE_SPECS["phase2"][1]
 
 REVISION_NOTE = (
     "\n\nThe following concepts in your previous assignment were duplicates or "
@@ -161,36 +157,26 @@ REVISION_NOTE = (
 )
 
 
-def _request_assignment(gateway, profile, prompt, template_name, domain, n, sample_id):
-    reply = gateway.complete_json(
-        profile, prompt, expected_keys=[ASSIGNMENT_KEY], template=template_name, sample_id=sample_id
-    )
-    concepts = _parse_node_entries(reply[ASSIGNMENT_KEY], n)
-    return ConceptAssignment(concepts=concepts, domain=domain)
+def _assign(gateway, profile, template, bindings, domain, n, sample_id) -> ConceptAssignment:
+    """Ask for an assignment; one minimal-revision re-ask on overlap, still overlapping -> error."""
 
+    def request(note=""):
+        entries = gateway.ask(profile, template, bindings, note=note, sample_id=sample_id)
+        return ConceptAssignment(concepts=_parse_node_entries(entries, n), domain=domain)
 
-def _with_schema_revision(gateway, profile, prompt, template_name, domain, n, sample_id):
-    """One minimal-revision re-ask on overlap; still overlapping -> error."""
-    ca = _request_assignment(gateway, profile, prompt, template_name, domain, n, sample_id)
+    ca = request()
     try:
         ca.validate(n)
         return ca
     except SchemaViolation as exc:
-        revised = _request_assignment(
-            gateway, profile, prompt + REVISION_NOTE.format(offenders=str(exc)),
-            template_name, domain, n, sample_id,
-        )
+        revised = request(REVISION_NOTE.format(offenders=str(exc)))
         revised.validate(n)
         return revised
 
 
 def initial_assignment(dag: Dag, domain: str, gateway, profile, sample_id=None) -> ConceptAssignment:
-    template = load_template("phase2")
-    prompt = render_prompt(
-        template,
-        {"Matrix": dag.edges, "N": dag.n, "domain/series of events": domain},
-    )
-    return _with_schema_revision(gateway, profile, prompt, "phase2", domain, dag.n, sample_id)
+    bindings = {"Matrix": dag.edges, "N": dag.n, "domain/series of events": domain}
+    return _assign(gateway, profile, "phase2", bindings, domain, dag.n, sample_id)
 
 
 def counterfactual_verification(
@@ -213,6 +199,7 @@ def counterfactual_verification(
 
     def compute():
         template = load_template("verify")
+        (reply_key,) = template.expected_json_keys
         required = min(3, m)
         s, votes = {}, {}
         for (i, j) in relations.e_plus + relations.e_minus:
@@ -224,11 +211,12 @@ def counterfactual_verification(
             for _ in range(m):
                 try:
                     reply = gateway.complete_json(
-                        profile, prompt, expected_keys=["direct cause"], template="verify", sample_id=sample_id
+                        profile, prompt, expected_keys=template.expected_json_keys,
+                        template="verify", sample_id=sample_id,
                     )
                 except MalformedOutput:
                     continue  # abstention
-                verdict = str(reply["direct cause"]).strip().lower()
+                verdict = str(reply[reply_key]).strip().lower()
                 if verdict in ("yes", "no"):
                     pair_votes.append(1 if verdict == "yes" else 0)
             if len(pair_votes) < required:
@@ -275,7 +263,6 @@ def refine_assignment(
 ) -> ConceptAssignment:
     if fallacies.empty():
         raise ValueError("refine_assignment requires a nonempty fallacy set")
-    template = load_template("refine")
 
     def pairs(ps):
         if not ps:
@@ -284,16 +271,13 @@ def refine_assignment(
             f"{assignment.concepts[i]} -> {assignment.concepts[j]} (Node {i} -> Node {j})" for i, j in ps
         )
 
-    prompt = render_prompt(
-        template,
-        {
-            "Assignment": [f"Node {i}: {c}" for i, c in enumerate(assignment.concepts)],
-            "Matrix": dag.edges,
-            "Missed": pairs(fallacies.missed),
-            "Spurious": pairs(fallacies.spurious),
-        },
-    )
-    return _with_schema_revision(gateway, profile, prompt, "refine", assignment.domain, dag.n, sample_id)
+    bindings = {
+        "Assignment": [f"Node {i}: {c}" for i, c in enumerate(assignment.concepts)],
+        "Matrix": dag.edges,
+        "Missed": pairs(fallacies.missed),
+        "Spurious": pairs(fallacies.spurious),
+    }
+    return _assign(gateway, profile, "refine", bindings, assignment.domain, dag.n, sample_id)
 
 
 @dataclass

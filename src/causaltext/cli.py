@@ -162,16 +162,22 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
     files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
     done = failed = skipped = 0
     for fname in files:
-        with open(os.path.join(graphs, fname)) as fh:
-            payload = json.load(fh)
-        sid_ = payload.get("id", os.path.splitext(fname)[0])
+        try:
+            with open(os.path.join(graphs, fname)) as fh:
+                payload = json.load(fh)
+            sid_ = payload.get("id", os.path.splitext(fname)[0])
+            spec = GraphSpec.from_json(payload["spec"])
+            dag = Dag.from_json(payload["dag"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            # nothing is stored for the file, so --resume retries it
+            click.echo(f"cannot read graph file {fname}: {type(exc).__name__}: {exc}", err=True)
+            failed += 1
+            continue
         if sid_ in store:
             if resume:
                 skipped += 1
                 continue
             raise click.ClickException(f"id {sid_!r} already in store (use --resume)")
-        spec = GraphSpec.from_json(payload["spec"])
-        dag = Dag.from_json(payload["dag"])
         rec = SampleRecord(
             id=sid_, spec=spec, dag=dag,
             backends={k: p.model_id for k, p in profiles.items()},
@@ -205,7 +211,7 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
     manifest.save(out + ".manifest.json")
     click.echo(f"generated {done}, failed {failed}, skipped {skipped}; manifest at {out}.manifest.json")
     if failed:
-        raise click.ClickException(f"{failed} samples failed (recorded in store)")
+        raise click.ClickException(f"{failed} samples failed (recorded in the store, or named above if unreadable)")
 
 
 @main.command()

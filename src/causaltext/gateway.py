@@ -9,6 +9,7 @@ with the adjacency matrix it saw in the proposal prompt).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
 import itertools
@@ -45,12 +46,12 @@ ROLE_DEFAULTS = {
 
 # template name -> (declared placeholders, required top-level JSON keys)
 TEMPLATE_SPECS = {
-    "phase2": (["Matrix", "N", "domain/series of events"], ["Real concepts assigned to variables"]),
-    "phase3": (["Concepts", "Adjacency Matrix"], ["Natural language description"]),
-    "discovery": (["Text", "Important concepts"], ["adjacency matrix"]),
-    "extraction": (["Text"], ["concepts"]),
-    "verify": (["Concepts", "Cause", "Effect"], ["direct cause"]),
-    "refine": (["Assignment", "Matrix", "Missed", "Spurious"], ["Real concepts assigned to variables"]),
+    "phase2": (("Matrix", "N", "domain/series of events"), ("Real concepts assigned to variables",)),
+    "phase3": (("Concepts", "Adjacency Matrix"), ("Natural language description",)),
+    "discovery": (("Text", "Important concepts"), ("adjacency matrix",)),
+    "extraction": (("Text",), ("concepts",)),
+    "verify": (("Concepts", "Cause", "Effect"), ("direct cause",)),
+    "refine": (("Assignment", "Matrix", "Missed", "Spurious"), ("Real concepts assigned to variables",)),
 }
 
 
@@ -74,22 +75,24 @@ class BackendProfile:
         return cls(model_id=model_id, role=role, endpoint=endpoint, credential_env=credential_env, **params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PromptTemplate:
     name: str
     body: str
-    placeholders: list
-    expected_json_keys: list
+    placeholders: tuple
+    expected_json_keys: tuple
 
 
+@functools.cache
 def load_template(name: str) -> PromptTemplate:
+    """The named template, read once per process; the object is shared, hence frozen."""
     if name not in TEMPLATE_SPECS:
         raise KeyError(f"unknown template {name!r}")
     body = (
         importlib.resources.files("causaltext").joinpath(f"templates/{name}.txt").read_text(encoding="utf-8")
     )
     placeholders, keys = TEMPLATE_SPECS[name]
-    return PromptTemplate(name=name, body=body, placeholders=list(placeholders), expected_json_keys=list(keys))
+    return PromptTemplate(name=name, body=body, placeholders=placeholders, expected_json_keys=keys)
 
 
 def format_matrix(adj) -> str:
@@ -231,7 +234,6 @@ class ScriptedMockBackend:
     """
 
     def __init__(self, script):
-        self.calls = []
         if isinstance(script, dict) and "rules" in script:
             self.rules = [dict(r) for r in script["rules"]]
             self.queue = None
@@ -248,7 +250,6 @@ class ScriptedMockBackend:
     def complete(self, payload: dict, meta: dict | None = None):
         meta = meta or {}
         prompt = payload["messages"][1]["content"]
-        self.calls.append({"template": meta.get("template"), "prompt": prompt})
         if self.queue is not None:
             if not self.queue:
                 raise TransportError("mock reply queue exhausted")
@@ -281,7 +282,6 @@ class OracleMockBackend:
     """
 
     def __init__(self):
-        self.calls = []
         self.matrix: list | None = None
         self.concepts: list | None = None
 
@@ -305,13 +305,14 @@ class OracleMockBackend:
     def complete(self, payload: dict, meta: dict | None = None):
         meta = meta or {}
         prompt = payload["messages"][1]["content"]
-        template = meta.get("template")
-        self.calls.append({"template": template})
-        reply = self._answer(template, prompt)
+        reply = self._answer(meta.get("template"), prompt)
         text = json.dumps(reply)
         return text, {"input_tokens": _approx_tokens(prompt), "output_tokens": _approx_tokens(text)}
 
     def _answer(self, template, prompt):
+        if template not in TEMPLATE_SPECS:
+            raise TransportError(f"oracle mock cannot answer template {template!r}")
+        (key,) = TEMPLATE_SPECS[template][1]
         if template == "phase2":
             self.matrix = self._parse_matrix(prompt)
             n = len(self.matrix)
@@ -326,9 +327,7 @@ class OracleMockBackend:
             return {
                 "Existing causal relationships (values of 1 in the matrix)": exist,
                 "Non-existing causal relationships (values of 0 in the matrix)": absent,
-                "Real concepts assigned to variables": [
-                    f"Node {i}: {c}" for i, c in enumerate(self.concepts)
-                ],
+                key: [f"Node {i}: {c}" for i, c in enumerate(self.concepts)],
                 "Relationship verification": {
                     "Existing causal relationships": ["verified" for _ in exist],
                     "Non-existing causal relationships": ["verified" for _ in absent],
@@ -338,26 +337,16 @@ class OracleMockBackend:
             cause = re.search(r"Cause candidate: (.+)", prompt).group(1)
             effect = re.search(r"Effect candidate: (.+)", prompt).group(1)
             i, j = self._index_of(cause), self._index_of(effect)
-            return {"direct cause": "yes" if self.matrix[i][j] else "no"}
+            return {key: "yes" if self.matrix[i][j] else "no"}
         if template == "phase3":
             concepts_line = prompt.splitlines()[1]
             concepts = [c.strip() for c in concepts_line.split(",")]
-            return {
-                "Natural language description": "The situation unfolds through "
-                + "; then ".join(concepts)
-                + "."
-            }
+            return {key: "The situation unfolds through " + "; then ".join(concepts) + "."}
         if template == "discovery":
-            return {"adjacency matrix": self.matrix}
+            return {key: self.matrix}
         if template == "extraction":
-            return {"concepts": list(self.concepts or [])}
-        if template == "refine":
-            return {
-                "Real concepts assigned to variables": [
-                    f"Node {i}: {c}" for i, c in enumerate(self.concepts or [])
-                ]
-            }
-        raise TransportError(f"oracle mock cannot answer template {template!r}")
+            return {key: list(self.concepts or [])}
+        return {key: [f"Node {i}: {c}" for i, c in enumerate(self.concepts or [])]}  # refine
 
 
 def make_mock_backend(script):
@@ -512,6 +501,17 @@ class Gateway:
             f"no valid JSON with keys {list(expected_keys)} after {retry_budget} re-asks",
             raw_text=last_text,
         )
+
+    def ask(self, profile: BackendProfile, template: str, bindings: dict, note: str = "", sample_id=None):
+        """Render ``template`` with ``bindings``, append ``note``, and return the
+        value of the template's declared reply key (re-asking as ``complete_json`` does)."""
+        spec = load_template(template)
+        (key,) = spec.expected_json_keys
+        reply = self.complete_json(
+            profile, render_prompt(spec, bindings) + note, spec.expected_json_keys,
+            template=template, sample_id=sample_id,
+        )
+        return reply[key]
 
     def cached(self, key: str, compute):
         """Return the cached value for ``key``, computing and storing on a miss."""

@@ -162,26 +162,6 @@ def is_acyclic(adj: np.ndarray) -> bool:
     return peeled == len(indeg)
 
 
-def topological_order(adj: np.ndarray) -> list[int]:
-    """Kahn's algorithm; raises ValueError on a cyclic input."""
-    a = np.asarray(adj, dtype=bool).copy()
-    n = a.shape[0]
-    indeg = a.sum(axis=0).astype(int)
-    frontier = sorted(np.flatnonzero(indeg == 0).tolist())
-    order = []
-    while frontier:
-        u = frontier.pop(0)
-        order.append(u)
-        for v in np.flatnonzero(a[u]):
-            a[u, v] = False
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                frontier.append(int(v))
-    if len(order) != n:
-        raise ValueError("graph contains a directed cycle")
-    return order
-
-
 def sample_spec_space(n: int, seed: int) -> GraphSpec:
     """Draw non-n control parameters uniformly from the tested parameter space.
 

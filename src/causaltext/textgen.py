@@ -16,7 +16,6 @@ import numpy as np
 
 from .assignment import ConceptAssignment, normalize_concept
 from .errors import CoverageViolation, ExtractionFailed, MalformedOutput, ShapeMismatch
-from .gateway import load_template, render_prompt
 from .graphs import Dag
 from .metrics import shd
 
@@ -70,8 +69,6 @@ COVERAGE_REASK = (
     "the same JSON format."
 )
 
-DESCRIPTION_KEY = "Natural language description"
-
 
 def generate_text(dag: Dag, assignment: ConceptAssignment, gateway, profile, sample_id=None) -> Paragraph:
     """One-shot verbalization of the annotated graph, with a single re-ask
@@ -80,22 +77,12 @@ def generate_text(dag: Dag, assignment: ConceptAssignment, gateway, profile, sam
         raise ValueError("generation requires at least 2 nodes")
     if len(assignment.concepts) != dag.n:
         raise ShapeMismatch(f"{len(assignment.concepts)} concepts for {dag.n} nodes")
-    template = load_template("phase3")
-    prompt = render_prompt(template, {"Concepts": assignment.concepts, "Adjacency Matrix": dag.edges})
-    reply = gateway.complete_json(
-        profile, prompt, expected_keys=[DESCRIPTION_KEY], template="phase3", sample_id=sample_id
-    )
-    text = str(reply[DESCRIPTION_KEY])
+    bindings = {"Concepts": assignment.concepts, "Adjacency Matrix": dag.edges}
+    text = str(gateway.ask(profile, "phase3", bindings, sample_id=sample_id))
     gaps = missing_concepts(assignment.concepts, text)
     if gaps:
-        reply = gateway.complete_json(
-            profile,
-            prompt + COVERAGE_REASK.format(missing=", ".join(repr(c) for c in gaps)),
-            expected_keys=[DESCRIPTION_KEY],
-            template="phase3",
-            sample_id=sample_id,
-        )
-        text = str(reply[DESCRIPTION_KEY])
+        note = COVERAGE_REASK.format(missing=", ".join(repr(c) for c in gaps))
+        text = str(gateway.ask(profile, "phase3", bindings, note=note, sample_id=sample_id))
         gaps = missing_concepts(assignment.concepts, text)
         if gaps:
             raise CoverageViolation(f"paragraph still missing concepts: {gaps}")
@@ -108,12 +95,7 @@ def llm_causal_discovery(text: str, concepts, gateway, profile, sample_id=None) 
     The result may contain cycles; nonzero diagonal entries are clamped to
     zero with a warning.
     """
-    template = load_template("discovery")
-    prompt = render_prompt(template, {"Text": text, "Important concepts": concepts})
-    reply = gateway.complete_json(
-        profile, prompt, expected_keys=["adjacency matrix"], template="discovery", sample_id=sample_id
-    )
-    raw = reply["adjacency matrix"]
+    raw = gateway.ask(profile, "discovery", {"Text": text, "Important concepts": concepts}, sample_id=sample_id)
     n = len(concepts)
     try:
         adj = np.asarray(raw, dtype=int)
@@ -159,8 +141,7 @@ def gen_id_refine(
     config = config or GenIdConfig()
     if config.k_gen == 0:
         return paragraph, 0, []
-    template = load_template("phase3")
-    base_prompt = render_prompt(template, {"Concepts": assignment.concepts, "Adjacency Matrix": dag.edges})
+    bindings = {"Concepts": assignment.concepts, "Adjacency Matrix": dag.edges}
 
     def extract(p: Paragraph):
         adj = llm_causal_discovery(p.text, assignment.concepts, gateway, discovery_profile, sample_id=sample_id)
@@ -181,19 +162,13 @@ def gen_id_refine(
             f"{assignment.concepts[i]} -> {assignment.concepts[j]}"
             for i, j in zip(*np.nonzero((dag.edges == 0) & (adj == 1)))
         ]
-        reply = gateway.complete_json(
-            profile,
-            base_prompt
-            + REVISION_REQUEST.format(
-                paragraph=current.text,
-                missed=", ".join(missed) or "(none)",
-                spurious=", ".join(spurious) or "(none)",
-            ),
-            expected_keys=[DESCRIPTION_KEY],
-            template="phase3",
-            sample_id=sample_id,
+        note = REVISION_REQUEST.format(
+            paragraph=current.text,
+            missed=", ".join(missed) or "(none)",
+            spurious=", ".join(spurious) or "(none)",
         )
-        candidate = Paragraph(text=str(reply[DESCRIPTION_KEY]), source_concepts=assignment)
+        reply = gateway.ask(profile, "phase3", bindings, note=note, sample_id=sample_id)
+        candidate = Paragraph(text=str(reply), source_concepts=assignment)
         revisions += 1
         new_mismatch, new_adj = extract(candidate)
         trace.append({"mismatch": new_mismatch, "adjacency": new_adj.tolist()})
@@ -220,10 +195,10 @@ def extract_concepts(text: str, gateway, profile, sample_id=None) -> list:
     """
     if not text.strip():
         raise ValueError("empty text")
-    template = load_template("extraction")
-    prompt = render_prompt(template, {"Text": text})
 
     def clean(raw) -> list:
+        if not isinstance(raw, list):
+            raise MalformedOutput("concepts is not a list", raw_text=str(raw))
         seen, out = set(), []
         for c in raw:
             c = str(c).strip()
@@ -236,17 +211,10 @@ def extract_concepts(text: str, gateway, profile, sample_id=None) -> list:
             out.append(c)
         return out
 
-    reply = gateway.complete_json(
-        profile, prompt, expected_keys=["concepts"], template="extraction", sample_id=sample_id
-    )
-    concepts = clean(reply["concepts"])
+    concepts = clean(gateway.ask(profile, "extraction", {"Text": text}, sample_id=sample_id))
     if not 3 <= len(concepts) <= 10:
-        reason = f"{len(concepts)} usable concepts after filtering"
-        reply = gateway.complete_json(
-            profile, prompt + EXTRACTION_REASK.format(reason=reason),
-            expected_keys=["concepts"], template="extraction", sample_id=sample_id,
-        )
-        concepts = clean(reply["concepts"])
+        note = EXTRACTION_REASK.format(reason=f"{len(concepts)} usable concepts after filtering")
+        concepts = clean(gateway.ask(profile, "extraction", {"Text": text}, note=note, sample_id=sample_id))
         if not 3 <= len(concepts) <= 10:
             raise ExtractionFailed(f"still {len(concepts)} usable concepts after re-ask")
     return concepts

@@ -1,8 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from causaltext.assignment import (
+    REVISION_NOTE,
+    ConceptAssignment,
+    FallacySet,
+    initial_assignment,
+    refine_assignment,
+)
 from causaltext.errors import (
     AuthError,
     BudgetExceeded,
@@ -11,6 +19,7 @@ from causaltext.errors import (
     UnboundPlaceholder,
 )
 from causaltext.gateway import (
+    JSON_REASK,
     ROLE_DEFAULTS,
     SYSTEM_MESSAGE,
     BackendProfile,
@@ -27,6 +36,17 @@ from causaltext.gateway import (
     make_cache_key,
     make_mock_backend,
     render_prompt,
+)
+from causaltext.graphs import Dag
+from causaltext.textgen import (
+    COVERAGE_REASK,
+    EXTRACTION_REASK,
+    REVISION_REQUEST,
+    Paragraph,
+    extract_concepts,
+    gen_id_refine,
+    generate_text,
+    llm_causal_discovery,
 )
 
 
@@ -164,6 +184,152 @@ class TestCompleteJson:
         gw = self.gw(["x"])
         with pytest.raises(ValueError):
             gw.complete_json(BackendProfile.for_role("m", "phase3"), "p", ["k"], retry_budget=0)
+
+
+class RecordingBackend(ScriptedMockBackend):
+    """A scripted mock that also keeps every (template, prompt) it is sent."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.sent = []
+
+    def complete(self, payload, meta=None):
+        self.sent.append((meta["template"], payload["messages"][1]["content"]))
+        return super().complete(payload, meta)
+
+
+def sent_by(call, replies):
+    backend = RecordingBackend(replies)
+    call(Gateway(backend))
+    return backend.sent
+
+
+DESC = "Natural language description"
+ASSIGNED = "Real concepts assigned to variables"
+PHASE3_BINDINGS = {"Concepts": ["Rain", "Wet grass"], "Adjacency Matrix": [[0, 1], [0, 0]]}
+
+
+class TestAsk:
+    profile = BackendProfile.for_role("m", "phase3")
+
+    def test_returns_declared_key_and_appends_note(self):
+        backend = RecordingBackend([{DESC: "x", "other": 1}])
+        out = Gateway(backend).ask(self.profile, "phase3", PHASE3_BINDINGS, note="\n\nPS")
+        assert out == "x"
+        assert backend.sent == [
+            ("phase3", render_prompt(load_template("phase3"), PHASE3_BINDINGS) + "\n\nPS")
+        ]
+
+    def test_missing_key_reasked_then_budget_spent(self):
+        prompt = render_prompt(load_template("phase3"), PHASE3_BINDINGS)
+        reask = prompt + "\n\n" + JSON_REASK.format(keys=repr(DESC))
+        backend = RecordingBackend([{"wrong": 1}, {DESC: "y"}])
+        assert Gateway(backend).ask(self.profile, "phase3", PHASE3_BINDINGS) == "y"
+        assert backend.sent == [("phase3", prompt), ("phase3", reask)]
+
+        backend = RecordingBackend([{"wrong": 1}] * 3)
+        gw = Gateway(backend)
+        with pytest.raises(MalformedOutput):
+            gw.ask(self.profile, "phase3", PHASE3_BINDINGS)
+        assert gw.calls_made == 3
+        assert [p for _, p in backend.sent] == [prompt, reask, reask]
+
+    def test_load_template_returns_one_frozen_object(self):
+        t = load_template("verify")
+        assert load_template("verify") is t
+        assert isinstance(t.placeholders, tuple) and isinstance(t.expected_json_keys, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.body = "changed"
+
+
+class TestPromptIdentity:
+    """Every request the pipeline makes is its template rendered with the
+    call's bindings, plus the module's note on a re-ask."""
+
+    proposer = BackendProfile.for_role("m", "proposer")
+    phase3 = BackendProfile.for_role("m", "phase3")
+    discovery = BackendProfile.for_role("m", "discovery")
+    dag = Dag(n=2, edges=np.array([[0, 1], [0, 0]], dtype=np.int8))
+    concepts = ["Rain", "Wet grass"]
+
+    def test_initial_assignment_with_overlap_revision(self):
+        sent = sent_by(
+            lambda gw: initial_assignment(self.dag, "weather", gw, self.proposer),
+            [{ASSIGNED: ["Node 0: Skill", "Node 1: skill."]}, {ASSIGNED: ["Node 0: Skill", "Node 1: Luck"]}],
+        )
+        prompt = render_prompt(
+            load_template("phase2"), {"Matrix": self.dag.edges, "N": 2, "domain/series of events": "weather"}
+        )
+        note = REVISION_NOTE.format(offenders="overlapping concepts after normalization: 'Skill', 'skill.'")
+        assert sent == [("phase2", prompt), ("phase2", prompt + note)]
+
+    def test_refine_assignment(self):
+        fallacies = FallacySet(missed=[(0, 1)], spurious=[], tau=0.6)
+        sent = sent_by(
+            lambda gw: refine_assignment(
+                ConceptAssignment(self.concepts, "weather"), fallacies, self.dag, gw, self.proposer
+            ),
+            [{ASSIGNED: ["Node 0: Rain", "Node 1: Wet grass"]}],
+        )
+        prompt = render_prompt(
+            load_template("refine"),
+            {
+                "Assignment": ["Node 0: Rain", "Node 1: Wet grass"],
+                "Matrix": self.dag.edges,
+                "Missed": "Rain -> Wet grass (Node 0 -> Node 1)",
+                "Spurious": "(none)",
+            },
+        )
+        assert sent == [("refine", prompt)]
+
+    def test_generate_text_with_coverage_reask(self):
+        sent = sent_by(
+            lambda gw: generate_text(self.dag, ConceptAssignment(self.concepts, "weather"), gw, self.phase3),
+            [{DESC: "Rain fell."}, {DESC: "Rain soaks the wet grass."}],
+        )
+        prompt = render_prompt(load_template("phase3"), PHASE3_BINDINGS)
+        assert sent == [("phase3", prompt), ("phase3", prompt + COVERAGE_REASK.format(missing="'Wet grass'"))]
+
+    def test_gen_id_refine_with_one_revision(self):
+        assignment = ConceptAssignment(self.concepts, "weather")
+        sent = sent_by(
+            lambda gw: gen_id_refine(
+                self.dag, assignment, Paragraph("Rain fell.", assignment), gw, self.phase3, self.discovery
+            ),
+            [
+                {"adjacency matrix": [[0, 0], [0, 0]]},
+                {DESC: "Rain soaks the wet grass."},
+                {"adjacency matrix": [[0, 1], [0, 0]]},
+            ],
+        )
+        discovery = load_template("discovery")
+        revision = REVISION_REQUEST.format(paragraph="Rain fell.", missed="Rain -> Wet grass", spurious="(none)")
+        assert sent == [
+            ("discovery", render_prompt(discovery, {"Text": "Rain fell.", "Important concepts": self.concepts})),
+            ("phase3", render_prompt(load_template("phase3"), PHASE3_BINDINGS) + revision),
+            (
+                "discovery",
+                render_prompt(discovery, {"Text": "Rain soaks the wet grass.", "Important concepts": self.concepts}),
+            ),
+        ]
+
+    def test_llm_causal_discovery(self):
+        sent = sent_by(
+            lambda gw: llm_causal_discovery("Rain fell.", self.concepts, gw, self.discovery),
+            [{"adjacency matrix": [[0, 1], [0, 0]]}],
+        )
+        bindings = {"Text": "Rain fell.", "Important concepts": self.concepts}
+        assert sent == [("discovery", render_prompt(load_template("discovery"), bindings))]
+
+    def test_extract_concepts_with_reask(self):
+        text = "Heavy rain caused flooding, and the flooding raised food prices."
+        sent = sent_by(
+            lambda gw: extract_concepts(text, gw, self.discovery),
+            [{"concepts": ["flooding"]}, {"concepts": ["heavy rain", "flooding", "food prices"]}],
+        )
+        prompt = render_prompt(load_template("extraction"), {"Text": text})
+        note = EXTRACTION_REASK.format(reason="1 usable concepts after filtering")
+        assert sent == [("extraction", prompt), ("extraction", prompt + note)]
 
 
 class TestCache:

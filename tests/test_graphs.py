@@ -12,7 +12,6 @@ from causaltext.graphs import (
     is_acyclic,
     sample_dag,
     sample_spec_space,
-    topological_order,
 )
 
 
@@ -90,16 +89,11 @@ class TestAcyclicity:
     def test_chain(self):
         a = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         assert is_acyclic(a)
-        assert topological_order(a) == [0, 1, 2]
 
     @given(adjacency())
     @settings(max_examples=300, deadline=None)
     def test_matches_matrix_peel(self, a):
         assert is_acyclic(a) == matrix_peel_is_acyclic(a)
-
-    def test_topological_order_rejects_cycles(self):
-        with pytest.raises(ValueError):
-            topological_order(np.array([[0, 1], [1, 0]]))
 
 
 class TestSampler:

@@ -222,6 +222,31 @@ class TestGenerateEvaluate:
         assert after == before
         assert len(SampleStore(store)) == 8
 
+    @pytest.mark.parametrize("damage", ["truncate", "not_an_object"])
+    def test_unreadable_graph_file_fails_only_that_file(self, tmp_path, damage):
+        runner = CliRunner()
+        graphs = str(tmp_path / "graphs")
+        store = str(tmp_path / "samples.jsonl")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        bad = os.path.join(graphs, "n4_00000.json")
+        with open(bad) as fh:
+            original = fh.read()
+        with open(bad, "w") as fh:
+            fh.write(original[:50] if damage == "truncate" else "[]")
+        gen = ["generate", "--graphs", graphs, "--out", store, "--mock-script", '{"mode": "oracle"}']
+        r = runner.invoke(main, gen)
+        assert r.exit_code != 0
+        assert "n4_00000.json" in r.stderr
+        assert "generated 7, failed 1, skipped 0" in r.stdout
+        assert len(SampleStore(store)) == 7
+        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+        with open(bad, "w") as fh:
+            fh.write(original)
+        r = runner.invoke(main, [*gen, "--resume"])
+        assert r.exit_code == 0, r.output
+        assert "generated 1, failed 0, skipped 7" in r.output
+        assert "n4_00000" in SampleStore(store)
+
     def test_rerun_without_resume_fails(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)
         r = runner.invoke(

@@ -5,6 +5,7 @@ from causaltext.assignment import ConceptAssignment
 from causaltext.errors import (
     CoverageViolation,
     ExtractionFailed,
+    MalformedOutput,
     ShapeMismatch,
 )
 from causaltext.gateway import (
@@ -241,6 +242,13 @@ class TestExtraction:
         )
         with pytest.raises(ExtractionFailed):
             extract_concepts(self.TEXT, gw, DISCOVERY)
+
+    def test_string_reply_is_malformed_not_split_into_letters(self):
+        gw = Gateway(ScriptedMockBackend([{"concepts": "rain, wet"}]))
+        with pytest.raises(MalformedOutput) as exc:
+            extract_concepts("rain made everything wet", gw, DISCOVERY)
+        assert exc.value.raw_text == "rain, wet"
+        assert gw.calls_made == 1
 
     def test_empty_text_rejected(self):
         gw = Gateway(ScriptedMockBackend([]))

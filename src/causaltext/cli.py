@@ -22,7 +22,7 @@ from .gateway import (
     choose_verifier,
     make_mock_backend,
 )
-from .graphs import Dag, GraphSpec, is_acyclic, sample_dag, sample_spec_space
+from .graphs import Dag, GraphSpec, as_adjacency, sample_dag, sample_spec_space
 from .metrics import SupportGraph, edge_prf, project_dag, shd, sid
 from .store import RunManifest, SampleRecord, SampleStore
 from .textgen import generate_text, missing_concepts
@@ -166,9 +166,11 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
             with open(os.path.join(graphs, fname)) as fh:
                 payload = json.load(fh)
             sid_ = payload.get("id", os.path.splitext(fname)[0])
+            if not isinstance(sid_, (str, int)):
+                raise TypeError(f"id must be a string or an integer, got {sid_!r}")
             spec = GraphSpec.from_json(payload["spec"])
             dag = Dag.from_json(payload["dag"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, CausaltextError) as exc:
             # nothing is stored for the file, so --resume retries it
             click.echo(f"cannot read graph file {fname}: {type(exc).__name__}: {exc}", err=True)
             failed += 1
@@ -227,18 +229,19 @@ def evaluate(store_path, reference, out):
         for rec in store:
             if rec.error is not None:
                 continue
-            if reference is not None:
+            if reference is None:
+                ref, removed = rec.dag, []
+            else:
                 ref_path = os.path.join(reference, f"{rec.id}.json")
                 if not os.path.exists(ref_path):
                     raise MissingReference(f"no reference graph for id {rec.id!r}")
-                with open(ref_path) as fh:
-                    ref = np.asarray(json.load(fh)["edges"], dtype=np.int8)
-            else:
-                ref = rec.dag.edges
-            removed = []
-            if not is_acyclic(ref):
-                projected, removed = project_dag(SupportGraph(n=ref.shape[0], support=ref.astype(float)), threshold=0.5)
-                ref = projected.edges
+                try:
+                    with open(ref_path) as fh:
+                        edges = as_adjacency(json.load(fh)["edges"], f"reference graph for id {rec.id!r}")
+                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    raise click.ClickException(f"cannot read reference graph for id {rec.id!r}: {exc!r}")
+                # projection leaves an acyclic reference as it is
+                ref, removed = project_dag(SupportGraph(n=edges.shape[0], support=edges), threshold=0.5)
             report = edge_prf(rec.dag, ref)
             report.shd = shd(rec.dag, ref)
             report.sid = sid(rec.dag, ref)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import CyclicInput, InvalidSpec, ShapeMismatch
 
 MOTIF_RETRY_BUDGET = 20
 
@@ -78,20 +78,34 @@ class GraphSpec:
         )
 
 
+def as_adjacency(adj, name="adjacency") -> np.ndarray:
+    """Check that ``adj`` is square, binary and zero on the diagonal; return it as int8."""
+    a = np.asarray(adj)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
+    if not ((a == 0) | (a == 1)).all():
+        raise ShapeMismatch(f"{name} must be binary")
+    if np.diagonal(a).any():
+        raise ShapeMismatch(f"{name} must have a zero diagonal")
+    return a.astype(np.int8, copy=False)
+
+
 @dataclass
 class Dag:
     """A directed acyclic graph given as an n x n binary adjacency matrix.
 
-    Entry ``edges[i, j] == 1`` means a directed edge i -> j.
+    Entry ``edges[i, j] == 1`` means a directed edge i -> j.  Checked once, when built.
     """
 
     n: int
     edges: np.ndarray
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int8)
+        self.edges = as_adjacency(self.edges)
         if self.edges.shape != (self.n, self.n):
-            raise ValueError(f"adjacency must be {self.n}x{self.n}")
+            raise ShapeMismatch(f"adjacency must be {self.n}x{self.n}, got shape {self.edges.shape}")
+        if not is_acyclic(self.edges):
+            raise CyclicInput("adjacency has a directed cycle")
 
     def parents(self, j: int) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.edges[:, j])]
@@ -114,7 +128,7 @@ class Dag:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dag":
-        return cls(n=int(obj["n"]), edges=np.asarray(obj["edges"], dtype=np.int8))
+        return cls(n=int(obj["n"]), edges=obj["edges"])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dag) and self.n == other.n and np.array_equal(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CyclicInput, ShapeMismatch
-from .graphs import Dag, is_acyclic
+from .graphs import Dag, as_adjacency, is_acyclic
 
 
 @dataclass
@@ -74,20 +74,10 @@ class ErrorDecomposition:
         }
 
 
-def _as_binary(adj, name="adjacency") -> np.ndarray:
-    a = np.asarray(adj)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
-    if not np.isin(a, (0, 1)).all():
-        raise ShapeMismatch(f"{name} must be binary")
-    if np.diagonal(a).any():
-        raise ShapeMismatch(f"{name} must have a zero diagonal")
-    return a.astype(np.int8)
-
-
 def _pair(target, predicted):
-    t = target.edges if isinstance(target, Dag) else _as_binary(target, "target")
-    p = predicted.edges if isinstance(predicted, Dag) else _as_binary(predicted, "predicted")
+    # a Dag was checked when it was built; only raw arrays are checked here
+    t = target.edges if isinstance(target, Dag) else as_adjacency(target, "target")
+    p = predicted.edges if isinstance(predicted, Dag) else as_adjacency(predicted, "predicted")
     if t.shape != p.shape:
         raise ShapeMismatch(f"node counts differ: {t.shape[0]} vs {p.shape[0]}")
     return t, p
@@ -100,9 +90,9 @@ def edge_prf(target, predicted) -> MetricReport:
     F1 = 1; if TP = 0 but errors exist, all three are 0.
     """
     t, p = _pair(target, predicted)
-    tp = int(((t == 1) & (p == 1)).sum())
-    fp = int(((t == 0) & (p == 1)).sum())
-    fn = int(((t == 1) & (p == 0)).sum())
+    tp = int(np.count_nonzero(t & p))
+    fp = int(np.count_nonzero(p)) - tp
+    fn = int(np.count_nonzero(t)) - tp
     if tp == 0 and fp == 0 and fn == 0:
         prec = rec = f1 = 1.0
     elif tp == 0:
@@ -117,36 +107,33 @@ def edge_prf(target, predicted) -> MetricReport:
 def shd(g1, g2) -> int:
     """Edge-wise Hamming distance between two binary adjacency matrices."""
     a, b = _pair(g1, g2)
-    return int((a != b).sum())
+    return int(np.count_nonzero(a != b))
 
 
 def sid(g, g_hat) -> int:
     """Parent-set disagreement count over ordered node pairs (see module docstring)."""
     a, b = _pair(g, g_hat)
-    if not is_acyclic(a) or not is_acyclic(b):
+    if not all(isinstance(x, Dag) or is_acyclic(x) for x in (g, g_hat)):
         raise CyclicInput("sid requires acyclic inputs; project cyclic graphs first")
     n = a.shape[0]
-    differing = int((a != b).any(axis=0).sum())  # nodes whose parent sets differ
+    differing = int(np.count_nonzero((a != b).any(axis=0)))  # nodes whose parent sets differ
     return (n - 1) * differing
 
 
 def decompose_errors(target, predicted) -> ErrorDecomposition:
     """Explicit lists of missed-required (FN) and spurious (FP) edges."""
     t, p = _pair(target, predicted)
-    missed = [(int(i), int(j)) for i, j in zip(*np.nonzero((t == 1) & (p == 0)))]
-    spurious = [(int(i), int(j)) for i, j in zip(*np.nonzero((t == 0) & (p == 1)))]
+    missed = [(int(i), int(j)) for i, j in zip(*np.nonzero(t > p))]
+    spurious = [(int(i), int(j)) for i, j in zip(*np.nonzero(p > t))]
     return ErrorDecomposition(missed=missed, spurious=spurious)
 
 
 def _reachable(adj: np.ndarray) -> np.ndarray:
     """Boolean matrix R with R[u, v] true iff a directed path u -> ... -> v exists."""
     r = adj.astype(bool)
-    n = r.shape[0]
-    power = 1
     reach = r.copy()
-    while power < n:
-        reach = reach | (reach @ r)
-        power += 1
+    for _ in range(r.shape[0] - 1):
+        reach |= reach @ r
     return reach
 
 

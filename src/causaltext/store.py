@@ -133,20 +133,22 @@ class RunManifest:
     @classmethod
     def from_store(cls, store: SampleStore, config: dict, seed: int) -> "RunManifest":
         """Recompute all aggregate statistics directly from the records."""
+        # the stored JSON is enough: a SampleRecord would check each graph again
         per_n: dict = {}
         statuses, iterations, tokens = [], [], []
         errors = 0
-        for rec in store:
-            per_n[rec.spec.n] = per_n.get(rec.spec.n, 0) + 1
-            if rec.error is not None:
+        for obj in read_jsonl(store.path):
+            n = obj["spec"]["n"]
+            per_n[n] = per_n.get(n, 0) + 1
+            if obj.get("error") is not None:
                 errors += 1
                 continue
-            if rec.loop_status is not None:
-                statuses.append(rec.loop_status == "Success")
-            if rec.loop_iterations is not None:
-                iterations.append(rec.loop_iterations)
-            if rec.tokens:
-                tokens.append(rec.tokens.get("total", 0))
+            if obj.get("loop_status") is not None:
+                statuses.append(obj["loop_status"] == "Success")
+            if obj.get("loop_iterations") is not None:
+                iterations.append(obj["loop_iterations"])
+            if obj.get("tokens"):
+                tokens.append(obj["tokens"].get("total", 0))
         return cls(
             config=config,
             seed=seed,

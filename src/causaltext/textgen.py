@@ -17,7 +17,7 @@ import numpy as np
 from .assignment import ConceptAssignment, normalize_concept
 from .errors import CoverageViolation, ExtractionFailed, MalformedOutput, ShapeMismatch
 from .graphs import Dag
-from .metrics import shd
+from .metrics import decompose_errors, shd
 
 log = logging.getLogger(__name__)
 
@@ -46,21 +46,18 @@ class GenIdConfig:
 
 def concept_in_text(concept: str, text: str) -> bool:
     """Containment after normalization, allowing a plural s/es suffix."""
-    norm_text = normalize_concept(text)
-    norm = normalize_concept(concept)
-    for variant in (norm, norm + "s", norm + "es"):
-        if variant in norm_text:
-            return True
-    # the text may pluralize the concept's final word
-    if norm.endswith("es") and norm[:-2] in norm_text:
-        return True
-    if norm.endswith("s") and norm[:-1] in norm_text:
-        return True
-    return False
+    return _stem(concept) in normalize_concept(text)
 
 
 def missing_concepts(concepts, text: str) -> list:
-    return [c for c in concepts if not concept_in_text(c, text)]
+    norm_text = normalize_concept(text)
+    return [c for c in concepts if _stem(c) not in norm_text]
+
+
+def _stem(concept: str) -> str:
+    # a text holds the concept, or it with an s/es suffix added or removed, iff it holds this
+    norm = normalize_concept(concept)
+    return norm[:-2] if norm.endswith("es") else norm.removesuffix("s")
 
 
 COVERAGE_REASK = (
@@ -143,9 +140,12 @@ def gen_id_refine(
         return paragraph, 0, []
     bindings = {"Concepts": assignment.concepts, "Adjacency Matrix": dag.edges}
 
+    def name_edges(edges) -> str:
+        return ", ".join(f"{assignment.concepts[i]} -> {assignment.concepts[j]}" for i, j in edges) or "(none)"
+
     def extract(p: Paragraph):
         adj = llm_causal_discovery(p.text, assignment.concepts, gateway, discovery_profile, sample_id=sample_id)
-        return shd(dag.edges, adj), adj
+        return shd(dag, adj), adj
 
     trace = []
     current = paragraph
@@ -154,18 +154,11 @@ def gen_id_refine(
     best, best_mismatch = current, mismatch
     revisions = 0
     while mismatch > 0 and revisions < config.k_gen:
-        missed = [
-            f"{assignment.concepts[i]} -> {assignment.concepts[j]}"
-            for i, j in zip(*np.nonzero((dag.edges == 1) & (adj == 0)))
-        ]
-        spurious = [
-            f"{assignment.concepts[i]} -> {assignment.concepts[j]}"
-            for i, j in zip(*np.nonzero((dag.edges == 0) & (adj == 1)))
-        ]
+        errors = decompose_errors(dag, adj)
         note = REVISION_REQUEST.format(
             paragraph=current.text,
-            missed=", ".join(missed) or "(none)",
-            spurious=", ".join(spurious) or "(none)",
+            missed=name_edges(errors.missed),
+            spurious=name_edges(errors.spurious),
         )
         reply = gateway.ask(profile, "phase3", bindings, note=note, sample_id=sample_id)
         candidate = Paragraph(text=str(reply), source_concepts=assignment)

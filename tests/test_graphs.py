@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltext.errors import InvalidSpec
+from causaltext.errors import CyclicInput, InvalidSpec, ShapeMismatch
 from causaltext.graphs import (
     Dag,
     GraphSpec,
@@ -183,3 +183,23 @@ class TestDag:
     def test_json_roundtrip(self):
         dag = Dag(n=2, edges=np.array([[0, 1], [0, 0]]))
         assert Dag.from_json(dag.to_json()) == dag
+
+    def test_cycle_rejected(self):
+        with pytest.raises(CyclicInput):
+            Dag(n=3, edges=np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (2, [[0, 2], [0, 0]]),  # non-binary entry
+            (2, [[1, 0], [0, 0]]),  # self-loop
+            (2, [[0, 1, 0], [0, 0, 0]]),  # not square
+            (3, [[0, 1], [0, 0]]),  # square, but not n x n
+        ],
+        ids=["non-binary", "self-loop", "non-square", "wrong-n"],
+    )
+    def test_malformed_adjacency_rejected(self, n, edges):
+        with pytest.raises(ShapeMismatch):
+            Dag(n=n, edges=np.array(edges))
+        with pytest.raises(ShapeMismatch):
+            Dag.from_json({"n": n, "edges": edges})

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaltext import metrics
 from causaltext.errors import CyclicInput, ShapeMismatch
 from causaltext.graphs import Dag
 from causaltext.metrics import (
@@ -112,6 +113,34 @@ class TestSid:
             b = np.triu((rng.random((5, 5)) < 0.4).astype(int), 1)
             differing = sum(1 for j in range(5) if not np.array_equal(a[:, j], b[:, j]))
             assert sid(a, b) == 4 * differing
+
+
+class TestDagInputsTrusted:
+    def count_checks(self, monkeypatch):
+        calls = []
+        for name in ("is_acyclic", "as_adjacency"):
+            real = getattr(metrics, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counting)
+        return calls
+
+    def test_two_dags_rechecked_nowhere(self, monkeypatch):
+        g = Dag(n=3, edges=adj(3, [(0, 1), (1, 2)]))
+        h = Dag(n=3, edges=adj(3, [(0, 1), (0, 2)]))
+        calls = self.count_checks(monkeypatch)
+        assert edge_prf(g, h).tp == 1
+        assert shd(g, h) == 2
+        assert sid(g, h) == 2  # only the parents of node 2 differ
+        assert calls == []
+
+    def test_raw_arrays_still_checked(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        sid(adj(3, [(0, 1)]), Dag(n=3, edges=adj(3, [])))
+        assert calls == ["as_adjacency", "is_acyclic"]
 
 
 class TestDecompose:

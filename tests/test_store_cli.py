@@ -247,6 +247,57 @@ class TestGenerateEvaluate:
         assert "generated 1, failed 0, skipped 7" in r.output
         assert "n4_00000" in SampleStore(store)
 
+    def test_invalid_graph_fails_only_that_file(self, tmp_path):
+        runner = CliRunner()
+        graphs = str(tmp_path / "graphs")
+        store = str(tmp_path / "samples.jsonl")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        bad = {
+            "n3_00000": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # a 3-cycle
+            "n4_00000": [[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],  # a 2 and a self-loop
+        }
+        for sid_, edges in bad.items():
+            path = os.path.join(graphs, f"{sid_}.json")
+            payload = json.load(open(path))
+            payload["dag"]["edges"] = edges
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", store, "--mock-script", '{"mode": "oracle"}'])
+        assert r.exit_code != 0
+        assert "n3_00000.json: CyclicInput" in r.stderr
+        assert "n4_00000.json: ShapeMismatch" in r.stderr
+        assert "generated 6, failed 2, skipped 0" in r.stdout
+        assert SampleStore(store).ids.isdisjoint(bad)
+        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+
+    def test_unhashable_id_fails_only_that_file(self, tmp_path):
+        runner = CliRunner()
+        graphs = str(tmp_path / "graphs")
+        store = str(tmp_path / "samples.jsonl")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+
+        def set_id(fname, value):
+            path = os.path.join(graphs, fname)
+            payload = json.load(open(path))
+            payload["id"] = value
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+
+        set_id("n4_00000.json", ["x"])
+        set_id("n5_00000.json", 5)  # integer ids keep working
+        gen = ["generate", "--graphs", graphs, "--out", store, "--mock-script", '{"mode": "oracle"}']
+        r = runner.invoke(main, gen)
+        assert r.exit_code != 0
+        assert "n4_00000.json: TypeError" in r.stderr
+        assert "generated 7, failed 1, skipped 0" in r.stdout
+        assert 5 in SampleStore(store) and len(SampleStore(store)) == 7
+        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+        set_id("n4_00000.json", "n4_00000")
+        r = runner.invoke(main, [*gen, "--resume"])
+        assert r.exit_code == 0, r.output
+        assert "generated 1, failed 0, skipped 7" in r.output
+        assert "n4_00000" in SampleStore(store)
+
     def test_rerun_without_resume_fails(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)
         r = runner.invoke(
@@ -315,6 +366,29 @@ class TestGenerateEvaluate:
         result = json.load(open(out))
         assert all(len(row["projection_removed"]) >= 1 for row in result["samples"])
 
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"edges": [[0, 2, 0], [1, 0, 0], [0, 0, 0]]}',  # non-binary and cyclic
+            '{"edges": [[0, 1, 0], [0, 0, 1]]}',  # not square
+            '{"n": 3}',  # no edges
+            '{"edges": [[0, 1',  # not JSON
+        ],
+        ids=["non-binary-cyclic", "non-square", "no-edges", "not-json"],
+    )
+    def test_evaluate_bad_reference_is_a_click_error(self, tmp_path, content):
+        runner, graphs, store = self.run_pipeline(tmp_path)
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        for rec in SampleStore(store):
+            with open(refs / f"{rec.id}.json", "w") as fh:
+                json.dump({"edges": rec.dag.edges.tolist()}, fh)
+        (refs / "n3_00000.json").write_text(content)
+        r = runner.invoke(main, ["evaluate", "--store", store, "--reference", str(refs)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert "'n3_00000'" in r.output
 
 class TestTransferCommand:
     def test_table_output(self, tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causaltext.assignment import ConceptAssignment
+from causaltext.assignment import ConceptAssignment, normalize_concept
 from causaltext.errors import (
     CoverageViolation,
     ExtractionFailed,
@@ -38,6 +40,14 @@ def make_dag(n, edges):
     return Dag(n=n, edges=a)
 
 
+def spelled_out_coverage(concept, text):
+    """The coverage rule variant by variant: the concept, or it with an s/es suffix added or removed."""
+    norm, norm_text = normalize_concept(concept), normalize_concept(text)
+    variants = [norm, norm + "s", norm + "es"]
+    variants += [norm[: -len(suffix)] for suffix in ("s", "es") if norm.endswith(suffix)]
+    return any(v in norm_text for v in variants)
+
+
 class TestCoverageCheck:
     def test_plural_tolerated_both_ways(self):
         assert concept_in_text("market demand", "Rising market demands shaped prices.")
@@ -49,6 +59,19 @@ class TestCoverageCheck:
     def test_absent_detected(self):
         assert not concept_in_text("inflation", "Prices rose for other reasons.")
         assert missing_concepts(["a rainy day", "inflation"], "A rainy day came.") == ["inflation"]
+
+    @given(
+        st.lists(st.sampled_from(["the tax", "Taxes", "tax burden", "a rainy day", "days", "rain!", "es", "bus", ""]),
+                 max_size=6),
+        st.lists(st.sampled_from(["The", "taxes", "rainy", "Day", "burden,", "tax.", "a", "RAIN", "buses", "s"]),
+                 max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_missing_concepts_matches_concept_in_text(self, concepts, words):
+        text = " ".join(words)
+        expected = [c for c in concepts if not spelled_out_coverage(c, text)]
+        assert missing_concepts(concepts, text) == expected
+        assert [c for c in concepts if not concept_in_text(c, text)] == expected
 
 
 class TestGenerateText:

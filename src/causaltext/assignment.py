@@ -9,6 +9,8 @@ mismatch L_b and thresholded into a fallacy set that drives refinement.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -193,7 +195,10 @@ def counterfactual_verification(
     The whole table is cached under (assignment, adjacency, verifier model,
     template), so re-verifying an unchanged assignment costs zero calls.
     A completion that stays unparseable after the re-ask budget abstains;
-    at least min(3, m) parsed completions are required per pair.
+    at least min(3, m) parsed completions are required per pair.  Each
+    pair's prompt is rendered once, and all pair x vote prompts go through
+    ``Gateway.complete_json_many``, which keeps several in flight on a
+    backend that can overlap requests.
     """
     key = make_cache_key(assignment.concepts, dag.edges, profile.model_id, "verify")
 
@@ -201,30 +206,31 @@ def counterfactual_verification(
         template = load_template("verify")
         (reply_key,) = template.expected_json_keys
         required = min(3, m)
+        pairs = relations.e_plus + relations.e_minus
+        concepts = assignment.concepts
+        prompts = []
+        for (i, j) in pairs:
+            bindings = {"Concepts": concepts, "Cause": concepts[i], "Effect": concepts[j]}
+            prompts += [render_prompt(template, bindings)] * m
+        replies = gateway.complete_json_many(
+            profile, prompts, template.expected_json_keys, template="verify", sample_id=sample_id,
+        )
         s, votes = {}, {}
-        for (i, j) in relations.e_plus + relations.e_minus:
-            prompt = render_prompt(
-                template,
-                {"Concepts": assignment.concepts, "Cause": assignment.concepts[i], "Effect": assignment.concepts[j]},
-            )
-            pair_votes = []
-            for _ in range(m):
-                try:
-                    reply = gateway.complete_json(
-                        profile, prompt, expected_keys=template.expected_json_keys,
-                        template="verify", sample_id=sample_id,
+        with contextlib.closing(replies):
+            for (i, j) in pairs:
+                pair_votes = []
+                for reply in itertools.islice(replies, m):
+                    if isinstance(reply, MalformedOutput):
+                        continue  # abstention
+                    verdict = str(reply[reply_key]).strip().lower()
+                    if verdict in ("yes", "no"):
+                        pair_votes.append(1 if verdict == "yes" else 0)
+                if len(pair_votes) < required:
+                    raise VerificationError(
+                        f"pair ({i},{j}): only {len(pair_votes)} of {m} completions parsed"
                     )
-                except MalformedOutput:
-                    continue  # abstention
-                verdict = str(reply[reply_key]).strip().lower()
-                if verdict in ("yes", "no"):
-                    pair_votes.append(1 if verdict == "yes" else 0)
-            if len(pair_votes) < required:
-                raise VerificationError(
-                    f"pair ({i},{j}): only {len(pair_votes)} of {m} completions parsed"
-                )
-            s[(i, j)] = sum(pair_votes) / len(pair_votes)
-            votes[(i, j)] = pair_votes
+                s[(i, j)] = sum(pair_votes) / len(pair_votes)
+                votes[(i, j)] = pair_votes
         return VoteTable(s=s, m=m, votes=votes).to_json()
 
     return VoteTable.from_json(gateway.cached(key, compute))

@@ -47,6 +47,7 @@ def load_config(path: str | None) -> configparser.ConfigParser:
                 "pool": ",".join(DEFAULT_POOL),
                 "endpoint": "",
                 "credential_env": "CAUSALTEXT_API_KEY",
+                "max_in_flight": "8",
             },
             "phase3": {"domain": "business"},
         }
@@ -115,6 +116,13 @@ def graphgen(config_path, seed, out, per_n):
 
 
 def _build_gateway(cfg, backend_name, mock_script, cache_path):
+    # verifier requests kept in flight at once; 1 sends them one after another
+    try:
+        max_in_flight = cfg.getint("backends", "max_in_flight")
+    except ValueError as exc:
+        raise InvalidConfig(str(exc))
+    if max_in_flight < 1:
+        raise InvalidConfig(f"backends.max_in_flight must be >= 1, got {max_in_flight}")
     cache = ResponseCache(cache_path)
     if mock_script is not None:
         if os.path.exists(mock_script):
@@ -132,7 +140,7 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
         primary = backend_name or cfg.get("backends", "primary")
         pool = [m.strip() for m in cfg.get("backends", "pool").split(",") if m.strip()]
         verifier_model = choose_verifier(primary, pool)
-    gw = Gateway(backend, UsageLedger(), cache=cache)
+    gw = Gateway(backend, UsageLedger(), cache=cache, max_in_flight=max_in_flight)
     profiles = {
         "proposer": BackendProfile.for_role(primary, "proposer"),
         "verifier": BackendProfile.for_role(verifier_model, "verifier"),
@@ -201,6 +209,8 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
             rec.error = f"{type(exc).__name__}: {exc}"
             failed += 1
         store.append(rec)
+    if isinstance(gw.backend, HttpBackend):
+        gw.backend.close()
     manifest = RunManifest.from_store(
         store,
         config={

@@ -1,14 +1,17 @@
 """Provider-agnostic chat-completion access.
 
-Covers prompt-template rendering, the uniform request payload, transport
-retries with exponential backoff, strict-JSON extraction with a bounded
-re-ask budget, response caching, token accounting, and two mock backends
+Covers prompt-template rendering, the uniform request payload, an HTTP
+client over pooled keep-alive connections with transport retries and
+exponential backoff, a single-threaded window of requests in flight,
+strict-JSON extraction with a bounded re-ask budget, response caching,
+token accounting, and two mock backends
 (a scriptable one for unit tests and an oracle that answers consistently
 with the adjacency matrix it saw in the proposal prompt).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import importlib.resources
@@ -176,8 +179,17 @@ def _approx_tokens(text: str) -> int:
 class HttpBackend:
     """Chat-completion client over an OpenAI-style HTTP endpoint.
 
+    Requests go out over persistent ``http.client`` connections, kept in a
+    pool of idle ones.  ``submit`` writes a request and returns at once, so
+    one thread can keep several requests in flight, one per connection;
+    ``complete`` is ``submit(...).result()``.  The pool grows to the largest
+    number of requests ever pending at once.  An idle connection the server
+    has closed is replaced before it is used.
+
     Transient failures (connection errors, HTTP 429 and 5xx) are retried
     with jittered exponential backoff starting at ``backoff`` seconds.
+    ``http_proxy``, ``https_proxy`` and ``no_proxy`` are honoured, and
+    HTTPS verifies certificates with the default ``ssl`` context.
     """
 
     def __init__(self, endpoint: str, credential_env: str, retries: int = 3, backoff: float = 1.0, timeout: float = 120.0):
@@ -186,42 +198,149 @@ class HttpBackend:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
+        self._idle: list = []  # connections with no reply left to read
+        self._route = None  # (connection factory, request target, proxy headers), set on first use
 
     def complete(self, payload: dict, meta: dict | None = None):
-        import requests
+        return self.submit(payload, meta).result()
 
+    def submit(self, payload: dict, meta: dict | None = None) -> "PendingReply":
+        """Write one request and return the handle that reads its reply."""
         key = os.environ.get(self.credential_env)
         if not key:
             raise AuthError(f"no credential in ${self.credential_env}")
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-        last_err = None
-        for attempt in range(self.retries + 1):
+        return PendingReply(self, payload, headers)
+
+    def _resolve_route(self):
+        import http.client
+        import urllib.parse
+        import urllib.request
+
+        url = urllib.parse.urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise TransportError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
+        origin = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        port = url.port or origin.default_port
+        path = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        proxy = None if urllib.request.proxy_bypass(url.hostname) else urllib.request.getproxies().get(url.scheme)
+        if not proxy:
+            return functools.partial(origin, url.hostname, port, timeout=self.timeout), path, {}
+        purl = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if purl.scheme != "http" or not purl.hostname:
+            raise TransportError(f"proxy must be an http:// URL, got {proxy!r}")
+        proxy_headers = {}
+        if purl.username:
+            import base64
+
+            creds = f"{urllib.parse.unquote(purl.username)}:{urllib.parse.unquote(purl.password or '')}"
+            proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(creds.encode()).decode("ascii")
+        if url.scheme == "http":
+            # the proxy gets the absolute URL as the request target
+            connect = functools.partial(http.client.HTTPConnection, purl.hostname, purl.port or 80, timeout=self.timeout)
+            return connect, f"http://{url.hostname}:{port}{path}", proxy_headers
+
+        def tunnel():
+            conn = origin(purl.hostname, purl.port or 80, timeout=self.timeout)
+            conn.set_tunnel(url.hostname, port, headers=proxy_headers)
+            return conn
+
+        return tunnel, path, {}
+
+    def _checkout(self):
+        """An idle connection whose server has not closed it, or a new one."""
+        import select
+
+        if self._route is None:
+            self._route = self._resolve_route()
+        while self._idle:
+            conn = self._idle.pop()
+            # a readable idle socket means the server closed it (or sent junk)
+            if conn.sock is None or not select.select([conn.sock], [], [], 0)[0]:
+                return conn
+            conn.close()
+        return self._route[0]()
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        while self._idle:
+            self._idle.pop().close()
+
+
+class PendingReply:
+    """One request written by ``HttpBackend.submit``, its reply not yet read.
+
+    ``result()`` reads the reply (retrying the request on a transient
+    failure) and returns ``(text, usage)``; ``cancel()`` closes the
+    connection the unread reply would arrive on.
+    """
+
+    def __init__(self, backend: HttpBackend, payload: dict, headers: dict):
+        self._backend = backend
+        self._prompt = payload["messages"][1]["content"]
+        self._body = json.dumps(payload).encode("utf-8")
+        self._headers = headers
+        self._conn = None
+        self._error: Exception | None = None
+        self._send()
+
+    def _send(self) -> None:
+        import http.client
+
+        conn = self._backend._checkout()
+        _, target, proxy_headers = self._backend._route
+        try:
+            conn.request("POST", target, self._body, {**self._headers, **proxy_headers})
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            self._error = exc
+        else:
+            self._conn = conn
+
+    def cancel(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def result(self):
+        import http.client
+
+        backend = self._backend
+        for attempt in range(backend.retries + 1):
             if attempt:
-                delay = self.backoff * (2 ** (attempt - 1)) * (1 + random.random() * 0.25)
-                time.sleep(delay)
+                time.sleep(backend.backoff * (2 ** (attempt - 1)) * (1 + random.random() * 0.25))
+                self._send()
+            if self._conn is None:
+                continue  # the request could not be written
+            conn, self._conn = self._conn, None
             try:
-                resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_err = exc
+                resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                self._error = exc
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_err = RuntimeError(f"HTTP {resp.status_code}")
+            backend._idle.append(conn)
+            status = resp.status
+            if status == 429 or status >= 500:
+                self._error = RuntimeError(f"HTTP {status}")
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"HTTP {resp.status_code} from {self.endpoint}")
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            raw = data.decode("utf-8", errors="replace")
+            if status in (401, 403):
+                raise AuthError(f"HTTP {status} from {backend.endpoint}")
+            if status != 200:
+                raise TransportError(f"HTTP {status}: {raw[:200]}")
             try:
-                body = resp.json()
+                body = json.loads(raw)
                 text = body["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise MalformedOutput(f"malformed response body: {exc!r}", raw_text=resp.text[:200])
+                raise MalformedOutput(f"malformed response body: {exc!r}", raw_text=raw[:200])
             usage = body.get("usage", {})
             return text, {
-                "input_tokens": usage.get("prompt_tokens", _approx_tokens(payload["messages"][1]["content"])),
+                "input_tokens": usage.get("prompt_tokens", _approx_tokens(self._prompt)),
                 "output_tokens": usage.get("completion_tokens", _approx_tokens(text)),
             }
-        raise TransportError(f"request failed after {self.retries} retries: {last_err}")
+        raise TransportError(f"request failed after {backend.retries} retries: {self._error}")
 
 
 class ScriptedMockBackend:
@@ -468,18 +587,31 @@ JSON_REASK = (
 
 
 class Gateway:
-    """Ties a backend, a usage ledger, and an optional response cache together."""
+    """Ties a backend, a usage ledger, and an optional response cache together.
 
-    def __init__(self, backend, ledger: UsageLedger | None = None, cache: ResponseCache | None = None, call_budget: int | None = None):
+    ``max_in_flight`` bounds how many requests ``complete_json_many`` keeps
+    pending at once on a backend that has ``submit``.  Idle keep-alive
+    connections hold a server's handlers, so a window larger than the
+    number of connections the server serves at once stalls.
+    """
+
+    def __init__(self, backend, ledger: UsageLedger | None = None, cache: ResponseCache | None = None,
+                 call_budget: int | None = None, max_in_flight: int = 8):
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
         self.backend = backend
         self.ledger = ledger if ledger is not None else UsageLedger()
         self.cache = cache
         self.call_budget = call_budget
+        self.max_in_flight = max_in_flight
         self.calls_made = 0
 
-    def complete(self, profile: BackendProfile, prompt: str, template: str | None = None, sample_id=None):
+    def _charge(self) -> None:
         if self.call_budget is not None and self.calls_made >= self.call_budget:
             raise BudgetExceeded(f"call budget {self.call_budget} exhausted")
+
+    def complete(self, profile: BackendProfile, prompt: str, template: str | None = None, sample_id=None):
+        self._charge()
         payload = build_payload(profile, prompt)
         text, usage = self.backend.complete(payload, {"template": template, "role": profile.role})
         self.calls_made += 1
@@ -493,14 +625,76 @@ class Gateway:
         last_text = ""
         for attempt in range(1 + retry_budget):
             last_text, _ = self.complete(profile, ask, template=template, sample_id=sample_id)
-            parsed = _extract_json(last_text)
-            if parsed is not None and all(k in parsed for k in expected_keys):
+            parsed = _reply_json(last_text, expected_keys)
+            if parsed is not None:
                 return parsed
-            ask = prompt + "\n\n" + JSON_REASK.format(keys=", ".join(repr(k) for k in expected_keys))
-        raise MalformedOutput(
-            f"no valid JSON with keys {list(expected_keys)} after {retry_budget} re-asks",
-            raw_text=last_text,
-        )
+            ask = prompt + _reask_note(expected_keys)
+        raise _reasks_spent(expected_keys, retry_budget, last_text)
+
+    def complete_json_many(self, profile: BackendProfile, prompts, expected_keys, retry_budget: int = 2,
+                           template: str | None = None, sample_id=None):
+        """Yield, in prompt order, what ``complete_json`` would return for each
+        prompt, or the ``MalformedOutput`` it would raise.
+
+        A backend with ``submit`` gets up to ``max_in_flight`` requests at
+        once, all from this thread: requests are written on that many
+        connections, the oldest reply is read, and the next request goes
+        out on the connection it freed before that reply is yielded.  A
+        re-ask is sent before any prompt not yet started, so its budget and
+        text are those of ``complete_json``.  The call budget is checked at
+        each submit and the ledger records each reply when it is read.
+        Closing the generator early, or an exception from a read, cancels
+        every request still pending.  A backend without ``submit`` is asked
+        one prompt at a time through ``complete_json``.
+        """
+        if not hasattr(self.backend, "submit"):
+            for prompt in prompts:
+                try:
+                    yield self.complete_json(profile, prompt, expected_keys, retry_budget, template, sample_id)
+                except MalformedOutput as exc:
+                    yield exc
+            return
+        if retry_budget < 1:
+            raise ValueError("retry_budget must be >= 1")
+        meta = {"template": template, "role": profile.role}
+        note = _reask_note(expected_keys)
+        reasks = collections.deque()  # (index, attempt) waiting to be sent
+        pending = collections.deque()  # (index, attempt, handle) in submit order
+        done: dict = {}  # index -> reply or MalformedOutput, until every earlier one is out
+        fresh = next_out = 0
+        try:
+            while True:
+                while len(pending) < self.max_in_flight and (reasks or fresh < len(prompts)):
+                    if reasks:
+                        index, attempt = reasks.popleft()
+                    else:
+                        index, attempt, fresh = fresh, 0, fresh + 1
+                    self._charge()
+                    ask = prompts[index] + note if attempt else prompts[index]
+                    pending.append((index, attempt, self.backend.submit(build_payload(profile, ask), meta)))
+                    self.calls_made += 1
+                while next_out in done:
+                    yield done.pop(next_out)
+                    next_out += 1
+                if not pending:
+                    return
+                index, attempt, handle = pending.popleft()
+                try:
+                    text, usage = handle.result()
+                except MalformedOutput as exc:
+                    done[index] = exc
+                else:
+                    self.ledger.record(sample_id, usage.get("input_tokens", 0), usage.get("output_tokens", 0))
+                    parsed = _reply_json(text, expected_keys)
+                    if parsed is not None:
+                        done[index] = parsed
+                    elif attempt < retry_budget:
+                        reasks.append((index, attempt + 1))
+                    else:
+                        done[index] = _reasks_spent(expected_keys, retry_budget, text)
+        finally:
+            for _, _, handle in pending:
+                handle.cancel()
 
     def ask(self, profile: BackendProfile, template: str, bindings: dict, note: str = "", sample_id=None):
         """Render ``template`` with ``bindings``, append ``note``, and return the
@@ -521,6 +715,23 @@ class Gateway:
         if self.cache is not None:
             self.cache.put(key, value)
         return value
+
+
+def _reply_json(text: str, expected_keys):
+    """The reply's JSON object if it has every expected key, else None."""
+    parsed = _extract_json(text)
+    return parsed if parsed is not None and all(k in parsed for k in expected_keys) else None
+
+
+def _reask_note(expected_keys) -> str:
+    return "\n\n" + JSON_REASK.format(keys=", ".join(repr(k) for k in expected_keys))
+
+
+def _reasks_spent(expected_keys, retry_budget: int, last_text: str) -> MalformedOutput:
+    return MalformedOutput(
+        f"no valid JSON with keys {list(expected_keys)} after {retry_budget} re-asks",
+        raw_text=last_text,
+    )
 
 
 def _extract_json(text: str):

@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .assignment import ConceptAssignment
+from .errors import CausaltextError
 from .gateway import read_jsonl
 from .graphs import Dag, GraphSpec
 from .textgen import Paragraph
@@ -104,7 +105,12 @@ class SampleStore:
 
     def __iter__(self):
         for obj in read_jsonl(self.path):
-            yield SampleRecord.from_json(obj)
+            try:
+                record = SampleRecord.from_json(obj)
+            except CausaltextError as exc:
+                exc.args = (f"record {obj['id']!r}: {exc}",)
+                raise
+            yield record
 
 
 @dataclass

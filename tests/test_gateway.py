@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import http.server
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from causaltext.assignment import (
     REVISION_NOTE,
     ConceptAssignment,
     FallacySet,
+    analyze_causal_structure,
+    counterfactual_verification,
     initial_assignment,
     refine_assignment,
 )
@@ -467,18 +472,296 @@ class TestHttpBackend:
             b.complete(build_payload(BackendProfile.for_role("m", "proposer"), "p"))
 
     @pytest.mark.parametrize("content", [b"<html>bad gateway</html>", b'{"choices": []}'])
-    def test_malformed_body_raises_malformed_output(self, monkeypatch, content):
-        import requests
-
-        def fake_post(*args, **kwargs):
-            resp = requests.models.Response()
-            resp.status_code = 200
-            resp._content = content
-            return resp
-
+    def test_malformed_body_raises_malformed_output(self, monkeypatch, stub, content):
+        stub.responses.append((200, content))
         monkeypatch.setenv("SOME_KEY", "secret")
-        monkeypatch.setattr(requests, "post", fake_post)
-        b = HttpBackend("http://localhost:1/v1", "SOME_KEY", retries=0)
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)
         with pytest.raises(MalformedOutput) as exc:
             b.complete(build_payload(BackendProfile.for_role("m", "proposer"), "p"))
         assert exc.value.raw_text == content.decode()
+        b.close()
+
+    def test_many_calls_share_at_most_window_connections(self, stub):
+        b = HttpBackend(stub.endpoint, "SOME_KEY")
+        prompts = [f"p{k}" for k in range(40)]
+        replies = list(Gateway(b, max_in_flight=4).complete_json_many(VERIFIER, prompts, ["k"]))
+        b.close()
+        assert replies == [{"k": p} for p in prompts]
+        assert stub.requests == 40
+        assert 1 <= stub.connections <= 4
+
+    def test_idle_connection_closed_by_the_server_is_replaced_without_a_retry(self, stub):
+        stub.close_after_reply = True
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)  # any retry would fail the call
+        payload = build_payload(VERIFIER, "first")
+        assert json.loads(b.complete(payload)[0]) == {"k": "first"}
+        assert stub.closed.wait(5)
+        assert len(b._idle) == 1  # kept, as the reply did not say it would close
+        assert json.loads(b.complete(build_payload(VERIFIER, "second"))[0]) == {"k": "second"}
+        b.close()
+        assert stub.requests == 2 and stub.connections == 2
+
+    def test_429_then_200_succeeds(self, stub):
+        stub.responses.append((429, b"slow down"))
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=1, backoff=0.0)
+        text, usage = b.complete(build_payload(VERIFIER, "p"))
+        b.close()
+        assert json.loads(text) == {"k": "p"} and usage == {"input_tokens": 1, "output_tokens": 1}
+        assert stub.requests == 2
+
+    def test_http_proxy_gets_the_absolute_url(self, monkeypatch, stub):
+        monkeypatch.setenv("http_proxy", f"http://user:pw@127.0.0.1:{stub.port}")
+        b = HttpBackend("http://llm.example:8080/v1/chat/completions?x=1", "SOME_KEY", retries=0)
+        assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
+        b.close()
+        assert stub.targets == ["http://llm.example:8080/v1/chat/completions?x=1"]
+        assert stub.headers[0]["Host"] == "llm.example:8080"
+        assert stub.headers[0]["Proxy-Authorization"] == "Basic dXNlcjpwdw=="  # user:pw
+
+    def test_no_proxy_goes_direct(self, monkeypatch, stub):
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:1")  # nothing listens there
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)
+        assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
+        b.close()
+        assert stub.targets == ["/v1/chat/completions"]
+
+    def test_vote_tables_do_not_depend_on_the_window(self, stub):
+        def verdict(prompt):
+            digest = hashlib.sha256(prompt.encode()).digest()
+            if digest[1] % 4 == 0 and "could not be parsed" not in prompt:
+                return "let me think"  # re-asked
+            return json.dumps({"direct cause": "yes" if digest[0] % 2 else "no"})
+
+        stub.reply = verdict
+        dag = Dag(n=4, edges=np.array([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int8))
+        ca = ConceptAssignment(["Rain", "Wet grass", "Slippery road", "Accident"], "weather")
+        tables, requests = [], []
+        for window in (8, 1):
+            before = stub.requests
+            b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)
+            gw = Gateway(b, max_in_flight=window)
+            tables.append(counterfactual_verification(ca, analyze_causal_structure(dag), dag, gw, VERIFIER, m=5))
+            b.close()
+            requests.append(stub.requests - before)
+        assert tables[0] == tables[1]
+        assert set(tables[0].s.values()) == {0.0, 1.0}
+        assert requests[0] == requests[1] > 12 * 5  # some prompts were re-asked
+
+
+VERIFIER = BackendProfile.for_role("v", "verifier")
+
+
+class FakeHandle:
+    def __init__(self, backend, prompt):
+        self.backend, self.prompt = backend, prompt
+
+    def result(self):
+        self.backend.finish(self, "read")
+        text = self.backend.reply(self.prompt)
+        return text, {"input_tokens": 1, "output_tokens": 1}
+
+    def cancel(self):
+        self.backend.finish(self, "cancel")
+
+
+class WindowBackend:
+    """A backend with ``submit`` whose replies come from ``reply(prompt)``;
+    it logs every submit, read and cancel, and the most requests pending at once."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.log = []
+        self.pending = set()
+        self.most_pending = 0
+
+    def submit(self, payload, meta=None):
+        handle = FakeHandle(self, payload["messages"][1]["content"])
+        self.log.append(("submit", handle.prompt))
+        self.pending.add(handle)
+        self.most_pending = max(self.most_pending, len(self.pending))
+        return handle
+
+    def finish(self, handle, how):
+        assert handle in self.pending, "a handle was read or cancelled twice"
+        self.pending.discard(handle)
+        self.log.append((how, handle.prompt))
+
+    def submitted(self):
+        return [p for event, p in self.log if event == "submit"]
+
+
+def flaky(bad):
+    """Replies {"k": prompt}, except a first ask of a prompt in ``bad``, which gets prose."""
+
+    def reply(prompt):
+        if prompt in bad:
+            return "no JSON here"
+        return json.dumps({"k": prompt.split("\n\n")[0]})
+
+    return reply
+
+
+REASK_NOTE = "\n\n" + JSON_REASK.format(keys="'k'")
+
+
+class TestCompleteJsonMany:
+    prompts = [f"p{k}" for k in range(12)]
+
+    def test_replies_in_prompt_order_within_the_window(self):
+        backend = WindowBackend(flaky({"p1", "p5"}))
+        out = list(Gateway(backend, max_in_flight=4).complete_json_many(VERIFIER, self.prompts, ["k"]))
+        assert out == [{"k": p} for p in self.prompts]
+        assert backend.most_pending == 4 and not backend.pending
+        assert len(backend.submitted()) == 14
+
+    def test_reask_goes_before_prompts_not_yet_started(self):
+        backend = WindowBackend(flaky({"p0"}))
+        list(Gateway(backend, max_in_flight=2).complete_json_many(VERIFIER, self.prompts[:4], ["k"]))
+        assert backend.log[:5] == [
+            ("submit", "p0"), ("submit", "p1"), ("read", "p0"), ("submit", "p0" + REASK_NOTE), ("read", "p1"),
+        ]
+        assert backend.submitted() == ["p0", "p1", "p0" + REASK_NOTE, "p2", "p3"]
+
+    def test_spent_reasks_yield_malformed_output(self):
+        backend = WindowBackend(lambda prompt: "never JSON" if prompt.startswith("p2") else json.dumps({"k": 1}))
+        out = list(Gateway(backend, max_in_flight=3).complete_json_many(VERIFIER, self.prompts[:4], ["k"]))
+        assert [type(r) for r in out] == [dict, dict, MalformedOutput, dict]
+        assert out[2].raw_text == "never JSON"
+        assert backend.submitted().count("p2" + REASK_NOTE) == 2
+
+    def test_call_budget_stops_at_exactly_its_limit(self):
+        backend = WindowBackend(flaky(set()))
+        gw = Gateway(backend, call_budget=5, max_in_flight=4)
+        with pytest.raises(BudgetExceeded):
+            list(gw.complete_json_many(VERIFIER, self.prompts, ["k"]))
+        assert len(backend.submitted()) == 5 and gw.calls_made == 5
+        assert not backend.pending
+
+    def test_closing_early_cancels_every_pending_request(self):
+        backend = WindowBackend(flaky(set()))
+        gen = Gateway(backend, max_in_flight=4).complete_json_many(VERIFIER, self.prompts, ["k"])
+        assert next(gen) == {"k": "p0"}
+        gen.close()
+        assert not backend.pending
+        assert [e for e in backend.log if e[0] == "cancel"] == [("cancel", p) for p in ("p1", "p2", "p3", "p4")]
+
+    def test_failed_read_cancels_every_pending_request(self):
+        def reply(prompt):
+            if prompt == "p2":
+                raise TransportError("gone")
+            return json.dumps({"k": prompt})
+
+        backend = WindowBackend(reply)
+        with pytest.raises(TransportError):
+            list(Gateway(backend, max_in_flight=4).complete_json_many(VERIFIER, self.prompts, ["k"]))
+        assert not backend.pending
+
+    def test_window_one_matches_sequential_complete_json(self):
+        bad = {"p3", "p7", "p7" + REASK_NOTE}
+        backend = WindowBackend(flaky(bad))
+        windowed = list(Gateway(backend, max_in_flight=1).complete_json_many(VERIFIER, self.prompts, ["k"]))
+        scripted = RecordingBackend([flaky(bad)(p) for p in backend.submitted()])
+        gw = Gateway(scripted)
+        sequential = []
+        for p in self.prompts:
+            try:
+                sequential.append(gw.complete_json(VERIFIER, p, ["k"], template="verify"))
+            except MalformedOutput as exc:
+                sequential.append(exc)
+        assert [p for _, p in scripted.sent] == backend.submitted()
+        assert isinstance(windowed[7], MalformedOutput) and isinstance(sequential[7], MalformedOutput)
+        assert windowed[7].args == sequential[7].args and windowed[7].raw_text == sequential[7].raw_text
+        assert windowed[:7] + windowed[8:] == sequential[:7] + sequential[8:]
+        assert backend.most_pending == 1
+
+    def test_backend_without_submit_is_asked_one_prompt_at_a_time(self):
+        backend = RecordingBackend([json.dumps({"k": 0}), "x", "x", "x", json.dumps({"k": 2})])
+        out = list(Gateway(backend).complete_json_many(VERIFIER, ["a", "b", "c"], ["k"], template="verify"))
+        assert out[0] == {"k": 0} and isinstance(out[1], MalformedOutput) and out[2] == {"k": 2}
+        assert [p for _, p in backend.sent] == ["a", "b", "b" + REASK_NOTE, "b" + REASK_NOTE, "c"]
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 5
+
+    def log_message(self, format, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        with self.server.stub.lock:
+            self.server.stub.connections += 1
+
+    def do_POST(self):
+        stub = self.server.stub
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with stub.lock:
+            stub.requests += 1
+            stub.targets.append(self.path)
+            stub.headers.append(self.headers)
+            scripted = stub.responses.pop(0) if stub.responses else None
+        if scripted is None:
+            text = stub.reply(body["messages"][-1]["content"])
+            envelope = {"choices": [{"message": {"content": text}}], "usage": {"prompt_tokens": 1, "completion_tokens": 1}}
+            status, payload = 200, json.dumps(envelope).encode()
+        else:
+            status, payload = scripted
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        self.close_connection = stub.close_after_reply
+
+
+class _StubServer(http.server.ThreadingHTTPServer):
+    daemon_threads = True
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.stub.closed.set()
+
+
+class StubServer:
+    """A keep-alive chat-completion stub on 127.0.0.1, one thread per connection.
+
+    It replies ``reply(prompt)`` (by default ``{"k": prompt}``), or the next
+    scripted ``(status, body)`` in ``responses``, and counts connections and
+    requests.  With ``close_after_reply`` it closes each connection after
+    one reply without saying so in its headers.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.reply = lambda prompt: json.dumps({"k": prompt})
+        self.responses, self.targets, self.headers = [], [], []
+        self.connections = self.requests = 0
+        self.close_after_reply = False
+        self.closed = threading.Event()
+        self._httpd = _StubServer(("127.0.0.1", 0), _StubHandler)
+        self._httpd.stub = self
+        self.port = self._httpd.server_address[1]
+        self.endpoint = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        self._thread = threading.Thread(target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05})
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    for var in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("SOME_KEY", "secret")
+    with StubServer() as server:
+        yield server

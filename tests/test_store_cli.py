@@ -99,6 +99,16 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False", "False"]
 
+    def test_cli_import_does_not_load_the_http_client(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(causaltext.__file__)))
+        code = (
+            "import sys, causaltext, causaltext.cli\n"
+            "print('requests' in sys.modules, 'http.client' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False"]
+
     def test_blas_pool_defaults_to_one_thread(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(causaltext.__file__)))
         code = "import os, causaltext; print(os.environ['OPENBLAS_NUM_THREADS'])"
@@ -131,6 +141,18 @@ class TestConfig:
         p.write_text("[phase2]\ntau = 1.5\n")
         with pytest.raises(InvalidConfig):
             loop_config_from(load_config(str(p)))
+
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_invalid_max_in_flight(self, tmp_path, value):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[backends]\nmax_in_flight = {value}\n")
+        graphs = str(tmp_path / "graphs")
+        runner = CliRunner()
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        r = runner.invoke(main, ["generate", "--config", str(p), "--graphs", graphs,
+                                 "--out", str(tmp_path / "s.jsonl"), "--mock-script", '{"mode": "oracle"}'])
+        assert isinstance(r.exception, InvalidConfig)
+        assert load_config(None).getint("backends", "max_in_flight") == 8
 
     def test_sample_seed_deterministic(self):
         assert sample_seed(0, 3, 1) == sample_seed(0, 3, 1)
@@ -366,6 +388,16 @@ class TestGenerateEvaluate:
         result = json.load(open(out))
         assert all(len(row["projection_removed"]) >= 1 for row in result["samples"])
 
+    def test_evaluate_names_a_stored_record_that_cannot_be_loaded(self, tmp_path):
+        # an older generate could store a cyclic dag; written here by hand
+        store = tmp_path / "samples.jsonl"
+        good, bad = make_record("n3_00000").to_json(), make_record("n3_00001").to_json()
+        bad["dag"]["edges"] = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        store.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        r = CliRunner().invoke(main, ["evaluate", "--store", str(store)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert "record 'n3_00001': adjacency has a directed cycle" in r.output
 
     @pytest.mark.parametrize(
         "content",

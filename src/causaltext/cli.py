@@ -332,7 +332,7 @@ def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
 @main.command()
 @click.option("--ratings", type=click.Path(exists=True), required=True,
               help="CSV with columns text_id,i,j,rater_id,label")
-@click.option("--raters", type=int, default=consensus_mod.DEFAULT_RATERS, show_default=True)
+@click.option("--raters", type=click.IntRange(min=1), default=consensus_mod.DEFAULT_RATERS, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def consensus(ratings, raters, out):
     """Majority-vote consensus graphs, inter-rater alpha, and agreement flags."""
@@ -343,14 +343,21 @@ def consensus(ratings, raters, out):
         reader = csv.DictReader(fh)
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows.append(
-                    (row["text_id"], int(row["i"]), int(row["j"]), int(row["rater_id"]), int(row["label"]))
+                text_id, i, j, rater, label = (
+                    row["text_id"], int(row["i"]), int(row["j"]), int(row["rater_id"]), int(row["label"])
                 )
+                if not 0 <= rater < raters:
+                    raise ValueError(f"rater_id {rater} is outside 0..{raters - 1}")
+                if label not in (0, 1):
+                    raise ValueError(f"label {label} is not 0 or 1")
+                if i < 0 or j < 0 or i == j:
+                    raise ValueError(f"pair ({i}, {j}) needs i != j, both >= 0")
+                rows.append((text_id, i, j, rater, label))
             except (KeyError, TypeError, ValueError) as exc:
                 raise click.ClickException(f"{ratings}:{lineno}: malformed row ({exc})")
     try:
         rm = consensus_mod.RatingMatrix.from_rows(rows, raters=raters)
-        per_text = consensus_mod.majority_consensus(rm, raters=raters)
+        per_text = consensus_mod.majority_consensus(rm)
         alpha = consensus_mod.krippendorff_alpha(rm)
         flags = consensus_mod.flag_low_agreement(
             {t: v["support"] for t, v in per_text.items()}, raters=raters

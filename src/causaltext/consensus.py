@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyRatings, InsufficientData
-from .graphs import Dag
 from .metrics import SupportGraph, project_dag
 
 DEFAULT_RATERS = 11
@@ -35,18 +33,22 @@ class RatingMatrix:
 
     @classmethod
     def from_rows(cls, rows, raters: int = DEFAULT_RATERS) -> "RatingMatrix":
-        """Build from (text_id, i, j, rater_id, label) tuples; rater ids are 0-based."""
+        """Build from (text_id, i, j, rater_id, label) tuples; rater ids are 0..raters-1."""
         by_item = defaultdict(lambda: [None] * raters)
-        order = []
         for text_id, i, j, rater, label in rows:
-            key = (text_id, int(i), int(j))
-            if key not in by_item:
-                order.append(key)
-            by_item[key][int(rater)] = int(label)
-        return cls(items=order, ratings=[by_item[k] for k in order])
+            if not 0 <= int(rater) < raters:
+                raise ValueError(f"rater id {rater} is outside 0..{raters - 1}")
+            by_item[text_id, int(i), int(j)][int(rater)] = int(label)
+        return cls(items=list(by_item), ratings=list(by_item.values()))
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-item yes votes and ratings present, as int arrays in item order; every statistic uses only these."""
+        yes = np.array([list(row).count(1) for row in self.ratings], dtype=np.int64)
+        present = np.array([len(row) - list(row).count(None) for row in self.ratings], dtype=np.int64)
+        return yes, present
 
 
-def majority_consensus(rm: RatingMatrix, raters: int = DEFAULT_RATERS) -> dict:
+def majority_consensus(rm: RatingMatrix) -> dict:
     """Per-text support graphs and majority-vote consensus DAGs.
 
     The consensus edge is present iff the yes-votes form a strict majority of
@@ -56,33 +58,23 @@ def majority_consensus(rm: RatingMatrix, raters: int = DEFAULT_RATERS) -> dict:
     """
     if not rm.items:
         raise EmptyRatings("no rated items")
-    per_text_nodes: dict = defaultdict(int)
-    for text_id, i, j, in rm.items:
-        per_text_nodes[text_id] = max(per_text_nodes[text_id], i + 1, j + 1)
+    yes, present = rm.counts()
+    share = np.divide(yes, present, out=np.zeros(len(yes)), where=present > 0)
+    # projection sees only the consensus edges, with their vote proportions as supports
+    kept = np.where(2 * yes > present, share, 0.0)
+    sizes: dict = {}
+    cells: dict = defaultdict(dict)  # text_id -> {(i, j): index of the last item for the pair}
+    for k, (text_id, i, j) in enumerate(rm.items):
+        sizes[text_id] = max(sizes.get(text_id, 0), i + 1, j + 1)
+        if i != j and i >= 0 and j >= 0:
+            cells[text_id][i, j] = k
     out = {}
-    votes = {item: row for item, row in zip(rm.items, rm.ratings)}
-    for text_id, n in per_text_nodes.items():
-        support = np.zeros((n, n), dtype=float)
-        consensus = np.zeros((n, n), dtype=np.int8)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                row = votes.get((text_id, i, j))
-                if row is None:
-                    continue
-                present = [r for r in row if r is not None]
-                if not present:
-                    continue
-                yes = sum(present)
-                support[i, j] = yes / len(present)
-                if yes >= len(present) // 2 + 1:
-                    consensus[i, j] = 1
-        sg = SupportGraph(n=n, support=support)
-        # project only the consensus edges, keeping their vote proportions as supports
-        masked = support * consensus
+    for text_id, n in sizes.items():
+        support, masked = np.zeros((n, n)), np.zeros((n, n))
+        for (i, j), k in cells[text_id].items():
+            support[i, j], masked[i, j] = share[k], kept[k]
         dag, removed = project_dag(SupportGraph(n=n, support=masked), threshold=np.nextafter(0.0, 1.0))
-        out[text_id] = {"support": sg, "consensus": dag, "removed": removed}
+        out[text_id] = {"support": SupportGraph(n=n, support=support), "consensus": dag, "removed": removed}
     return out
 
 
@@ -93,25 +85,17 @@ def krippendorff_alpha(rm: RatingMatrix) -> float:
     in the matrix carries the same label, expected disagreement is zero and
     alpha is defined as 1.0.
     """
-    pairable = [
-        [r for r in row if r is not None]
-        for row in rm.ratings
-    ]
-    pairable = [vals for vals in pairable if len(vals) >= 2]
-    if not pairable:
+    yes, present = rm.counts()
+    usable = present >= 2
+    if not usable.any():
         raise InsufficientData("need at least one item with >= 2 ratings")
-
-    # coincidence counts o[c][k] over value pairs within items
-    o = np.zeros((2, 2), dtype=float)
-    for vals in pairable:
-        m = len(vals)
-        counts = np.bincount(vals, minlength=2).astype(float)
-        for c in range(2):
-            for k in range(2):
-                if c == k:
-                    o[c, k] += counts[c] * (counts[c] - 1) / (m - 1)
-                else:
-                    o[c, k] += counts[c] * counts[k] / (m - 1)
+    c1 = yes[usable].astype(float)
+    c0 = present[usable] - c1
+    m1 = present[usable] - 1
+    # coincidence counts o[c][k] over value pairs within items, summed in item
+    # order: np.cumsum adds sequentially, np.sum pairwise, which rounds differently
+    per_item = np.stack([c0 * (c0 - 1) / m1, c0 * c1 / m1, c1 * c0 / m1, c1 * (c1 - 1) / m1], axis=1)
+    o = np.cumsum(per_item, axis=0)[-1].reshape(2, 2)
     n_c = o.sum(axis=1)
     n_total = o.sum()
     d_o = o[0, 1] + o[1, 0]
@@ -147,25 +131,15 @@ def flag_low_agreement(
     fraction of borderline ordered pairs exceeds the given quantile of that
     fraction across all texts.
     """
-    borderline_band = {Fraction(raters // 2, raters), Fraction(raters // 2 + 1, raters)}
+    band = np.array([raters // 2, raters // 2 + 1]) / raters
     edges = []
     fractions = {}
     for text_id, sg in supports.items():
-        n = sg.n
-        hits = 0
-        total = n * (n - 1)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                s = sg.support[i, j]
-                if any(abs(s - float(b)) < 1e-9 for b in borderline_band):
-                    edges.append((text_id, i, j, float(s)))
-                    hits += 1
-        fractions[text_id] = hits / total if total else 0.0
-    if fractions:
-        cutoff = float(np.quantile(list(fractions.values()), graph_quantile))
-        flagged = [t for t, f in fractions.items() if f > cutoff and f > 0]
-    else:
-        flagged = []
+        hit = (np.abs(sg.support[..., None] - band) < 1e-9).any(axis=-1)
+        np.fill_diagonal(hit, False)
+        edges += [(text_id, int(i), int(j), float(sg.support[i, j])) for i, j in zip(*np.nonzero(hit))]
+        total = sg.n * (sg.n - 1)
+        fractions[text_id] = int(hit.sum()) / total if total else 0.0
+    cutoff = float(np.quantile(list(fractions.values()), graph_quantile)) if fractions else 0.0
+    flagged = [t for t, f in fractions.items() if f > cutoff and f > 0]
     return AgreementFlags(borderline_edges=edges, flagged_texts=flagged)

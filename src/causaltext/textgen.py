@@ -95,17 +95,20 @@ def llm_causal_discovery(text: str, concepts, gateway, profile, sample_id=None) 
     raw = gateway.ask(profile, "discovery", {"Text": text, "Important concepts": concepts}, sample_id=sample_id)
     n = len(concepts)
     try:
-        adj = np.asarray(raw, dtype=int)
+        adj = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
+        adj = None
+    if adj is None or np.isnan(adj).any():  # a None entry parses as NaN
         raise MalformedOutput("adjacency matrix is not a numeric array", raw_text=str(raw))
     if adj.shape != (n, n):
         raise ShapeMismatch(f"expected {n}x{n} adjacency, got {adj.shape}")
-    if not np.isin(adj, (0, 1)).all():
+    if not ((adj == 0) | (adj == 1)).all():
         raise ShapeMismatch("adjacency entries must be 0/1")
+    adj = adj.astype(np.int8)
     if np.diagonal(adj).any():
         log.warning("discovery output has nonzero diagonal entries; clamping to zero")
         np.fill_diagonal(adj, 0)
-    return adj.astype(np.int8)
+    return adj
 
 
 REVISION_REQUEST = (

@@ -1,3 +1,6 @@
+from collections import defaultdict
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,106 @@ from causaltext.consensus import (
     majority_consensus,
 )
 from causaltext.errors import EmptyRatings, InsufficientData
+from causaltext.metrics import SupportGraph, project_dag
+
+
+# Reference implementations: per-text, per-cell, per-rater loops over the
+# rating lists, kept independent of RatingMatrix.counts.
+
+def loop_majority_consensus(rm):
+    per_text_nodes = defaultdict(int)
+    for text_id, i, j in rm.items:
+        per_text_nodes[text_id] = max(per_text_nodes[text_id], i + 1, j + 1)
+    votes = {item: row for item, row in zip(rm.items, rm.ratings)}
+    out = {}
+    for text_id, n in per_text_nodes.items():
+        support = np.zeros((n, n), dtype=float)
+        consensus = np.zeros((n, n), dtype=np.int8)
+        for i in range(n):
+            for j in range(n):
+                row = votes.get((text_id, i, j))
+                if i == j or row is None:
+                    continue
+                present = [r for r in row if r is not None]
+                if not present:
+                    continue
+                yes = sum(present)
+                support[i, j] = yes / len(present)
+                if yes >= len(present) // 2 + 1:
+                    consensus[i, j] = 1
+        masked = support * consensus
+        dag, removed = project_dag(SupportGraph(n=n, support=masked), threshold=np.nextafter(0.0, 1.0))
+        out[text_id] = {"support": SupportGraph(n=n, support=support), "consensus": dag, "removed": removed}
+    return out
+
+
+def loop_krippendorff_alpha(rm):
+    pairable = [[r for r in row if r is not None] for row in rm.ratings]
+    pairable = [vals for vals in pairable if len(vals) >= 2]
+    if not pairable:
+        raise InsufficientData("need at least one item with >= 2 ratings")
+    o = np.zeros((2, 2), dtype=float)
+    for vals in pairable:
+        m = len(vals)
+        counts = np.bincount(vals, minlength=2).astype(float)
+        for c in range(2):
+            for k in range(2):
+                if c == k:
+                    o[c, k] += counts[c] * (counts[c] - 1) / (m - 1)
+                else:
+                    o[c, k] += counts[c] * counts[k] / (m - 1)
+    n_c = o.sum(axis=1)
+    n_total = o.sum()
+    d_o = o[0, 1] + o[1, 0]
+    d_e = 2 * n_c[0] * n_c[1] / (n_total - 1)
+    if d_e == 0:
+        return 1.0
+    return float(1.0 - d_o / d_e)
+
+
+def loop_flag_low_agreement(supports, raters, graph_quantile=0.9):
+    band = {Fraction(raters // 2, raters), Fraction(raters // 2 + 1, raters)}
+    edges = []
+    fractions = {}
+    for text_id, sg in supports.items():
+        n = sg.n
+        hits = 0
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                s = sg.support[i, j]
+                if any(abs(s - float(b)) < 1e-9 for b in band):
+                    edges.append((text_id, i, j, float(s)))
+                    hits += 1
+        fractions[text_id] = hits / (n * (n - 1)) if n > 1 else 0.0
+    if fractions:
+        cutoff = float(np.quantile(list(fractions.values()), graph_quantile))
+        flagged = [t for t, f in fractions.items() if f > cutoff and f > 0]
+    else:
+        flagged = []
+    return edges, flagged
+
+
+def random_panel(rng, raters):
+    """Shuffled rows over a few texts with missing ratings, one repeated
+    (text, i, j, rater) row, and a likely cyclic majority 0 -> 1 -> 2 -> 0."""
+    rows = []
+    for t in range(int(rng.integers(1, 6))):
+        n = int(rng.integers(3, 7))
+        for i in range(n):
+            for j in range(n):
+                if i == j or rng.random() < 0.2:
+                    continue
+                cyclic = (i, j) in ((0, 1), (1, 2), (2, 0))
+                p_yes = 0.85 if cyclic else rng.random()
+                for r in range(raters):
+                    if rng.random() < 0.75:
+                        rows.append((f"t{t}", i, j, r, int(rng.random() < p_yes)))
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    t, i, j, r, label = rows[int(rng.integers(len(rows)))]
+    rows.append((t, i, j, r, 1 - label))
+    return rows
 
 
 def full_panel_rows(text_id, n, yes_counts, raters=11):
@@ -137,3 +240,75 @@ class TestFlags:
             {"bad": heavy, **{f"ok{k}": clean for k in range(9)}}, graph_quantile=0.5
         )
         assert flags.flagged_texts == ["bad"]
+
+
+def assert_same_consensus(got, want):
+    assert list(got) == list(want)
+    for t in want:
+        assert got[t]["support"].n == want[t]["support"].n
+        assert got[t]["support"].support.tobytes() == want[t]["support"].support.tobytes()
+        assert got[t]["consensus"].edges.tolist() == want[t]["consensus"].edges.tolist()
+        assert got[t]["removed"] == want[t]["removed"]
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("raters", [2, 3, 4, 5, 10, 11])
+    def test_random_panels_exact(self, raters):
+        rng = np.random.default_rng(1000 + raters)
+        for _ in range(25):
+            rm = RatingMatrix.from_rows(random_panel(rng, raters), raters=raters)
+            got, want = majority_consensus(rm), loop_majority_consensus(rm)
+            assert_same_consensus(got, want)
+            assert krippendorff_alpha(rm) == loop_krippendorff_alpha(rm)
+            supports = {t: v["support"] for t, v in got.items()}
+            flags = flag_low_agreement(supports, raters=raters)
+            assert (flags.borderline_edges, flags.flagged_texts) == loop_flag_low_agreement(supports, raters)
+
+    def test_panels_include_cycles_and_missing_ratings(self):
+        rng = np.random.default_rng(1011)
+        projected = missing = 0
+        for _ in range(25):
+            rm = RatingMatrix.from_rows(random_panel(rng, 11), raters=11)
+            projected += sum(bool(v["removed"]) for v in majority_consensus(rm).values())
+            missing += sum(None in row for row in rm.ratings)
+        assert projected > 0 and missing > 0
+
+    def test_repeated_row_last_label_wins(self):
+        rows = [("t", 0, 1, r, 1) for r in range(3)] + [("t", 0, 1, 0, 0)]
+        rm = RatingMatrix.from_rows(rows, raters=3)
+        assert rm.ratings == [[0, 1, 1]]
+        assert [c.tolist() for c in rm.counts()] == [[2], [3]]
+
+    def test_direct_matrix_with_odd_items(self):
+        # a repeated item (last wins), a diagonal item and a negative index:
+        # the consensus skips the last two, alpha counts every item
+        items = [("t", 0, 1), ("t", 1, 1), ("t", -1, 0), ("t", 0, 1), ("u", 1, 0)]
+        ratings = [[1, 1, 0], [1, 1, 1], [0, 1, None], [0, 0, 1], [None, None, None]]
+        rm = RatingMatrix(items=items, ratings=ratings)
+        assert_same_consensus(majority_consensus(rm), loop_majority_consensus(rm))
+        assert majority_consensus(rm)["t"]["support"].support[0, 1] == 1 / 3
+        assert krippendorff_alpha(rm) == loop_krippendorff_alpha(rm)
+
+    @pytest.mark.parametrize("raters", [1, 2, 5, 11])
+    def test_flags_on_supports_near_the_band(self, raters):
+        rng = np.random.default_rng(2000 + raters)
+        band = [raters // 2 / raters, (raters // 2 + 1) / raters]
+        values = [0.0, 0.3, 1.0] + [min(1.0, max(0.0, b + d)) for b in band for d in (-1e-3, -1e-10, 0, 1e-10, 1e-3)]
+        supports = {}
+        for t in range(12):
+            n = int(rng.integers(0, 5))
+            supports[f"t{t}"] = SupportGraph(n=n, support=rng.choice(values, size=(n, n)))
+        flags = flag_low_agreement(supports, raters=raters, graph_quantile=0.5)
+        assert (flags.borderline_edges, flags.flagged_texts) == loop_flag_low_agreement(supports, raters, 0.5)
+
+
+class TestFromRows:
+    @pytest.mark.parametrize("rater", [-1, 3, 11])
+    def test_rater_out_of_range_rejected(self, rater):
+        with pytest.raises(ValueError, match="rater id"):
+            RatingMatrix.from_rows([("t", 0, 1, rater, 1)], raters=3)
+
+    def test_counts(self):
+        rm = RatingMatrix(items=[("t", 0, 1), ("t", 1, 0)], ratings=[[1, None, 1], [0, 1, None]])
+        yes, present = rm.counts()
+        assert yes.tolist() == [2, 1] and present.tolist() == [2, 2]

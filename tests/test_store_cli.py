@@ -494,6 +494,30 @@ class TestConsensusCommand:
         assert r.exit_code != 0
         assert ":3:" in r.output
 
+    @pytest.mark.parametrize("bad_row, why", [
+        ("t,0,1,11,1", "rater_id 11"),
+        ("t,0,1,-1,1", "rater_id -1"),
+        ("t,0,1,0,2", "label 2"),
+        ("t,-1,1,0,1", "pair (-1, 1)"),
+        ("t,1,1,0,1", "pair (1, 1)"),
+    ])
+    def test_out_of_range_row_reports_line(self, tmp_path, bad_row, why):
+        path = str(tmp_path / "r.csv")
+        self.write_ratings(path, self.panel({(0, 1): 6}))
+        with open(path, "a") as fh:
+            fh.write(bad_row + "\n")
+        r = CliRunner().invoke(main, ["consensus", "--ratings", path])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert f"{path}:24: malformed row ({why}" in r.output
+        assert "Traceback" not in r.output
+
+    def test_zero_raters_rejected(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        self.write_ratings(path, self.panel({(0, 1): 6}))
+        r = CliRunner().invoke(main, ["consensus", "--ratings", path, "--raters", "0"])
+        assert r.exit_code != 0 and isinstance(r.exception, SystemExit)
+        assert "--raters" in r.output and "Traceback" not in r.output
+
 
 class TestCacheCommand:
     def test_inspect_and_clear(self, tmp_path):

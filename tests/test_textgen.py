@@ -140,6 +140,22 @@ class TestDiscovery:
         with pytest.raises(ShapeMismatch):
             llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
 
+    @pytest.mark.parametrize("entry", [0.5, 0.9, 0.99])
+    def test_fractional_entries_rejected(self, entry):
+        gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, entry], [0, 0]]}]))
+        with pytest.raises(ShapeMismatch):
+            llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+
+    def test_string_and_bool_entries_accepted(self):
+        gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [["0", "1"], [True, 0.0]]}]))
+        adj = llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+        assert adj.tolist() == [[0, 1], [1, 0]] and adj.dtype == np.int8
+
+    def test_missing_entry_is_malformed(self):
+        gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, None], [0, 0]]}]))
+        with pytest.raises(MalformedOutput):
+            llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+
     def test_diagonal_clamped_with_warning(self, caplog):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[1, 1], [0, 1]]}]))
         with caplog.at_level("WARNING"):

@@ -136,6 +136,8 @@ class MismatchReport:
 
 def _parse_node_entries(entries, n: int) -> list:
     """Turn ["Node 0: X", ...] into an index-ordered concept list."""
+    if not isinstance(entries, list):
+        raise MalformedOutput("concept entries are not a list", raw_text=str(entries))
     found = {}
     for entry in entries:
         m = re.match(r"\s*Node\s+(\d+)\s*:\s*(.+?)\s*$", str(entry))
@@ -292,6 +294,11 @@ class LoopConfig:
     tau: float = 0.6
     alpha: float = 1.0
     k_max: int = 10
+
+    def __post_init__(self):
+        # written so that a NaN fails every comparison and is rejected
+        if not (self.m >= 1 and 0 < self.tau <= 1 and self.alpha >= 0 and self.k_max >= 1):
+            raise ValueError(f"loop settings need m >= 1, 0 < tau <= 1, alpha >= 0, k_max >= 1: {self}")
 
 
 @dataclass

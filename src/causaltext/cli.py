@@ -41,7 +41,7 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     cfg.read_dict(
         {
             "phase1": {"per_n": "500", "n_min": "3", "n_max": "10"},
-            "phase2": {"m": "5", "tau": "0.6", "alpha": "1.0", "k_max": "10"},
+            "phase2": {k: str(v) for k, v in vars(LoopConfig()).items()},
             "backends": {
                 "primary": DEFAULT_POOL[0],
                 "pool": ",".join(DEFAULT_POOL),
@@ -61,17 +61,14 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 def loop_config_from(cfg: configparser.ConfigParser) -> LoopConfig:
     try:
-        lc = LoopConfig(
+        return LoopConfig(
             m=cfg.getint("phase2", "m"),
             tau=cfg.getfloat("phase2", "tau"),
             alpha=cfg.getfloat("phase2", "alpha"),
             k_max=cfg.getint("phase2", "k_max"),
         )
     except ValueError as exc:
-        raise InvalidConfig(str(exc))
-    if lc.m < 1 or not 0 < lc.tau <= 1 or lc.alpha < 0 or lc.k_max < 1:
-        raise InvalidConfig(f"phase2 values out of range: {lc}")
-    return lc
+        raise InvalidConfig(f"phase2: {exc}")
 
 
 def sample_seed(master: int, *path) -> int:
@@ -116,13 +113,6 @@ def graphgen(config_path, seed, out, per_n):
 
 
 def _build_gateway(cfg, backend_name, mock_script, cache_path):
-    # verifier requests kept in flight at once; 1 sends them one after another
-    try:
-        max_in_flight = cfg.getint("backends", "max_in_flight")
-    except ValueError as exc:
-        raise InvalidConfig(str(exc))
-    if max_in_flight < 1:
-        raise InvalidConfig(f"backends.max_in_flight must be >= 1, got {max_in_flight}")
     cache = ResponseCache(cache_path)
     if mock_script is not None:
         if os.path.exists(mock_script):
@@ -140,7 +130,11 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
         primary = backend_name or cfg.get("backends", "primary")
         pool = [m.strip() for m in cfg.get("backends", "pool").split(",") if m.strip()]
         verifier_model = choose_verifier(primary, pool)
-    gw = Gateway(backend, UsageLedger(), cache=cache, max_in_flight=max_in_flight)
+    try:
+        # verifier requests kept in flight at once; 1 sends them one after another
+        gw = Gateway(backend, UsageLedger(), cache=cache, max_in_flight=cfg.getint("backends", "max_in_flight"))
+    except ValueError as exc:
+        raise InvalidConfig(f"backends.max_in_flight: {exc}")
     profiles = {
         "proposer": BackendProfile.for_role(primary, "proposer"),
         "verifier": BackendProfile.for_role(verifier_model, "verifier"),
@@ -177,7 +171,10 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
             if not isinstance(sid_, (str, int)):
                 raise TypeError(f"id must be a string or an integer, got {sid_!r}")
             spec = GraphSpec.from_json(payload["spec"])
+            spec.validate()
             dag = Dag.from_json(payload["dag"])
+            if dag.n != spec.n:
+                raise ValueError(f"dag has {dag.n} nodes, spec says {spec.n}")
         except (OSError, ValueError, KeyError, TypeError, AttributeError, CausaltextError) as exc:
             # nothing is stored for the file, so --resume retries it
             click.echo(f"cannot read graph file {fname}: {type(exc).__name__}: {exc}", err=True)
@@ -338,25 +335,18 @@ def consensus(ratings, raters, out):
     """Majority-vote consensus graphs, inter-rater alpha, and agreement flags."""
     import csv
 
-    rows = []
     with open(ratings, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                text_id, i, j, rater, label = (
-                    row["text_id"], int(row["i"]), int(row["j"]), int(row["rater_id"]), int(row["label"])
-                )
-                if not 0 <= rater < raters:
-                    raise ValueError(f"rater_id {rater} is outside 0..{raters - 1}")
-                if label not in (0, 1):
-                    raise ValueError(f"label {label} is not 0 or 1")
-                if i < 0 or j < 0 or i == j:
-                    raise ValueError(f"pair ({i}, {j}) needs i != j, both >= 0")
-                rows.append((text_id, i, j, rater, label))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise click.ClickException(f"{ratings}:{lineno}: malformed row ({exc})")
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            cols = [header.index(name) for name in ("text_id", "i", "j", "rater_id", "label")]
+            # rows are read as from_rows asks for them, so line_num is the failing row's physical line
+            rm = consensus_mod.RatingMatrix.from_rows(
+                ([row[c] for c in cols] for row in reader if row), raters=raters
+            )
+        except (csv.Error, IndexError, ValueError) as exc:
+            raise click.ClickException(f"{ratings}:{reader.line_num}: malformed row ({exc})")
     try:
-        rm = consensus_mod.RatingMatrix.from_rows(rows, raters=raters)
         per_text = consensus_mod.majority_consensus(rm)
         alpha = consensus_mod.krippendorff_alpha(rm)
         flags = consensus_mod.flag_low_agreement(

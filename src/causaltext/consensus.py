@@ -33,12 +33,23 @@ class RatingMatrix:
 
     @classmethod
     def from_rows(cls, rows, raters: int = DEFAULT_RATERS) -> "RatingMatrix":
-        """Build from (text_id, i, j, rater_id, label) tuples; rater ids are 0..raters-1."""
+        """Build from (text_id, i, j, rater_id, label) rows, read one at a time.
+
+        i, j, rater_id and label are cast with ``int``.  A row raises
+        ``ValueError`` unless its rater id is in 0..raters-1, its label is 0
+        or 1, i != j and both indices are >= 0.  A repeated (text_id, i, j,
+        rater_id) row overwrites the earlier label.
+        """
         by_item = defaultdict(lambda: [None] * raters)
         for text_id, i, j, rater, label in rows:
-            if not 0 <= int(rater) < raters:
-                raise ValueError(f"rater id {rater} is outside 0..{raters - 1}")
-            by_item[text_id, int(i), int(j)][int(rater)] = int(label)
+            i, j, rater, label = int(i), int(j), int(rater), int(label)
+            if not 0 <= rater < raters:
+                raise ValueError(f"rater_id {rater} is not a rater id in 0..{raters - 1}")
+            if label not in (0, 1):
+                raise ValueError(f"label {label} is not 0 or 1")
+            if i < 0 or j < 0 or i == j:
+                raise ValueError(f"pair ({i}, {j}) needs i != j, both >= 0")
+            by_item[text_id, i, j][rater] = label
         return cls(items=list(by_item), ratings=list(by_item.values()))
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:

@@ -333,12 +333,22 @@ class PendingReply:
             try:
                 body = json.loads(raw)
                 text = body["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    # OpenAI-style APIs send "content": null on a refusal
+                    raise TypeError(f"content is {text!r}, not a string")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise MalformedOutput(f"malformed response body: {exc!r}", raw_text=raw[:200])
-            usage = body.get("usage", {})
+            usage = body.get("usage")
+            usage = usage if isinstance(usage, dict) else {}
+
+            def count(key, words):
+                # a count the server leaves out, or sends as anything but an int, is estimated
+                value = usage.get(key)
+                return value if type(value) is int else _approx_tokens(words)
+
             return text, {
-                "input_tokens": usage.get("prompt_tokens", _approx_tokens(self._prompt)),
-                "output_tokens": usage.get("completion_tokens", _approx_tokens(text)),
+                "input_tokens": count("prompt_tokens", self._prompt),
+                "output_tokens": count("completion_tokens", text),
             }
         raise TransportError(f"request failed after {backend.retries} retries: {self._error}")
 
@@ -598,7 +608,7 @@ class Gateway:
     def __init__(self, backend, ledger: UsageLedger | None = None, cache: ResponseCache | None = None,
                  call_budget: int | None = None, max_in_flight: int = 8):
         if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.backend = backend
         self.ledger = ledger if ledger is not None else UsageLedger()
         self.cache = cache

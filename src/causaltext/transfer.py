@@ -26,7 +26,6 @@ from .errors import (
 
 METRICS = ("f1", "shd", "sid")
 CORPORA = ("generated", "real")
-DEFAULT_NS = tuple(range(3, 11))
 EXHAUSTIVE_CAP = 2_000_000
 _ANOVA_BATCH = 1 << 18  # level codes per batch of null ANOVA F statistics
 
@@ -171,14 +170,14 @@ def _stratified_permutation_p(
         raise DegenerateGroups("zero variance after centering")
     obs = float((xc * yc).sum())
 
-    perms = list(itertools.permutations(range(a)))
-    total = len(perms) ** buckets
+    total = math.factorial(a) ** buckets
     if exhaustive and total > exhaustive_cap:
         raise ValueError(
             f"exhaustive enumeration needs {total} combinations, above cap {exhaustive_cap}"
         )
 
     if exhaustive:
+        perms = list(itertools.permutations(range(a)))
         # per-bucket dot contributions for each within-bucket permutation,
         # folded into the full distribution with outer sums
         dots = np.zeros(1)

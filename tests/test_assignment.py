@@ -20,7 +20,7 @@ from causaltext.assignment import (
     refine_assignment,
     run_loop,
 )
-from causaltext.errors import SchemaViolation, VerificationError
+from causaltext.errors import MalformedOutput, SchemaViolation, VerificationError
 from causaltext.gateway import (
     BackendProfile,
     Gateway,
@@ -125,9 +125,13 @@ class TestInitialAssignment:
                 ]
             )
         )
-        from causaltext.errors import MalformedOutput
-
         with pytest.raises(MalformedOutput):
+            initial_assignment(make_dag(2, [(0, 1)]), "d", gw, PROPOSER)
+
+    @pytest.mark.parametrize("entries", [5, None, {"Node 0: A": 1, "Node 1: B": 2}])
+    def test_non_list_reply_is_malformed(self, entries):
+        gw = Gateway(ScriptedMockBackend([{ASSIGNMENT_KEY: entries}]))
+        with pytest.raises(MalformedOutput, match="not a list"):
             initial_assignment(make_dag(2, [(0, 1)]), "d", gw, PROPOSER)
 
 
@@ -320,6 +324,19 @@ class LoopMockBackend:
             raise AssertionError(f"unexpected template {template!r}")
         text = json.dumps(reply)
         return text, {"input_tokens": 2, "output_tokens": 2}
+
+
+class TestLoopConfig:
+    @pytest.mark.parametrize("bad", [
+        {"m": 0}, {"tau": 0.0}, {"tau": 1.5}, {"tau": float("nan")},
+        {"alpha": -0.1}, {"alpha": float("nan")}, {"k_max": 0},
+    ])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="loop settings"):
+            LoopConfig(**bad)
+
+    def test_range_ends_accepted(self):
+        assert LoopConfig(m=1, tau=1.0, alpha=0.0, k_max=1).tau == 1.0
 
 
 class TestLoop:

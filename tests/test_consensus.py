@@ -1,3 +1,4 @@
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -307,6 +308,23 @@ class TestFromRows:
     def test_rater_out_of_range_rejected(self, rater):
         with pytest.raises(ValueError, match="rater id"):
             RatingMatrix.from_rows([("t", 0, 1, rater, 1)], raters=3)
+
+    @pytest.mark.parametrize("row, why", [
+        (("t", "0", "1", "11", "1"), "rater_id 11 is not a rater id in 0..10"),
+        (("t", "0", "1", "-1", "1"), "rater_id -1"),
+        (("t", "0", "1", "0", "2"), "label 2 is not 0 or 1"),
+        (("t", "-1", "1", "0", "1"), "pair (-1, 1) needs"),
+        (("t", "1", "1", "0", "1"), "pair (1, 1) needs"),
+        (("t", "0", "one", "0", "1"), "invalid literal"),
+    ])
+    def test_bad_row_rejected(self, row, why):
+        rows = [("t", "0", "1", "0", "1"), row]
+        with pytest.raises(ValueError, match=re.escape(why)):
+            RatingMatrix.from_rows(iter(rows), raters=11)
+
+    def test_rows_are_cast_to_int(self):
+        rm = RatingMatrix.from_rows(iter([("t", "0", "1", "1", "1")]), raters=2)
+        assert rm.items == [("t", 0, 1)] and rm.ratings == [[None, 1]]
 
     def test_counts(self):
         rm = RatingMatrix(items=[("t", 0, 1), ("t", 1, 0)], ratings=[[1, None, 1], [0, 1, None]])

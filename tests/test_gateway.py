@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from causaltext.assignment import (
     REVISION_NOTE,
@@ -16,6 +17,7 @@ from causaltext.assignment import (
     initial_assignment,
     refine_assignment,
 )
+from causaltext.cli import main
 from causaltext.errors import (
     AuthError,
     BudgetExceeded,
@@ -471,7 +473,11 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             b.complete(build_payload(BackendProfile.for_role("m", "proposer"), "p"))
 
-    @pytest.mark.parametrize("content", [b"<html>bad gateway</html>", b'{"choices": []}'])
+    @pytest.mark.parametrize("content", [
+        b"<html>bad gateway</html>",
+        b'{"choices": []}',
+        b'{"choices": [{"message": {"role": "assistant", "content": null, "refusal": "no"}}]}',
+    ])
     def test_malformed_body_raises_malformed_output(self, monkeypatch, stub, content):
         stub.responses.append((200, content))
         monkeypatch.setenv("SOME_KEY", "secret")
@@ -480,6 +486,34 @@ class TestHttpBackend:
             b.complete(build_payload(BackendProfile.for_role("m", "proposer"), "p"))
         assert exc.value.raw_text == content.decode()
         b.close()
+
+    @pytest.mark.parametrize("usage", [
+        {},
+        {"usage": None},
+        {"usage": {"prompt_tokens": "7", "completion_tokens": 2.0}},
+        {"usage": {"prompt_tokens": None}},
+    ])
+    def test_unusable_token_counts_are_estimated(self, stub, usage):
+        envelope = {"choices": [{"message": {"content": "two words"}}], **usage}
+        stub.responses.append((200, json.dumps(envelope).encode()))
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)
+        text, counts = b.complete(build_payload(VERIFIER, "a b c"))
+        b.close()
+        assert text == "two words" and counts == {"input_tokens": 3, "output_tokens": 2}
+
+    def test_null_content_fails_one_sample_and_the_manifest_is_written(self, stub, tmp_path):
+        runner = CliRunner()
+        graphs, out = str(tmp_path / "graphs"), str(tmp_path / "s.jsonl")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        refusal = b'{"choices": [{"message": {"content": null}}], "usage": null}'
+        stub.responses.extend([(200, refusal)] * 8)  # one phase-2 request per graph
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[backends]\nendpoint = {stub.endpoint}\ncredential_env = SOME_KEY\n")
+        r = runner.invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+        assert "generated 0, failed 8, skipped 0" in r.stdout
+        assert json.load(open(out + ".manifest.json"))["errors"] == 8
+        assert stub.requests == 8
 
     def test_many_calls_share_at_most_window_connections(self, stub):
         b = HttpBackend(stub.endpoint, "SOME_KEY")

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import causaltext
 from causaltext import store as store_mod
-from causaltext.assignment import ConceptAssignment
+from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment
 from causaltext.cli import load_config, loop_config_from, main, sample_seed
 from causaltext.errors import InvalidConfig
 from causaltext.graphs import Dag, GraphSpec
@@ -154,6 +154,16 @@ class TestConfig:
         assert isinstance(r.exception, InvalidConfig)
         assert load_config(None).getint("backends", "max_in_flight") == 8
 
+    def test_phase2_defaults_are_the_loop_config_defaults(self):
+        assert dict(load_config(None)["phase2"]) == {"m": "5", "tau": "0.6", "alpha": "1.0", "k_max": "10"}
+
+    @pytest.mark.parametrize("line", ["m = 0", "alpha = nan", "k_max = x"])
+    def test_loop_config_errors_become_invalid_config(self, tmp_path, line):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[phase2]\n{line}\n")
+        with pytest.raises(InvalidConfig, match="phase2"):
+            loop_config_from(load_config(str(p)))
+
     def test_sample_seed_deterministic(self):
         assert sample_seed(0, 3, 1) == sample_seed(0, 3, 1)
         assert sample_seed(0, 3, 1) != sample_seed(0, 3, 2)
@@ -291,6 +301,49 @@ class TestGenerateEvaluate:
         assert "generated 6, failed 2, skipped 0" in r.stdout
         assert SampleStore(store).ids.isdisjoint(bad)
         assert json.load(open(store + ".manifest.json"))["errors"] == 0
+
+    @pytest.mark.parametrize("dag, why", [
+        ({"n": 1, "edges": [[0]]}, "InvalidSpec"),  # with a one-node spec
+        ({"n": 2, "edges": [[0, 1], [0, 0]]}, "ValueError"),  # the spec says 3 nodes
+    ])
+    def test_graph_file_checked_against_its_spec(self, tmp_path, dag, why):
+        runner = CliRunner()
+        graphs = str(tmp_path / "graphs")
+        store = str(tmp_path / "samples.jsonl")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        path = os.path.join(graphs, "n3_00000.json")
+        original = open(path).read()
+        payload = json.loads(original)
+        payload["dag"] = dag
+        if dag["n"] == 1:
+            payload["spec"]["n"] = 1
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        gen = ["generate", "--graphs", graphs, "--out", store, "--mock-script", '{"mode": "oracle"}']
+        r = runner.invoke(main, gen)
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert f"n3_00000.json: {why}" in r.stderr
+        assert "generated 7, failed 1, skipped 0" in r.stdout
+        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+        with open(path, "w") as fh:
+            fh.write(original)
+        r = runner.invoke(main, [*gen, "--resume"])
+        assert r.exit_code == 0, r.output
+        assert "generated 1, failed 0, skipped 7" in r.output
+
+    def test_non_list_assignment_fails_only_its_sample(self, tmp_path):
+        runner = CliRunner()
+        graphs = str(tmp_path / "graphs")
+        store = str(tmp_path / "samples.jsonl")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        script = json.dumps({"rules": [{"template": "phase2", "reply": {ASSIGNMENT_KEY: 5}}]})
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", store, "--mock-script", script])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert "generated 0, failed 8, skipped 0" in r.stdout
+        records = list(SampleStore(store))
+        assert len(records) == 8
+        assert all(rec.error.startswith("MalformedOutput: concept entries are not a list") for rec in records)
+        assert json.load(open(store + ".manifest.json"))["errors"] == 8
 
     def test_unhashable_id_fails_only_that_file(self, tmp_path):
         runner = CliRunner()
@@ -510,6 +563,28 @@ class TestConsensusCommand:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert f"{path}:24: malformed row ({why}" in r.output
         assert "Traceback" not in r.output
+
+    def test_line_numbers_are_physical_lines(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        with open(path, "w") as fh:
+            fh.write("text_id,i,j,rater_id,label\n\nt,0,1,0,1\n\n\nt,0,1,1,2\n")
+        r = CliRunner().invoke(main, ["consensus", "--ratings", path])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert f"{path}:6: malformed row (label 2 is not 0 or 1)" in r.output
+
+    def test_missing_column_reported_at_line_1(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        with open(path, "w") as fh:
+            fh.write("text_id,i,j,rater\nt,0,1,0\n")
+        r = CliRunner().invoke(main, ["consensus", "--ratings", path])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert f"{path}:1: malformed row ('rater_id' is not in list)" in r.output
+
+    def test_header_without_rows(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        self.write_ratings(path, [])
+        r = CliRunner().invoke(main, ["consensus", "--ratings", path])
+        assert r.exit_code == 1 and "no rated items" in r.output
 
     def test_zero_raters_rejected(self, tmp_path):
         path = str(tmp_path / "r.csv")

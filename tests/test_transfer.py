@@ -203,6 +203,19 @@ class TestAgreement:
         a2 = agreement(t, seed=9, exhaustive=False, b_permutations=500, b_bootstrap=200)
         assert a1.per_metric["f1"].pearson == a2.per_metric["f1"].pearson
 
+    def test_sampled_mode_lists_no_permutations(self, monkeypatch):
+        # ten algorithms have 3.6M orders; only the exhaustive path may list them
+        def refuse(*args):
+            raise AssertionError("permutations listed")
+
+        t = linear_table(noise=0.3, seed=6, algs=tuple("abcdefghij"), ns=(3, 4))
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        st = agreement(t, seed=0, exhaustive=False, b_permutations=200, with_bootstrap=False)
+        assert st.per_metric["f1"].p_mode == "sampled"
+        assert agreement(t, seed=0, b_permutations=200, with_bootstrap=False).per_metric["f1"].p_mode == "sampled"
+        with pytest.raises(ValueError, match="above cap"):
+            agreement(t, exhaustive=True, with_bootstrap=False)
+
     def test_too_few_algorithms(self):
         t = linear_table(algs=("a",))
         with pytest.raises(TooFewAlgorithms):

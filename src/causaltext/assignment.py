@@ -9,15 +9,22 @@ mismatch L_b and thresholded into a fallacy set that drives refinement.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MalformedOutput, SchemaViolation, VerificationError
-from .gateway import TEMPLATE_SPECS, load_template, make_cache_key, render_prompt
+from .gateway import (
+    TEMPLATE_SPECS,
+    CacheGet,
+    CachePut,
+    Request,
+    ask_steps,
+    load_template,
+    make_cache_key,
+    render_prompt,
+)
 from .graphs import Dag
 
 DETERMINERS = ("a", "an", "the")
@@ -161,26 +168,72 @@ REVISION_NOTE = (
 )
 
 
-def _assign(gateway, profile, template, bindings, domain, n, sample_id) -> ConceptAssignment:
+# Each stage of a sample's pipeline is a generator of requests, ``X_steps``
+# (see ``Gateway.run_samples``); ``X`` runs it for one sample through the
+# gateway.
+
+
+def _assign_steps(profile, template, bindings, domain, n):
     """Ask for an assignment; one minimal-revision re-ask on overlap, still overlapping -> error."""
 
     def request(note=""):
-        entries = gateway.ask(profile, template, bindings, note=note, sample_id=sample_id)
+        entries = yield from ask_steps(profile, template, bindings, note)
         return ConceptAssignment(concepts=_parse_node_entries(entries, n), domain=domain)
 
-    ca = request()
+    ca = yield from request()
     try:
         ca.validate(n)
         return ca
     except SchemaViolation as exc:
-        revised = request(REVISION_NOTE.format(offenders=str(exc)))
+        revised = yield from request(REVISION_NOTE.format(offenders=str(exc)))
         revised.validate(n)
         return revised
 
 
-def initial_assignment(dag: Dag, domain: str, gateway, profile, sample_id=None) -> ConceptAssignment:
+def initial_assignment_steps(dag: Dag, domain: str, profile):
     bindings = {"Matrix": dag.edges, "N": dag.n, "domain/series of events": domain}
-    return _assign(gateway, profile, "phase2", bindings, domain, dag.n, sample_id)
+    return (yield from _assign_steps(profile, "phase2", bindings, domain, dag.n))
+
+
+def initial_assignment(dag: Dag, domain: str, gateway, profile, sample_id=None) -> ConceptAssignment:
+    return gateway.run_sample(initial_assignment_steps(dag, domain, profile), sample_id)
+
+
+def counterfactual_verification_steps(
+    assignment: ConceptAssignment, relations: RelationSets, dag: Dag, profile, m: int = 5
+):
+    key = make_cache_key(assignment.concepts, dag.edges, profile.model_id, "verify")
+    table = yield CacheGet(key)
+    if table is None:
+        table = yield from _vote_steps(assignment.concepts, relations, profile, m)
+        yield CachePut(key, table)
+    return VoteTable.from_json(table)
+
+
+def _vote_steps(concepts, relations: RelationSets, profile, m: int):
+    template = load_template("verify")
+    (reply_key,) = template.expected_json_keys
+    required = min(3, m)
+    pairs = relations.e_plus + relations.e_minus
+    batch = []
+    for (i, j) in pairs:
+        bindings = {"Concepts": concepts, "Cause": concepts[i], "Effect": concepts[j]}
+        batch += [Request(profile, render_prompt(template, bindings), template.expected_json_keys, "verify")] * m
+    yield batch
+    s, votes = {}, {}
+    for (i, j) in pairs:
+        pair_votes = []
+        for reply in (yield m):
+            if isinstance(reply, MalformedOutput):
+                continue  # abstention
+            verdict = str(reply[reply_key]).strip().lower()
+            if verdict in ("yes", "no"):
+                pair_votes.append(1 if verdict == "yes" else 0)
+        if len(pair_votes) < required:
+            raise VerificationError(f"pair ({i},{j}): only {len(pair_votes)} of {m} completions parsed")
+        s[(i, j)] = sum(pair_votes) / len(pair_votes)
+        votes[(i, j)] = pair_votes
+    return VoteTable(s=s, m=m, votes=votes).to_json()
 
 
 def counterfactual_verification(
@@ -198,44 +251,11 @@ def counterfactual_verification(
     template), so re-verifying an unchanged assignment costs zero calls.
     A completion that stays unparseable after the re-ask budget abstains;
     at least min(3, m) parsed completions are required per pair.  Each
-    pair's prompt is rendered once, and all pair x vote prompts go through
-    ``Gateway.complete_json_many``, which keeps several in flight on a
-    backend that can overlap requests.
+    pair's prompt is rendered once, and all pair x vote requests form one
+    batch, so a backend that can overlap requests gets several at once.
     """
-    key = make_cache_key(assignment.concepts, dag.edges, profile.model_id, "verify")
-
-    def compute():
-        template = load_template("verify")
-        (reply_key,) = template.expected_json_keys
-        required = min(3, m)
-        pairs = relations.e_plus + relations.e_minus
-        concepts = assignment.concepts
-        prompts = []
-        for (i, j) in pairs:
-            bindings = {"Concepts": concepts, "Cause": concepts[i], "Effect": concepts[j]}
-            prompts += [render_prompt(template, bindings)] * m
-        replies = gateway.complete_json_many(
-            profile, prompts, template.expected_json_keys, template="verify", sample_id=sample_id,
-        )
-        s, votes = {}, {}
-        with contextlib.closing(replies):
-            for (i, j) in pairs:
-                pair_votes = []
-                for reply in itertools.islice(replies, m):
-                    if isinstance(reply, MalformedOutput):
-                        continue  # abstention
-                    verdict = str(reply[reply_key]).strip().lower()
-                    if verdict in ("yes", "no"):
-                        pair_votes.append(1 if verdict == "yes" else 0)
-                if len(pair_votes) < required:
-                    raise VerificationError(
-                        f"pair ({i},{j}): only {len(pair_votes)} of {m} completions parsed"
-                    )
-                s[(i, j)] = sum(pair_votes) / len(pair_votes)
-                votes[(i, j)] = pair_votes
-        return VoteTable(s=s, m=m, votes=votes).to_json()
-
-    return VoteTable.from_json(gateway.cached(key, compute))
+    steps = counterfactual_verification_steps(assignment, relations, dag, profile, m)
+    return gateway.run_sample(steps, sample_id)
 
 
 def quantify_mismatch(votes: VoteTable, relations: RelationSets, alpha: float = 1.0) -> MismatchReport:
@@ -261,14 +281,7 @@ def fallacy_analysis(votes: VoteTable, relations: RelationSets, tau: float = 0.6
     return FallacySet(missed=missed, spurious=spurious, tau=tau)
 
 
-def refine_assignment(
-    assignment: ConceptAssignment,
-    fallacies: FallacySet,
-    dag: Dag,
-    gateway,
-    profile,
-    sample_id=None,
-) -> ConceptAssignment:
+def refine_assignment_steps(assignment: ConceptAssignment, fallacies: FallacySet, dag: Dag, profile):
     if fallacies.empty():
         raise ValueError("refine_assignment requires a nonempty fallacy set")
 
@@ -285,7 +298,18 @@ def refine_assignment(
         "Missed": pairs(fallacies.missed),
         "Spurious": pairs(fallacies.spurious),
     }
-    return _assign(gateway, profile, "refine", bindings, assignment.domain, dag.n, sample_id)
+    return (yield from _assign_steps(profile, "refine", bindings, assignment.domain, dag.n))
+
+
+def refine_assignment(
+    assignment: ConceptAssignment,
+    fallacies: FallacySet,
+    dag: Dag,
+    gateway,
+    profile,
+    sample_id=None,
+) -> ConceptAssignment:
+    return gateway.run_sample(refine_assignment_steps(assignment, fallacies, dag, profile), sample_id)
 
 
 @dataclass
@@ -328,6 +352,50 @@ class LoopResult:
         }
 
 
+def run_loop_steps(
+    dag: Dag,
+    domain: str,
+    gateway,
+    proposer_profile,
+    verifier_profile,
+    config: LoopConfig | None = None,
+    sample_id=None,
+):
+    """Pipeline steps of ``run_loop``; the gateway is only read for the sample's token count."""
+    config = config or LoopConfig()
+    tokens_before = gateway.ledger.sample(sample_id)["total"]
+
+    def tokens():
+        return {"total": gateway.ledger.sample(sample_id)["total"] - tokens_before}
+
+    relations = analyze_causal_structure(dag)
+    current = yield from initial_assignment_steps(dag, domain, proposer_profile)
+    best_l_b = float("inf")
+    best = current
+    trace = []
+    for t in range(1, config.k_max + 1):
+        votes = yield from counterfactual_verification_steps(
+            current, relations, dag, verifier_profile, m=config.m
+        )
+        mismatch = quantify_mismatch(votes, relations, alpha=config.alpha)
+        fallacies = fallacy_analysis(votes, relations, tau=config.tau)
+        trace.append({"votes": votes, "fallacies": fallacies, "mismatch": mismatch, "assignment": current})
+        if mismatch.l_b < best_l_b:
+            best_l_b = mismatch.l_b
+            best = current
+        if fallacies.empty():
+            return LoopResult(
+                status="Success", assignment=current, iterations=t,
+                best_l_b=best_l_b, trace=trace, tokens=tokens(),
+            )
+        if t < config.k_max:
+            current = yield from refine_assignment_steps(current, fallacies, dag, proposer_profile)
+    return LoopResult(
+        status="Fail", assignment=best, iterations=config.k_max,
+        best_l_b=best_l_b, trace=trace, tokens=tokens(),
+    )
+
+
 def run_loop(
     dag: Dag,
     domain: str,
@@ -342,37 +410,8 @@ def run_loop(
     Returns immediately with Success when a verification pass yields an
     empty fallacy set; otherwise returns the best-so-far assignment (the
     earliest iterate attaining the minimum L_b, since updates use a strict
-    improvement test).
+    improvement test).  ``tokens`` counts the tokens recorded against
+    ``sample_id`` while the loop ran.
     """
-    config = config or LoopConfig()
-    tokens_before = gateway.ledger.totals()["total"]
-    relations = analyze_causal_structure(dag)
-    current = initial_assignment(dag, domain, gateway, proposer_profile, sample_id=sample_id)
-    best_l_b = float("inf")
-    best = current
-    trace = []
-    for t in range(1, config.k_max + 1):
-        votes = counterfactual_verification(
-            current, relations, dag, gateway, verifier_profile, m=config.m, sample_id=sample_id
-        )
-        mismatch = quantify_mismatch(votes, relations, alpha=config.alpha)
-        fallacies = fallacy_analysis(votes, relations, tau=config.tau)
-        trace.append({"votes": votes, "fallacies": fallacies, "mismatch": mismatch, "assignment": current})
-        if mismatch.l_b < best_l_b:
-            best_l_b = mismatch.l_b
-            best = current
-        if fallacies.empty():
-            tokens = gateway.ledger.totals()["total"] - tokens_before
-            return LoopResult(
-                status="Success", assignment=current, iterations=t,
-                best_l_b=best_l_b, trace=trace, tokens={"total": tokens},
-            )
-        if t < config.k_max:
-            current = refine_assignment(
-                current, fallacies, dag, gateway, proposer_profile, sample_id=sample_id
-            )
-    tokens = gateway.ledger.totals()["total"] - tokens_before
-    return LoopResult(
-        status="Fail", assignment=best, iterations=config.k_max,
-        best_l_b=best_l_b, trace=trace, tokens={"total": tokens},
-    )
+    steps = run_loop_steps(dag, domain, gateway, proposer_profile, verifier_profile, config, sample_id)
+    return gateway.run_sample(steps, sample_id)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import consensus as consensus_mod
 from . import transfer as transfer_mod
-from .assignment import LoopConfig, run_loop
+from .assignment import LoopConfig, run_loop_steps
 from .errors import CausaltextError, InvalidConfig, MissingReference
 from .gateway import (
     BackendProfile,
@@ -25,7 +25,7 @@ from .gateway import (
 from .graphs import Dag, GraphSpec, as_adjacency, sample_dag, sample_spec_space
 from .metrics import SupportGraph, edge_prf, project_dag, shd, sid
 from .store import RunManifest, SampleRecord, SampleStore
-from .textgen import generate_text, missing_concepts
+from .textgen import generate_text_steps, missing_concepts
 
 DEFAULT_POOL = [
     "claude-opus-4-1-20250805-thinking",
@@ -55,18 +55,26 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     if path:
         if not os.path.exists(path):
             raise InvalidConfig(f"config file not found: {path}")
-        cfg.read(path)
+        try:
+            cfg.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise InvalidConfig(f"cannot parse config file {path}: {exc}")
     return cfg
 
 
-def loop_config_from(cfg: configparser.ConfigParser) -> LoopConfig:
+def config_value(cfg: configparser.ConfigParser, section: str, key: str, kind=str):
+    """``[section] key`` converted with ``kind``; a value it rejects is an InvalidConfig naming the key."""
     try:
-        return LoopConfig(
-            m=cfg.getint("phase2", "m"),
-            tau=cfg.getfloat("phase2", "tau"),
-            alpha=cfg.getfloat("phase2", "alpha"),
-            k_max=cfg.getint("phase2", "k_max"),
-        )
+        return kind(cfg.get(section, key))
+    except ValueError as exc:
+        raise InvalidConfig(f"{section}.{key}: {exc}")
+
+
+def loop_config_from(cfg: configparser.ConfigParser) -> LoopConfig:
+    # each [phase2] key is read with the type of its LoopConfig default
+    values = {key: config_value(cfg, "phase2", key, type(v)) for key, v in vars(LoopConfig()).items()}
+    try:
+        return LoopConfig(**values)
     except ValueError as exc:
         raise InvalidConfig(f"phase2: {exc}")
 
@@ -88,10 +96,10 @@ def main():
 @click.option("--per-n", type=int, default=None, help="graphs per variable count")
 def graphgen(config_path, seed, out, per_n):
     """Sample DAGs over the tested parameter space and write them as JSON."""
-    cfg = load_config(config_path)
-    per_n = per_n if per_n is not None else cfg.getint("phase1", "per_n")
-    n_min, n_max = cfg.getint("phase1", "n_min"), cfg.getint("phase1", "n_max")
     try:
+        cfg = load_config(config_path)
+        per_n = per_n if per_n is not None else config_value(cfg, "phase1", "per_n", int)
+        n_min, n_max = (config_value(cfg, "phase1", key, int) for key in ("n_min", "n_max"))
         os.makedirs(out, exist_ok=True)
         count = 0
         for n in range(n_min, n_max + 1):
@@ -115,12 +123,15 @@ def graphgen(config_path, seed, out, per_n):
 def _build_gateway(cfg, backend_name, mock_script, cache_path):
     cache = ResponseCache(cache_path)
     if mock_script is not None:
-        if os.path.exists(mock_script):
-            with open(mock_script) as fh:
-                script = json.load(fh)
-        else:
-            script = json.loads(mock_script)
-        backend = make_mock_backend(script)
+        try:
+            if os.path.exists(mock_script):
+                with open(mock_script) as fh:
+                    script = json.load(fh)
+            else:
+                script = json.loads(mock_script)
+            backend = make_mock_backend(script)
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise InvalidConfig(f"--mock-script: {exc!r}")
         primary = backend_name or "mock"
         verifier_model = "mock-verifier"
     else:
@@ -129,10 +140,14 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
         backend = HttpBackend(endpoint, cred)
         primary = backend_name or cfg.get("backends", "primary")
         pool = [m.strip() for m in cfg.get("backends", "pool").split(",") if m.strip()]
-        verifier_model = choose_verifier(primary, pool)
+        try:
+            verifier_model = choose_verifier(primary, pool)
+        except ValueError as exc:
+            raise InvalidConfig(f"backends.pool: {exc}")
+    # requests kept in flight at once, shared by the open samples; 1 runs one request at a time
+    max_in_flight = config_value(cfg, "backends", "max_in_flight", int)
     try:
-        # verifier requests kept in flight at once; 1 sends them one after another
-        gw = Gateway(backend, UsageLedger(), cache=cache, max_in_flight=cfg.getint("backends", "max_in_flight"))
+        gw = Gateway(backend, UsageLedger(), cache=cache, max_in_flight=max_in_flight)
     except ValueError as exc:
         raise InvalidConfig(f"backends.max_in_flight: {exc}")
     profiles = {
@@ -155,72 +170,89 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--domain", default=None)
 def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache_path, domain):
-    """Run the full annotation pipeline over a directory of graph files."""
-    cfg = load_config(config_path)
-    loop_cfg = loop_config_from(cfg)
-    domain = domain or cfg.get("phase3", "domain")
-    gw, profiles = _build_gateway(cfg, backend, mock_script, cache_path)
+    """Run the full annotation pipeline over a directory of graph files.
+
+    Samples run side by side through the gateway's request window; their
+    records are appended in graph-file order as they finish.
+    """
+    try:
+        cfg = load_config(config_path)
+        loop_cfg = loop_config_from(cfg)
+        domain = domain or cfg.get("phase3", "domain")
+        gw, profiles = _build_gateway(cfg, backend, mock_script, cache_path)
+    except CausaltextError as exc:
+        raise click.ClickException(str(exc))
     store = SampleStore(out)
     files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
+    backends = {k: p.model_id for k, p in profiles.items()}
     done = failed = skipped = 0
-    for fname in files:
-        try:
-            with open(os.path.join(graphs, fname)) as fh:
-                payload = json.load(fh)
-            sid_ = payload.get("id", os.path.splitext(fname)[0])
-            if not isinstance(sid_, (str, int)):
-                raise TypeError(f"id must be a string or an integer, got {sid_!r}")
-            spec = GraphSpec.from_json(payload["spec"])
-            spec.validate()
-            dag = Dag.from_json(payload["dag"])
-            if dag.n != spec.n:
-                raise ValueError(f"dag has {dag.n} nodes, spec says {spec.n}")
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, CausaltextError) as exc:
-            # nothing is stored for the file, so --resume retries it
-            click.echo(f"cannot read graph file {fname}: {type(exc).__name__}: {exc}", err=True)
-            failed += 1
-            continue
-        if sid_ in store:
-            if resume:
-                skipped += 1
+    records: dict = {}  # id -> record of each sample handed to the gateway and not yet stored
+
+    def samples():
+        nonlocal failed, skipped
+        for fname in files:
+            try:
+                with open(os.path.join(graphs, fname)) as fh:
+                    payload = json.load(fh)
+                sid_ = payload.get("id", os.path.splitext(fname)[0])
+                if not isinstance(sid_, (str, int)):
+                    raise TypeError(f"id must be a string or an integer, got {sid_!r}")
+                spec = GraphSpec.from_json(payload["spec"])
+                spec.validate()
+                dag = Dag.from_json(payload["dag"])
+                if dag.n != spec.n:
+                    raise ValueError(f"dag has {dag.n} nodes, spec says {spec.n}")
+            except (OSError, ValueError, KeyError, TypeError, AttributeError, CausaltextError) as exc:
+                # nothing is stored for the file, so --resume retries it
+                click.echo(f"cannot read graph file {fname}: {type(exc).__name__}: {exc}", err=True)
+                failed += 1
                 continue
-            raise click.ClickException(f"id {sid_!r} already in store (use --resume)")
-        rec = SampleRecord(
-            id=sid_, spec=spec, dag=dag,
-            backends={k: p.model_id for k, p in profiles.items()},
-        )
-        try:
-            result = run_loop(
-                dag, domain, gw, profiles["proposer"], profiles["verifier"],
-                config=loop_cfg, sample_id=sid_,
-            )
-            paragraph = generate_text(dag, result.assignment, gw, profiles["phase3"], sample_id=sid_)
-            rec.assignment = result.assignment
-            rec.paragraph = paragraph
-            rec.loop_status = result.status
-            rec.loop_iterations = result.iterations
-            rec.best_l_b = result.best_l_b if result.best_l_b != float("inf") else None
-            rec.tokens = {"total": gw.ledger.sample(sid_)["total"]}
-            done += 1
-        except CausaltextError as exc:
-            rec.error = f"{type(exc).__name__}: {exc}"
-            failed += 1
-        store.append(rec)
-    if isinstance(gw.backend, HttpBackend):
-        gw.backend.close()
+            if sid_ in records or sid_ in store:
+                if resume:
+                    skipped += 1
+                    continue
+                raise click.ClickException(f"id {sid_!r} already in store (use --resume)")
+            records[sid_] = SampleRecord(id=sid_, spec=spec, dag=dag, backends=backends)
+            yield sid_, _sample_steps(dag, domain, gw, profiles, loop_cfg, sid_)
+
+    runs = gw.run_samples(samples())
+    try:
+        for sid_, outcome, error in runs:
+            rec = records.pop(sid_)
+            if error is None:
+                result, rec.paragraph = outcome
+                rec.assignment = result.assignment
+                rec.loop_status = result.status
+                rec.loop_iterations = result.iterations
+                rec.best_l_b = result.best_l_b if result.best_l_b != float("inf") else None
+                rec.tokens = {"total": gw.ledger.sample(sid_)["total"]}
+                done += 1
+            else:
+                rec.error = f"{type(error).__name__}: {error}"
+                failed += 1
+            store.append(rec)
+    finally:
+        runs.close()  # cancels every request still pending
+        if isinstance(gw.backend, HttpBackend):
+            gw.backend.close()
     manifest = RunManifest.from_store(
         store,
-        config={
-            "phase2": dict(cfg["phase2"]),
-            "domain": domain,
-            "backends": {k: p.model_id for k, p in profiles.items()},
-        },
+        config={"phase2": dict(cfg["phase2"]), "domain": domain, "backends": backends},
         seed=seed,
     )
     manifest.save(out + ".manifest.json")
     click.echo(f"generated {done}, failed {failed}, skipped {skipped}; manifest at {out}.manifest.json")
     if failed:
         raise click.ClickException(f"{failed} samples failed (recorded in the store, or named above if unreadable)")
+
+
+def _sample_steps(dag, domain, gw, profiles, loop_cfg, sample_id):
+    """One graph's pipeline: the assignment loop, then the paragraph."""
+    result = yield from run_loop_steps(
+        dag, domain, gw, profiles["proposer"], profiles["verifier"], config=loop_cfg, sample_id=sample_id,
+    )
+    paragraph = yield from generate_text_steps(dag, result.assignment, profiles["phase3"])
+    return result, paragraph
 
 
 @main.command()
@@ -338,7 +370,9 @@ def consensus(ratings, raters, out):
     with open(ratings, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, [])
+            header = next(reader, None)
+            if header is None:
+                raise click.ClickException(f"{ratings}:1: empty file, no header row")
             cols = [header.index(name) for name in ("text_id", "i", "j", "rater_id", "label")]
             # rows are read as from_rows asks for them, so line_num is the failing row's physical line
             rm = consensus_mod.RatingMatrix.from_rows(

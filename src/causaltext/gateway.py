@@ -30,6 +30,7 @@ from .errors import (
     AuthError,
     BudgetExceeded,
     CacheIoError,
+    CausaltextError,
     MalformedOutput,
     TransportError,
     UnboundPlaceholder,
@@ -407,7 +408,9 @@ class OracleMockBackend:
     concept names that encode node indices, answers verifier queries from
     the stored matrix, writes a paragraph containing every concept, and
     reproduces the stored matrix for discovery calls.  State is per
-    proposal, so samples must be processed sequentially.
+    proposal, so samples must be processed sequentially: it has no
+    ``submit``, so a ``Gateway`` calls it when each reply is read, with a
+    window of one, and runs one sample at a time.
     """
 
     def __init__(self):
@@ -599,10 +602,17 @@ JSON_REASK = (
 class Gateway:
     """Ties a backend, a usage ledger, and an optional response cache together.
 
-    ``max_in_flight`` bounds how many requests ``complete_json_many`` keeps
-    pending at once on a backend that has ``submit``.  Idle keep-alive
-    connections hold a server's handlers, so a window larger than the
-    number of connections the server serves at once stalls.
+    Every request goes through one scheduler, ``run_samples``, which keeps up
+    to ``max_in_flight`` requests pending at once, from any number of open
+    sample pipelines, all on the calling thread.  The window is shared by
+    every open sample, and the next sample is admitted while the window has
+    room and no open sample has a request waiting to be sent.  A backend
+    without ``submit`` is called when its reply is read, with a window of
+    one, so it serves one sample at a time in the order a sequential run
+    would.  Idle keep-alive connections hold a server's handlers, so a
+    window larger than the number of connections the server serves at once
+    stalls.  ``complete_json``, ``complete_json_many`` and ``ask`` run one
+    sample through the same scheduler.
     """
 
     def __init__(self, backend, ledger: UsageLedger | None = None, cache: ResponseCache | None = None,
@@ -615,107 +625,114 @@ class Gateway:
         self.call_budget = call_budget
         self.max_in_flight = max_in_flight
         self.calls_made = 0
+        # a backend without submit is called when the reply is read, so it serves one request at a time
+        submit = getattr(backend, "submit", None)
+        self._submit = submit or functools.partial(_Deferred, backend)
+        self._window = max_in_flight if submit else 1
 
-    def _charge(self) -> None:
+    def _send(self, profile: BackendProfile, prompt: str, template: str | None):
+        """Charge the call budget and write one request; returns the handle its reply is read from."""
         if self.call_budget is not None and self.calls_made >= self.call_budget:
             raise BudgetExceeded(f"call budget {self.call_budget} exhausted")
-
-    def complete(self, profile: BackendProfile, prompt: str, template: str | None = None, sample_id=None):
-        self._charge()
-        payload = build_payload(profile, prompt)
-        text, usage = self.backend.complete(payload, {"template": template, "role": profile.role})
+        handle = self._submit(build_payload(profile, prompt), {"template": template, "role": profile.role})
         self.calls_made += 1
+        return handle
+
+    def _read(self, handle, sample_id):
+        """Read one reply and record its usage against ``sample_id``."""
+        text, usage = handle.result()
         self.ledger.record(sample_id, usage.get("input_tokens", 0), usage.get("output_tokens", 0))
         return text, usage
+
+    def complete(self, profile: BackendProfile, prompt: str, template: str | None = None, sample_id=None):
+        """One request's raw reply text and usage."""
+        return self._read(self._send(profile, prompt, template), sample_id)
+
+    def run_samples(self, samples):
+        """Run sample pipelines side by side through one window of requests.
+
+        ``samples`` is an iterable of ``(sample_id, steps)``, read one pair
+        at a time as samples are admitted; ``steps`` is a generator that
+        yields what the sample needs next:
+
+        * a list of :class:`Request`: queues them as the sample's batch and
+          returns None at once;
+        * an int k: returns the next k replies of the batch, in order, as a
+          list, once all k are in.  A reply is the request's JSON object, or
+          the ``MalformedOutput`` it ended in after its re-asks.  Yielding
+          anything but an int, or ending, abandons the replies not yet asked
+          for;
+        * :class:`CacheGet`: returns the cached value, or None, after which
+          the sample computes the value and yields :class:`CachePut`.  A key
+          another open sample is computing is waited for, not computed
+          twice; if that sample ends without storing it, the first waiter
+          computes it.
+
+        Yields ``(sample_id, result, error)`` for each sample, in admission
+        order: ``result`` is what ``steps`` returned, or ``error`` the
+        ``CausaltextError`` that ended it (raised in ``steps``, by the
+        backend, or by the call budget).  Such an error ends only its own
+        sample, whose pending requests are cancelled; any other exception
+        cancels every pending request and propagates.  Usage is recorded
+        against each sample's id.
+        """
+        ticks = _Scheduler(self, samples).ticks()
+        try:
+            for finished in ticks:
+                yield from finished
+        finally:
+            ticks.close()
+
+    def run_sample(self, steps, sample_id=None):
+        """Run one sample pipeline through the scheduler; return its result or raise its error."""
+        for _, result, error in self.run_samples([(sample_id, steps)]):
+            if error is not None:
+                raise error
+            return result
 
     def complete_json(self, profile: BackendProfile, prompt: str, expected_keys, retry_budget: int = 2, template: str | None = None, sample_id=None):
         if retry_budget < 1:
             raise ValueError("retry_budget must be >= 1")
-        ask = prompt
-        last_text = ""
-        for attempt in range(1 + retry_budget):
-            last_text, _ = self.complete(profile, ask, template=template, sample_id=sample_id)
-            parsed = _reply_json(last_text, expected_keys)
-            if parsed is not None:
-                return parsed
-            ask = prompt + _reask_note(expected_keys)
-        raise _reasks_spent(expected_keys, retry_budget, last_text)
+        request = Request(profile, prompt, tuple(expected_keys), template, retry_budget)
+        return self.run_sample(request_steps(request), sample_id)
 
     def complete_json_many(self, profile: BackendProfile, prompts, expected_keys, retry_budget: int = 2,
                            template: str | None = None, sample_id=None):
         """Yield, in prompt order, what ``complete_json`` would return for each
         prompt, or the ``MalformedOutput`` it would raise.
 
-        A backend with ``submit`` gets up to ``max_in_flight`` requests at
-        once, all from this thread: requests are written on that many
-        connections, the oldest reply is read, and the next request goes
-        out on the connection it freed before that reply is yielded.  A
-        re-ask is sent before any prompt not yet started, so its budget and
-        text are those of ``complete_json``.  The call budget is checked at
-        each submit and the ledger records each reply when it is read.
-        Closing the generator early, or an exception from a read, cancels
-        every request still pending.  A backend without ``submit`` is asked
-        one prompt at a time through ``complete_json``.
+        The prompts are one sample's batch in ``run_samples``: up to
+        ``max_in_flight`` are pending at once, the oldest reply is read
+        first, and a re-ask is sent before any prompt not yet started, so
+        its budget and text are those of ``complete_json``.  Closing the
+        generator early, or an error from a read or from the call budget,
+        cancels every request still pending.
         """
-        if not hasattr(self.backend, "submit"):
-            for prompt in prompts:
-                try:
-                    yield self.complete_json(profile, prompt, expected_keys, retry_budget, template, sample_id)
-                except MalformedOutput as exc:
-                    yield exc
-            return
         if retry_budget < 1:
             raise ValueError("retry_budget must be >= 1")
-        meta = {"template": template, "role": profile.role}
-        note = _reask_note(expected_keys)
-        reasks = collections.deque()  # (index, attempt) waiting to be sent
-        pending = collections.deque()  # (index, attempt, handle) in submit order
-        done: dict = {}  # index -> reply or MalformedOutput, until every earlier one is out
-        fresh = next_out = 0
+        keys = tuple(expected_keys)
+        replies = collections.deque()
+
+        def steps():
+            yield [Request(profile, p, keys, template, retry_budget) for p in prompts]
+            for _ in prompts:
+                replies.extend((yield 1))
+
+        ticks = _Scheduler(self, [(sample_id, steps())]).ticks()
         try:
-            while True:
-                while len(pending) < self.max_in_flight and (reasks or fresh < len(prompts)):
-                    if reasks:
-                        index, attempt = reasks.popleft()
-                    else:
-                        index, attempt, fresh = fresh, 0, fresh + 1
-                    self._charge()
-                    ask = prompts[index] + note if attempt else prompts[index]
-                    pending.append((index, attempt, self.backend.submit(build_payload(profile, ask), meta)))
-                    self.calls_made += 1
-                while next_out in done:
-                    yield done.pop(next_out)
-                    next_out += 1
-                if not pending:
-                    return
-                index, attempt, handle = pending.popleft()
-                try:
-                    text, usage = handle.result()
-                except MalformedOutput as exc:
-                    done[index] = exc
-                else:
-                    self.ledger.record(sample_id, usage.get("input_tokens", 0), usage.get("output_tokens", 0))
-                    parsed = _reply_json(text, expected_keys)
-                    if parsed is not None:
-                        done[index] = parsed
-                    elif attempt < retry_budget:
-                        reasks.append((index, attempt + 1))
-                    else:
-                        done[index] = _reasks_spent(expected_keys, retry_budget, text)
+            for finished in ticks:
+                while replies:
+                    yield replies.popleft()
+                for _, _, error in finished:
+                    if error is not None:
+                        raise error
         finally:
-            for _, _, handle in pending:
-                handle.cancel()
+            ticks.close()
 
     def ask(self, profile: BackendProfile, template: str, bindings: dict, note: str = "", sample_id=None):
         """Render ``template`` with ``bindings``, append ``note``, and return the
         value of the template's declared reply key (re-asking as ``complete_json`` does)."""
-        spec = load_template(template)
-        (key,) = spec.expected_json_keys
-        reply = self.complete_json(
-            profile, render_prompt(spec, bindings) + note, spec.expected_json_keys,
-            template=template, sample_id=sample_id,
-        )
-        return reply[key]
+        return self.run_sample(ask_steps(profile, template, bindings, note), sample_id)
 
     def cached(self, key: str, compute):
         """Return the cached value for ``key``, computing and storing on a miss."""
@@ -725,6 +742,291 @@ class Gateway:
         if self.cache is not None:
             self.cache.put(key, value)
         return value
+
+
+@dataclass(slots=True)
+class Request:
+    """One request of a sample pipeline: ``prompt`` is sent with ``profile``,
+    and re-asked up to ``retry_budget`` times until the reply is a JSON
+    object with every one of ``expected_keys``.  A batch may hold one
+    request several times, so it is not changed once yielded."""
+
+    profile: BackendProfile
+    prompt: str
+    expected_keys: tuple
+    template: str | None = None
+    retry_budget: int = 2
+
+
+@dataclass(frozen=True)
+class CacheGet:
+    """Pipeline step: the cached value for ``key``, or None if the sample is to compute it."""
+
+    key: str
+
+
+@dataclass(frozen=True)
+class CachePut:
+    """Pipeline step: store the value the sample computed for ``key``."""
+
+    key: str
+    value: object
+
+
+def request_steps(request: Request):
+    """Pipeline steps of one request: its JSON reply, or its ``MalformedOutput`` raised."""
+    yield [request]
+    (reply,) = yield 1
+    if isinstance(reply, MalformedOutput):
+        raise reply
+    return reply
+
+
+def ask_steps(profile: BackendProfile, template: str, bindings: dict, note: str = ""):
+    """Pipeline steps of ``Gateway.ask``."""
+    spec = load_template(template)
+    (key,) = spec.expected_json_keys
+    request = Request(profile, render_prompt(spec, bindings) + note, spec.expected_json_keys, template)
+    return (yield from request_steps(request))[key]
+
+
+class _Deferred:
+    """The handle of a backend without ``submit``: the call is made when the reply is read."""
+
+    __slots__ = ("_backend", "_payload", "_meta")
+
+    def __init__(self, backend, payload: dict, meta: dict):
+        self._backend, self._payload, self._meta = backend, payload, meta
+
+    def result(self):
+        return self._backend.complete(self._payload, self._meta)
+
+    def cancel(self) -> None:
+        pass
+
+
+_UNREAD = object()  # a reply slot whose final reply has not been read yet
+
+
+class _Sample:
+    """An admitted pipeline and where it stands in its current batch."""
+
+    __slots__ = ("sample_id", "steps", "batch", "replies", "read", "given", "upto", "sent", "unread",
+                 "owns", "result", "error", "done")
+
+    def __init__(self, sample_id, steps):
+        self.sample_id = sample_id
+        self.steps = steps
+        self.batch = None  # the list of requests last yielded; None once abandoned or ended
+        self.replies: list = []  # the batch's final replies so far, by index
+        self.read = 0  # replies[:read] are all final
+        self.given = 0  # replies handed to the steps
+        self.upto = 0  # the steps wait for replies[given:upto]; 0 if they do not wait
+        self.sent = 0  # requests of the batch written so far
+        self.unread = 0  # requests of the batch without a final reply
+        self.owns: set = set()  # cache keys this sample is computing
+        self.result = self.error = None
+        self.done = False
+
+
+class _Scheduler:
+    """One run of ``Gateway.run_samples``: the shared window and every open sample.
+
+    ``ticks()`` repeats three things until nothing is pending: fill the
+    window, yield the samples finished since the last tick (a prefix of the
+    admission order, often empty), and read the oldest pending reply and
+    hand it on.  The tick between two reads lets ``complete_json_many``
+    pass on replies as they arrive.  A free slot goes to a re-ask first,
+    then to the oldest batch with requests not yet written, then to the
+    next sample.
+    """
+
+    def __init__(self, gateway: Gateway, samples):
+        self.gw = gateway
+        self.samples = iter(samples)
+        self.window = gateway._window
+        self.pending = collections.deque()  # (sample, batch, index, attempt, handle), oldest first
+        self.reasks = collections.deque()  # (sample, batch, index, attempt) waiting to be written
+        self.queued = collections.deque()  # samples whose batch has requests not yet written
+        self.order = collections.deque()  # admitted samples not yet handed out
+        self.ready = collections.deque()  # (sample, value) to resume with
+        self.owners: dict = {}  # cache key -> the sample computing it
+        self.waiters: dict = {}  # cache key -> deque of samples waiting for it
+
+    def ticks(self):
+        pending, order = self.pending, self.order
+        try:
+            while True:
+                if len(pending) < self.window:
+                    self._fill()
+                finished = []
+                while order and order[0].done:
+                    s = order.popleft()
+                    finished.append((s.sample_id, s.result, s.error))
+                yield finished
+                if not pending:
+                    return
+                self._read(*pending.popleft())
+        finally:
+            for entry in self.pending:
+                entry[4].cancel()
+            self.pending.clear()
+            for s in self.order:
+                s.steps.close()
+
+    def _fill(self) -> None:
+        pending, window, reasks, queued = self.pending, self.window, self.reasks, self.queued
+        while len(pending) < window:
+            if reasks:
+                s, batch, index, attempt = reasks.popleft()
+                if s.batch is not batch:
+                    continue  # the sample has moved on
+            elif queued:
+                s = queued[0]
+                batch, index, attempt = s.batch, s.sent, 0
+                s.sent += 1
+                if s.sent == len(batch):
+                    queued.popleft()
+            else:
+                admitted = next(self.samples, None)
+                if admitted is None:
+                    return
+                s = _Sample(*admitted)
+                self.order.append(s)
+                self._step(s, None)
+                self._drain()
+                continue
+            request = batch[index]
+            prompt = request.prompt + _reask_note(request.expected_keys) if attempt else request.prompt
+            try:
+                handle = self.gw._send(request.profile, prompt, request.template)
+            except CausaltextError as exc:
+                self._end(s, error=exc)
+                self._drain()
+                continue
+            pending.append((s, batch, index, attempt, handle))
+
+    def _read(self, s: _Sample, batch: list, index: int, attempt: int, handle) -> None:
+        request = batch[index]
+        try:
+            text, _ = self.gw._read(handle, s.sample_id)
+        except MalformedOutput as exc:
+            reply = exc
+        except CausaltextError as exc:
+            self._end(s, error=exc)
+            self._drain()
+            return
+        else:
+            reply = _reply_json(text, request.expected_keys)
+            if reply is None:
+                if attempt < request.retry_budget:
+                    self.reasks.append((s, batch, index, attempt + 1))
+                    return
+                reply = _reasks_spent(request.expected_keys, request.retry_budget, text)
+        s.unread -= 1
+        replies = s.replies
+        replies[index] = reply
+        if index != s.read:
+            return
+        read, end = index + 1, len(replies)
+        while read < end and replies[read] is not _UNREAD:
+            read += 1
+        s.read = read
+        upto = s.upto
+        if upto and read >= upto:
+            given, s.given, s.upto = s.given, upto, 0
+            self._step(s, replies[given:upto])
+            if self.ready:
+                self._drain()
+
+    def _drain(self) -> None:
+        while self.ready:
+            self._step(*self.ready.popleft())
+
+    def _step(self, s: _Sample, value) -> None:
+        """Send ``value`` into the sample's steps and act on what they yield, until they wait."""
+        while True:
+            try:
+                step = s.steps.send(value)
+            except StopIteration as stop:
+                self._end(s, result=stop.value)
+                return
+            except CausaltextError as exc:
+                self._end(s, error=exc)
+                return
+            if type(step) is int:  # the next `step` replies of the batch
+                end = s.given + step
+                if s.read < end:
+                    s.upto = end
+                    return
+                value, s.given = s.replies[s.given:end], end
+                continue
+            self._drop(s)
+            value = None
+            if type(step) is list:
+                s.batch, s.replies, s.unread = step, [_UNREAD] * len(step), len(step)
+                s.read = s.given = s.upto = s.sent = 0
+                if step:
+                    self.queued.append(s)
+            elif type(step) is CacheGet:
+                cache, key = self.gw.cache, step.key
+                if cache is not None:
+                    if key in cache:
+                        value = cache.get(key)
+                    elif key in self.owners:
+                        self.waiters.setdefault(key, collections.deque()).append(s)
+                        return
+                    else:
+                        self.owners[key] = s
+                        s.owns.add(key)
+            elif type(step) is CachePut:
+                cache, key = self.gw.cache, step.key
+                if cache is not None:
+                    try:
+                        cache.put(key, step.value)
+                    except CausaltextError as exc:
+                        self._end(s, error=exc)
+                        return
+                    self.owners.pop(key, None)
+                    s.owns.discard(key)
+                    for waiter in self.waiters.pop(key, ()):
+                        self.ready.append((waiter, step.value))
+            else:
+                raise TypeError(f"a sample pipeline yielded {step!r}")
+
+    def _drop(self, s: _Sample) -> None:
+        """Abandon the rest of the sample's batch: unsent requests stay unsent, pending ones are cancelled."""
+        if not s.unread:
+            return
+        if s.sent < len(s.batch):
+            self.queued.remove(s)
+        if any(entry[0] is s for entry in self.pending):
+            keep = []
+            for entry in self.pending:
+                if entry[0] is s:
+                    entry[4].cancel()
+                else:
+                    keep.append(entry)
+            self.pending.clear()
+            self.pending.extend(keep)
+        s.batch, s.unread = None, 0  # re-asks of the batch are skipped when they come up
+
+    def _end(self, s: _Sample, result=None, error=None) -> None:
+        self._drop(s)
+        s.steps.close()
+        s.batch, s.result, s.error, s.done = None, result, error, True
+        for key in s.owns:
+            # the first waiter computes the key itself, as a sequential run would
+            del self.owners[key]
+            waiters = self.waiters.pop(key, None)
+            if waiters:
+                waiter = waiters.popleft()
+                self.owners[key] = waiter
+                waiter.owns.add(key)
+                if waiters:
+                    self.waiters[key] = waiters
+                self.ready.append((waiter, None))
+        s.owns = set()
 
 
 def _reply_json(text: str, expected_keys):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .assignment import ConceptAssignment, normalize_concept
 from .errors import CoverageViolation, ExtractionFailed, MalformedOutput, ShapeMismatch
+from .gateway import ask_steps
 from .graphs import Dag
 from .metrics import decompose_errors, shd
 
@@ -67,23 +68,28 @@ COVERAGE_REASK = (
 )
 
 
-def generate_text(dag: Dag, assignment: ConceptAssignment, gateway, profile, sample_id=None) -> Paragraph:
-    """One-shot verbalization of the annotated graph, with a single re-ask
-    if the paragraph fails to mention every concept."""
+def generate_text_steps(dag: Dag, assignment: ConceptAssignment, profile):
+    """Pipeline steps of ``generate_text`` (see ``Gateway.run_samples``)."""
     if dag.n < 2:
         raise ValueError("generation requires at least 2 nodes")
     if len(assignment.concepts) != dag.n:
         raise ShapeMismatch(f"{len(assignment.concepts)} concepts for {dag.n} nodes")
     bindings = {"Concepts": assignment.concepts, "Adjacency Matrix": dag.edges}
-    text = str(gateway.ask(profile, "phase3", bindings, sample_id=sample_id))
+    text = str((yield from ask_steps(profile, "phase3", bindings)))
     gaps = missing_concepts(assignment.concepts, text)
     if gaps:
         note = COVERAGE_REASK.format(missing=", ".join(repr(c) for c in gaps))
-        text = str(gateway.ask(profile, "phase3", bindings, note=note, sample_id=sample_id))
+        text = str((yield from ask_steps(profile, "phase3", bindings, note)))
         gaps = missing_concepts(assignment.concepts, text)
         if gaps:
             raise CoverageViolation(f"paragraph still missing concepts: {gaps}")
     return Paragraph(text=text, source_concepts=assignment)
+
+
+def generate_text(dag: Dag, assignment: ConceptAssignment, gateway, profile, sample_id=None) -> Paragraph:
+    """One-shot verbalization of the annotated graph, with a single re-ask
+    if the paragraph fails to mention every concept."""
+    return gateway.run_sample(generate_text_steps(dag, assignment, profile), sample_id)
 
 
 def llm_causal_discovery(text: str, concepts, gateway, profile, sample_id=None) -> np.ndarray:

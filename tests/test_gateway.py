@@ -1,7 +1,11 @@
+import collections
 import dataclasses
 import hashlib
 import http.server
+import itertools
 import json
+import os
+import re
 import threading
 
 import numpy as np
@@ -16,6 +20,7 @@ from causaltext.assignment import (
     counterfactual_verification,
     initial_assignment,
     refine_assignment,
+    run_loop_steps,
 )
 from causaltext.cli import main
 from causaltext.errors import (
@@ -24,6 +29,7 @@ from causaltext.errors import (
     MalformedOutput,
     TransportError,
     UnboundPlaceholder,
+    VerificationError,
 )
 from causaltext.gateway import (
     JSON_REASK,
@@ -53,6 +59,7 @@ from causaltext.textgen import (
     extract_concepts,
     gen_id_refine,
     generate_text,
+    generate_text_steps,
     llm_causal_discovery,
 )
 
@@ -799,3 +806,267 @@ def stub(monkeypatch):
     monkeypatch.setenv("SOME_KEY", "secret")
     with StubServer() as server:
         yield server
+
+
+def oracle_reply(prompt):
+    """Answers the pipeline from the prompt alone: each concept names its node
+    and the adjacency matrix, so verifier and text prompts need no memory of
+    the proposal and samples can be served in any order."""
+    lines = prompt.splitlines()
+    if lines[0] == "Adjacency Matrix:":  # phase2
+        rows = list(itertools.takewhile(lambda row: row and set(row) <= {"0", "1"}, lines[1:]))
+        return json.dumps({ASSIGNED: [f"Node {i}: F{i} {'-'.join(rows)}" for i in range(len(rows))]})
+    if lines[0] == "Concepts under consideration:":  # verify
+        i, code = re.search(r"Cause candidate: F(\d+) ([01-]+)", prompt).groups()
+        j = int(re.search(r"Effect candidate: F(\d+)", prompt).group(1))
+        return json.dumps({"direct cause": "yes" if code.split("-")[int(i)][j] == "1" else "no"})
+    if lines[0] == "Concepts:":  # phase3
+        return json.dumps({DESC: f"We follow {lines[1]}."})
+    raise AssertionError(f"unexpected prompt {lines[0]!r}")
+
+
+def sample_of(prompt):
+    """The adjacency matrix a prompt of ``oracle_reply``'s pipeline belongs to."""
+    found = re.search(r"F\d+ ([01-]+)", prompt)
+    if found:
+        return found.group(1)
+    return "-".join(itertools.takewhile(lambda row: row and set(row) <= {"0", "1"}, prompt.splitlines()[1:]))
+
+
+class SampleWindowBackend(WindowBackend):
+    """A ``WindowBackend`` that also counts the samples with requests pending at once."""
+
+    most_samples = 0
+
+    def submit(self, payload, meta=None):
+        handle = super().submit(payload, meta)
+        self.most_samples = max(self.most_samples, len({sample_of(h.prompt) for h in self.pending}))
+        return handle
+
+
+PROPOSER = BackendProfile.for_role("m", "proposer")
+PHASE3 = BackendProfile.for_role("m", "phase3")
+EDGES = {
+    "a": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    "b": [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]],
+    "c": [[0, 0, 1], [0, 0, 1], [0, 0, 0]],
+}
+
+
+def loops(gw, edges, ids, config=None):
+    """``run_samples`` over one ``run_loop_steps`` pipeline per id, as {id: (result, error)}."""
+    dags = {sid: Dag(n=len(edges[sid]), edges=np.array(edges[sid], dtype=np.int8)) for sid in ids}
+    samples = [(sid, run_loop_steps(dags[sid], "d", gw, PROPOSER, VERIFIER, config, sid)) for sid in ids]
+    return {sid: (result, error) for sid, result, error in gw.run_samples(samples)}
+
+
+class TestRunSamples:
+    def test_samples_share_the_window_and_count_their_own_tokens(self):
+        backend = SampleWindowBackend(oracle_reply)
+        gw = Gateway(backend, max_in_flight=8)
+        out = loops(gw, EDGES, ["a", "b", "c"])
+        assert backend.most_samples == 3 and backend.most_pending == 8 and not backend.pending
+        solo = SampleWindowBackend(oracle_reply)
+        alone = loops(Gateway(solo, max_in_flight=1), EDGES, ["a", "b", "c"])
+        assert solo.most_samples == 1
+        for sid in "abc":
+            result, error = out[sid]
+            assert error is None and result.status == "Success"
+            assert result.tokens == {"total": gw.ledger.sample(sid)["total"]} == alone[sid][0].tokens
+            assert result.to_json() == alone[sid][0].to_json()
+        assert sum(r.tokens["total"] for r, _ in out.values()) == gw.ledger.totals()["total"]
+
+    def test_results_come_out_in_admission_order(self):
+        gw = Gateway(WindowBackend(oracle_reply), max_in_flight=8)
+        # "b" has four nodes, so it finishes after "c" but is handed out before it
+        assert list(loops(gw, EDGES, ["a", "b", "c"])) == ["a", "b", "c"]
+
+    def test_a_key_in_flight_is_joined_not_computed_twice(self):
+        twins = {"x": EDGES["b"], "y": EDGES["b"]}
+        calls = {}
+        for window in (8, 1):
+            gw = Gateway(SampleWindowBackend(oracle_reply), cache=ResponseCache(), max_in_flight=window)
+            out = loops(gw, twins, ["x", "y"])
+            assert all(error is None for _, error in out.values())
+            calls[window] = {sid: gw.ledger.sample(sid) for sid in twins}
+        assert calls[8] == calls[1]
+        assert calls[8]["y"]["calls"] == 1  # its phase-2 request; the votes came from "x"
+        assert calls[8]["x"]["calls"] == 1 + 12 * 5
+
+    def test_the_waiter_computes_the_key_when_its_owner_fails(self):
+        seen = collections.Counter()
+
+        def reply(prompt):
+            # every vote on the first pair fails for the first sample to ask: 5 votes x 3 asks
+            if "Cause candidate: F0" in prompt and "Effect candidate: F1" in prompt:
+                seen["first pair"] += 1
+                if seen["first pair"] <= 15:
+                    return "no JSON"
+            return oracle_reply(prompt)
+
+        backend = WindowBackend(reply)
+        gw = Gateway(backend, cache=ResponseCache(), max_in_flight=8)
+        out = loops(gw, {"x": EDGES["b"], "y": EDGES["b"]}, ["x", "y"])
+        assert isinstance(out["x"][1], VerificationError)
+        assert out["y"][1] is None and out["y"][0].status == "Success"
+        assert gw.ledger.sample("y")["calls"] == 1 + 12 * 5
+        assert not backend.pending
+
+    def test_an_error_fails_only_its_own_sample(self):
+        def reply(prompt):
+            if prompt.startswith("Adjacency Matrix:\n010\n001\n000\n"):
+                return json.dumps({ASSIGNED: ["Node 0: x"]})  # wrong count for sample "a"
+            return oracle_reply(prompt)
+
+        backend = WindowBackend(reply)
+        out = loops(Gateway(backend, max_in_flight=8), EDGES, ["a", "b", "c"])
+        assert isinstance(out["a"][1], MalformedOutput)
+        assert out["b"][1] is None and out["c"][1] is None
+        assert not backend.pending
+
+    def test_the_call_budget_fails_the_sample_it_refuses(self):
+        backend = WindowBackend(oracle_reply)
+        gw = Gateway(backend, call_budget=1 + 6 * 5 + 1, max_in_flight=8)
+        out = loops(gw, EDGES, ["a", "b"])
+        assert isinstance(out["b"][1], BudgetExceeded)
+        assert gw.calls_made == len(backend.submitted()) == 1 + 6 * 5 + 1
+        assert not backend.pending
+
+    def test_an_unexpected_exception_cancels_every_pending_request(self):
+        def reply(prompt):
+            if prompt.startswith("Concepts:"):
+                raise RuntimeError("boom")
+            return oracle_reply(prompt)
+
+        backend = SampleWindowBackend(reply)
+        with pytest.raises(RuntimeError, match="boom"):
+            loops_and_text(Gateway(backend, max_in_flight=8))
+        assert backend.most_samples == 3
+        assert not backend.pending and any(event == "cancel" for event, _ in backend.log)
+
+    def test_a_backend_without_submit_serves_one_sample_at_a_time(self):
+        sent = []
+
+        class Recording:
+            def complete(self, payload, meta=None):
+                sent.append(sample_of(payload["messages"][1]["content"]))
+                return oracle_reply(payload["messages"][1]["content"]), {"input_tokens": 1, "output_tokens": 1}
+
+        gw = Gateway(Recording(), max_in_flight=8)
+        out = loops(gw, EDGES, ["a", "b", "c"])
+        assert all(error is None for _, error in out.values())
+        runs = [k for k, _ in itertools.groupby(sent)]
+        assert len(runs) == 3  # each sample's calls are contiguous
+
+
+def loops_and_text(gw):
+    """Three samples of assignment loop plus paragraph, each to its end."""
+
+    def pipeline(dag, sid):
+        result = yield from run_loop_steps(dag, "d", gw, PROPOSER, VERIFIER, None, sid)
+        return (yield from generate_text_steps(dag, result.assignment, PHASE3))
+
+    samples = [(sid, pipeline(Dag(n=len(e), edges=np.array(e, dtype=np.int8)), sid)) for sid, e in EDGES.items()]
+    return list(gw.run_samples(samples))
+
+
+class TestGenerateInFlight:
+    """``generate`` runs several samples at once and leaves nothing pending on any exit."""
+
+    def graphs(self, tmp_path, n_max=10):
+        cfg = tmp_path / "g.ini"
+        cfg.write_text(f"[phase1]\nn_min = 3\nn_max = {n_max}\n")
+        graphs = str(tmp_path / "graphs")
+        r = CliRunner().invoke(main, ["graphgen", "--config", str(cfg), "--out", graphs, "--per-n", "1"])
+        assert r.exit_code == 0, r.output
+        return graphs
+
+    def generate(self, monkeypatch, tmp_path, backend, graphs):
+        monkeypatch.setattr("causaltext.cli.make_mock_backend", lambda script: backend)
+        return CliRunner().invoke(
+            main, ["generate", "--graphs", graphs, "--out", str(tmp_path / "s.jsonl"), "--mock-script", "{}"]
+        )
+
+    def test_an_unexpected_exception_cancels_every_pending_request(self, monkeypatch, tmp_path):
+        def reply(prompt):
+            if prompt.startswith("Concepts:"):
+                raise RuntimeError("boom")
+            return oracle_reply(prompt)
+
+        backend = SampleWindowBackend(reply)
+        r = self.generate(monkeypatch, tmp_path, backend, self.graphs(tmp_path))
+        assert isinstance(r.exception, RuntimeError)
+        assert backend.most_samples == 8 and not backend.pending
+
+    def test_a_duplicate_id_stops_the_run_with_nothing_pending(self, monkeypatch, tmp_path):
+        graphs = self.graphs(tmp_path)
+        path = os.path.join(graphs, "n9_00000.json")
+        payload = json.load(open(path))
+        payload["id"] = "n10_00000"  # the id of the first file
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        backend = SampleWindowBackend(oracle_reply)
+        r = self.generate(monkeypatch, tmp_path, backend, graphs)
+        assert r.exit_code == 1 and "id 'n10_00000' already in store" in r.output
+        assert backend.most_samples == 7 and not backend.pending
+        assert [e for e in backend.log if e[0] == "cancel"]
+
+    def test_a_failed_store_write_leaves_nothing_pending(self, monkeypatch, tmp_path):
+        def append(self, record):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("causaltext.cli.SampleStore.append", append)
+        backend = WindowBackend(oracle_reply)
+        # n3_00000 comes first and finishes while the larger graphs still have requests pending
+        r = self.generate(monkeypatch, tmp_path, backend, self.graphs(tmp_path, n_max=9))
+        assert isinstance(r.exception, OSError)
+        assert not backend.pending and [e for e in backend.log if e[0] == "cancel"]
+
+    def test_records_do_not_depend_on_the_window(self, monkeypatch, tmp_path, stub):
+        stub.reply = oracle_reply
+        graphs = self.graphs(tmp_path, n_max=6)
+        outstanding, most = [], [0]
+        submit = HttpBackend.submit
+
+        def tracked_submit(self, payload, meta=None):
+            handle = submit(self, payload, meta)
+            key = sample_of(payload["messages"][1]["content"])
+            outstanding.append(key)
+            most[0] = max(most[0], len(set(outstanding)))
+            result, cancel = handle.result, handle.cancel
+            handle.result = lambda: outstanding.remove(key) or result()
+            handle.cancel = lambda: outstanding.remove(key) or cancel()
+            return handle
+
+        monkeypatch.setattr(HttpBackend, "submit", tracked_submit)
+        stores, requests, samples = [], [], []
+        for window in (8, 1):
+            cfg = tmp_path / f"w{window}.ini"
+            cfg.write_text(f"[backends]\nendpoint = {stub.endpoint}\ncredential_env = SOME_KEY\nmax_in_flight = {window}\n")
+            out = str(tmp_path / f"w{window}.jsonl")
+            before, most[0] = stub.requests, 0
+            r = CliRunner().invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
+            assert r.exit_code == 0, r.output
+            records = [json.loads(line) for line in open(out)]
+            for record in records:
+                record.pop("created_at")
+            stores.append(records)
+            requests.append(stub.requests - before)
+            samples.append(most[0])
+        assert len(stores[0]) == 4 and stores[0] == stores[1]
+        assert requests[0] == requests[1]
+        assert samples == [4, 1] and not outstanding
+
+    def test_http_connections_are_closed_when_an_id_is_already_stored(self, monkeypatch, tmp_path, stub):
+        stub.reply = oracle_reply
+        graphs = self.graphs(tmp_path, n_max=4)
+        closed = []
+        close = HttpBackend.close
+        monkeypatch.setattr(HttpBackend, "close", lambda self: closed.append(len(self._idle)) or close(self))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[backends]\nendpoint = {stub.endpoint}\ncredential_env = SOME_KEY\n")
+        gen = ["generate", "--config", str(cfg), "--graphs", graphs, "--out", str(tmp_path / "s.jsonl")]
+        assert CliRunner().invoke(main, gen).exit_code == 0
+        r = CliRunner().invoke(main, gen)
+        assert r.exit_code == 1 and "already in store" in r.output
+        assert len(closed) == 2 and closed[0] > 0

@@ -151,7 +151,8 @@ class TestConfig:
         assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
         r = runner.invoke(main, ["generate", "--config", str(p), "--graphs", graphs,
                                  "--out", str(tmp_path / "s.jsonl"), "--mock-script", '{"mode": "oracle"}'])
-        assert isinstance(r.exception, InvalidConfig)
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert "backends.max_in_flight" in r.output
         assert load_config(None).getint("backends", "max_in_flight") == 8
 
     def test_phase2_defaults_are_the_loop_config_defaults(self):
@@ -163,6 +164,26 @@ class TestConfig:
         p.write_text(f"[phase2]\n{line}\n")
         with pytest.raises(InvalidConfig, match="phase2"):
             loop_config_from(load_config(str(p)))
+
+    @pytest.mark.parametrize("command, config, extra, named", [
+        ("generate", "[phase2]\nm = 0\n", ["--mock-script", '{"mode": "oracle"}'], "phase2: loop settings need m >= 1"),
+        ("generate", "[phase2]\nk_max = x\n", ["--mock-script", '{"mode": "oracle"}'], "phase2.k_max"),
+        ("generate", "", ["--mock-script", "notjson{"], "--mock-script: JSONDecodeError"),
+        ("generate", "[backends]\npool = \n", [], "backends.pool: empty backend pool"),
+        ("graphgen", "[phase1]\nn_min = x\n", [], "phase1.n_min"),
+        ("graphgen", "not an ini file\n", [], "cannot parse config file"),
+    ])
+    def test_config_errors_are_click_errors_naming_the_key(self, tmp_path, command, config, extra, named):
+        p = tmp_path / "c.ini"
+        p.write_text(config)
+        runner = CliRunner()
+        graphs = str(tmp_path / "graphs")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        args = {"generate": ["--graphs", graphs, "--out", str(tmp_path / "s.jsonl")],
+                "graphgen": ["--out", str(tmp_path / "g2"), "--per-n", "1"]}[command]
+        r = runner.invoke(main, [command, "--config", str(p), *args, *extra])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+        assert named in r.output
 
     def test_sample_seed_deterministic(self):
         assert sample_seed(0, 3, 1) == sample_seed(0, 3, 1)
@@ -579,6 +600,13 @@ class TestConsensusCommand:
         r = CliRunner().invoke(main, ["consensus", "--ratings", path])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert f"{path}:1: malformed row ('rater_id' is not in list)" in r.output
+
+    def test_empty_file_reported_at_line_1(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        r = CliRunner().invoke(main, ["consensus", "--ratings", str(path)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert f"{path}:1: empty file, no header row" in r.output
 
     def test_header_without_rows(self, tmp_path):
         path = str(tmp_path / "r.csv")

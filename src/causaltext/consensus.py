@@ -138,11 +138,14 @@ def flag_low_agreement(
 ) -> AgreementFlags:
     """Flag borderline edges (s in {5/11, 6/11} for an 11-rater panel).
 
+    The band is the two supports nearest one half; a unanimous support (0
+    or 1, as in the band of a panel of one or two) is never borderline.
     ``supports`` maps text_id -> SupportGraph.  A text is flagged when its
     fraction of borderline ordered pairs exceeds the given quantile of that
     fraction across all texts.
     """
     band = np.array([raters // 2, raters // 2 + 1]) / raters
+    band = band[(band > 0) & (band < 1)]
     edges = []
     fractions = {}
     for text_id, sg in supports.items():

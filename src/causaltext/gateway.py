@@ -173,7 +173,9 @@ class UsageLedger:
         return dict(self._totals)
 
 
+@functools.lru_cache(maxsize=64)
 def _approx_tokens(text: str) -> int:
+    # a pair's m votes send one prompt m times in a row
     return len(text.split())
 
 
@@ -606,13 +608,14 @@ class Gateway:
     to ``max_in_flight`` requests pending at once, from any number of open
     sample pipelines, all on the calling thread.  The window is shared by
     every open sample, and the next sample is admitted while the window has
-    room and no open sample has a request waiting to be sent.  A backend
+    room and no open sample has a request waiting to be sent.  A reply that
+    needs a re-ask is re-asked at once, on the slot its read freed.  A backend
     without ``submit`` is called when its reply is read, with a window of
     one, so it serves one sample at a time in the order a sequential run
     would.  Idle keep-alive connections hold a server's handlers, so a
     window larger than the number of connections the server serves at once
-    stalls.  ``complete_json``, ``complete_json_many`` and ``ask`` run one
-    sample through the same scheduler.
+    stalls.  ``complete_json`` and ``ask`` run one sample through the same
+    scheduler.
     """
 
     def __init__(self, backend, ledger: UsageLedger | None = None, cache: ResponseCache | None = None,
@@ -661,7 +664,8 @@ class Gateway:
           list, once all k are in.  A reply is the request's JSON object, or
           the ``MalformedOutput`` it ended in after its re-asks.  Yielding
           anything but an int, or ending, abandons the replies not yet asked
-          for;
+          for, and asking for more than the open batch holds is a
+          ``TypeError``, as is a step of any other kind;
         * :class:`CacheGet`: returns the cached value, or None, after which
           the sample computes the value and yields :class:`CachePut`.  A key
           another open sample is computing is waited for, not computed
@@ -676,12 +680,7 @@ class Gateway:
         cancels every pending request and propagates.  Usage is recorded
         against each sample's id.
         """
-        ticks = _Scheduler(self, samples).ticks()
-        try:
-            for finished in ticks:
-                yield from finished
-        finally:
-            ticks.close()
+        return _Scheduler(self, samples).run()
 
     def run_sample(self, steps, sample_id=None):
         """Run one sample pipeline through the scheduler; return its result or raise its error."""
@@ -695,39 +694,6 @@ class Gateway:
             raise ValueError("retry_budget must be >= 1")
         request = Request(profile, prompt, tuple(expected_keys), template, retry_budget)
         return self.run_sample(request_steps(request), sample_id)
-
-    def complete_json_many(self, profile: BackendProfile, prompts, expected_keys, retry_budget: int = 2,
-                           template: str | None = None, sample_id=None):
-        """Yield, in prompt order, what ``complete_json`` would return for each
-        prompt, or the ``MalformedOutput`` it would raise.
-
-        The prompts are one sample's batch in ``run_samples``: up to
-        ``max_in_flight`` are pending at once, the oldest reply is read
-        first, and a re-ask is sent before any prompt not yet started, so
-        its budget and text are those of ``complete_json``.  Closing the
-        generator early, or an error from a read or from the call budget,
-        cancels every request still pending.
-        """
-        if retry_budget < 1:
-            raise ValueError("retry_budget must be >= 1")
-        keys = tuple(expected_keys)
-        replies = collections.deque()
-
-        def steps():
-            yield [Request(profile, p, keys, template, retry_budget) for p in prompts]
-            for _ in prompts:
-                replies.extend((yield 1))
-
-        ticks = _Scheduler(self, [(sample_id, steps())]).ticks()
-        try:
-            for finished in ticks:
-                while replies:
-                    yield replies.popleft()
-                for _, _, error in finished:
-                    if error is not None:
-                        raise error
-        finally:
-            ticks.close()
 
     def ask(self, profile: BackendProfile, template: str, bindings: dict, note: str = "", sample_id=None):
         """Render ``template`` with ``bindings``, append ``note``, and return the
@@ -811,19 +777,17 @@ _UNREAD = object()  # a reply slot whose final reply has not been read yet
 class _Sample:
     """An admitted pipeline and where it stands in its current batch."""
 
-    __slots__ = ("sample_id", "steps", "batch", "replies", "read", "given", "upto", "sent", "unread",
-                 "owns", "result", "error", "done")
+    __slots__ = ("sample_id", "steps", "batch", "replies", "given", "upto", "sent", "owns", "result", "error",
+                 "done")
 
     def __init__(self, sample_id, steps):
         self.sample_id = sample_id
         self.steps = steps
         self.batch = None  # the list of requests last yielded; None once abandoned or ended
         self.replies: list = []  # the batch's final replies so far, by index
-        self.read = 0  # replies[:read] are all final
         self.given = 0  # replies handed to the steps
         self.upto = 0  # the steps wait for replies[given:upto]; 0 if they do not wait
         self.sent = 0  # requests of the batch written so far
-        self.unread = 0  # requests of the batch without a final reply
         self.owns: set = set()  # cache keys this sample is computing
         self.result = self.error = None
         self.done = False
@@ -832,61 +796,55 @@ class _Sample:
 class _Scheduler:
     """One run of ``Gateway.run_samples``: the shared window and every open sample.
 
-    ``ticks()`` repeats three things until nothing is pending: fill the
-    window, yield the samples finished since the last tick (a prefix of the
-    admission order, often empty), and read the oldest pending reply and
-    hand it on.  The tick between two reads lets ``complete_json_many``
-    pass on replies as they arrive.  A free slot goes to a re-ask first,
-    then to the oldest batch with requests not yet written, then to the
-    next sample.
+    ``run()`` repeats three things until nothing is pending: fill the
+    window, yield the samples finished so far that come next in admission
+    order, and read the oldest pending reply and hand it on.  A reply that
+    needs a re-ask is re-asked by that read, on the slot it just freed, so
+    the re-ask goes out before any request not yet written.  Any other free
+    slot goes to the oldest batch with requests not yet written, then to
+    the next sample.
     """
 
     def __init__(self, gateway: Gateway, samples):
         self.gw = gateway
         self.samples = iter(samples)
         self.window = gateway._window
-        self.pending = collections.deque()  # (sample, batch, index, attempt, handle), oldest first
-        self.reasks = collections.deque()  # (sample, batch, index, attempt) waiting to be written
+        self.pending = collections.deque()  # (sample, index, attempt, handle), oldest first
         self.queued = collections.deque()  # samples whose batch has requests not yet written
         self.order = collections.deque()  # admitted samples not yet handed out
         self.ready = collections.deque()  # (sample, value) to resume with
         self.owners: dict = {}  # cache key -> the sample computing it
         self.waiters: dict = {}  # cache key -> deque of samples waiting for it
 
-    def ticks(self):
+    def run(self):
         pending, order = self.pending, self.order
         try:
             while True:
                 if len(pending) < self.window:
                     self._fill()
-                finished = []
                 while order and order[0].done:
                     s = order.popleft()
-                    finished.append((s.sample_id, s.result, s.error))
-                yield finished
+                    yield s.sample_id, s.result, s.error
                 if not pending:
                     return
                 self._read(*pending.popleft())
         finally:
-            for entry in self.pending:
-                entry[4].cancel()
-            self.pending.clear()
-            for s in self.order:
+            for entry in pending:
+                entry[3].cancel()
+            pending.clear()
+            for s in order:
                 s.steps.close()
 
     def _fill(self) -> None:
-        pending, window, reasks, queued = self.pending, self.window, self.reasks, self.queued
+        pending, window, queued = self.pending, self.window, self.queued
         while len(pending) < window:
-            if reasks:
-                s, batch, index, attempt = reasks.popleft()
-                if s.batch is not batch:
-                    continue  # the sample has moved on
-            elif queued:
+            if queued:
                 s = queued[0]
-                batch, index, attempt = s.batch, s.sent, 0
+                index = s.sent
                 s.sent += 1
-                if s.sent == len(batch):
+                if s.sent == len(s.batch):
                     queued.popleft()
+                self._send(s, index, 0)
             else:
                 admitted = next(self.samples, None)
                 if admitted is None:
@@ -895,19 +853,23 @@ class _Scheduler:
                 self.order.append(s)
                 self._step(s, None)
                 self._drain()
-                continue
-            request = batch[index]
-            prompt = request.prompt + _reask_note(request.expected_keys) if attempt else request.prompt
-            try:
-                handle = self.gw._send(request.profile, prompt, request.template)
-            except CausaltextError as exc:
-                self._end(s, error=exc)
-                self._drain()
-                continue
-            pending.append((s, batch, index, attempt, handle))
 
-    def _read(self, s: _Sample, batch: list, index: int, attempt: int, handle) -> None:
-        request = batch[index]
+    def _send(self, s: _Sample, index: int, attempt: int) -> None:
+        """Write request ``index`` of the sample's batch, as its ``attempt``-th re-ask if not 0."""
+        request = s.batch[index]
+        prompt = request.prompt
+        if attempt:
+            prompt += "\n\n" + JSON_REASK.format(keys=", ".join(repr(k) for k in request.expected_keys))
+        try:
+            handle = self.gw._send(request.profile, prompt, request.template)
+        except CausaltextError as exc:
+            self._end(s, error=exc)
+            self._drain()
+            return
+        self.pending.append((s, index, attempt, handle))
+
+    def _read(self, s: _Sample, index: int, attempt: int, handle) -> None:
+        request = s.batch[index]  # a pending request's batch is its sample's current one
         try:
             text, _ = self.gw._read(handle, s.sample_id)
         except MalformedOutput as exc:
@@ -917,26 +879,22 @@ class _Scheduler:
             self._drain()
             return
         else:
-            reply = _reply_json(text, request.expected_keys)
-            if reply is None:
+            reply = _extract_json(text)
+            if reply is None or not all(k in reply for k in request.expected_keys):
                 if attempt < request.retry_budget:
-                    self.reasks.append((s, batch, index, attempt + 1))
+                    self._send(s, index, attempt + 1)  # on the slot this read freed
                     return
-                reply = _reasks_spent(request.expected_keys, request.retry_budget, text)
-        s.unread -= 1
-        replies = s.replies
-        replies[index] = reply
-        if index != s.read:
-            return
-        read, end = index + 1, len(replies)
-        while read < end and replies[read] is not _UNREAD:
-            read += 1
-        s.read = read
+                reply = MalformedOutput(
+                    f"no valid JSON with keys {list(request.expected_keys)} after {request.retry_budget} re-asks",
+                    raw_text=text,
+                )
+        s.replies[index] = reply
         upto = s.upto
-        if upto and read >= upto:
-            given, s.given, s.upto = s.given, upto, 0
-            self._step(s, replies[given:upto])
-            if self.ready:
+        if index < upto:
+            value = s.replies[s.given:upto]
+            if _UNREAD not in value:
+                s.given, s.upto = upto, 0
+                self._step(s, value)
                 self._drain()
 
     def _drain(self) -> None:
@@ -956,16 +914,19 @@ class _Scheduler:
                 return
             if type(step) is int:  # the next `step` replies of the batch
                 end = s.given + step
-                if s.read < end:
+                if s.batch is None or not s.given <= end <= len(s.batch):
+                    raise TypeError(f"a sample pipeline asked for {step} replies its open batch does not hold")
+                value = s.replies[s.given:end]
+                if _UNREAD in value:
                     s.upto = end
                     return
-                value, s.given = s.replies[s.given:end], end
+                s.given = end
                 continue
             self._drop(s)
             value = None
             if type(step) is list:
-                s.batch, s.replies, s.unread = step, [_UNREAD] * len(step), len(step)
-                s.read = s.given = s.upto = s.sent = 0
+                s.batch, s.replies = step, [_UNREAD] * len(step)
+                s.given = s.upto = s.sent = 0
                 if step:
                     self.queued.append(s)
             elif type(step) is CacheGet:
@@ -996,25 +957,19 @@ class _Scheduler:
 
     def _drop(self, s: _Sample) -> None:
         """Abandon the rest of the sample's batch: unsent requests stay unsent, pending ones are cancelled."""
-        if not s.unread:
+        if s.batch is None:
             return
         if s.sent < len(s.batch):
             self.queued.remove(s)
-        if any(entry[0] is s for entry in self.pending):
-            keep = []
-            for entry in self.pending:
-                if entry[0] is s:
-                    entry[4].cancel()
-                else:
-                    keep.append(entry)
-            self.pending.clear()
-            self.pending.extend(keep)
-        s.batch, s.unread = None, 0  # re-asks of the batch are skipped when they come up
+        for entry in [entry for entry in self.pending if entry[0] is s]:
+            entry[3].cancel()
+            self.pending.remove(entry)
+        s.batch = None
 
     def _end(self, s: _Sample, result=None, error=None) -> None:
         self._drop(s)
         s.steps.close()
-        s.batch, s.result, s.error, s.done = None, result, error, True
+        s.result, s.error, s.done = result, error, True
         for key in s.owns:
             # the first waiter computes the key itself, as a sequential run would
             del self.owners[key]
@@ -1027,23 +982,6 @@ class _Scheduler:
                     self.waiters[key] = waiters
                 self.ready.append((waiter, None))
         s.owns = set()
-
-
-def _reply_json(text: str, expected_keys):
-    """The reply's JSON object if it has every expected key, else None."""
-    parsed = _extract_json(text)
-    return parsed if parsed is not None and all(k in parsed for k in expected_keys) else None
-
-
-def _reask_note(expected_keys) -> str:
-    return "\n\n" + JSON_REASK.format(keys=", ".join(repr(k) for k in expected_keys))
-
-
-def _reasks_spent(expected_keys, retry_budget: int, last_text: str) -> MalformedOutput:
-    return MalformedOutput(
-        f"no valid JSON with keys {list(expected_keys)} after {retry_budget} re-asks",
-        raw_text=last_text,
-    )
 
 
 def _extract_json(text: str):

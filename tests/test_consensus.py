@@ -70,7 +70,7 @@ def loop_krippendorff_alpha(rm):
 
 
 def loop_flag_low_agreement(supports, raters, graph_quantile=0.9):
-    band = {Fraction(raters // 2, raters), Fraction(raters // 2 + 1, raters)}
+    band = {Fraction(raters // 2, raters), Fraction(raters // 2 + 1, raters)} - {0, 1}
     edges = []
     fractions = {}
     for text_id, sg in supports.items():
@@ -232,6 +232,11 @@ class TestFlags:
 
     def test_unanimous_no_flags(self):
         flags = flag_low_agreement({"t": self.support_graph(1.0), "u": self.support_graph(0.0)})
+        assert flags.borderline_edges == [] and flags.flagged_texts == []
+
+    @pytest.mark.parametrize("raters", [1, 2])
+    def test_unanimous_supports_are_not_borderline_on_a_small_panel(self, raters):
+        flags = flag_low_agreement({"t": self.support_graph(1.0), "u": self.support_graph(0.0)}, raters=raters)
         assert flags.borderline_edges == [] and flags.flagged_texts == []
 
     def test_graph_level_flag(self):

@@ -36,9 +36,11 @@ from causaltext.gateway import (
     ROLE_DEFAULTS,
     SYSTEM_MESSAGE,
     BackendProfile,
+    CacheGet,
     Gateway,
     HttpBackend,
     OracleMockBackend,
+    Request,
     ResponseCache,
     ScriptedMockBackend,
     UsageLedger,
@@ -525,7 +527,7 @@ class TestHttpBackend:
     def test_many_calls_share_at_most_window_connections(self, stub):
         b = HttpBackend(stub.endpoint, "SOME_KEY")
         prompts = [f"p{k}" for k in range(40)]
-        replies = list(Gateway(b, max_in_flight=4).complete_json_many(VERIFIER, prompts, ["k"]))
+        replies = Gateway(b, max_in_flight=4).run_sample(one_batch(prompts))
         b.close()
         assert replies == [{"k": p} for p in prompts]
         assert stub.requests == 40
@@ -646,19 +648,32 @@ def flaky(bad):
 REASK_NOTE = "\n\n" + JSON_REASK.format(keys="'k'")
 
 
+def one_batch(prompts, template=None, take=None):
+    """A pipeline that sends ``prompts`` as one batch and returns the first ``take``
+    replies (all by default), asking for them one at a time as they are read."""
+    yield [Request(VERIFIER, p, ("k",), template) for p in prompts]
+    replies = []
+    for _ in range(len(prompts) if take is None else take):
+        replies += yield 1
+    return replies
+
+
 class TestCompleteJsonMany:
+    """One sample's batch of prompts through ``run_sample``: the window, the
+    order of re-asks and what is cancelled."""
+
     prompts = [f"p{k}" for k in range(12)]
 
     def test_replies_in_prompt_order_within_the_window(self):
         backend = WindowBackend(flaky({"p1", "p5"}))
-        out = list(Gateway(backend, max_in_flight=4).complete_json_many(VERIFIER, self.prompts, ["k"]))
+        out = Gateway(backend, max_in_flight=4).run_sample(one_batch(self.prompts))
         assert out == [{"k": p} for p in self.prompts]
         assert backend.most_pending == 4 and not backend.pending
         assert len(backend.submitted()) == 14
 
     def test_reask_goes_before_prompts_not_yet_started(self):
         backend = WindowBackend(flaky({"p0"}))
-        list(Gateway(backend, max_in_flight=2).complete_json_many(VERIFIER, self.prompts[:4], ["k"]))
+        Gateway(backend, max_in_flight=2).run_sample(one_batch(self.prompts[:4]))
         assert backend.log[:5] == [
             ("submit", "p0"), ("submit", "p1"), ("read", "p0"), ("submit", "p0" + REASK_NOTE), ("read", "p1"),
         ]
@@ -666,7 +681,7 @@ class TestCompleteJsonMany:
 
     def test_spent_reasks_yield_malformed_output(self):
         backend = WindowBackend(lambda prompt: "never JSON" if prompt.startswith("p2") else json.dumps({"k": 1}))
-        out = list(Gateway(backend, max_in_flight=3).complete_json_many(VERIFIER, self.prompts[:4], ["k"]))
+        out = Gateway(backend, max_in_flight=3).run_sample(one_batch(self.prompts[:4]))
         assert [type(r) for r in out] == [dict, dict, MalformedOutput, dict]
         assert out[2].raw_text == "never JSON"
         assert backend.submitted().count("p2" + REASK_NOTE) == 2
@@ -675,17 +690,16 @@ class TestCompleteJsonMany:
         backend = WindowBackend(flaky(set()))
         gw = Gateway(backend, call_budget=5, max_in_flight=4)
         with pytest.raises(BudgetExceeded):
-            list(gw.complete_json_many(VERIFIER, self.prompts, ["k"]))
+            gw.run_sample(one_batch(self.prompts))
         assert len(backend.submitted()) == 5 and gw.calls_made == 5
         assert not backend.pending
 
     def test_closing_early_cancels_every_pending_request(self):
         backend = WindowBackend(flaky(set()))
-        gen = Gateway(backend, max_in_flight=4).complete_json_many(VERIFIER, self.prompts, ["k"])
-        assert next(gen) == {"k": "p0"}
-        gen.close()
+        assert Gateway(backend, max_in_flight=4).run_sample(one_batch(self.prompts, take=1)) == [{"k": "p0"}]
         assert not backend.pending
-        assert [e for e in backend.log if e[0] == "cancel"] == [("cancel", p) for p in ("p1", "p2", "p3", "p4")]
+        # the sample ends as the read of p0 frees a slot, before the slot is filled again
+        assert [e for e in backend.log if e[0] == "cancel"] == [("cancel", p) for p in ("p1", "p2", "p3")]
 
     def test_failed_read_cancels_every_pending_request(self):
         def reply(prompt):
@@ -695,13 +709,13 @@ class TestCompleteJsonMany:
 
         backend = WindowBackend(reply)
         with pytest.raises(TransportError):
-            list(Gateway(backend, max_in_flight=4).complete_json_many(VERIFIER, self.prompts, ["k"]))
+            Gateway(backend, max_in_flight=4).run_sample(one_batch(self.prompts))
         assert not backend.pending
 
     def test_window_one_matches_sequential_complete_json(self):
         bad = {"p3", "p7", "p7" + REASK_NOTE}
         backend = WindowBackend(flaky(bad))
-        windowed = list(Gateway(backend, max_in_flight=1).complete_json_many(VERIFIER, self.prompts, ["k"]))
+        windowed = Gateway(backend, max_in_flight=1).run_sample(one_batch(self.prompts))
         scripted = RecordingBackend([flaky(bad)(p) for p in backend.submitted()])
         gw = Gateway(scripted)
         sequential = []
@@ -718,7 +732,7 @@ class TestCompleteJsonMany:
 
     def test_backend_without_submit_is_asked_one_prompt_at_a_time(self):
         backend = RecordingBackend([json.dumps({"k": 0}), "x", "x", "x", json.dumps({"k": 2})])
-        out = list(Gateway(backend).complete_json_many(VERIFIER, ["a", "b", "c"], ["k"], template="verify"))
+        out = Gateway(backend).run_sample(one_batch(["a", "b", "c"], template="verify"))
         assert out[0] == {"k": 0} and isinstance(out[1], MalformedOutput) and out[2] == {"k": 2}
         assert [p for _, p in backend.sent] == ["a", "b", "b" + REASK_NOTE, "b" + REASK_NOTE, "c"]
 
@@ -957,6 +971,40 @@ class TestRunSamples:
         assert all(error is None for _, error in out.values())
         runs = [k for k, _ in itertools.groupby(sent)]
         assert len(runs) == 3  # each sample's calls are contiguous
+
+    @pytest.mark.parametrize("step", ["p0", None, 1.5, True, (Request(VERIFIER, "p0", ("k",)),)])
+    def test_a_step_of_no_known_kind_raises_type_error_with_nothing_pending(self, step):
+        def steps():
+            yield [Request(VERIFIER, p, ("k",)) for p in ("p0", "p1", "p2", "p3")]
+            yield 1
+            yield step
+
+        backend = WindowBackend(flaky(set()))
+        with pytest.raises(TypeError, match="a sample pipeline yielded"):
+            Gateway(backend, max_in_flight=4).run_sample(steps())
+        assert not backend.pending and len(backend.submitted()) == 4
+
+    @pytest.mark.parametrize("tail", [[5], [-1], [1, "abandon", 1]])
+    def test_asking_for_replies_the_open_batch_does_not_hold_raises_type_error(self, tail):
+        def steps():
+            yield [Request(VERIFIER, p, ("k",)) for p in ("p0", "p1", "p2", "p3")]
+            for step in tail:
+                yield CacheGet("x") if step == "abandon" else step
+
+        backend = WindowBackend(flaky(set()))
+        with pytest.raises(TypeError, match="replies its open batch does not hold"):
+            Gateway(backend, max_in_flight=4).run_sample(steps())
+        assert not backend.pending
+
+    def test_a_refused_reask_ends_only_its_own_sample(self):
+        backend = WindowBackend(flaky({"a"}))
+        gw = Gateway(backend, call_budget=2, max_in_flight=8)
+        out = {sid: (result, error) for sid, result, error in
+               gw.run_samples([("a", one_batch(["a"])), ("b", one_batch(["b"]))])}
+        assert out["a"][0] is None and isinstance(out["a"][1], BudgetExceeded)
+        assert out["b"] == ([{"k": "b"}], None)
+        assert backend.submitted() == ["a", "b"] and gw.calls_made == 2
+        assert not backend.pending
 
 
 def loops_and_text(gw):

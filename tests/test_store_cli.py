@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -402,6 +403,41 @@ class TestGenerateEvaluate:
         )
         assert r.exit_code != 0
 
+    def test_oracle_outputs_are_pinned(self, tmp_path):
+        """Graph files, store records (less ``created_at``), manifest and cache
+        log of a seeded oracle run hash to the values a refactor must keep."""
+        runner = CliRunner()
+        graphs, store, cache = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "cache.jsonl"))
+        r = runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "3", "--seed", "3"])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", store, "--cache", cache,
+                                 "--mock-script", '{"mode": "oracle"}'])
+        assert r.exit_code == 0, r.output
+        files = hashlib.sha256()
+        for name in sorted(os.listdir(graphs)):
+            with open(os.path.join(graphs, name), "rb") as fh:
+                files.update(name.encode() + b"\0" + fh.read())
+        records = hashlib.sha256()
+        for obj in store_mod.read_jsonl(store):
+            del obj["created_at"]
+            records.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
+
+        def file_digest(path):
+            with open(path, "rb") as fh:
+                return hashlib.sha256(fh.read()).hexdigest()
+
+        assert {
+            "graphs": files.hexdigest(),
+            "store": records.hexdigest(),
+            "manifest": file_digest(store + ".manifest.json"),
+            "cache": file_digest(cache),
+        } == {
+            "graphs": "b1a1aadd3b568386ff82f4aeac7c5dd40c4f885c74a8ad934e2c8a8e846ecb84",
+            "store": "40f1299c1c0f59aafc99ab24bfde15b1047657a17ef8b854252d994bef1a44c8",
+            "manifest": "b42e5501b05a741e81fbf775a780fd8dd0761209251bbc23585ff513b8cce812",
+            "cache": "d74ce07b02b099af922e58801fb488f6da1ee85a7be5b379c8497f90e21e3a46",
+        }
+
     def test_evaluate_self_comparison(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)
         out = str(tmp_path / "eval.json")
@@ -556,6 +592,13 @@ class TestConsensusCommand:
         r = CliRunner().invoke(main, ["consensus", "--ratings", path])
         assert r.exit_code == 0, r.output
         assert "borderline_edges=1" in r.output
+
+    def test_unanimous_two_rater_panel_has_no_borderline_edge(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        self.write_ratings(path, self.panel({(0, 1): 2}, raters=2))
+        r = CliRunner().invoke(main, ["consensus", "--ratings", path, "--raters", "2"])
+        assert r.exit_code == 0, r.output
+        assert "borderline_edges=0" in r.output
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = str(tmp_path / "r.csv")

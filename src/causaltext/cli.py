@@ -331,12 +331,13 @@ def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
     """Within-n centered agreement statistics for a score table CSV."""
     try:
         table = transfer_mod.ScoreTable.from_csv(scores)
+        mode = "auto" if exhaustive is None else exhaustive
         stats = transfer_mod.agreement(
             table,
             b_permutations=b_perms,
             b_bootstrap=b_boot,
             seed=seed,
-            exhaustive="auto" if exhaustive is None else exhaustive,
+            exhaustive=mode,
             with_bootstrap=bootstrap,
         )
         result = {"agreement": stats.to_json()}
@@ -346,7 +347,7 @@ def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
             for alg in table.algorithms:
                 loo_stats = transfer_mod.leave_one_out(
                     table, alg, b_permutations=b_perms, b_bootstrap=b_boot,
-                    seed=seed, with_bootstrap=False,
+                    seed=seed, exhaustive=mode, with_bootstrap=False,
                 )
                 result["leave_one_out"][alg] = loo_stats.to_json()
                 click.echo(f"\nwithout {alg}:")

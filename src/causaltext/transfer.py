@@ -26,6 +26,9 @@ from .errors import (
 
 METRICS = ("f1", "shd", "sid")
 CORPORA = ("generated", "real")
+# arrangements the exhaustive permutation test may count; they are counted by
+# meet in the middle, so the cap bounds enumeration time, and memory grows
+# only as the square root of the count
 EXHAUSTIVE_CAP = 2_000_000
 _ANOVA_BATCH = 1 << 18  # level codes per batch of null ANOVA F statistics
 
@@ -40,23 +43,48 @@ class ScoreTable:
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        algorithms, ns, values = [], [], {}
+        """Read a score CSV; a bad row raises IncompleteGrid as ``FILE:LINE: ...``.
+
+        LINE is the physical line in the file, blank lines included.  A row
+        is bad when a cell is missing, ``n`` is not an integer, a metric is
+        not a finite number, its corpus is unknown, or its (algorithm, n,
+        corpus) cell was already given.
+        """
+        algorithms, ns, values, lines = [], [], {}, {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            required = {"algorithm", "n", "corpus", "f1", "shd", "sid"}
+            required = {"algorithm", "n", "corpus", *METRICS}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise IncompleteGrid(f"score CSV must carry columns {sorted(required)}")
+                raise IncompleteGrid(f"{path}:1: score CSV must carry columns {sorted(required)}")
             for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if None in row.values():
+                    raise IncompleteGrid(f"{where}: row has fewer cells than the header")
+                try:
+                    n = int(row["n"])
+                except ValueError:
+                    raise IncompleteGrid(f"{where}: n must be an integer, got {row['n']!r}") from None
+                scores = {}
+                for m in METRICS:
+                    try:
+                        scores[m] = float(row[m])
+                    except ValueError:
+                        scores[m] = math.nan  # reported with nan and inf just below
+                    if not math.isfinite(scores[m]):
+                        raise IncompleteGrid(f"{where}: {m} must be a finite number, got {row[m]!r}")
                 alg = row["algorithm"].strip()
-                n = int(row["n"])
                 corpus = row["corpus"].strip()
                 if corpus not in CORPORA:
-                    raise IncompleteGrid(f"unknown corpus {corpus!r}")
+                    raise IncompleteGrid(f"{where}: unknown corpus {corpus!r}")
+                key = (alg, n, corpus)
+                if key in lines:
+                    raise IncompleteGrid(f"{where}: duplicate cell {key}, first given at line {lines[key]}")
+                lines[key] = reader.line_num
                 if alg not in algorithms:
                     algorithms.append(alg)
                 if n not in ns:
                     ns.append(n)
-                values[(alg, n, corpus)] = {m: float(row[m]) for m in METRICS}
+                values[key] = scores
         return cls(algorithms=algorithms, ns=sorted(ns), values=values)
 
     def to_csv(self, path) -> None:
@@ -145,6 +173,22 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
+def _sampled_orders(b: int, buckets: int, a: int, seed) -> np.ndarray:
+    """``b`` random within-bucket orders of ``a`` items, as (b x buckets x a) indices."""
+    if seed is None:
+        raise ValueError("seed required for sampled permutation mode")
+    keys = np.random.default_rng(seed).random((b, buckets, a))
+    return np.argsort(keys, axis=2)
+
+
+def _fold_sums(contribs: list) -> np.ndarray:
+    """Every sum of one entry from each array; ``[0.0]`` for no arrays."""
+    sums = np.zeros(1)
+    for c in contribs:
+        sums = (sums[:, None] + c[None, :]).ravel()
+    return sums
+
+
 def _stratified_permutation_p(
     xc: np.ndarray,
     yc: np.ndarray,
@@ -152,6 +196,7 @@ def _stratified_permutation_p(
     seed,
     exhaustive: bool,
     exhaustive_cap: int = EXHAUSTIVE_CAP,
+    orders: np.ndarray | None = None,
 ):
     """Two-sided permutation p-value for the pooled Pearson correlation.
 
@@ -160,15 +205,24 @@ def _stratified_permutation_p(
     pooled mean and variance unchanged and the correlation statistic reduces
     to a normalized sum of per-bucket dot products.
 
+    The exhaustive mode counts all a!^buckets arrangements by meet in the
+    middle (Horowitz & Sahni, JACM 1974): the first half of the buckets is
+    folded into the sums ``left``, the rest into the sorted sums ``right``,
+    and the pairs with |l + r| >= |obs| are counted by binary search.  Time
+    and memory are O(sqrt(total) log total), not O(total).  The sampled mode
+    draws ``b`` arrangements from ``seed``, or takes them from ``orders``
+    (see ``_sampled_orders``) when given.
+
     Returns (p, mode, n_permutations).
     """
     xc = np.asarray(xc, float)
     yc = np.asarray(yc, float)
     buckets, a = xc.shape
     norm = math.sqrt((xc**2).sum() * (yc**2).sum())
-    if norm == 0:
-        raise DegenerateGroups("zero variance after centering")
+    if not norm > 0:
+        raise DegenerateGroups("zero or undefined variance after centering")
     obs = float((xc * yc).sum())
+    threshold = abs(obs) - 1e-12
 
     total = math.factorial(a) ** buckets
     if exhaustive and total > exhaustive_cap:
@@ -177,24 +231,28 @@ def _stratified_permutation_p(
         )
 
     if exhaustive:
+        if threshold <= 0:  # every arrangement counts; the two searches below would overlap
+            return 1.0, "exhaustive", total
         perms = list(itertools.permutations(range(a)))
-        # per-bucket dot contributions for each within-bucket permutation,
-        # folded into the full distribution with outer sums
-        dots = np.zeros(1)
-        for bkt in range(buckets):
-            contrib = np.array([float(xc[bkt] @ yc[bkt, list(p)]) for p in perms])
-            dots = (dots[:, None] + contrib[None, :]).ravel()
-        count = int((np.abs(dots) >= abs(obs) - 1e-12).sum())
+        # per-bucket dot contributions for each within-bucket permutation
+        contribs = [
+            np.array([float(xc[bkt] @ yc[bkt, list(p)]) for p in perms])
+            for bkt in range(buckets)
+        ]
+        left = _fold_sums(contribs[: buckets // 2])
+        right = np.sort(_fold_sums(contribs[buckets // 2 :]))
+        # pairs with l + r >= threshold, then pairs with l + r <= -threshold
+        count = int(
+            (len(right) - np.searchsorted(right, threshold - left, side="left")).sum()
+            + np.searchsorted(right, -threshold - left, side="right").sum()
+        )
         return count / total, "exhaustive", total
 
-    if seed is None:
-        raise ValueError("seed required for sampled permutation mode")
-    rng = np.random.default_rng(seed)
-    keys = rng.random((b, buckets, a))
-    idx = np.argsort(keys, axis=2)
-    y_perm = np.take_along_axis(np.broadcast_to(yc, (b, buckets, a)), idx, axis=2)
+    if orders is None:
+        orders = _sampled_orders(b, buckets, a, seed)
+    y_perm = np.take_along_axis(np.broadcast_to(yc, orders.shape), orders, axis=2)
     dots = np.einsum("ka,bka->b", xc, y_perm)
-    count = int((np.abs(dots) >= abs(obs) - 1e-12).sum())
+    count = int((np.abs(dots) >= threshold).sum())
     return (1 + count) / (b + 1), "sampled", b
 
 
@@ -312,6 +370,8 @@ def agreement(
     buckets, a = len(table.ns), len(table.algorithms)
     if exhaustive == "auto":
         exhaustive = math.factorial(a) ** buckets <= exhaustive_cap
+    # the six sampled tests of this call share one draw of arrangements
+    orders = None if exhaustive else _sampled_orders(b_permutations, buckets, a, seed)
     per_metric = {}
     for metric in METRICS:
         x = table.matrix(metric, "generated")
@@ -321,14 +381,14 @@ def agreement(
         r = float(_pearson(xf, yf))
         rho = _spearman(xf, yf)
         p_pearson, mode, n_perm = _stratified_permutation_p(
-            xc, yc, b_permutations, seed, exhaustive, exhaustive_cap
+            xc, yc, b_permutations, seed, exhaustive, exhaustive_cap, orders
         )
         # Spearman significance through the same stratified scheme, on pooled
         # ranks (a within-bucket shuffle of scores permutes their ranks in place)
         rx = center_within_n(_rank_matrix(xc))
         ry = center_within_n(_rank_matrix(yc))
         p_spearman, _, _ = _stratified_permutation_p(
-            rx, ry, b_permutations, seed, exhaustive, exhaustive_cap
+            rx, ry, b_permutations, seed, exhaustive, exhaustive_cap, orders
         )
         ci = (
             _stratified_bootstrap(x, y, b_bootstrap, seed)

@@ -556,6 +556,29 @@ class TestTransferCommand:
         assert r.exit_code == 0, r.output
         assert "without LLM-CG" in r.output
 
+    @pytest.mark.parametrize("flag, mode", [("--sampled", "sampled"), ("--exhaustive", "exhaustive"), (None, "exhaustive")])
+    def test_loo_tables_take_the_permutation_mode(self, tmp_path, flag, mode):
+        out = str(tmp_path / "stats.json")
+        r = CliRunner().invoke(
+            main,
+            ["transfer", "--scores", os.path.join(DATA, "scores_gpt5.csv"), "--b-perms", "100",
+             "--no-bootstrap", "--loo", "--out", out, *([flag] if flag else [])],
+        )
+        assert r.exit_code == 0, r.output
+        result = json.load(open(out))
+        tables = [result["agreement"], *result["leave_one_out"].values()]
+        assert len(tables) == 4
+        for stats in tables:
+            assert {m["p_mode"] for m in stats["per_metric"].values()} == {mode}
+
+    def test_bad_score_row_is_a_click_error(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("algorithm,n,corpus,f1,shd,sid\na,3,generated,0.5,1,1\na,3,real,abc,1,1\n")
+        r = CliRunner().invoke(main, ["transfer", "--scores", str(path)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert f"Error: {path}:3: f1 must be a finite number, got 'abc'" in r.output
+
 
 class TestConsensusCommand:
     def write_ratings(self, path, rows):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -123,8 +124,28 @@ class TestScoreTable:
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("algorithm,n,corpus,f1\nx,3,real,0.5\n")
-        with pytest.raises(IncompleteGrid):
+        with pytest.raises(IncompleteGrid, match=f"^{re.escape(str(p))}:1: score CSV must carry columns"):
             ScoreTable.from_csv(p)
+
+    # the bad row sits on physical line 4, after a good row and a blank line
+    @pytest.mark.parametrize("bad_row, why", [
+        ("a,abc,real,0.5,1,1", "n must be an integer, got 'abc'"),
+        ("a,3.5,real,0.5,1,1", "n must be an integer, got '3.5'"),
+        ("a,4,real,abc,1,1", "f1 must be a finite number, got 'abc'"),
+        ("a,4,real,0.5,,1", "shd must be a finite number, got ''"),
+        ("a,4,real,0.5,1,nan", "sid must be a finite number, got 'nan'"),
+        ("a,4,real,inf,1,1", "f1 must be a finite number, got 'inf'"),
+        ("a,4,real,0.5,-Infinity,1", "shd must be a finite number, got '-Infinity'"),
+        ("a,3,generated,0.1,1,1", "duplicate cell ('a', 3, 'generated'), first given at line 2"),
+        ("a,4,synthetic,0.5,1,1", "unknown corpus 'synthetic'"),
+        ("a,4,real", "row has fewer cells than the header"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, bad_row, why):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"algorithm,n,corpus,f1,shd,sid\na,3,generated,0.5,1,1\n\n{bad_row}\n")
+        with pytest.raises(IncompleteGrid) as info:
+            ScoreTable.from_csv(p)
+        assert str(info.value) == f"{p}:4: {why}"
 
 
 def linear_table(noise=0.0, seed=0, algs=("a", "b", "c"), ns=range(3, 11)):
@@ -220,6 +241,173 @@ class TestAgreement:
         t = linear_table(algs=("a",))
         with pytest.raises(TooFewAlgorithms):
             agreement(t, seed=0, exhaustive=False, with_bootstrap=False)
+
+
+def full_fold_p(xc, yc):
+    """Reference: the exhaustive p-value from the full distribution of arrangement sums.
+
+    Builds every within-bucket arrangement's dot product with repeated outer
+    sums, as the exhaustive mode did before it counted by meet in the middle.
+    """
+    buckets, a = xc.shape
+    obs = float((xc * yc).sum())
+    perms = list(itertools.permutations(range(a)))
+    dots = np.zeros(1)
+    for bkt in range(buckets):
+        contrib = np.array([float(xc[bkt] @ yc[bkt, list(p)]) for p in perms])
+        dots = (dots[:, None] + contrib[None, :]).ravel()
+    return int((np.abs(dots) >= abs(obs) - 1e-12).sum()) / len(dots)
+
+
+def exhaustive_p(xc, yc):
+    p, mode, total = transfer._stratified_permutation_p(xc, yc, 0, None, True)
+    assert mode == "exhaustive" and total == math.factorial(xc.shape[1]) ** xc.shape[0]
+    return p
+
+
+def centred_pairs(x, y):
+    """The centred scores and the centred pooled ranks, as ``agreement`` tests them."""
+    xc, yc = center_within_n(x), center_within_n(y)
+    ranks = (center_within_n(transfer._rank_matrix(m)) for m in (xc, yc))
+    return [(xc, yc), tuple(ranks)]
+
+
+def fixture_tables():
+    for fname in ("scores_gpt5.csv", "scores_deepseek.csv", "scores_qwen.csv"):
+        t = ScoreTable.from_csv(os.path.join(DATA, fname))
+        yield fname, t
+        for alg in t.algorithms:
+            yield f"{fname} without {alg}", t.drop(alg)
+
+
+def random_grid(seed):
+    """A seeded grid of 1-8 buckets and 2-4 algorithms, scores rounded to 0-2 decimals."""
+    rng = np.random.default_rng(seed)
+    a = int(rng.integers(2, 5))
+    max_buckets = {2: 8, 3: 8, 4: 4}[a]  # keeps a!^buckets under EXHAUSTIVE_CAP
+    buckets = int(rng.integers(1, max_buckets + 1))
+    decimals = int(rng.integers(0, 3))
+    x, y = (np.round(rng.uniform(0, 5, size=(buckets, a)), decimals) for _ in range(2))
+    return x, y
+
+
+class TestMeetInTheMiddle:
+    """The exhaustive count gives the full fold's p-value exactly."""
+
+    @pytest.mark.parametrize("name, table", list(fixture_tables()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_fixture_and_leave_one_out_tables(self, name, table):
+        for metric in ("f1", "shd", "sid"):
+            x, y = table.matrix(metric, "generated"), table.matrix(metric, "real")
+            for xc, yc in centred_pairs(x, y):
+                assert exhaustive_p(xc, yc) == full_fold_p(xc, yc), (name, metric)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rounded_grids(self, seed):
+        x, y = random_grid(seed)
+        for xc, yc in centred_pairs(x, y):
+            if not (xc.any() and yc.any()):
+                with pytest.raises(DegenerateGroups):
+                    exhaustive_p(xc, yc)
+                continue
+            assert exhaustive_p(xc, yc) == full_fold_p(xc, yc)
+
+    def test_random_grids_cover_every_shape(self):
+        shapes = {random_grid(seed)[0].shape for seed in range(40)}
+        assert {b for b, _ in shapes} == set(range(1, 9))
+        assert {a for _, a in shapes} == {2, 3, 4}
+
+    def test_one_bucket(self):
+        # the left half holds no bucket, so its only sum is 0.0
+        xc = center_within_n(np.array([[0.3, 0.1, 0.7, 0.2]]))
+        yc = center_within_n(np.array([[0.5, 0.2, 0.4, 0.1]]))
+        p = exhaustive_p(xc, yc)
+        assert p == full_fold_p(xc, yc)
+        assert 0 < p < 1
+
+    def test_zero_statistic_counts_every_arrangement(self):
+        xc = np.array([[1.0, -1.0, 0.0], [0.5, 0.0, -0.5]])
+        yc = np.array([[1.0, 1.0, -2.0], [0.25, -0.5, 0.25]])
+        assert float((xc * yc).sum()) == 0.0
+        assert exhaustive_p(xc, yc) == full_fold_p(xc, yc) == 1.0
+
+    def test_mirrored_sums_tie_the_statistic(self):
+        # bucket 4 mirrors bucket 1 and 0.08 + 0.18 is the statistic 0.26, so
+        # four arrangements sum to +-|obs| exactly, each on the count's boundary
+        x = np.array([[0.1, -0.1], [0.2, -0.2], [0.3, -0.3], [0.1, -0.1]])
+        y = x.copy()
+        y[3] = -y[3]
+        dots = [
+            sum(float(x[k] @ y[k, list(p)]) for k, p in enumerate(perms))
+            for perms in itertools.product([(0, 1), (1, 0)], repeat=4)
+        ]
+        obs = float((x * y).sum())
+        assert [abs(d) for d in dots].count(abs(obs)) == 4  # +-|obs| to the last bit
+        assert exhaustive_p(x, y) == full_fold_p(x, y) == 6 / 16  # the 4 ties and +-0.30
+        for xc, yc in centred_pairs(np.tile(x, (1, 2)), np.tile(y, (1, 2))):
+            assert exhaustive_p(xc, yc) == full_fold_p(xc, yc)
+
+    def test_nan_is_degenerate(self):
+        xc = np.array([[0.5, -0.5], [math.nan, 0.0]])
+        yc = np.array([[0.5, -0.5], [0.25, -0.25]])
+        for exhaustive in (True, False):
+            with pytest.raises(DegenerateGroups):
+                transfer._stratified_permutation_p(xc, yc, 10, 0, exhaustive)
+
+
+# sampled p-values at seed=7, b=10_000 as (1 + exceedances) / 10_001, computed
+# before the six tests of one agreement call shared their draw:
+# table -> (exceedances for p_pearson, for p_spearman) per metric f1, shd, sid
+SAMPLED_AT_SEED_7 = {
+    "scores_gpt5.csv": [(0, 0), (0, 0), (0, 0)],
+    "scores_gpt5.csv without RuleBayes": [(66, 66), (66, 66), (66, 66)],
+    "scores_gpt5.csv without SCITE": [(66, 66), (66, 66), (66, 66)],
+    "scores_gpt5.csv without LLM-CG": [(66, 66), (66, 66), (66, 66)],
+    "scores_qwen.csv": [(0, 0), (8, 0), (0, 0)],
+    "linear 3 x 4": [(2629, 2790)] * 3,
+    "linear 4 x 5": [(821, 533)] * 3,
+}
+
+
+def sampled_cases():
+    gpt5 = ScoreTable.from_csv(os.path.join(DATA, "scores_gpt5.csv"))
+    yield "scores_gpt5.csv", gpt5
+    for alg in gpt5.algorithms:
+        yield f"scores_gpt5.csv without {alg}", gpt5.drop(alg)
+    yield "scores_qwen.csv", ScoreTable.from_csv(os.path.join(DATA, "scores_qwen.csv"))
+    yield "linear 3 x 4", linear_table(noise=0.5, seed=3, ns=(3, 4, 5, 6))
+    yield "linear 4 x 5", linear_table(noise=2.0, seed=5, algs=("a", "b", "c", "d"), ns=(3, 4, 5, 6, 7))
+
+
+class TestSharedSampledDraw:
+    @pytest.mark.parametrize("name, table", list(sampled_cases()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_sampled_p_values_are_pinned(self, name, table):
+        st = agreement(table, seed=7, b_permutations=10_000, exhaustive=False, with_bootstrap=False)
+        for metric, (np_, ns_) in zip(("f1", "shd", "sid"), SAMPLED_AT_SEED_7[name]):
+            got = st.per_metric[metric]
+            assert got.p_mode == "sampled" and got.n_permutations == 10_000
+            assert (got.p_pearson, got.p_spearman) == ((1 + np_) / 10_001, (1 + ns_) / 10_001)
+
+    def test_one_draw_per_agreement_call(self, monkeypatch):
+        draws = []
+        real = transfer._sampled_orders
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transfer, "_sampled_orders", counting)
+        t = ScoreTable.from_csv(os.path.join(DATA, "scores_gpt5.csv"))
+        agreement(t, seed=7, b_permutations=500, exhaustive=False, with_bootstrap=False)
+        assert draws == [(500, len(t.ns), len(t.algorithms), 7)]
+        agreement(t, seed=7, with_bootstrap=False)  # exhaustive: no draw
+        assert len(draws) == 1
+
+    def test_shared_draw_matches_a_fresh_draw(self):
+        t = linear_table(noise=0.5, seed=3, ns=(3, 4, 5, 6))
+        xc, yc = centred_pairs(t.matrix("f1", "generated"), t.matrix("f1", "real"))[0]
+        orders = transfer._sampled_orders(300, *xc.shape, 11)
+        shared = transfer._stratified_permutation_p(xc, yc, 300, None, False, orders=orders)
+        assert shared == transfer._stratified_permutation_p(xc, yc, 300, 11, False)
 
 
 def pearson_1d(x, y):

@@ -46,11 +46,11 @@ class ScoreTable:
         """Read a score CSV; a bad row raises IncompleteGrid as ``FILE:LINE: ...``.
 
         LINE is the physical line in the file, blank lines included.  A row
-        is bad when a cell is missing, ``n`` is not an integer, a metric is
+        is bad when a required cell is missing, ``n`` is not an integer, a metric is
         not a finite number, its corpus is unknown, or its (algorithm, n,
         corpus) cell was already given.
         """
-        algorithms, ns, values, lines = [], [], {}, {}
+        algorithms, ns, values = [], [], {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             required = {"algorithm", "n", "corpus", *METRICS}
@@ -58,7 +58,7 @@ class ScoreTable:
                 raise IncompleteGrid(f"{path}:1: score CSV must carry columns {sorted(required)}")
             for row in reader:
                 where = f"{path}:{reader.line_num}"
-                if None in row.values():
+                if any(row[c] is None for c in required):
                     raise IncompleteGrid(f"{where}: row has fewer cells than the header")
                 try:
                     n = int(row["n"])
@@ -77,9 +77,8 @@ class ScoreTable:
                 if corpus not in CORPORA:
                     raise IncompleteGrid(f"{where}: unknown corpus {corpus!r}")
                 key = (alg, n, corpus)
-                if key in lines:
-                    raise IncompleteGrid(f"{where}: duplicate cell {key}, first given at line {lines[key]}")
-                lines[key] = reader.line_num
+                if key in values:
+                    raise IncompleteGrid(f"{where}: duplicate cell {key}")
                 if alg not in algorithms:
                     algorithms.append(alg)
                 if n not in ns:
@@ -173,14 +172,6 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
-def _sampled_orders(b: int, buckets: int, a: int, seed) -> np.ndarray:
-    """``b`` random within-bucket orders of ``a`` items, as (b x buckets x a) indices."""
-    if seed is None:
-        raise ValueError("seed required for sampled permutation mode")
-    keys = np.random.default_rng(seed).random((b, buckets, a))
-    return np.argsort(keys, axis=2)
-
-
 def _fold_sums(contribs: list) -> np.ndarray:
     """Every sum of one entry from each array; ``[0.0]`` for no arrays."""
     sums = np.zeros(1)
@@ -196,7 +187,6 @@ def _stratified_permutation_p(
     seed,
     exhaustive: bool,
     exhaustive_cap: int = EXHAUSTIVE_CAP,
-    orders: np.ndarray | None = None,
 ):
     """Two-sided permutation p-value for the pooled Pearson correlation.
 
@@ -210,8 +200,7 @@ def _stratified_permutation_p(
     folded into the sums ``left``, the rest into the sorted sums ``right``,
     and the pairs with |l + r| >= |obs| are counted by binary search.  Time
     and memory are O(sqrt(total) log total), not O(total).  The sampled mode
-    draws ``b`` arrangements from ``seed``, or takes them from ``orders``
-    (see ``_sampled_orders``) when given.
+    draws ``b`` arrangements from ``seed``.
 
     Returns (p, mode, n_permutations).
     """
@@ -248,9 +237,12 @@ def _stratified_permutation_p(
         )
         return count / total, "exhaustive", total
 
-    if orders is None:
-        orders = _sampled_orders(b, buckets, a, seed)
-    y_perm = np.take_along_axis(np.broadcast_to(yc, orders.shape), orders, axis=2)
+    if seed is None:
+        raise ValueError("seed required for sampled permutation mode")
+    rng = np.random.default_rng(seed)
+    keys = rng.random((b, buckets, a))
+    idx = np.argsort(keys, axis=2)
+    y_perm = np.take_along_axis(np.broadcast_to(yc, (b, buckets, a)), idx, axis=2)
     dots = np.einsum("ka,bka->b", xc, y_perm)
     count = int((np.abs(dots) >= threshold).sum())
     return (1 + count) / (b + 1), "sampled", b
@@ -370,8 +362,6 @@ def agreement(
     buckets, a = len(table.ns), len(table.algorithms)
     if exhaustive == "auto":
         exhaustive = math.factorial(a) ** buckets <= exhaustive_cap
-    # the six sampled tests of this call share one draw of arrangements
-    orders = None if exhaustive else _sampled_orders(b_permutations, buckets, a, seed)
     per_metric = {}
     for metric in METRICS:
         x = table.matrix(metric, "generated")
@@ -381,14 +371,14 @@ def agreement(
         r = float(_pearson(xf, yf))
         rho = _spearman(xf, yf)
         p_pearson, mode, n_perm = _stratified_permutation_p(
-            xc, yc, b_permutations, seed, exhaustive, exhaustive_cap, orders
+            xc, yc, b_permutations, seed, exhaustive, exhaustive_cap
         )
         # Spearman significance through the same stratified scheme, on pooled
         # ranks (a within-bucket shuffle of scores permutes their ranks in place)
         rx = center_within_n(_rank_matrix(xc))
         ry = center_within_n(_rank_matrix(yc))
         p_spearman, _, _ = _stratified_permutation_p(
-            rx, ry, b_permutations, seed, exhaustive, exhaustive_cap, orders
+            rx, ry, b_permutations, seed, exhaustive, exhaustive_cap
         )
         ci = (
             _stratified_bootstrap(x, y, b_bootstrap, seed)

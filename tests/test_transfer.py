@@ -136,7 +136,7 @@ class TestScoreTable:
         ("a,4,real,0.5,1,nan", "sid must be a finite number, got 'nan'"),
         ("a,4,real,inf,1,1", "f1 must be a finite number, got 'inf'"),
         ("a,4,real,0.5,-Infinity,1", "shd must be a finite number, got '-Infinity'"),
-        ("a,3,generated,0.1,1,1", "duplicate cell ('a', 3, 'generated'), first given at line 2"),
+        ("a,3,generated,0.1,1,1", "duplicate cell ('a', 3, 'generated')"),
         ("a,4,synthetic,0.5,1,1", "unknown corpus 'synthetic'"),
         ("a,4,real", "row has fewer cells than the header"),
     ])
@@ -146,6 +146,13 @@ class TestScoreTable:
         with pytest.raises(IncompleteGrid) as info:
             ScoreTable.from_csv(p)
         assert str(info.value) == f"{p}:4: {why}"
+
+    def test_short_row_may_leave_an_extra_column_empty(self, tmp_path):
+        p = tmp_path / "note.csv"
+        p.write_text("algorithm,n,corpus,f1,shd,sid,note\na,3,real,0.5,1,1\na,3,generated,0.4,2,2,kept\n")
+        t = ScoreTable.from_csv(p)
+        assert t.values[("a", 3, "real")] == {"f1": 0.5, "shd": 1.0, "sid": 1.0}
+        assert t.values[("a", 3, "generated")] == {"f1": 0.4, "shd": 2.0, "sid": 2.0}
 
 
 def linear_table(noise=0.0, seed=0, algs=("a", "b", "c"), ns=range(3, 11)):
@@ -354,8 +361,8 @@ class TestMeetInTheMiddle:
                 transfer._stratified_permutation_p(xc, yc, 10, 0, exhaustive)
 
 
-# sampled p-values at seed=7, b=10_000 as (1 + exceedances) / 10_001, computed
-# before the six tests of one agreement call shared their draw:
+# sampled p-values at seed=7, b=10_000 as (1 + exceedances) / 10_001; a change
+# to how the sampled path draws its arrangements moves them:
 # table -> (exceedances for p_pearson, for p_spearman) per metric f1, shd, sid
 SAMPLED_AT_SEED_7 = {
     "scores_gpt5.csv": [(0, 0), (0, 0), (0, 0)],
@@ -378,7 +385,7 @@ def sampled_cases():
     yield "linear 4 x 5", linear_table(noise=2.0, seed=5, algs=("a", "b", "c", "d"), ns=(3, 4, 5, 6, 7))
 
 
-class TestSharedSampledDraw:
+class TestSampledPValues:
     @pytest.mark.parametrize("name, table", list(sampled_cases()), ids=lambda v: v if isinstance(v, str) else "")
     def test_sampled_p_values_are_pinned(self, name, table):
         st = agreement(table, seed=7, b_permutations=10_000, exhaustive=False, with_bootstrap=False)
@@ -386,28 +393,6 @@ class TestSharedSampledDraw:
             got = st.per_metric[metric]
             assert got.p_mode == "sampled" and got.n_permutations == 10_000
             assert (got.p_pearson, got.p_spearman) == ((1 + np_) / 10_001, (1 + ns_) / 10_001)
-
-    def test_one_draw_per_agreement_call(self, monkeypatch):
-        draws = []
-        real = transfer._sampled_orders
-
-        def counting(*args):
-            draws.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(transfer, "_sampled_orders", counting)
-        t = ScoreTable.from_csv(os.path.join(DATA, "scores_gpt5.csv"))
-        agreement(t, seed=7, b_permutations=500, exhaustive=False, with_bootstrap=False)
-        assert draws == [(500, len(t.ns), len(t.algorithms), 7)]
-        agreement(t, seed=7, with_bootstrap=False)  # exhaustive: no draw
-        assert len(draws) == 1
-
-    def test_shared_draw_matches_a_fresh_draw(self):
-        t = linear_table(noise=0.5, seed=3, ns=(3, 4, 5, 6))
-        xc, yc = centred_pairs(t.matrix("f1", "generated"), t.matrix("f1", "real"))[0]
-        orders = transfer._sampled_orders(300, *xc.shape, 11)
-        shared = transfer._stratified_permutation_p(xc, yc, 300, None, False, orders=orders)
-        assert shared == transfer._stratified_permutation_p(xc, yc, 300, 11, False)
 
 
 def pearson_1d(x, y):

@@ -332,7 +332,6 @@ class LoopResult:
     iterations: int
     best_l_b: float
     trace: list  # per-iteration {"votes", "fallacies", "mismatch"}
-    tokens: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -348,26 +347,18 @@ class LoopResult:
                 }
                 for t in self.trace
             ],
-            "tokens": self.tokens,
         }
 
 
 def run_loop_steps(
     dag: Dag,
     domain: str,
-    gateway,
     proposer_profile,
     verifier_profile,
     config: LoopConfig | None = None,
-    sample_id=None,
 ):
-    """Pipeline steps of ``run_loop``; the gateway is only read for the sample's token count."""
+    """Pipeline steps of ``run_loop``."""
     config = config or LoopConfig()
-    tokens_before = gateway.ledger.sample(sample_id)["total"]
-
-    def tokens():
-        return {"total": gateway.ledger.sample(sample_id)["total"] - tokens_before}
-
     relations = analyze_causal_structure(dag)
     current = yield from initial_assignment_steps(dag, domain, proposer_profile)
     best_l_b = float("inf")
@@ -379,20 +370,20 @@ def run_loop_steps(
         )
         mismatch = quantify_mismatch(votes, relations, alpha=config.alpha)
         fallacies = fallacy_analysis(votes, relations, tau=config.tau)
-        trace.append({"votes": votes, "fallacies": fallacies, "mismatch": mismatch, "assignment": current})
+        trace.append({"votes": votes, "fallacies": fallacies, "mismatch": mismatch})
         if mismatch.l_b < best_l_b:
             best_l_b = mismatch.l_b
             best = current
         if fallacies.empty():
             return LoopResult(
                 status="Success", assignment=current, iterations=t,
-                best_l_b=best_l_b, trace=trace, tokens=tokens(),
+                best_l_b=best_l_b, trace=trace,
             )
         if t < config.k_max:
             current = yield from refine_assignment_steps(current, fallacies, dag, proposer_profile)
     return LoopResult(
         status="Fail", assignment=best, iterations=config.k_max,
-        best_l_b=best_l_b, trace=trace, tokens=tokens(),
+        best_l_b=best_l_b, trace=trace,
     )
 
 
@@ -410,8 +401,7 @@ def run_loop(
     Returns immediately with Success when a verification pass yields an
     empty fallacy set; otherwise returns the best-so-far assignment (the
     earliest iterate attaining the minimum L_b, since updates use a strict
-    improvement test).  ``tokens`` counts the tokens recorded against
-    ``sample_id`` while the loop ran.
+    improvement test).
     """
-    steps = run_loop_steps(dag, domain, gateway, proposer_profile, verifier_profile, config, sample_id)
+    steps = run_loop_steps(dag, domain, proposer_profile, verifier_profile, config)
     return gateway.run_sample(steps, sample_id)

@@ -12,7 +12,7 @@ import numpy as np
 from . import consensus as consensus_mod
 from . import transfer as transfer_mod
 from .assignment import LoopConfig, run_loop_steps
-from .errors import CausaltextError, InvalidConfig, MissingReference
+from .errors import CausaltextError, InvalidConfig, MissingReference, open_utf8
 from .gateway import (
     BackendProfile,
     Gateway,
@@ -84,7 +84,17 @@ def sample_seed(master: int, *path) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1)[0])
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a CausaltextError from any command ends it as a one-line error, exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CausaltextError as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Generate causally annotated text corpora and evaluate them."""
 
@@ -96,28 +106,25 @@ def main():
 @click.option("--per-n", type=int, default=None, help="graphs per variable count")
 def graphgen(config_path, seed, out, per_n):
     """Sample DAGs over the tested parameter space and write them as JSON."""
-    try:
-        cfg = load_config(config_path)
-        per_n = per_n if per_n is not None else config_value(cfg, "phase1", "per_n", int)
-        n_min, n_max = (config_value(cfg, "phase1", key, int) for key in ("n_min", "n_max"))
-        os.makedirs(out, exist_ok=True)
-        count = 0
-        for n in range(n_min, n_max + 1):
-            for k in range(per_n):
-                spec = sample_spec_space(n, seed=sample_seed(seed, n, k))
-                dag, motifs = sample_dag(spec)
-                payload = {
-                    "id": f"n{n}_{k:05d}",
-                    "spec": spec.to_json(),
-                    "dag": dag.to_json(),
-                    "motifs": motifs.to_json(),
-                }
-                with open(os.path.join(out, f"n{n}_{k:05d}.json"), "w") as fh:
-                    json.dump(payload, fh, sort_keys=True)
-                count += 1
-        click.echo(f"wrote {count} graphs to {out}")
-    except CausaltextError as exc:
-        raise click.ClickException(str(exc))
+    cfg = load_config(config_path)
+    per_n = per_n if per_n is not None else config_value(cfg, "phase1", "per_n", int)
+    n_min, n_max = (config_value(cfg, "phase1", key, int) for key in ("n_min", "n_max"))
+    os.makedirs(out, exist_ok=True)
+    count = 0
+    for n in range(n_min, n_max + 1):
+        for k in range(per_n):
+            spec = sample_spec_space(n, seed=sample_seed(seed, n, k))
+            dag, motifs = sample_dag(spec)
+            payload = {
+                "id": f"n{n}_{k:05d}",
+                "spec": spec.to_json(),
+                "dag": dag.to_json(),
+                "motifs": motifs.to_json(),
+            }
+            with open(os.path.join(out, f"n{n}_{k:05d}.json"), "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            count += 1
+    click.echo(f"wrote {count} graphs to {out}")
 
 
 def _build_gateway(cfg, backend_name, mock_script, cache_path):
@@ -175,13 +182,10 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
     Samples run side by side through the gateway's request window; their
     records are appended in graph-file order as they finish.
     """
-    try:
-        cfg = load_config(config_path)
-        loop_cfg = loop_config_from(cfg)
-        domain = domain or cfg.get("phase3", "domain")
-        gw, profiles = _build_gateway(cfg, backend, mock_script, cache_path)
-    except CausaltextError as exc:
-        raise click.ClickException(str(exc))
+    cfg = load_config(config_path)
+    loop_cfg = loop_config_from(cfg)
+    domain = domain or cfg.get("phase3", "domain")
+    gw, profiles = _build_gateway(cfg, backend, mock_script, cache_path)
     store = SampleStore(out)
     files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
     backends = {k: p.model_id for k, p in profiles.items()}
@@ -213,7 +217,7 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
                     continue
                 raise click.ClickException(f"id {sid_!r} already in store (use --resume)")
             records[sid_] = SampleRecord(id=sid_, spec=spec, dag=dag, backends=backends)
-            yield sid_, _sample_steps(dag, domain, gw, profiles, loop_cfg, sid_)
+            yield sid_, _sample_steps(dag, domain, profiles, loop_cfg)
 
     runs = gw.run_samples(samples())
     try:
@@ -246,11 +250,9 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
         raise click.ClickException(f"{failed} samples failed (recorded in the store, or named above if unreadable)")
 
 
-def _sample_steps(dag, domain, gw, profiles, loop_cfg, sample_id):
+def _sample_steps(dag, domain, profiles, loop_cfg):
     """One graph's pipeline: the assignment loop, then the paragraph."""
-    result = yield from run_loop_steps(
-        dag, domain, gw, profiles["proposer"], profiles["verifier"], config=loop_cfg, sample_id=sample_id,
-    )
+    result = yield from run_loop_steps(dag, domain, profiles["proposer"], profiles["verifier"], config=loop_cfg)
     paragraph = yield from generate_text_steps(dag, result.assignment, profiles["phase3"])
     return result, paragraph
 
@@ -264,39 +266,36 @@ def evaluate(store_path, reference, out):
     """Score reference graphs against each sample's generation-time DAG."""
     store = SampleStore(store_path)
     rows = []
-    try:
-        for rec in store:
-            if rec.error is not None:
-                continue
-            if reference is None:
-                ref, removed = rec.dag, []
-            else:
-                ref_path = os.path.join(reference, f"{rec.id}.json")
-                if not os.path.exists(ref_path):
-                    raise MissingReference(f"no reference graph for id {rec.id!r}")
-                try:
-                    with open(ref_path) as fh:
-                        edges = as_adjacency(json.load(fh)["edges"], f"reference graph for id {rec.id!r}")
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    raise click.ClickException(f"cannot read reference graph for id {rec.id!r}: {exc!r}")
-                # projection leaves an acyclic reference as it is
-                ref, removed = project_dag(SupportGraph(n=edges.shape[0], support=edges), threshold=0.5)
-            report = edge_prf(rec.dag, ref)
-            report.shd = shd(rec.dag, ref)
-            report.sid = sid(rec.dag, ref)
-            coverage_ok = (
-                rec.paragraph is not None
-                and not missing_concepts(rec.paragraph.source_concepts.concepts, rec.paragraph.text)
-            )
-            rows.append(
-                {
-                    "id": rec.id, "n": rec.spec.n, "coverage_ok": coverage_ok,
-                    "projection_removed": [list(e) for e in removed],
-                    **report.to_json(),
-                }
-            )
-    except CausaltextError as exc:
-        raise click.ClickException(str(exc))
+    for rec in store:
+        if rec.error is not None:
+            continue
+        if reference is None:
+            ref, removed = rec.dag, []
+        else:
+            ref_path = os.path.join(reference, f"{rec.id}.json")
+            if not os.path.exists(ref_path):
+                raise MissingReference(f"no reference graph for id {rec.id!r}")
+            try:
+                with open(ref_path) as fh:
+                    edges = as_adjacency(json.load(fh)["edges"], f"reference graph for id {rec.id!r}")
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise click.ClickException(f"cannot read reference graph for id {rec.id!r}: {exc!r}")
+            # projection leaves an acyclic reference as it is
+            ref, removed = project_dag(SupportGraph(n=edges.shape[0], support=edges), threshold=0.5)
+        report = edge_prf(rec.dag, ref)
+        report.shd = shd(rec.dag, ref)
+        report.sid = sid(rec.dag, ref)
+        coverage_ok = (
+            rec.paragraph is not None
+            and not missing_concepts(rec.paragraph.source_concepts.concepts, rec.paragraph.text)
+        )
+        rows.append(
+            {
+                "id": rec.id, "n": rec.spec.n, "coverage_ok": coverage_ok,
+                "projection_removed": [list(e) for e in removed],
+                **report.to_json(),
+            }
+        )
     buckets: dict = {}
     for row in rows:
         buckets.setdefault(row["n"], []).append(row)
@@ -319,8 +318,8 @@ def evaluate(store_path, reference, out):
 
 @main.command()
 @click.option("--scores", type=click.Path(exists=True), required=True)
-@click.option("--b-perms", type=int, default=10000, show_default=True)
-@click.option("--b-boot", type=int, default=10000, show_default=True)
+@click.option("--b-perms", type=click.IntRange(min=1), default=10000, show_default=True)
+@click.option("--b-boot", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--exhaustive/--sampled", "exhaustive", default=None,
               help="force the permutation mode (default: auto)")
@@ -329,31 +328,28 @@ def evaluate(store_path, reference, out):
 @click.option("--out", type=click.Path(), default=None)
 def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
     """Within-n centered agreement statistics for a score table CSV."""
-    try:
-        table = transfer_mod.ScoreTable.from_csv(scores)
-        mode = "auto" if exhaustive is None else exhaustive
-        stats = transfer_mod.agreement(
-            table,
-            b_permutations=b_perms,
-            b_bootstrap=b_boot,
-            seed=seed,
-            exhaustive=mode,
-            with_bootstrap=bootstrap,
-        )
-        result = {"agreement": stats.to_json()}
-        click.echo(stats.format_table())
-        if loo:
-            result["leave_one_out"] = {}
-            for alg in table.algorithms:
-                loo_stats = transfer_mod.leave_one_out(
-                    table, alg, b_permutations=b_perms, b_bootstrap=b_boot,
-                    seed=seed, exhaustive=mode, with_bootstrap=False,
-                )
-                result["leave_one_out"][alg] = loo_stats.to_json()
-                click.echo(f"\nwithout {alg}:")
-                click.echo(loo_stats.format_table())
-    except CausaltextError as exc:
-        raise click.ClickException(str(exc))
+    table = transfer_mod.ScoreTable.from_csv(scores)
+    mode = "auto" if exhaustive is None else exhaustive
+    stats = transfer_mod.agreement(
+        table,
+        b_permutations=b_perms,
+        b_bootstrap=b_boot,
+        seed=seed,
+        exhaustive=mode,
+        with_bootstrap=bootstrap,
+    )
+    result = {"agreement": stats.to_json()}
+    click.echo(stats.format_table())
+    if loo:
+        result["leave_one_out"] = {}
+        for alg in table.algorithms:
+            loo_stats = transfer_mod.leave_one_out(
+                table, alg, b_permutations=b_perms, b_bootstrap=b_boot,
+                seed=seed, exhaustive=mode, with_bootstrap=False,
+            )
+            result["leave_one_out"][alg] = loo_stats.to_json()
+            click.echo(f"\nwithout {alg}:")
+            click.echo(loo_stats.format_table())
     if out:
         with open(out, "w") as fh:
             json.dump(result, fh, indent=2)
@@ -368,7 +364,7 @@ def consensus(ratings, raters, out):
     """Majority-vote consensus graphs, inter-rater alpha, and agreement flags."""
     import csv
 
-    with open(ratings, newline="") as fh:
+    with open_utf8(ratings) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -379,16 +375,15 @@ def consensus(ratings, raters, out):
             rm = consensus_mod.RatingMatrix.from_rows(
                 ([row[c] for c in cols] for row in reader if row), raters=raters
             )
+        except UnicodeDecodeError:
+            raise  # open_utf8 names the line
         except (csv.Error, IndexError, ValueError) as exc:
             raise click.ClickException(f"{ratings}:{reader.line_num}: malformed row ({exc})")
-    try:
-        per_text = consensus_mod.majority_consensus(rm)
-        alpha = consensus_mod.krippendorff_alpha(rm)
-        flags = consensus_mod.flag_low_agreement(
-            {t: v["support"] for t, v in per_text.items()}, raters=raters
-        )
-    except CausaltextError as exc:
-        raise click.ClickException(str(exc))
+    per_text = consensus_mod.majority_consensus(rm)
+    alpha = consensus_mod.krippendorff_alpha(rm)
+    flags = consensus_mod.flag_low_agreement(
+        {t: v["support"] for t, v in per_text.items()}, raters=raters
+    )
     result = {
         "alpha": alpha,
         "texts": {
@@ -412,15 +407,12 @@ def consensus(ratings, raters, out):
 @click.option("--clear", is_flag=True)
 def cache(cache_path, clear):
     """Inspect or clear an on-disk response cache."""
-    try:
-        store = ResponseCache(cache_path)
-        if clear:
-            store.clear()
-            click.echo("cache cleared")
-        else:
-            click.echo(f"{len(store)} cached entries")
-    except CausaltextError as exc:
-        raise click.ClickException(str(exc))
+    store = ResponseCache(cache_path)
+    if clear:
+        store.clear()
+        click.echo("cache cleared")
+    else:
+        click.echo(f"{len(store)} cached entries")
 
 
 if __name__ == "__main__":

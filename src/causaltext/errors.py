@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import contextlib
+
 
 class CausaltextError(Exception):
     """Base class for all package-specific errors."""
@@ -95,3 +97,24 @@ class MissingReference(CausaltextError):
 
 class InvalidConfig(CausaltextError):
     """A configuration file value is out of range or malformed."""
+
+
+class CorruptLine(CausaltextError):
+    """A complete line of an input file does not decode or parse; the message starts ``FILE:LINE:``."""
+
+
+@contextlib.contextmanager
+def open_utf8(path: str):
+    """Open a UTF-8 text file for ``csv``; a byte that is not UTF-8 raises CorruptLine naming its line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the text layer decodes a chunk ahead of the line being read, so find the line from the bytes
+        with open(path, "rb") as fh:
+            for num, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorruptLine(f"{path}:{num}: not UTF-8 text ({exc.reason})") from None
+        raise

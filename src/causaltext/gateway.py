@@ -31,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     CacheIoError,
     CausaltextError,
+    CorruptLine,
     MalformedOutput,
     TransportError,
     UnboundPlaceholder,
@@ -66,17 +67,15 @@ class BackendProfile:
     temperature: float
     top_p: float
     max_tokens: int
-    endpoint: str = ""
-    credential_env: str = ""
 
     @classmethod
-    def for_role(cls, model_id: str, role: str, endpoint: str = "", credential_env: str = "", **overrides):
+    def for_role(cls, model_id: str, role: str, **overrides):
         if role not in ROLE_DEFAULTS:
             raise ValueError(f"unknown role {role!r}")
         temperature, top_p, max_tokens = ROLE_DEFAULTS[role]
         params = {"temperature": temperature, "top_p": top_p, "max_tokens": max_tokens}
         params.update(overrides)
-        return cls(model_id=model_id, role=role, endpoint=endpoint, credential_env=credential_env, **params)
+        return cls(model_id=model_id, role=role, **params)
 
 
 @dataclass(frozen=True)
@@ -511,19 +510,23 @@ def make_cache_key(concepts, adjacency, backend_id: str, template_name: str) -> 
 def read_jsonl(path: str):
     """Stream the JSON value of each line of a JSON Lines file, if it exists.
 
-    Every complete line must parse.  A last line with no trailing newline
-    is either a write cut short, which does not parse and is dropped with
-    a warning, or a whole single-object file, which is kept.  Either way
-    the file is left ending in a newline, so the next append starts a line
-    of its own.
+    Every complete line must parse; one that does not raises CorruptLine as
+    ``FILE:LINE: ...``.  A last line with no trailing newline is either a
+    write cut short, which does not parse and is dropped with a warning, or
+    a whole single-object file, which is kept.  Either way the file is left
+    ending in a newline, so the next append starts a line of its own.
     """
     if not os.path.exists(path):
         return
     with open(path) as fh:
-        for line in fh:
+        for num, line in enumerate(fh, 1):
             if line.endswith("\n"):
                 if line.strip():
-                    yield json.loads(line)
+                    try:
+                        value = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise CorruptLine(f"{path}:{num}: not a JSON value ({exc})") from None
+                    yield value
                 continue
             try:
                 value = json.loads(line)
@@ -637,7 +640,7 @@ class Gateway:
         """Charge the call budget and write one request; returns the handle its reply is read from."""
         if self.call_budget is not None and self.calls_made >= self.call_budget:
             raise BudgetExceeded(f"call budget {self.call_budget} exhausted")
-        handle = self._submit(build_payload(profile, prompt), {"template": template, "role": profile.role})
+        handle = self._submit(build_payload(profile, prompt), {"template": template})
         self.calls_made += 1
         return handle
 

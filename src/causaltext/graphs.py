@@ -120,9 +120,6 @@ class Dag:
     def edge_list(self) -> list[tuple[int, int]]:
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.edges))]
 
-    def is_acyclic(self) -> bool:
-        return is_acyclic(self.edges)
-
     def to_json(self) -> dict:
         return {"n": self.n, "edges": self.edges.astype(int).tolist()}
 

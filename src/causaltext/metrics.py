@@ -65,14 +65,6 @@ class ErrorDecomposition:
     def fp(self) -> int:
         return len(self.spurious)
 
-    def to_json(self) -> dict:
-        return {
-            "missed": [list(e) for e in self.missed],
-            "spurious": [list(e) for e in self.spurious],
-            "fn": self.fn,
-            "fp": self.fp,
-        }
-
 
 def _pair(target, predicted):
     # a Dag was checked when it was built; only raw arrays are checked here

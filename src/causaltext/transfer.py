@@ -22,6 +22,7 @@ from .errors import (
     IncompleteGrid,
     PoolTooSmall,
     TooFewAlgorithms,
+    open_utf8,
 )
 
 METRICS = ("f1", "shd", "sid")
@@ -48,10 +49,11 @@ class ScoreTable:
         LINE is the physical line in the file, blank lines included.  A row
         is bad when a required cell is missing, ``n`` is not an integer, a metric is
         not a finite number, its corpus is unknown, or its (algorithm, n,
-        corpus) cell was already given.
+        corpus) cell was already given.  A byte that is not UTF-8 raises
+        CorruptLine, also as ``FILE:LINE: ...``.
         """
         algorithms, ns, values = [], [], {}
-        with open(path, newline="") as fh:
+        with open_utf8(path) as fh:
             reader = csv.DictReader(fh)
             required = {"algorithm", "n", "corpus", *METRICS}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -186,7 +188,6 @@ def _stratified_permutation_p(
     b: int,
     seed,
     exhaustive: bool,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
 ):
     """Two-sided permutation p-value for the pooled Pearson correlation.
 
@@ -214,9 +215,9 @@ def _stratified_permutation_p(
     threshold = abs(obs) - 1e-12
 
     total = math.factorial(a) ** buckets
-    if exhaustive and total > exhaustive_cap:
+    if exhaustive and total > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"exhaustive enumeration needs {total} combinations, above cap {exhaustive_cap}"
+            f"exhaustive enumeration needs {total} combinations, above cap {EXHAUSTIVE_CAP}"
         )
 
     if exhaustive:
@@ -346,7 +347,6 @@ def agreement(
     seed: int | None = 0,
     exhaustive: bool | str = "auto",
     with_bootstrap: bool = True,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
 ) -> AgreementStats:
     """Centered agreement statistics for every metric plus the averages row.
 
@@ -361,7 +361,7 @@ def agreement(
         raise TooFewAlgorithms("agreement needs at least two algorithms")
     buckets, a = len(table.ns), len(table.algorithms)
     if exhaustive == "auto":
-        exhaustive = math.factorial(a) ** buckets <= exhaustive_cap
+        exhaustive = math.factorial(a) ** buckets <= EXHAUSTIVE_CAP
     per_metric = {}
     for metric in METRICS:
         x = table.matrix(metric, "generated")
@@ -370,16 +370,12 @@ def agreement(
         xf, yf = xc.ravel(), yc.ravel()
         r = float(_pearson(xf, yf))
         rho = _spearman(xf, yf)
-        p_pearson, mode, n_perm = _stratified_permutation_p(
-            xc, yc, b_permutations, seed, exhaustive, exhaustive_cap
-        )
+        p_pearson, mode, n_perm = _stratified_permutation_p(xc, yc, b_permutations, seed, exhaustive)
         # Spearman significance through the same stratified scheme, on pooled
         # ranks (a within-bucket shuffle of scores permutes their ranks in place)
         rx = center_within_n(_rank_matrix(xc))
         ry = center_within_n(_rank_matrix(yc))
-        p_spearman, _, _ = _stratified_permutation_p(
-            rx, ry, b_permutations, seed, exhaustive, exhaustive_cap
-        )
+        p_spearman, _, _ = _stratified_permutation_p(rx, ry, b_permutations, seed, exhaustive)
         ci = (
             _stratified_bootstrap(x, y, b_bootstrap, seed)
             if with_bootstrap

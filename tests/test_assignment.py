@@ -343,12 +343,12 @@ class TestLoop:
     def test_perfect_verifier_one_iteration(self):
         dag = make_dag(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
         gw = Gateway(OracleMockBackend())
-        result = run_loop(dag, "business", gw, PROPOSER, VERIFIER)
+        result = run_loop(dag, "business", gw, PROPOSER, VERIFIER, sample_id="s")
         assert result.status == "Success"
         assert result.iterations == 1
         assert result.best_l_b == 0.0
         assert result.assignment.concepts == [f"Factor {i}" for i in range(5)]
-        assert result.tokens["total"] > 0
+        assert gw.ledger.sample("s")["total"] > 0
 
     def test_scripted_descent_keeps_best(self):
         # L_b per version: 0.8, 0.3, 0.5, then 0.62 forever; never clean

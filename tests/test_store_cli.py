@@ -40,6 +40,15 @@ def make_record(sid, n=3, status="Success", iterations=1, tokens=100, error=None
     )
 
 
+def cut_line_short(path, num):
+    """Damage line ``num`` of a text file: cut it in half, keeping its newline."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines[num - 1] = lines[num - 1][: len(lines[num - 1]) // 2] + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
 class TestStore:
     def test_record_roundtrip(self):
         rec = make_record("s1")
@@ -438,6 +447,40 @@ class TestGenerateEvaluate:
             "cache": "d74ce07b02b099af922e58801fb488f6da1ee85a7be5b379c8497f90e21e3a46",
         }
 
+    def test_transfer_outputs_are_pinned(self, tmp_path):
+        """``transfer --loo`` JSON for each fixture score table hashes to the value a refactor must keep."""
+        digests = {}
+        for name in ("deepseek", "gpt5", "qwen"):
+            out = tmp_path / f"{name}.json"
+            r = CliRunner().invoke(main, ["transfer", "--scores", os.path.join(DATA, f"scores_{name}.csv"), "--loo",
+                                          "--b-boot", "400", "--b-perms", "2000", "--seed", "1", "--out", str(out)])
+            assert r.exit_code == 0, r.output
+            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "deepseek": "ecbe4add3d5a09e0dddbbe4bb57870abd20874e709f71d5b2f2f284a754348a7",
+            "gpt5": "b5d2f8ff27c9f0a0f26c4e7215f0bef8e1b79aedd7d5dce7cd9096b178d1c3af",
+            "qwen": "4ab9402feab731dd96b3ba260fa1a8949529195c4e6fccef9207a25cf71294f9",
+        }
+
+    @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
+    def test_damaged_store_line_is_a_one_line_error(self, tmp_path, command):
+        runner, graphs, store = self.run_pipeline(tmp_path)
+        cut_line_short(store, 6)
+        with open(store, "rb") as fh:
+            damaged = fh.read()
+        args = {
+            "evaluate": ["evaluate", "--store", store],
+            "generate --resume": ["generate", "--graphs", graphs, "--out", store,
+                                  "--mock-script", '{"mode": "oracle"}', "--resume"],
+        }[command]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output.startswith(f"Error: {store}:6: not a JSON value (")
+        assert len(r.output.splitlines()) == 1
+        with open(store, "rb") as fh:
+            assert fh.read() == damaged
+
     def test_evaluate_self_comparison(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)
         out = str(tmp_path / "eval.json")
@@ -571,6 +614,21 @@ class TestTransferCommand:
         for stats in tables:
             assert {m["p_mode"] for m in stats["per_metric"].values()} == {mode}
 
+    @pytest.mark.parametrize("option", ["--b-perms", "--b-boot"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_replicate_counts_below_one_rejected(self, option, value):
+        r = CliRunner().invoke(main, ["transfer", "--scores", os.path.join(DATA, "scores_gpt5.csv"), option, value])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert f"Invalid value for '{option}'" in r.output and "Traceback" not in r.output
+
+    def test_non_utf8_byte_reports_its_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"algorithm,n,corpus,f1,shd,sid\na,3,generated,0.5,1,1\ncaf\xe9,3,real,0.5,1,1\n")
+        r = CliRunner().invoke(main, ["transfer", "--scores", str(path)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output == f"Error: {path}:3: not UTF-8 text (invalid continuation byte)\n"
+
     def test_bad_score_row_is_a_click_error(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("algorithm,n,corpus,f1,shd,sid\na,3,generated,0.5,1,1\na,3,real,abc,1,1\n")
@@ -680,6 +738,13 @@ class TestConsensusCommand:
         r = CliRunner().invoke(main, ["consensus", "--ratings", path])
         assert r.exit_code == 1 and "no rated items" in r.output
 
+    def test_non_utf8_byte_reports_its_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"text_id,i,j,rater_id,label\nt,0,1,0,1\nt\xe9,0,1,1,1\n")
+        r = CliRunner().invoke(main, ["consensus", "--ratings", str(path)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {path}:3: not UTF-8 text (invalid continuation byte)\n"
+
     def test_zero_raters_rejected(self, tmp_path):
         path = str(tmp_path / "r.csv")
         self.write_ratings(path, self.panel({(0, 1): 6}))
@@ -703,3 +768,20 @@ class TestCacheCommand:
         assert r.exit_code == 0
         r = runner.invoke(main, ["cache", "--cache", path])
         assert "0 cached entries" in r.output
+
+    def test_damaged_line_is_a_one_line_error(self, tmp_path):
+        from causaltext.gateway import ResponseCache
+
+        path = str(tmp_path / "cache.jsonl")
+        c = ResponseCache(path)
+        for k in range(3):
+            c.put(f"k{k}", {"v": k})
+        cut_line_short(path, 2)
+        with open(path, "rb") as fh:
+            damaged = fh.read()
+        r = CliRunner().invoke(main, ["cache", "--cache", path])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith(f"Error: {path}:2: not a JSON value (")
+        assert len(r.output.splitlines()) == 1
+        with open(path, "rb") as fh:
+            assert fh.read() == damaged

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats as sps
 
 from causaltext.errors import (
+    CorruptLine,
     DegenerateGroups,
     IncompleteGrid,
     PoolTooSmall,
@@ -146,6 +147,15 @@ class TestScoreTable:
         with pytest.raises(IncompleteGrid) as info:
             ScoreTable.from_csv(p)
         assert str(info.value) == f"{p}:4: {why}"
+
+    def test_non_utf8_byte_past_the_first_read_names_its_line(self, tmp_path):
+        # text is decoded in chunks of several kB, so the byte sits well beyond the first one
+        rows = "".join(f"a{k},3,real,0.5,1,1\n" for k in range(2, 2000))
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"algorithm,n,corpus,f1,shd,sid\n" + rows.encode() + b"\xe9,3,real,0.5,1,1\n")
+        with pytest.raises(CorruptLine) as info:
+            ScoreTable.from_csv(p)
+        assert str(info.value) == f"{p}:2000: not UTF-8 text (invalid continuation byte)"
 
     def test_short_row_may_leave_an_extra_column_empty(self, tmp_path):
         p = tmp_path / "note.csv"

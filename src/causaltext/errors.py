@@ -104,10 +104,10 @@ class CorruptLine(CausaltextError):
 
 
 @contextlib.contextmanager
-def open_utf8(path: str):
-    """Open a UTF-8 text file for ``csv``; a byte that is not UTF-8 raises CorruptLine naming its line."""
+def open_utf8(path: str, newline: str | None = ""):
+    """Open a UTF-8 text file, by default for ``csv``; a byte that is not UTF-8 raises CorruptLine naming its line."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline=newline, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError:
         # the text layer decodes a chunk ahead of the line being read, so find the line from the bytes

@@ -35,6 +35,7 @@ from .errors import (
     MalformedOutput,
     TransportError,
     UnboundPlaceholder,
+    open_utf8,
 )
 
 log = logging.getLogger(__name__)
@@ -508,17 +509,20 @@ def make_cache_key(concepts, adjacency, backend_id: str, template_name: str) -> 
 
 
 def read_jsonl(path: str):
-    """Stream the JSON value of each line of a JSON Lines file, if it exists.
+    """Stream the JSON object on each line of a UTF-8 JSON Lines file, if it exists.
 
-    Every complete line must parse; one that does not raises CorruptLine as
-    ``FILE:LINE: ...``.  A last line with no trailing newline is either a
-    write cut short, which does not parse and is dropped with a warning, or
-    a whole single-object file, which is kept.  Either way the file is left
-    ending in a newline, so the next append starts a line of its own.
+    Every complete line must hold one JSON object; one that does not parse,
+    parses to another value or holds a byte that is not UTF-8 raises
+    CorruptLine as ``FILE:LINE: ...``.  A last line with no trailing newline
+    is either a write cut short, which does not parse and is dropped with a
+    warning, or a whole single-object file, which is kept.  Either way the
+    file is left ending in a newline, so the next append starts a line of
+    its own.
     """
     if not os.path.exists(path):
         return
-    with open(path) as fh:
+    # not csv's newline="": a line that ends in a lone "\r" must not pass for a torn last line
+    with open_utf8(path, newline=None) as fh:
         for num, line in enumerate(fh, 1):
             if line.endswith("\n"):
                 if line.strip():
@@ -526,6 +530,8 @@ def read_jsonl(path: str):
                         value = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise CorruptLine(f"{path}:{num}: not a JSON value ({exc})") from None
+                    if not isinstance(value, dict):
+                        raise CorruptLine(f"{path}:{num}: not a JSON object")
                     yield value
                 continue
             try:
@@ -534,6 +540,8 @@ def read_jsonl(path: str):
                 log.warning("dropping the torn last line of %s (%d characters)", path, len(line))
                 os.truncate(path, os.path.getsize(path) - len(line.encode()))
             else:
+                if not isinstance(value, dict):
+                    raise CorruptLine(f"{path}:{num}: not a JSON object")
                 with open(path, "a") as out:
                     out.write("\n")
                 yield value

@@ -463,30 +463,53 @@ def _anova_f_rows(values: np.ndarray, codes: np.ndarray):
     return f, eta
 
 
-def _sampled_arrangements(per_stratum: list, b: int, rows: int, rng):
-    """Batches of ``b`` random within-stratum label arrangements.
+def _sampled_arrangements(codes, per_stratum: list, b: int, rows: int, rng):
+    """Batches of ``b`` rows of ``codes``, each shuffled at random within every stratum.
 
-    Draws one permutation per stratum per replicate, in that order.
+    The draws are those of one ``rng.permutation(len(ix))`` per stratum per
+    replicate, replicate by replicate and strata in order, applied to the
+    stratum's codes.  ``Generator.permuted(axis=1)`` shuffles row after row
+    with the Fisher-Yates routine ``permutation`` uses, whose swaps do not
+    depend on what a row holds, so one call per run of consecutive
+    equal-size draws takes the same numbers from the stream as that loop
+    and gives the same arrangements.  With strata of one size, a batch is
+    one run.
     """
+    sizes = [len(ix) for ix in per_stratum]
+    # the columns of each size's strata, stratum after stratum
+    cols = {k: np.concatenate([ix for ix in per_stratum if len(ix) == k]) for k in set(sizes)}
     for start in range(0, b, rows):
-        batch = [np.empty((min(rows, b - start), len(ix)), dtype=np.intp) for ix in per_stratum]
-        for r in range(len(batch[0])):
-            for perm, ix in zip(batch, per_stratum):
-                perm[r] = rng.permutation(len(ix))
-        yield batch
+        n = min(rows, b - start)
+        # per size, one row for each draw of that size, in draw order; each run
+        # of consecutive equal-size draws is the next slice of its size's rows
+        draws = {k: np.tile(codes[c], n).reshape(-1, k) for k, c in cols.items()}
+        used = dict.fromkeys(cols, 0)
+        edges = (np.flatnonzero(np.diff(np.tile(sizes, n))) + 1).tolist()
+        for lo, hi in zip([0, *edges], [*edges, n * len(sizes)]):
+            k = sizes[lo % len(sizes)]
+            run = draws[k][used[k] : used[k] + hi - lo]
+            used[k] += hi - lo
+            rng.permuted(run, axis=1, out=run)
+        out = np.empty((n, len(codes)), dtype=np.intp)
+        for k, c in cols.items():
+            out[:, c] = draws[k].reshape(n, -1)
+        yield out
 
 
-def _all_arrangements(per_stratum: list, rows: int):
-    """Batches of every within-stratum label arrangement, last stratum fastest."""
+def _all_arrangements(codes, per_stratum: list, rows: int):
+    """Batches of every within-stratum arrangement of ``codes``, last stratum fastest."""
     tables = [
-        np.array(list(itertools.permutations(range(len(ix)))), dtype=np.intp)
+        np.array(list(itertools.permutations(codes[ix].tolist())), dtype=np.intp)
         for ix in per_stratum
     ]
     sizes = [len(t) for t in tables]
     total = math.prod(sizes)
     for start in range(0, total, rows):
         digits = np.unravel_index(np.arange(start, min(start + rows, total)), sizes)
-        yield [t[d] for t, d in zip(tables, digits)]
+        out = np.empty((len(digits[0]), len(codes)), dtype=np.intp)
+        for ix, t, d in zip(per_stratum, tables, digits):
+            out[:, ix] = t[d]
+        yield out
 
 
 def permutation_anova(
@@ -502,6 +525,12 @@ def permutation_anova(
     the null distribution shuffles level labels independently within each n
     stratum.  Falls back to exhaustive enumeration when the number of
     distinct within-stratum label arrangements fits under the cap.
+
+    In sampled mode, the arrangements are those of a loop that draws
+    ``rng.permutation(len(stratum))`` for each stratum in order, replicate by
+    replicate, from ``np.random.default_rng(seed)``.  They are drawn in
+    batches that take the same numbers from that stream, so the p-value does
+    not depend on the batch size.
     """
     strata = sorted({n for n, _ in groups})
     values, levels, stratum_of = [], [], []
@@ -533,16 +562,13 @@ def permutation_anova(
     total = math.prod(math.factorial(len(ix)) for ix in per_stratum)
     exhaustive = total <= exhaustive_cap
     if exhaustive:
-        batches = _all_arrangements(per_stratum, rows)
+        batches = _all_arrangements(codes, per_stratum, rows)
     elif seed is None:
         raise ValueError("seed required for sampled permutation mode")
     else:
-        batches = _sampled_arrangements(per_stratum, b, rows, np.random.default_rng(seed))
+        batches = _sampled_arrangements(codes, per_stratum, b, rows, np.random.default_rng(seed))
     count = 0
-    for perms in batches:
-        null_codes = np.empty((len(perms[0]), len(codes)), dtype=np.intp)
-        for ix, perm in zip(per_stratum, perms):
-            null_codes[:, ix] = codes[ix][perm]
+    for null_codes in batches:
         f_b, _ = _anova_f_rows(resid, null_codes)
         count += int((f_b >= f_obs - 1e-12).sum())
     if exhaustive:

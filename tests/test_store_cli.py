@@ -12,7 +12,7 @@ import causaltext
 from causaltext import store as store_mod
 from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment
 from causaltext.cli import load_config, loop_config_from, main, sample_seed
-from causaltext.errors import InvalidConfig
+from causaltext.errors import CorruptLine, InvalidConfig
 from causaltext.graphs import Dag, GraphSpec
 from causaltext.store import RunManifest, SampleRecord, SampleStore
 from causaltext.textgen import Paragraph
@@ -49,6 +49,22 @@ def cut_line_short(path, num):
         fh.writelines(lines)
 
 
+def damage_line(path, num, how):
+    """Damage line ``num`` of a JSON Lines file, keeping its newline: make it a JSON
+    array ("array") or put byte 0xe9 inside its first string ("latin1")."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    if how == "array":
+        lines[num - 1] = b"[1, 2]\n"
+    else:
+        lines[num - 1] = lines[num - 1].replace(b'"', b'"\xe9', 1)
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
+
+
+DAMAGE_MESSAGES = {"array": "not a JSON object", "latin1": "not UTF-8 text ("}
+
+
 class TestStore:
     def test_record_roundtrip(self):
         rec = make_record("s1")
@@ -79,6 +95,16 @@ class TestStore:
             SampleStore(path).append(make_record("c"))
         assert any("torn last line" in rec.message for rec in caplog.records)
         assert [r.id for r in SampleStore(path)] == ["a", "c"]
+
+    @pytest.mark.parametrize("content", [b'{"a": 1}\n[1, 2]\n', b'{"a": 1}\n7'])
+    def test_line_that_is_not_an_object_names_its_line(self, tmp_path, content):
+        path = str(tmp_path / "s.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with pytest.raises(CorruptLine, match=f"^{path}:2: not a JSON object$"):
+            list(store_mod.read_jsonl(path))
+        with open(path, "rb") as fh:
+            assert fh.read() == content
 
     def test_manifest_matches_recomputation(self, tmp_path):
         st = SampleStore(str(tmp_path / "s.jsonl"))
@@ -481,6 +507,26 @@ class TestGenerateEvaluate:
         with open(store, "rb") as fh:
             assert fh.read() == damaged
 
+    @pytest.mark.parametrize("how", sorted(DAMAGE_MESSAGES))
+    @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
+    def test_store_line_not_an_object_or_not_utf8_is_a_one_line_error(self, tmp_path, command, how):
+        runner, graphs, store = self.run_pipeline(tmp_path)
+        damage_line(store, 2, how)
+        with open(store, "rb") as fh:
+            damaged = fh.read()
+        args = {
+            "evaluate": ["evaluate", "--store", store],
+            "generate --resume": ["generate", "--graphs", graphs, "--out", store,
+                                  "--mock-script", '{"mode": "oracle"}', "--resume"],
+        }[command]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output.startswith(f"Error: {store}:2: {DAMAGE_MESSAGES[how]}")
+        assert len(r.output.splitlines()) == 1
+        with open(store, "rb") as fh:
+            assert fh.read() == damaged
+
     def test_evaluate_self_comparison(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)
         out = str(tmp_path / "eval.json")
@@ -782,6 +828,24 @@ class TestCacheCommand:
         r = CliRunner().invoke(main, ["cache", "--cache", path])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert r.output.startswith(f"Error: {path}:2: not a JSON value (")
+        assert len(r.output.splitlines()) == 1
+        with open(path, "rb") as fh:
+            assert fh.read() == damaged
+
+    @pytest.mark.parametrize("how", sorted(DAMAGE_MESSAGES))
+    def test_line_not_an_object_or_not_utf8_is_a_one_line_error(self, tmp_path, how):
+        from causaltext.gateway import ResponseCache
+
+        path = str(tmp_path / "cache.jsonl")
+        c = ResponseCache(path)
+        for k in range(3):
+            c.put(f"k{k}", {"v": k})
+        damage_line(path, 2, how)
+        with open(path, "rb") as fh:
+            damaged = fh.read()
+        r = CliRunner().invoke(main, ["cache", "--cache", path])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith(f"Error: {path}:2: {DAMAGE_MESSAGES[how]}")
         assert len(r.output.splitlines()) == 1
         with open(path, "rb") as fh:
             assert fh.read() == damaged

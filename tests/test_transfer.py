@@ -633,6 +633,39 @@ class TestBatchedAnova:
         assert res.mode == ("sampled" if cap == 0 or case in ("noisy", "power_rounding") else "exhaustive")
 
 
+def unequal_strata_cases():
+    rng = np.random.default_rng(22)  # p-values near the middle, where a wrong draw shows
+    # stratum sizes 4, 6, 4: the size changes twice within each replicate
+    # and the last stratum's run goes on into the first of the next
+    changing = {(3, "a"): rng.normal(size=2), (3, "b"): rng.normal(size=2),
+                (4, "a"): rng.normal(size=2), (4, "b"): rng.normal(size=2), (4, "c"): rng.normal(size=2),
+                (5, "a"): rng.normal(size=1), (5, "b"): rng.normal(size=3)}
+    # sizes 4, 6, 6, 4: after the first draw, runs of two, and each size-4
+    # run spans two replicates
+    wrapping = {(n, lv): rng.normal(size=size // 2) for n, size in zip((3, 4, 5, 6), (4, 6, 6, 4)) for lv in "xy"}
+    return {"changing": changing, "wrapping": wrapping}
+
+
+class TestSampledDraws:
+    @pytest.mark.parametrize("k", [1, 2, 3, 12])
+    def test_permuted_rows_are_successive_permutations(self, k):
+        """``Generator.permuted`` shuffles rows as that many ``permutation`` calls would, from the same stream."""
+        batched, looped = np.random.default_rng(7), np.random.default_rng(7)
+        rows = batched.permuted(np.tile(np.arange(k), (5, 1)), axis=1)
+        assert rows.tolist() == [looped.permutation(k).tolist() for _ in range(5)]
+        assert batched.random() == looped.random()
+
+    @pytest.mark.parametrize("case", sorted(unequal_strata_cases()))
+    @pytest.mark.parametrize("batch", [None, 7, 50])
+    def test_unequal_strata_match_loop_exactly(self, case, batch, monkeypatch):
+        if batch is not None:  # one replicate per batch at 7, two or three at 50
+            monkeypatch.setattr(transfer, "_ANOVA_BATCH", batch)
+        groups = unequal_strata_cases()[case]
+        want = loop_permutation_anova(groups, b=300, seed=4, exhaustive_cap=0)
+        res = permutation_anova(groups, b=300, seed=4, exhaustive_cap=0)
+        assert (res.p_value, res.partial_eta_squared, res.f_statistic, res.mode, res.n_permutations) == want
+
+
 class TestPermutationAnova:
     def test_null_case(self):
         rng = np.random.default_rng(0)

@@ -48,7 +48,6 @@ from .metrics import (
 )
 from .store import RunManifest, SampleRecord, SampleStore
 from .textgen import (
-    GenIdConfig,
     Paragraph,
     extract_concepts,
     gen_id_refine,

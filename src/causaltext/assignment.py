@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedOutput, SchemaViolation, VerificationError
+from .errors import CacheIoError, MalformedOutput, SchemaViolation, VerificationError
 from .gateway import (
     TEMPLATE_SPECS,
     CacheGet,
@@ -44,9 +44,9 @@ class ConceptAssignment:
     concepts: list
     domain: str
 
-    def validate(self, n: int | None = None) -> None:
-        """Raise SchemaViolation on a wrong count or on concepts that collide after normalization."""
-        if n is not None and len(self.concepts) != n:
+    def validate(self, n: int) -> None:
+        """Raise SchemaViolation on a count other than ``n`` or on concepts that collide after normalization."""
+        if len(self.concepts) != n:
             raise SchemaViolation(f"expected {n} concepts, got {len(self.concepts)}")
         seen: dict = {}
         clashes = []
@@ -207,7 +207,21 @@ def counterfactual_verification_steps(
     if table is None:
         table = yield from _vote_steps(assignment.concepts, relations, profile, m)
         yield CachePut(key, table)
-    return VoteTable.from_json(table)
+        return VoteTable.from_json(table)
+    return _cached_votes(table, relations, key)
+
+
+def _cached_votes(table, relations: RelationSets, key: str) -> VoteTable:
+    """The vote table cached under ``key``; a value that is not a table of
+    proportions over exactly the graph's ordered pairs is a CacheIoError."""
+    pairs = set(relations.e_plus + relations.e_minus)
+    try:
+        votes = VoteTable.from_json(table)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        votes = None
+    if votes is None or votes.s.keys() != pairs or not all(0 <= v <= 1 for v in votes.s.values()):
+        raise CacheIoError(f"cached value {key} is not a vote table over the graph's {len(pairs)} ordered pairs")
+    return votes
 
 
 def _vote_steps(concepts, relations: RelationSets, profile, m: int):

@@ -18,7 +18,6 @@ from .gateway import (
     Gateway,
     HttpBackend,
     ResponseCache,
-    UsageLedger,
     choose_verifier,
     make_mock_backend,
 )
@@ -154,7 +153,7 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
     # requests kept in flight at once, shared by the open samples; 1 runs one request at a time
     max_in_flight = config_value(cfg, "backends", "max_in_flight", int)
     try:
-        gw = Gateway(backend, UsageLedger(), cache=cache, max_in_flight=max_in_flight)
+        gw = Gateway(backend, cache=cache, max_in_flight=max_in_flight)
     except ValueError as exc:
         raise InvalidConfig(f"backends.max_in_flight: {exc}")
     profiles = {
@@ -173,7 +172,7 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
 @click.option("--backend", default=None, help="primary model id")
 @click.option("--mock-script", default=None, help="mock script JSON (inline or file path)")
 @click.option("--resume", is_flag=True, help="skip ids already in the store")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True, help="recorded in the manifest; nothing else reads it")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--domain", default=None)
 def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache_path, domain):

@@ -35,10 +35,6 @@ class AuthError(CausaltextError):
     """No credential found for a real backend."""
 
 
-class BudgetExceeded(CausaltextError):
-    """A configured token or call budget was exceeded."""
-
-
 class MalformedOutput(CausaltextError):
     """A model reply could not be parsed as the expected JSON, even after re-asks."""
 
@@ -64,7 +60,7 @@ class VerificationError(CausaltextError):
 
 
 class CacheIoError(CausaltextError):
-    """The on-disk response cache could not be read or written."""
+    """The on-disk response cache could not be read or written, or holds a value of the wrong shape."""
 
 
 class EmptyRatings(CausaltextError):

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     AuthError,
-    BudgetExceeded,
     CacheIoError,
     CausaltextError,
     CorruptLine,
@@ -70,13 +69,10 @@ class BackendProfile:
     max_tokens: int
 
     @classmethod
-    def for_role(cls, model_id: str, role: str, **overrides):
+    def for_role(cls, model_id: str, role: str):
         if role not in ROLE_DEFAULTS:
             raise ValueError(f"unknown role {role!r}")
-        temperature, top_p, max_tokens = ROLE_DEFAULTS[role]
-        params = {"temperature": temperature, "top_p": top_p, "max_tokens": max_tokens}
-        params.update(overrides)
-        return cls(model_id=model_id, role=role, **params)
+        return cls(model_id, role, *ROLE_DEFAULTS[role])
 
 
 @dataclass(frozen=True)
@@ -610,6 +606,7 @@ JSON_REASK = (
     "Your previous reply could not be parsed as valid JSON with the required keys. "
     "Reply again with ONLY a valid JSON object containing the keys: {keys}."
 )
+JSON_REASKS = 2  # re-asks of a reply that is not a JSON object with the expected keys
 
 
 class Gateway:
@@ -629,14 +626,12 @@ class Gateway:
     scheduler.
     """
 
-    def __init__(self, backend, ledger: UsageLedger | None = None, cache: ResponseCache | None = None,
-                 call_budget: int | None = None, max_in_flight: int = 8):
+    def __init__(self, backend, *, cache: ResponseCache | None = None, max_in_flight: int = 8):
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.backend = backend
-        self.ledger = ledger if ledger is not None else UsageLedger()
+        self.ledger = UsageLedger()
         self.cache = cache
-        self.call_budget = call_budget
         self.max_in_flight = max_in_flight
         self.calls_made = 0
         # a backend without submit is called when the reply is read, so it serves one request at a time
@@ -645,9 +640,7 @@ class Gateway:
         self._window = max_in_flight if submit else 1
 
     def _send(self, profile: BackendProfile, prompt: str, template: str | None):
-        """Charge the call budget and write one request; returns the handle its reply is read from."""
-        if self.call_budget is not None and self.calls_made >= self.call_budget:
-            raise BudgetExceeded(f"call budget {self.call_budget} exhausted")
+        """Write one request; returns the handle its reply is read from."""
         handle = self._submit(build_payload(profile, prompt), {"template": template})
         self.calls_made += 1
         return handle
@@ -685,10 +678,10 @@ class Gateway:
 
         Yields ``(sample_id, result, error)`` for each sample, in admission
         order: ``result`` is what ``steps`` returned, or ``error`` the
-        ``CausaltextError`` that ended it (raised in ``steps``, by the
-        backend, or by the call budget).  Such an error ends only its own
-        sample, whose pending requests are cancelled; any other exception
-        cancels every pending request and propagates.  Usage is recorded
+        ``CausaltextError`` that ended it (raised in ``steps`` or by the
+        backend).  Such an error ends only its own sample, whose pending
+        requests are cancelled; any other exception cancels every pending
+        request and propagates.  Usage is recorded
         against each sample's id.
         """
         return _Scheduler(self, samples).run()
@@ -700,10 +693,8 @@ class Gateway:
                 raise error
             return result
 
-    def complete_json(self, profile: BackendProfile, prompt: str, expected_keys, retry_budget: int = 2, template: str | None = None, sample_id=None):
-        if retry_budget < 1:
-            raise ValueError("retry_budget must be >= 1")
-        request = Request(profile, prompt, tuple(expected_keys), template, retry_budget)
+    def complete_json(self, profile: BackendProfile, prompt: str, expected_keys, template: str | None = None, sample_id=None):
+        request = Request(profile, prompt, tuple(expected_keys), template)
         return self.run_sample(request_steps(request), sample_id)
 
     def ask(self, profile: BackendProfile, template: str, bindings: dict, note: str = "", sample_id=None):
@@ -724,7 +715,7 @@ class Gateway:
 @dataclass(slots=True)
 class Request:
     """One request of a sample pipeline: ``prompt`` is sent with ``profile``,
-    and re-asked up to ``retry_budget`` times until the reply is a JSON
+    and re-asked up to ``JSON_REASKS`` times until the reply is a JSON
     object with every one of ``expected_keys``.  A batch may hold one
     request several times, so it is not changed once yielded."""
 
@@ -732,7 +723,6 @@ class Request:
     prompt: str
     expected_keys: tuple
     template: str | None = None
-    retry_budget: int = 2
 
 
 @dataclass(frozen=True)
@@ -892,11 +882,11 @@ class _Scheduler:
         else:
             reply = _extract_json(text)
             if reply is None or not all(k in reply for k in request.expected_keys):
-                if attempt < request.retry_budget:
+                if attempt < JSON_REASKS:
                     self._send(s, index, attempt + 1)  # on the slot this read freed
                     return
                 reply = MalformedOutput(
-                    f"no valid JSON with keys {list(request.expected_keys)} after {request.retry_budget} re-asks",
+                    f"no valid JSON with keys {list(request.expected_keys)} after {JSON_REASKS} re-asks",
                     raw_text=text,
                 )
         s.replies[index] = reply

@@ -36,15 +36,6 @@ class Paragraph:
         return cls(text=obj["text"], source_concepts=ConceptAssignment.from_json(obj["source_concepts"]))
 
 
-@dataclass
-class GenIdConfig:
-    k_gen: int = 3
-
-    def __post_init__(self):
-        if self.k_gen < 0:
-            raise ValueError("k_gen must be >= 0")
-
-
 def concept_in_text(concept: str, text: str) -> bool:
     """Containment after normalization, allowing a plural s/es suffix."""
     return _stem(concept) in normalize_concept(text)
@@ -134,7 +125,7 @@ def gen_id_refine(
     gateway,
     profile,
     discovery_profile,
-    config: GenIdConfig | None = None,
+    k_gen: int = 3,
     sample_id=None,
 ):
     """Extract-diagnose-revise loop bounded by k_gen revision iterations.
@@ -144,8 +135,9 @@ def gen_id_refine(
     runs out; returns the lowest-mismatch paragraph seen.
     Returns (paragraph, revisions_performed, trace).
     """
-    config = config or GenIdConfig()
-    if config.k_gen == 0:
+    if k_gen < 0:
+        raise ValueError("k_gen must be >= 0")
+    if k_gen == 0:
         return paragraph, 0, []
     bindings = {"Concepts": assignment.concepts, "Adjacency Matrix": dag.edges}
 
@@ -162,7 +154,7 @@ def gen_id_refine(
     trace.append({"mismatch": mismatch, "adjacency": adj.tolist()})
     best, best_mismatch = current, mismatch
     revisions = 0
-    while mismatch > 0 and revisions < config.k_gen:
+    while mismatch > 0 and revisions < k_gen:
         errors = decompose_errors(dag, adj)
         note = REVISION_REQUEST.format(
             paragraph=current.text,

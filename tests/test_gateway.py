@@ -25,7 +25,6 @@ from causaltext.assignment import (
 from causaltext.cli import main
 from causaltext.errors import (
     AuthError,
-    BudgetExceeded,
     MalformedOutput,
     TransportError,
     UnboundPlaceholder,
@@ -122,10 +121,6 @@ class TestPayload:
         assert (p.temperature, p.top_p, p.max_tokens) == (temp, top_p, 5000)
         assert ROLE_DEFAULTS[role] == (temp, top_p, 5000)
 
-    def test_override(self):
-        p = BackendProfile.for_role("m", "discovery", max_tokens=100)
-        assert p.max_tokens == 100 and p.temperature == 0.0
-
     def test_unknown_role(self):
         with pytest.raises(ValueError):
             BackendProfile.for_role("m", "narrator")
@@ -178,14 +173,14 @@ class TestCompleteJson:
 
     def test_reask_then_success(self):
         gw = self.gw(["not json", {"k": "v"}])
-        out = gw.complete_json(BackendProfile.for_role("m", "phase3"), "p", ["k"], retry_budget=2)
+        out = gw.complete_json(BackendProfile.for_role("m", "phase3"), "p", ["k"])
         assert out == {"k": "v"}
         assert gw.calls_made == 2
 
     def test_persistent_garbage(self):
         gw = self.gw(["nope", "still nope", "never"])
         with pytest.raises(MalformedOutput) as exc:
-            gw.complete_json(BackendProfile.for_role("m", "phase3"), "p", ["k"], retry_budget=2)
+            gw.complete_json(BackendProfile.for_role("m", "phase3"), "p", ["k"])
         assert exc.value.raw_text == "never"
 
     def test_json_with_surrounding_prose(self):
@@ -195,11 +190,6 @@ class TestCompleteJson:
     def test_missing_key_triggers_reask(self):
         gw = self.gw([{"wrong": 1}, {"k": 2}])
         assert gw.complete_json(BackendProfile.for_role("m", "phase3"), "p", ["k"]) == {"k": 2}
-
-    def test_budget_must_be_positive(self):
-        gw = self.gw(["x"])
-        with pytest.raises(ValueError):
-            gw.complete_json(BackendProfile.for_role("m", "phase3"), "p", ["k"], retry_budget=0)
 
 
 class RecordingBackend(ScriptedMockBackend):
@@ -447,12 +437,6 @@ class TestLedger:
         gw.complete(BackendProfile.for_role("m", "proposer"), "a b", sample_id="s")
         assert gw.ledger.per_sample()["s"]["total"] == 5
 
-    def test_call_budget(self):
-        gw = Gateway(ScriptedMockBackend(["x", "y"]), call_budget=1)
-        gw.complete(BackendProfile.for_role("m", "proposer"), "p")
-        with pytest.raises(BudgetExceeded):
-            gw.complete(BackendProfile.for_role("m", "proposer"), "p")
-
 
 class TestVerifierChoice:
     def test_cycles_to_next(self):
@@ -634,6 +618,20 @@ class WindowBackend:
         return [p for event, p in self.log if event == "submit"]
 
 
+class RefusingBackend(WindowBackend):
+    """A WindowBackend whose ``submit`` raises AuthError from the ``refuse_at``-th send on,
+    as a live backend does when it finds no credential."""
+
+    def __init__(self, reply, refuse_at):
+        super().__init__(reply)
+        self.refuse_at = refuse_at
+
+    def submit(self, payload, meta=None):
+        if len(self.submitted()) + 1 >= self.refuse_at:
+            raise AuthError("refused")
+        return super().submit(payload, meta)
+
+
 def flaky(bad):
     """Replies {"k": prompt}, except a first ask of a prompt in ``bad``, which gets prose."""
 
@@ -686,10 +684,10 @@ class TestCompleteJsonMany:
         assert out[2].raw_text == "never JSON"
         assert backend.submitted().count("p2" + REASK_NOTE) == 2
 
-    def test_call_budget_stops_at_exactly_its_limit(self):
-        backend = WindowBackend(flaky(set()))
-        gw = Gateway(backend, call_budget=5, max_in_flight=4)
-        with pytest.raises(BudgetExceeded):
+    def test_a_refused_send_stops_the_sample_at_exactly_that_send(self):
+        backend = RefusingBackend(flaky(set()), refuse_at=6)
+        gw = Gateway(backend, max_in_flight=4)
+        with pytest.raises(AuthError):
             gw.run_sample(one_batch(self.prompts))
         assert len(backend.submitted()) == 5 and gw.calls_made == 5
         assert not backend.pending
@@ -940,11 +938,11 @@ class TestRunSamples:
         assert out["b"][1] is None and out["c"][1] is None
         assert not backend.pending
 
-    def test_the_call_budget_fails_the_sample_it_refuses(self):
-        backend = WindowBackend(oracle_reply)
-        gw = Gateway(backend, call_budget=1 + 6 * 5 + 1, max_in_flight=8)
+    def test_a_refused_send_fails_the_sample_it_belongs_to(self):
+        backend = RefusingBackend(oracle_reply, refuse_at=1 + 6 * 5 + 2)
+        gw = Gateway(backend, max_in_flight=8)
         out = loops(gw, EDGES, ["a", "b"])
-        assert isinstance(out["b"][1], BudgetExceeded)
+        assert isinstance(out["b"][1], AuthError)
         assert gw.calls_made == len(backend.submitted()) == 1 + 6 * 5 + 1
         assert not backend.pending
 
@@ -999,11 +997,11 @@ class TestRunSamples:
         assert not backend.pending
 
     def test_a_refused_reask_ends_only_its_own_sample(self):
-        backend = WindowBackend(flaky({"a"}))
-        gw = Gateway(backend, call_budget=2, max_in_flight=8)
+        backend = RefusingBackend(flaky({"a"}), refuse_at=3)
+        gw = Gateway(backend, max_in_flight=8)
         out = {sid: (result, error) for sid, result, error in
                gw.run_samples([("a", one_batch(["a"])), ("b", one_batch(["b"]))])}
-        assert out["a"][0] is None and isinstance(out["a"][1], BudgetExceeded)
+        assert out["a"][0] is None and isinstance(out["a"][1], AuthError)
         assert out["b"] == ([{"k": "b"}], None)
         assert backend.submitted() == ["a", "b"] and gw.calls_made == 2
         assert not backend.pending

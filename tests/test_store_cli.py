@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -597,6 +598,96 @@ class TestGenerateEvaluate:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
         assert "record 'n3_00001': adjacency has a directed cycle" in r.output
+
+    @pytest.mark.parametrize("key, value", [("assignment", 5), ("spec", {"n": 3}), ("paragraph", {"text": "x"})])
+    def test_evaluate_names_the_line_of_a_record_it_cannot_load(self, tmp_path, key, value):
+        store = tmp_path / "samples.jsonl"
+        good, bad = make_record("n3_00000").to_json(), make_record("n3_00001").to_json()
+        bad[key] = value
+        store.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+        r = CliRunner().invoke(main, ["evaluate", "--store", str(store)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output.startswith(f"Error: {store}:3: record 'n3_00001': ")
+        assert len(r.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("damage", ["{}", '{"id": "n3_00000"}', "id [1]", "spec null", "spec {}", "dag null"])
+    @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
+    def test_store_record_without_id_spec_or_dag_is_a_one_line_error(self, tmp_path, command, damage):
+        runner, graphs, store = self.run_pipeline(tmp_path)
+        with open(store) as fh:
+            lines = fh.readlines()
+        if not damage.startswith("{"):  # "KEY VALUE": the record with KEY set to VALUE
+            obj = json.loads(lines[2])
+            key, value = damage.split(" ", 1)
+            obj[key] = json.loads(value)
+            damage = json.dumps(obj)
+        lines[2] = damage + "\n"
+        with open(store, "w") as fh:
+            fh.writelines(lines)
+        args = {
+            "evaluate": ["evaluate", "--store", store],
+            "generate --resume": ["generate", "--graphs", graphs, "--out", store,
+                                  "--mock-script", '{"mode": "oracle"}', "--resume"],
+        }[command]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output == f"Error: {store}:3: not a sample record: it needs an id, a spec with n, and a dag\n"
+
+    @pytest.mark.parametrize("value", [3, {}, [], "x", {"m": 5, "s": {}}, "proportion 7"],
+                             ids=["number", "empty-object", "array", "string", "no-pairs", "out-of-range"])
+    def test_damaged_cache_value_fails_only_its_sample(self, tmp_path, value):
+        runner = CliRunner()
+        graphs, store, cache = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "cache.jsonl"))
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1", "--seed", "5"]).exit_code == 0
+        gen = ["generate", "--graphs", graphs, "--cache", cache, "--mock-script", '{"mode": "oracle"}']
+        assert runner.invoke(main, [*gen, "--out", str(tmp_path / "first.jsonl")]).exit_code == 0
+        with open(cache) as fh:
+            lines = fh.readlines()
+        ((key, table),) = json.loads(lines[2]).items()
+        if value == "proportion 7":
+            value = {**table, "s": {**table["s"], "0,1": 7}}
+        lines[2] = json.dumps({key: value}) + "\n"
+        with open(cache, "w") as fh:
+            fh.writelines(lines)
+        r = runner.invoke(main, [*gen, "--out", store])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert "generated 7, failed 1, skipped 0" in r.stdout
+        errors = [rec.error for rec in SampleStore(store) if rec.error is not None]
+        assert len(errors) == 1 and errors[0].startswith(f"CacheIoError: cached value {key} is not a vote table")
+        assert json.load(open(store + ".manifest.json"))["errors"] == 1
+
+    def test_resume_after_a_cut_at_any_line_ends_matches_the_uncut_run(self, tmp_path):
+        """Cut the store and the cache at every pair of line ends, as a kill
+        between two writes leaves them, and resume: each record matches the
+        uncut run's, and uses no more tokens."""
+        keys = ("id", "dag", "assignment", "paragraph", "loop_status", "loop_iterations", "best_l_b", "error")
+        runner = CliRunner()
+        graphs, store, cache = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "cache.jsonl"))
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        gen = ["generate", "--graphs", graphs, "--mock-script", '{"mode": "oracle"}', "--resume"]
+        assert runner.invoke(main, [*gen, "--out", store, "--cache", cache]).exit_code == 0
+        full = list(store_mod.read_jsonl(store))
+        with open(store) as fh:
+            store_lines = fh.readlines()
+        with open(cache) as fh:
+            cache_lines = fh.readlines()
+        for i, j in itertools.product(range(len(store_lines) + 1), range(len(cache_lines) + 1)):
+            cut_store, cut_cache = str(tmp_path / f"s{i}_{j}.jsonl"), str(tmp_path / f"c{i}_{j}.jsonl")
+            with open(cut_store, "w") as fh:
+                fh.writelines(store_lines[:i])
+            with open(cut_cache, "w") as fh:
+                fh.writelines(cache_lines[:j])
+            r = runner.invoke(main, [*gen, "--out", cut_store, "--cache", cut_cache])
+            assert r.exit_code == 0, (i, j, r.output)
+            assert f"generated {len(full) - i}, failed 0, skipped {i}" in r.output
+            resumed = list(store_mod.read_jsonl(cut_store))
+            assert [[rec[k] for k in keys] for rec in resumed] == [[rec[k] for k in keys] for rec in full], (i, j)
+            # a vote table cached ahead of the store saves its sample the calls
+            assert all(a["tokens"]["total"] <= b["tokens"]["total"] for a, b in zip(resumed, full)), (i, j)
+            if j <= i:
+                assert [rec["tokens"] for rec in resumed] == [rec["tokens"] for rec in full], (i, j)
 
     @pytest.mark.parametrize(
         "content",

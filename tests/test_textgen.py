@@ -18,7 +18,6 @@ from causaltext.gateway import (
 )
 from causaltext.graphs import Dag
 from causaltext.textgen import (
-    GenIdConfig,
     Paragraph,
     concept_in_text,
     extract_concepts,
@@ -190,7 +189,7 @@ class TestGenIdRefine:
         gw = self.setup_case([])
         best, revisions, trace = gen_id_refine(
             self.dag(), self.assignment(), self.paragraph(), gw, PHASE3, DISCOVERY,
-            config=GenIdConfig(k_gen=0),
+            k_gen=0,
         )
         assert revisions == 0 and trace == [] and best.text == self.paragraph().text
         assert gw.calls_made == 0

@@ -97,7 +97,7 @@ class VoteTable:
         return {
             "m": self.m,
             "s": {f"{i},{j}": v for (i, j), v in self.s.items()},
-            "votes": {f"{i},{j}": v for (i, j), v in self.votes.items()},
+            "votes": {f"{i},{j}": list(v) for (i, j), v in self.votes.items()},
         }
 
     @classmethod
@@ -204,11 +204,13 @@ def counterfactual_verification_steps(
 ):
     key = make_cache_key(assignment.concepts, dag.edges, profile.model_id, "verify")
     table = yield CacheGet(key)
-    if table is None:
-        table = yield from _vote_steps(assignment.concepts, relations, profile, m)
-        yield CachePut(key, table)
-        return VoteTable.from_json(table)
-    return _cached_votes(table, relations, key)
+    if table is not None:
+        votes = _cached_votes(table, relations, key)
+        if votes.m == m:
+            return votes
+    votes = yield from _vote_steps(assignment.concepts, relations, profile, m)
+    yield CachePut(key, votes.to_json())
+    return votes
 
 
 def _cached_votes(table, relations: RelationSets, key: str) -> VoteTable:
@@ -247,7 +249,7 @@ def _vote_steps(concepts, relations: RelationSets, profile, m: int):
             raise VerificationError(f"pair ({i},{j}): only {len(pair_votes)} of {m} completions parsed")
         s[(i, j)] = sum(pair_votes) / len(pair_votes)
         votes[(i, j)] = pair_votes
-    return VoteTable(s=s, m=m, votes=votes).to_json()
+    return VoteTable(s=s, m=m, votes=votes)
 
 
 def counterfactual_verification(
@@ -262,7 +264,8 @@ def counterfactual_verification(
     """Vote proportions s_ij from m independent verifier completions per pair.
 
     The whole table is cached under (assignment, adjacency, verifier model,
-    template), so re-verifying an unchanged assignment costs zero calls.
+    template), so re-verifying an unchanged assignment costs zero calls; a
+    table cached at another m is recomputed and cached again.
     A completion that stays unparseable after the re-ask budget abstains;
     at least min(3, m) parsed completions are required per pair.  Each
     pair's prompt is rendered once, and all pair x vote requests form one

@@ -505,7 +505,7 @@ def make_cache_key(concepts, adjacency, backend_id: str, template_name: str) -> 
 
 
 def read_jsonl(path: str):
-    """Stream the JSON object on each line of a UTF-8 JSON Lines file, if it exists.
+    """Stream ``(line number, JSON object)`` for each line of a UTF-8 JSON Lines file, if it exists.
 
     Every complete line must hold one JSON object; one that does not parse,
     parses to another value or holds a byte that is not UTF-8 raises
@@ -528,7 +528,7 @@ def read_jsonl(path: str):
                         raise CorruptLine(f"{path}:{num}: not a JSON value ({exc})") from None
                     if not isinstance(value, dict):
                         raise CorruptLine(f"{path}:{num}: not a JSON object")
-                    yield value
+                    yield num, value
                 continue
             try:
                 value = json.loads(line)
@@ -540,7 +540,7 @@ def read_jsonl(path: str):
                     raise CorruptLine(f"{path}:{num}: not a JSON object")
                 with open(path, "a") as out:
                     out.write("\n")
-                yield value
+                yield num, value
 
 
 class ResponseCache:
@@ -556,7 +556,7 @@ class ResponseCache:
         self.data: dict = {}
         if path is not None:
             try:
-                for entry in read_jsonl(path):
+                for _, entry in read_jsonl(path):
                     self.data.update(entry)
             except (OSError, ValueError) as exc:
                 raise CacheIoError(f"cannot read cache at {path}: {exc}")
@@ -610,7 +610,7 @@ JSON_REASKS = 2  # re-asks of a reply that is not a JSON object with the expecte
 
 
 class Gateway:
-    """Ties a backend, a usage ledger, and an optional response cache together.
+    """Ties a backend, a usage ledger, and a response cache together.
 
     Every request goes through one scheduler, ``run_samples``, which keeps up
     to ``max_in_flight`` requests pending at once, from any number of open
@@ -622,8 +622,8 @@ class Gateway:
     one, so it serves one sample at a time in the order a sequential run
     would.  Idle keep-alive connections hold a server's handlers, so a
     window larger than the number of connections the server serves at once
-    stalls.  ``complete_json`` and ``ask`` run one sample through the same
-    scheduler.
+    stalls.  ``complete_json`` runs one sample through the same scheduler.
+    A gateway built without a cache keeps one in memory.
     """
 
     def __init__(self, backend, *, cache: ResponseCache | None = None, max_in_flight: int = 8):
@@ -631,7 +631,7 @@ class Gateway:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.backend = backend
         self.ledger = UsageLedger()
-        self.cache = cache
+        self.cache = ResponseCache() if cache is None else cache
         self.max_in_flight = max_in_flight
         self.calls_made = 0
         # a backend without submit is called when the reply is read, so it serves one request at a time
@@ -673,7 +673,7 @@ class Gateway:
         * :class:`CacheGet`: returns the cached value, or None, after which
           the sample computes the value and yields :class:`CachePut`.  A key
           another open sample is computing is waited for, not computed
-          twice; if that sample ends without storing it, the first waiter
+          twice; if that sample ends without storing it, the next waiter
           computes it.
 
         Yields ``(sample_id, result, error)`` for each sample, in admission
@@ -697,18 +697,12 @@ class Gateway:
         request = Request(profile, prompt, tuple(expected_keys), template)
         return self.run_sample(request_steps(request), sample_id)
 
-    def ask(self, profile: BackendProfile, template: str, bindings: dict, note: str = "", sample_id=None):
-        """Render ``template`` with ``bindings``, append ``note``, and return the
-        value of the template's declared reply key (re-asking as ``complete_json`` does)."""
-        return self.run_sample(ask_steps(profile, template, bindings, note), sample_id)
-
     def cached(self, key: str, compute):
         """Return the cached value for ``key``, computing and storing on a miss."""
-        if self.cache is not None and key in self.cache:
+        if key in self.cache:
             return self.cache.get(key)
         value = compute()
-        if self.cache is not None:
-            self.cache.put(key, value)
+        self.cache.put(key, value)
         return value
 
 
@@ -750,7 +744,8 @@ def request_steps(request: Request):
 
 
 def ask_steps(profile: BackendProfile, template: str, bindings: dict, note: str = ""):
-    """Pipeline steps of ``Gateway.ask``."""
+    """Pipeline steps of one request for ``template`` rendered with ``bindings``
+    and ``note`` appended: the value of the template's declared reply key."""
     spec = load_template(template)
     (key,) = spec.expected_json_keys
     request = Request(profile, render_prompt(spec, bindings) + note, spec.expected_json_keys, template)
@@ -778,8 +773,7 @@ _UNREAD = object()  # a reply slot whose final reply has not been read yet
 class _Sample:
     """An admitted pipeline and where it stands in its current batch."""
 
-    __slots__ = ("sample_id", "steps", "batch", "replies", "given", "upto", "sent", "owns", "result", "error",
-                 "done")
+    __slots__ = ("sample_id", "steps", "batch", "replies", "given", "upto", "sent", "result", "error", "done")
 
     def __init__(self, sample_id, steps):
         self.sample_id = sample_id
@@ -789,7 +783,6 @@ class _Sample:
         self.given = 0  # replies handed to the steps
         self.upto = 0  # the steps wait for replies[given:upto]; 0 if they do not wait
         self.sent = 0  # requests of the batch written so far
-        self.owns: set = set()  # cache keys this sample is computing
         self.result = self.error = None
         self.done = False
 
@@ -814,8 +807,7 @@ class _Scheduler:
         self.queued = collections.deque()  # samples whose batch has requests not yet written
         self.order = collections.deque()  # admitted samples not yet handed out
         self.ready = collections.deque()  # (sample, value) to resume with
-        self.owners: dict = {}  # cache key -> the sample computing it
-        self.waiters: dict = {}  # cache key -> deque of samples waiting for it
+        self.claims: dict = {}  # cache key -> deque of samples: the head computes it, the rest wait for it
 
     def run(self):
         pending, order = self.pending, self.order
@@ -931,28 +923,22 @@ class _Scheduler:
                 if step:
                     self.queued.append(s)
             elif type(step) is CacheGet:
-                cache, key = self.gw.cache, step.key
-                if cache is not None:
-                    if key in cache:
-                        value = cache.get(key)
-                    elif key in self.owners:
-                        self.waiters.setdefault(key, collections.deque()).append(s)
+                if step.key in self.gw.cache:
+                    value = self.gw.cache.get(step.key)
+                else:
+                    claim = self.claims.setdefault(step.key, collections.deque())
+                    claim.append(s)
+                    if len(claim) > 1:
                         return
-                    else:
-                        self.owners[key] = s
-                        s.owns.add(key)
             elif type(step) is CachePut:
-                cache, key = self.gw.cache, step.key
-                if cache is not None:
-                    try:
-                        cache.put(key, step.value)
-                    except CausaltextError as exc:
-                        self._end(s, error=exc)
-                        return
-                    self.owners.pop(key, None)
-                    s.owns.discard(key)
-                    for waiter in self.waiters.pop(key, ()):
-                        self.ready.append((waiter, step.value))
+                try:
+                    self.gw.cache.put(step.key, step.value)
+                except CausaltextError as exc:
+                    self._end(s, error=exc)
+                    return
+                # the samples behind the head of the key's claim wait for this value
+                for waiter in itertools.islice(self.claims.pop(step.key, ()), 1, None):
+                    self.ready.append((waiter, step.value))
             else:
                 raise TypeError(f"a sample pipeline yielded {step!r}")
 
@@ -971,18 +957,14 @@ class _Scheduler:
         self._drop(s)
         s.steps.close()
         s.result, s.error, s.done = result, error, True
-        for key in s.owns:
-            # the first waiter computes the key itself, as a sequential run would
-            del self.owners[key]
-            waiters = self.waiters.pop(key, None)
-            if waiters:
-                waiter = waiters.popleft()
-                self.owners[key] = waiter
-                waiter.owns.add(key)
-                if waiters:
-                    self.waiters[key] = waiters
-                self.ready.append((waiter, None))
-        s.owns = set()
+        for key, claim in list(self.claims.items()):
+            if claim[0] is s:
+                # the next waiter computes the key itself, as a sequential run would
+                claim.popleft()
+                if claim:
+                    self.ready.append((claim[0], None))
+                else:
+                    del self.claims[key]
 
 
 def _extract_json(text: str):

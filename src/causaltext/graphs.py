@@ -107,19 +107,6 @@ class Dag:
         if not is_acyclic(self.edges):
             raise CyclicInput("adjacency has a directed cycle")
 
-    def parents(self, j: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.edges[:, j])]
-
-    def children(self, i: int) -> list[int]:
-        return [int(j) for j in np.flatnonzero(self.edges[i, :])]
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.edges.sum())
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.edges))]
-
     def to_json(self) -> dict:
         return {"n": self.n, "edges": self.edges.astype(int).tolist()}
 

@@ -57,14 +57,6 @@ class ErrorDecomposition:
     missed: list  # FN edges present in target, absent in prediction
     spurious: list  # FP edges absent in target, present in prediction
 
-    @property
-    def fn(self) -> int:
-        return len(self.missed)
-
-    @property
-    def fp(self) -> int:
-        return len(self.spurious)
-
 
 def _pair(target, predicted):
     # a Dag was checked when it was built; only raw arrays are checked here

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import statistics
 import time
 from dataclasses import dataclass, field
 
 from .assignment import ConceptAssignment
-from .errors import CausaltextError, CorruptLine, open_utf8
+from .errors import CausaltextError, CorruptLine
 from .gateway import read_jsonl
 from .graphs import Dag, GraphSpec
 from .textgen import Paragraph
@@ -68,24 +67,17 @@ class SampleRecord:
 
 
 def _records(path: str):
-    """The JSON object on each line of a store.
+    """``(line number, JSON object)`` for each line of a store.
 
     An object without a string or integer ``id``, a ``spec`` object with an
     integer ``n`` and a ``dag`` object raises CorruptLine as ``FILE:LINE: ...``.
     """
-    for k, obj in enumerate(read_jsonl(path), 1):
+    for num, obj in read_jsonl(path):
         spec = obj.get("spec")
         if not (isinstance(obj.get("id"), (str, int)) and isinstance(spec, dict) and type(spec.get("n")) is int
                 and isinstance(obj.get("dag"), dict)):
-            raise _corrupt(path, k, "not a sample record: it needs an id, a spec with n, and a dag")
-        yield obj
-
-
-def _corrupt(path: str, k: int, message: str) -> CorruptLine:
-    """CorruptLine naming the line of the ``k``-th JSON object of a store, found by reading it again."""
-    with open_utf8(path, newline=None) as fh:  # as read_jsonl reads it, so blank lines are skipped alike
-        num = next(itertools.islice((num for num, line in enumerate(fh, 1) if line.strip()), k - 1, None))
-    return CorruptLine(f"{path}:{num}: {message}")
+            raise CorruptLine(f"{path}:{num}: not a sample record: it needs an id, a spec with n, and a dag")
+        yield num, obj
 
 
 class SampleStore:
@@ -104,7 +96,7 @@ class SampleStore:
     @property
     def _ids(self) -> set:
         if self._index is None:
-            self._index = {obj["id"] for obj in _records(self.path)}
+            self._index = {obj["id"] for _, obj in _records(self.path)}
         return self._index
 
     def __contains__(self, sample_id: str) -> bool:
@@ -112,10 +104,6 @@ class SampleStore:
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    @property
-    def ids(self) -> set:
-        return set(self._ids)
 
     def append(self, record: SampleRecord) -> None:
         # the index read also drops a torn last line before this write
@@ -126,11 +114,11 @@ class SampleStore:
         self._ids.add(record.id)
 
     def __iter__(self):
-        for k, obj in enumerate(_records(self.path), 1):
+        for num, obj in _records(self.path):
             try:
                 record = SampleRecord.from_json(obj)
             except (CausaltextError, AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise _corrupt(self.path, k, f"record {obj['id']!r}: {exc}") from None
+                raise CorruptLine(f"{self.path}:{num}: record {obj['id']!r}: {exc}") from None
             yield record
 
 
@@ -164,7 +152,7 @@ class RunManifest:
         per_n: dict = {}
         statuses, iterations, tokens = [], [], []
         errors = 0
-        for obj in _records(store.path):
+        for _, obj in _records(store.path):
             n = obj["spec"]["n"]
             per_n[n] = per_n.get(n, 0) + 1
             if obj.get("error") is not None:

@@ -89,7 +89,7 @@ def llm_causal_discovery(text: str, concepts, gateway, profile, sample_id=None) 
     The result may contain cycles; nonzero diagonal entries are clamped to
     zero with a warning.
     """
-    raw = gateway.ask(profile, "discovery", {"Text": text, "Important concepts": concepts}, sample_id=sample_id)
+    raw = gateway.run_sample(ask_steps(profile, "discovery", {"Text": text, "Important concepts": concepts}), sample_id)
     n = len(concepts)
     try:
         adj = np.asarray(raw, dtype=float)
@@ -132,7 +132,8 @@ def gen_id_refine(
 
     Mismatch is the Hamming distance between the extracted matrix and the
     target.  Stops at mismatch zero, on non-decrease, or when the budget
-    runs out; returns the lowest-mismatch paragraph seen.
+    runs out; returns the last paragraph that lowered the mismatch, which is
+    the lowest-mismatch paragraph seen.
     Returns (paragraph, revisions_performed, trace).
     """
     if k_gen < 0:
@@ -152,7 +153,6 @@ def gen_id_refine(
     current = paragraph
     mismatch, adj = extract(current)
     trace.append({"mismatch": mismatch, "adjacency": adj.tolist()})
-    best, best_mismatch = current, mismatch
     revisions = 0
     while mismatch > 0 and revisions < k_gen:
         errors = decompose_errors(dag, adj)
@@ -161,17 +161,15 @@ def gen_id_refine(
             missed=name_edges(errors.missed),
             spurious=name_edges(errors.spurious),
         )
-        reply = gateway.ask(profile, "phase3", bindings, note=note, sample_id=sample_id)
+        reply = gateway.run_sample(ask_steps(profile, "phase3", bindings, note), sample_id)
         candidate = Paragraph(text=str(reply), source_concepts=assignment)
         revisions += 1
         new_mismatch, new_adj = extract(candidate)
         trace.append({"mismatch": new_mismatch, "adjacency": new_adj.tolist()})
-        if new_mismatch < best_mismatch:
-            best, best_mismatch = candidate, new_mismatch
         if new_mismatch >= mismatch:
             break
         current, mismatch, adj = candidate, new_mismatch, new_adj
-    return best, revisions, trace
+    return current, revisions, trace
 
 
 EXTRACTION_REASK = (
@@ -205,10 +203,10 @@ def extract_concepts(text: str, gateway, profile, sample_id=None) -> list:
             out.append(c)
         return out
 
-    concepts = clean(gateway.ask(profile, "extraction", {"Text": text}, sample_id=sample_id))
+    concepts = clean(gateway.run_sample(ask_steps(profile, "extraction", {"Text": text}), sample_id))
     if not 3 <= len(concepts) <= 10:
         note = EXTRACTION_REASK.format(reason=f"{len(concepts)} usable concepts after filtering")
-        concepts = clean(gateway.ask(profile, "extraction", {"Text": text}, note=note, sample_id=sample_id))
+        concepts = clean(gateway.run_sample(ask_steps(profile, "extraction", {"Text": text}, note), sample_id))
         if not 3 <= len(concepts) <= 10:
             raise ExtractionFailed(f"still {len(concepts)} usable concepts after re-ask")
     return concepts

@@ -88,16 +88,6 @@ class ScoreTable:
                 values[key] = scores
         return cls(algorithms=algorithms, ns=sorted(ns), values=values)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm", "n", "corpus", "f1", "shd", "sid"])
-            for alg in self.algorithms:
-                for n in self.ns:
-                    for corpus in CORPORA:
-                        v = self.values[(alg, n, corpus)]
-                        writer.writerow([alg, n, corpus, v["f1"], v["shd"], v["sid"]])
-
     def check_grid(self) -> None:
         for alg in self.algorithms:
             for n in self.ns:

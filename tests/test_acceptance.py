@@ -547,7 +547,7 @@ def test_criterion_5_generator_properties():
         spec = GraphSpec(n=8, p=p, max_parents=7, max_children=7,
                          gamma_c=0.0, gamma_v=0.0, mediator_chains=0, seed=s)
         dag, _ = sample_dag(spec)
-        total += dag.edge_count
+        total += int(dag.edges.sum())
         possible += 8 * 7 // 2
     density = total / possible
     if abs(density - p) > 0.02:

@@ -166,6 +166,21 @@ class TestVerification:
         assert gw.calls_made == before
         assert v2.s == v1.s
 
+    def test_a_table_cached_at_another_m_is_recomputed(self):
+        gw = Gateway(ScriptedMockBackend({"rules": [{"template": "verify", "reply": {"direct cause": "no"}}]}))
+        assert isinstance(gw.cache, ResponseCache)
+        dag = make_dag(3, [(0, 1), (1, 2)])
+        ca = ConceptAssignment(["A", "B", "C"], "d")
+        rel = analyze_causal_structure(dag)
+        assert counterfactual_verification(ca, rel, dag, gw, VERIFIER, m=5).m == 5
+        before = gw.calls_made
+        votes = counterfactual_verification(ca, rel, dag, gw, VERIFIER, m=3)
+        assert gw.calls_made - before == 3 * 2 * 3
+        assert votes.m == 3 and all(len(v) == 3 for v in votes.votes.values())
+        # the m = 3 table replaced the m = 5 one
+        assert counterfactual_verification(ca, rel, dag, gw, VERIFIER, m=3) == votes
+        assert gw.calls_made - before == 3 * 2 * 3
+
     def test_abstention_below_quorum(self):
         # three completions burn the whole re-ask budget (3 calls each) and
         # abstain, leaving only 2 parsed of the required 3

@@ -42,6 +42,7 @@ from causaltext.gateway import (
     Request,
     ResponseCache,
     ScriptedMockBackend,
+    ask_steps,
     UsageLedger,
     build_payload,
     choose_verifier,
@@ -220,7 +221,7 @@ class TestAsk:
 
     def test_returns_declared_key_and_appends_note(self):
         backend = RecordingBackend([{DESC: "x", "other": 1}])
-        out = Gateway(backend).ask(self.profile, "phase3", PHASE3_BINDINGS, note="\n\nPS")
+        out = Gateway(backend).run_sample(ask_steps(self.profile, "phase3", PHASE3_BINDINGS, "\n\nPS"))
         assert out == "x"
         assert backend.sent == [
             ("phase3", render_prompt(load_template("phase3"), PHASE3_BINDINGS) + "\n\nPS")
@@ -230,13 +231,13 @@ class TestAsk:
         prompt = render_prompt(load_template("phase3"), PHASE3_BINDINGS)
         reask = prompt + "\n\n" + JSON_REASK.format(keys=repr(DESC))
         backend = RecordingBackend([{"wrong": 1}, {DESC: "y"}])
-        assert Gateway(backend).ask(self.profile, "phase3", PHASE3_BINDINGS) == "y"
+        assert Gateway(backend).run_sample(ask_steps(self.profile, "phase3", PHASE3_BINDINGS)) == "y"
         assert backend.sent == [("phase3", prompt), ("phase3", reask)]
 
         backend = RecordingBackend([{"wrong": 1}] * 3)
         gw = Gateway(backend)
         with pytest.raises(MalformedOutput):
-            gw.ask(self.profile, "phase3", PHASE3_BINDINGS)
+            gw.run_sample(ask_steps(self.profile, "phase3", PHASE3_BINDINGS))
         assert gw.calls_made == 3
         assert [p for _, p in backend.sent] == [prompt, reask, reask]
 
@@ -924,6 +925,27 @@ class TestRunSamples:
         assert isinstance(out["x"][1], VerificationError)
         assert out["y"][1] is None and out["y"][0].status == "Success"
         assert gw.ledger.sample("y")["calls"] == 1 + 12 * 5
+        assert not backend.pending
+
+    def test_a_passed_on_claim_keeps_its_waiters(self):
+        seen = collections.Counter()
+
+        def reply(prompt):
+            # every vote on the first pair fails for the first sample to ask: 5 votes x 3 asks
+            if "Cause candidate: F0" in prompt and "Effect candidate: F1" in prompt:
+                seen["first pair"] += 1
+                if seen["first pair"] <= 15:
+                    return "no JSON"
+            return oracle_reply(prompt)
+
+        backend = WindowBackend(reply)
+        gw = Gateway(backend, max_in_flight=8)
+        out = loops(gw, {sid: EDGES["b"] for sid in "xyz"}, ["x", "y", "z"])
+        assert isinstance(out["x"][1], VerificationError)
+        assert out["y"][1] is None and out["y"][0].status == "Success"
+        assert out["z"][1] is None and out["z"][0].to_json() == out["y"][0].to_json()
+        assert gw.ledger.sample("y")["calls"] == 1 + 12 * 5
+        assert gw.ledger.sample("z")["calls"] == 1  # its phase-2 request; it waited for the votes of "y"
         assert not backend.pending
 
     def test_an_error_fails_only_its_own_sample(self):

@@ -127,7 +127,7 @@ class TestSampler:
         for s in range(600):
             spec = make_spec(n=8, p=p, max_parents=7, max_children=7, seed=s)
             dag, _ = sample_dag(spec)
-            total += dag.edge_count
+            total += int(dag.edges.sum())
             possible += 8 * 7 // 2
         assert abs(total / possible - p) < 0.02
 
@@ -174,12 +174,6 @@ class TestSpecSpace:
 
 
 class TestDag:
-    def test_parents_children(self):
-        dag = Dag(n=3, edges=np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]]))
-        assert dag.parents(1) == [0]
-        assert dag.children(0) == [1, 2]
-        assert dag.edge_list() == [(0, 1), (0, 2)]
-
     def test_json_roundtrip(self):
         dag = Dag(n=2, edges=np.array([[0, 1], [0, 0]]))
         assert Dag.from_json(dag.to_json()) == dag

@@ -77,7 +77,7 @@ class TestStore:
         st.append(make_record("a"))
         st.append(make_record("b"))
         st2 = SampleStore(path)
-        assert st2.ids == {"a", "b"}
+        assert {r.id for r in st2} == {"a", "b"}
         assert [r.id for r in st2] == ["a", "b"]
 
     def test_duplicate_rejected(self, tmp_path):
@@ -357,7 +357,7 @@ class TestGenerateEvaluate:
         assert "n3_00000.json: CyclicInput" in r.stderr
         assert "n4_00000.json: ShapeMismatch" in r.stderr
         assert "generated 6, failed 2, skipped 0" in r.stdout
-        assert SampleStore(store).ids.isdisjoint(bad)
+        assert {r.id for r in SampleStore(store)}.isdisjoint(bad)
         assert json.load(open(store + ".manifest.json"))["errors"] == 0
 
     @pytest.mark.parametrize("dag, why", [
@@ -454,7 +454,7 @@ class TestGenerateEvaluate:
             with open(os.path.join(graphs, name), "rb") as fh:
                 files.update(name.encode() + b"\0" + fh.read())
         records = hashlib.sha256()
-        for obj in store_mod.read_jsonl(store):
+        for _, obj in store_mod.read_jsonl(store):
             del obj["created_at"]
             records.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
 
@@ -668,7 +668,7 @@ class TestGenerateEvaluate:
         assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
         gen = ["generate", "--graphs", graphs, "--mock-script", '{"mode": "oracle"}', "--resume"]
         assert runner.invoke(main, [*gen, "--out", store, "--cache", cache]).exit_code == 0
-        full = list(store_mod.read_jsonl(store))
+        full = [obj for _, obj in store_mod.read_jsonl(store)]
         with open(store) as fh:
             store_lines = fh.readlines()
         with open(cache) as fh:
@@ -682,7 +682,7 @@ class TestGenerateEvaluate:
             r = runner.invoke(main, [*gen, "--out", cut_store, "--cache", cut_cache])
             assert r.exit_code == 0, (i, j, r.output)
             assert f"generated {len(full) - i}, failed 0, skipped {i}" in r.output
-            resumed = list(store_mod.read_jsonl(cut_store))
+            resumed = [obj for _, obj in store_mod.read_jsonl(cut_store)]
             assert [[rec[k] for k in keys] for rec in resumed] == [[rec[k] for k in keys] for rec in full], (i, j)
             # a vote table cached ahead of the store saves its sample the calls
             assert all(a["tokens"]["total"] <= b["tokens"]["total"] for a, b in zip(resumed, full)), (i, j)

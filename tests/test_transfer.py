@@ -109,13 +109,6 @@ class TestCorrelations:
 
 
 class TestScoreTable:
-    def test_csv_roundtrip(self, tmp_path):
-        t = ScoreTable.from_csv(os.path.join(DATA, "scores_gpt5.csv"))
-        out = tmp_path / "again.csv"
-        t.to_csv(out)
-        t2 = ScoreTable.from_csv(out)
-        assert t2.values == t.values and t2.algorithms == t.algorithms
-
     def test_incomplete_grid(self):
         t = toy_table({("a", 3, "generated"): (1, 0, 0), ("a", 3, "real"): (1, 0, 0)})
         del t.values[("a", 3, "real")]

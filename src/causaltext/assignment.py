@@ -204,10 +204,12 @@ def counterfactual_verification_steps(
 ):
     key = make_cache_key(assignment.concepts, dag.edges, profile.model_id, "verify")
     table = yield CacheGet(key)
-    if table is not None:
+    while table is not None:
         votes = _cached_votes(table, relations, key)
         if votes.m == m:
             return votes
+        # a table of another m is recomputed under a claim, so open samples on the key share one
+        table = yield CacheGet(key, refresh=True)
     votes = yield from _vote_steps(assignment.concepts, relations, profile, m)
     yield CachePut(key, votes.to_json())
     return votes

@@ -674,7 +674,9 @@ class Gateway:
           the sample computes the value and yields :class:`CachePut`.  A key
           another open sample is computing is waited for, not computed
           twice; if that sample ends without storing it, the next waiter
-          computes it.
+          computes it.  With ``refresh`` set the cached value is passed
+          over, so the value returned is one another open sample stored
+          while this one waited, or None.
 
         Yields ``(sample_id, result, error)`` for each sample, in admission
         order: ``result`` is what ``steps`` returned, or ``error`` the
@@ -721,9 +723,14 @@ class Request:
 
 @dataclass(frozen=True)
 class CacheGet:
-    """Pipeline step: the cached value for ``key``, or None if the sample is to compute it."""
+    """Pipeline step: the cached value for ``key``, or None if the sample is to compute it.
+
+    ``refresh`` passes over the value already cached (one the sample cannot
+    use), so the key is claimed as on a miss.
+    """
 
     key: str
+    refresh: bool = False
 
 
 @dataclass(frozen=True)
@@ -923,7 +930,7 @@ class _Scheduler:
                 if step:
                     self.queued.append(s)
             elif type(step) is CacheGet:
-                if step.key in self.gw.cache:
+                if not step.refresh and step.key in self.gw.cache:
                     value = self.gw.cache.get(step.key)
                 else:
                     claim = self.claims.setdefault(step.key, collections.deque())

@@ -112,13 +112,21 @@ def decompose_errors(target, predicted) -> ErrorDecomposition:
     return ErrorDecomposition(missed=missed, spurious=spurious)
 
 
-def _reachable(adj: np.ndarray) -> np.ndarray:
-    """Boolean matrix R with R[u, v] true iff a directed path u -> ... -> v exists."""
-    r = adj.astype(bool)
-    reach = r.copy()
-    for _ in range(r.shape[0] - 1):
-        reach |= reach @ r
-    return reach
+def _reaches(children: list, src: int, dst: int) -> bool:
+    """Whether a directed path src -> ... -> dst exists; ``children[u]`` is u's child set as an int bit set."""
+    seen = frontier = 1 << src
+    target = 1 << dst
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= children[low.bit_length() - 1]
+            frontier ^= low
+        if reached & target:
+            return True
+        frontier = reached & ~seen
+        seen |= frontier
+    return False
 
 
 def project_dag(sg: SupportGraph, threshold: float = 0.5):
@@ -129,21 +137,24 @@ def project_dag(sg: SupportGraph, threshold: float = 0.5):
     lowest-support edge is removed; ties break by lexicographic (i, j) order.
     Returns (Dag, removal_log) where removal_log is the ordered list of
     removed edges.
+
+    This takes one scan over the edges in ascending (support, i, j) order,
+    removing each edge (u, v) whose head v still reaches its tail u.
+    Removing an edge only breaks cycles, so the set of edges on a cycle only
+    shrinks: an edge on no cycle when the scan reaches it never lies on one
+    later, and an edge still on a cycle when the scan reaches it is the
+    lowest-keyed cycle edge left, the one the rule removes next.
     """
     edges = (sg.support >= threshold).astype(np.int8)
     np.fill_diagonal(edges, 0)
+    us, vs = (ix.tolist() for ix in np.nonzero(edges))
+    children = [0] * sg.n
+    for u, v in zip(us, vs):
+        children[u] |= 1 << v
     removed: list[tuple[int, int]] = []
-    while True:
-        reach = _reachable(edges)
-        # an edge (u, v) lies on a cycle iff v reaches u
-        on_cycle = edges.astype(bool) & reach.T
-        if not on_cycle.any():
-            break
-        us, vs = np.nonzero(on_cycle)
-        supports = sg.support[us, vs]
-        # lowest support first; ties by lexicographic (i, j)
-        best = np.lexsort((vs, us, supports))[0]
-        u, v = int(us[best]), int(vs[best])
-        edges[u, v] = 0
-        removed.append((u, v))
+    for _, u, v in sorted(zip(sg.support[us, vs].tolist(), us, vs)):
+        if _reaches(children, v, u):
+            children[u] &= ~(1 << v)
+            edges[u, v] = 0
+            removed.append((u, v))
     return Dag(n=sg.n, edges=edges), removed

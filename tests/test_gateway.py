@@ -16,6 +16,7 @@ from causaltext.assignment import (
     REVISION_NOTE,
     ConceptAssignment,
     FallacySet,
+    LoopConfig,
     analyze_causal_structure,
     counterfactual_verification,
     initial_assignment,
@@ -907,6 +908,20 @@ class TestRunSamples:
         assert calls[8] == calls[1]
         assert calls[8]["y"]["calls"] == 1  # its phase-2 request; the votes came from "x"
         assert calls[8]["x"]["calls"] == 1 + 12 * 5
+
+    def test_a_table_cached_at_another_m_is_recomputed_once(self):
+        twins = {"x": EDGES["b"], "y": EDGES["b"]}
+        calls = {}
+        for window in (8, 1):
+            gw = Gateway(SampleWindowBackend(oracle_reply), max_in_flight=window)
+            loops(gw, {"w": EDGES["b"]}, ["w"])  # caches the table at m = 5
+            out = loops(gw, twins, ["x", "y"], config=LoopConfig(m=3))
+            assert all(error is None for _, error in out.values())
+            assert out["x"][0].to_json() == out["y"][0].to_json()
+            calls[window] = {sid: gw.ledger.sample(sid) for sid in twins}
+        assert calls[8] == calls[1]
+        assert calls[8]["x"]["calls"] == 1 + 12 * 3
+        assert calls[8]["y"]["calls"] == 1  # its phase-2 request; it waited for the m = 3 votes of "x"
 
     def test_the_waiter_computes_the_key_when_its_owner_fails(self):
         seen = collections.Counter()

@@ -169,6 +169,53 @@ class TestDecompose:
             assert len(d.missed) == r.fn and len(d.spurious) == r.fp
 
 
+def closure_projection(sg, threshold):
+    """The projection rule run literally: recompute every cycle edge by
+    transitive closure and remove the lowest (support, i, j) one, until none is left."""
+    edges = (sg.support >= threshold).astype(np.int8)
+    np.fill_diagonal(edges, 0)
+    removed = []
+    while True:
+        on_cycle = cycle_edges(edges)
+        if not on_cycle.any():
+            break
+        us, vs = np.nonzero(on_cycle)
+        best = np.lexsort((vs, us, sg.support[us, vs]))[0]
+        u, v = int(us[best]), int(vs[best])
+        edges[u, v] = 0
+        removed.append((u, v))
+    return edges, removed
+
+
+def cycle_edges(edges):
+    """Boolean matrix of the edges (u, v) that lie on a directed cycle, i.e. v reaches u."""
+    r = edges.astype(bool)
+    reach = r.copy()
+    for _ in range(r.shape[0] - 1):
+        reach |= reach @ r
+    return r & reach.T
+
+
+THRESHOLDS = (0.3, 0.5, 0.6, np.nextafter(0.0, 1.0))
+
+
+def projection_inputs():
+    """Seeded supports over n = 1..15: tied, float, int8 and bool, each with the four thresholds."""
+    rng = np.random.default_rng(19)
+    for n in range(1, 16):
+        for _ in range(3):
+            present = rng.random((n, n)) < rng.uniform(0.2, 0.8)
+            kinds = {
+                "tied": rng.choice([0.3, 0.5, 0.6, 1.0], size=(n, n)) * present,
+                "float": rng.random((n, n)) * present,
+                "int8": present.astype(np.int8),
+                "bool": present,
+            }
+            for kind, support in kinds.items():
+                for threshold in THRESHOLDS:
+                    yield kind, threshold, SupportGraph(n=n, support=support)
+
+
 class TestProjection:
     def support(self, n, entries):
         s = np.zeros((n, n))
@@ -212,6 +259,36 @@ class TestProjection:
         d2, r2 = project_dag(SupportGraph(n=n, support=s.copy()), threshold=0.3)
         assert is_acyclic(d1.edges)
         assert d1 == d2 and r1 == r2
+
+    def test_matches_the_closure_loop_on_seeded_inputs(self):
+        cyclic = 0
+        for kind, threshold, sg in projection_inputs():
+            dag, removed = project_dag(sg, threshold=threshold)
+            edges, expected = closure_projection(sg, threshold)
+            assert removed == expected, (kind, threshold, sg.support)
+            assert np.array_equal(dag.edges, edges), (kind, threshold, sg.support)
+            cyclic += bool(expected)
+        assert cyclic > 400  # most of the 720 inputs are cyclic
+
+    def test_matches_the_closure_loop_on_a_dense_graph(self):
+        rng = np.random.default_rng(40)
+        sg = SupportGraph(n=40, support=rng.random((40, 40)) * (rng.random((40, 40)) < 0.6))
+        dag, removed = project_dag(sg, threshold=0.3)
+        edges, expected = closure_projection(sg, 0.3)
+        assert len(removed) > 100
+        assert removed == expected and np.array_equal(dag.edges, edges)
+
+    def test_each_removal_is_the_lowest_cycle_edge_of_its_step(self):
+        for kind, threshold, sg in projection_inputs():
+            dag, removed = project_dag(sg, threshold=threshold)
+            edges = (sg.support >= threshold).astype(np.int8)
+            np.fill_diagonal(edges, 0)
+            for u, v in removed:
+                on_cycle = list(zip(*np.nonzero(cycle_edges(edges))))
+                assert (u, v) in on_cycle, (kind, threshold, sg.support)
+                assert min(on_cycle, key=lambda e: (sg.support[e], e)) == (u, v), (kind, threshold, sg.support)
+                edges[u, v] = 0
+            assert not cycle_edges(edges).any() and np.array_equal(dag.edges, edges)
 
     def test_support_diagonal_zeroed(self):
         sg = SupportGraph(n=2, support=np.array([[0.9, 0.2], [0.1, 0.8]]))

@@ -660,8 +660,9 @@ class TestGenerateEvaluate:
 
     def test_resume_after_a_cut_at_any_line_ends_matches_the_uncut_run(self, tmp_path):
         """Cut the store and the cache at every pair of line ends, as a kill
-        between two writes leaves them, and resume: each record matches the
-        uncut run's, and uses no more tokens."""
+        between two writes leaves them, and again 7 bytes before each of
+        those line ends, as a kill within a write leaves them, and resume:
+        each record matches the uncut run's, and uses no more tokens."""
         keys = ("id", "dag", "assignment", "paragraph", "loop_status", "loop_iterations", "best_l_b", "error")
         runner = CliRunner()
         graphs, store, cache = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "cache.jsonl"))
@@ -669,25 +670,29 @@ class TestGenerateEvaluate:
         gen = ["generate", "--graphs", graphs, "--mock-script", '{"mode": "oracle"}', "--resume"]
         assert runner.invoke(main, [*gen, "--out", store, "--cache", cache]).exit_code == 0
         full = [obj for _, obj in store_mod.read_jsonl(store)]
-        with open(store) as fh:
-            store_lines = fh.readlines()
-        with open(cache) as fh:
-            cache_lines = fh.readlines()
-        for i, j in itertools.product(range(len(store_lines) + 1), range(len(cache_lines) + 1)):
-            cut_store, cut_cache = str(tmp_path / f"s{i}_{j}.jsonl"), str(tmp_path / f"c{i}_{j}.jsonl")
-            with open(cut_store, "w") as fh:
-                fh.writelines(store_lines[:i])
-            with open(cut_cache, "w") as fh:
-                fh.writelines(cache_lines[:j])
+        with open(store, "rb") as fh:
+            store_bytes = fh.read()
+        with open(cache, "rb") as fh:
+            cache_bytes = fh.read()
+        store_ends = list(itertools.accumulate(map(len, store_bytes.splitlines(keepends=True)), initial=0))
+        cache_ends = list(itertools.accumulate(map(len, cache_bytes.splitlines(keepends=True)), initial=0))
+        for back, i, j in itertools.product((0, 7), range(len(store_ends)), range(len(cache_ends))):
+            cut_store, cut_cache = str(tmp_path / f"s{back}_{i}_{j}.jsonl"), str(tmp_path / f"c{back}_{i}_{j}.jsonl")
+            with open(cut_store, "wb") as fh:
+                fh.write(store_bytes[:max(0, store_ends[i] - back)])
+            with open(cut_cache, "wb") as fh:
+                fh.write(cache_bytes[:max(0, cache_ends[j] - back)])
+            # a cut within a line leaves that line torn, and it is dropped
+            kept_store, kept_cache = (k - 1 if back and k else k for k in (i, j))
             r = runner.invoke(main, [*gen, "--out", cut_store, "--cache", cut_cache])
-            assert r.exit_code == 0, (i, j, r.output)
-            assert f"generated {len(full) - i}, failed 0, skipped {i}" in r.output
+            assert r.exit_code == 0, (back, i, j, r.output)
+            assert f"generated {len(full) - kept_store}, failed 0, skipped {kept_store}" in r.output
             resumed = [obj for _, obj in store_mod.read_jsonl(cut_store)]
-            assert [[rec[k] for k in keys] for rec in resumed] == [[rec[k] for k in keys] for rec in full], (i, j)
+            assert [[rec[k] for k in keys] for rec in resumed] == [[rec[k] for k in keys] for rec in full], (back, i, j)
             # a vote table cached ahead of the store saves its sample the calls
-            assert all(a["tokens"]["total"] <= b["tokens"]["total"] for a, b in zip(resumed, full)), (i, j)
-            if j <= i:
-                assert [rec["tokens"] for rec in resumed] == [rec["tokens"] for rec in full], (i, j)
+            assert all(a["tokens"]["total"] <= b["tokens"]["total"] for a, b in zip(resumed, full)), (back, i, j)
+            if kept_cache <= kept_store:
+                assert [rec["tokens"] for rec in resumed] == [rec["tokens"] for rec in full], (back, i, j)
 
     @pytest.mark.parametrize(
         "content",

@@ -12,7 +12,7 @@ import numpy as np
 from . import consensus as consensus_mod
 from . import transfer as transfer_mod
 from .assignment import LoopConfig, run_loop_steps
-from .errors import CausaltextError, InvalidConfig, MissingReference, open_utf8
+from .errors import CausaltextError, InvalidConfig, MissingReference, TooFewAlgorithms, open_utf8
 from .gateway import (
     BackendProfile,
     Gateway,
@@ -328,6 +328,8 @@ def evaluate(store_path, reference, out):
 def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
     """Within-n centered agreement statistics for a score table CSV."""
     table = transfer_mod.ScoreTable.from_csv(scores)
+    if loo and len(table.algorithms) < 3:
+        raise TooFewAlgorithms(f"--loo needs at least three algorithms, {scores} has {len(table.algorithms)}")
     mode = "auto" if exhaustive is None else exhaustive
     stats = transfer_mod.agreement(
         table,

@@ -83,6 +83,10 @@ class DegenerateGroups(CausaltextError):
     """A permutation ANOVA factor has fewer than two usable levels."""
 
 
+class EnumerationTooLarge(CausaltextError, ValueError):
+    """An exhaustive permutation test would enumerate more arrangements than its cap allows."""
+
+
 class PoolTooSmall(CausaltextError):
     """A stability analysis was asked for more samples than the pool contains."""
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DegenerateGroups,
+    EnumerationTooLarge,
     IncompleteGrid,
     PoolTooSmall,
     TooFewAlgorithms,
@@ -156,15 +157,19 @@ def _rank(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman correlation of two vectors, as ``scipy.stats.spearmanr`` computes it."""
-    if (x == x[0]).all() or (y == y[0]).all():
-        return math.nan
-    ranked = np.apply_along_axis(_rank, 0, np.column_stack((x, y)))
-    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+def _spearman_of_ranks(rx: np.ndarray, ry: np.ndarray) -> list:
+    """Spearman correlation of each pair of rank rows, as ``scipy.stats.spearmanr`` computes it.
+
+    The rows hold average ranks; each value is ``np.corrcoef`` of the two
+    rows, nan where either row is constant.
+    """
+    return [
+        math.nan if (u == u[0]).all() or (v == v[0]).all() else float(np.corrcoef(u, v)[1, 0])
+        for u, v in zip(rx, ry)
+    ]
 
 
-def _fold_sums(contribs: list) -> np.ndarray:
+def _fold_sums(contribs: np.ndarray) -> np.ndarray:
     """Every sum of one entry from each array; ``[0.0]`` for no arrays."""
     sums = np.zeros(1)
     for c in contribs:
@@ -179,69 +184,69 @@ def _stratified_permutation_p(
     seed,
     exhaustive: bool,
 ):
-    """Two-sided permutation p-value for the pooled Pearson correlation.
+    """Two-sided permutation p-values for the pooled Pearson correlation.
 
     ``xc`` and ``yc`` are (buckets x algorithms) arrays whose rows each sum to
     zero (already centered), so within-bucket permutations of ``yc`` leave the
     pooled mean and variance unchanged and the correlation statistic reduces
-    to a normalized sum of per-bucket dot products.
+    to a normalized sum of per-bucket dot products.  A stack of such pairs,
+    (tests x buckets x algorithms), is tested against the same arrangements:
+    a test takes the p-value a call with its pair alone gives.
 
     The exhaustive mode counts all a!^buckets arrangements by meet in the
     middle (Horowitz & Sahni, JACM 1974): the first half of the buckets is
     folded into the sums ``left``, the rest into the sorted sums ``right``,
     and the pairs with |l + r| >= |obs| are counted by binary search.  Time
-    and memory are O(sqrt(total) log total), not O(total).  The sampled mode
-    draws ``b`` arrangements from ``seed``.
+    and memory are O(sqrt(total) log total), not O(total); the caller keeps
+    ``total`` under ``EXHAUSTIVE_CAP``.  The sampled mode draws ``b``
+    arrangements from ``seed`` once for all tests.
 
-    Returns (p, mode, n_permutations).
+    Returns (p, mode, n_permutations), with one p per test for a stack.
     """
     xc = np.asarray(xc, float)
     yc = np.asarray(yc, float)
-    buckets, a = xc.shape
-    norm = math.sqrt((xc**2).sum() * (yc**2).sum())
-    if not norm > 0:
+    stacked = xc.ndim == 3
+    if not stacked:
+        xc, yc = xc[None], yc[None]
+    tests, buckets, a = xc.shape
+    flat_x, flat_y = xc.reshape(tests, -1), yc.reshape(tests, -1)
+    norms = np.sqrt((flat_x**2).sum(axis=1) * (flat_y**2).sum(axis=1))
+    if not (norms > 0).all():
         raise DegenerateGroups("zero or undefined variance after centering")
-    obs = float((xc * yc).sum())
-    threshold = abs(obs) - 1e-12
-
-    total = math.factorial(a) ** buckets
-    if exhaustive and total > EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"exhaustive enumeration needs {total} combinations, above cap {EXHAUSTIVE_CAP}"
-        )
+    thresholds = (np.abs((flat_x * flat_y).sum(axis=1)) - 1e-12).tolist()
 
     if exhaustive:
-        if threshold <= 0:  # every arrangement counts; the two searches below would overlap
-            return 1.0, "exhaustive", total
-        perms = list(itertools.permutations(range(a)))
-        # per-bucket dot contributions for each within-bucket permutation
-        contribs = [
-            np.array([float(xc[bkt] @ yc[bkt, list(p)]) for p in perms])
-            for bkt in range(buckets)
-        ]
-        left = _fold_sums(contribs[: buckets // 2])
-        right = np.sort(_fold_sums(contribs[buckets // 2 :]))
-        # pairs with l + r >= threshold, then pairs with l + r <= -threshold
-        count = int(
-            (len(right) - np.searchsorted(right, threshold - left, side="left")).sum()
-            + np.searchsorted(right, -threshold - left, side="right").sum()
-        )
-        return count / total, "exhaustive", total
+        total = math.factorial(a) ** buckets
+        perms = np.array(list(itertools.permutations(range(a))), dtype=np.intp)
+        p = []
+        for x, y, threshold in zip(xc, yc, thresholds):
+            if threshold <= 0:  # every arrangement counts; the two searches below would overlap
+                p.append(1.0)
+                continue
+            # per-bucket dot contributions for each within-bucket permutation; the
+            # permuted rows are made contiguous because a strided BLAS dot can
+            # round differently from the dot of two contiguous rows
+            contribs = np.vecdot(x[:, None, :], np.ascontiguousarray(y[:, perms]))
+            left = _fold_sums(contribs[: buckets // 2])
+            right = np.sort(_fold_sums(contribs[buckets // 2 :]))
+            # pairs with l + r >= threshold, then pairs with l + r <= -threshold
+            count = int(
+                (len(right) - np.searchsorted(right, threshold - left, side="left")).sum()
+                + np.searchsorted(right, -threshold - left, side="right").sum()
+            )
+            p.append(count / total)
+        return (p if stacked else p[0]), "exhaustive", total
 
     if seed is None:
         raise ValueError("seed required for sampled permutation mode")
     rng = np.random.default_rng(seed)
-    keys = rng.random((b, buckets, a))
-    idx = np.argsort(keys, axis=2)
-    y_perm = np.take_along_axis(np.broadcast_to(yc, (b, buckets, a)), idx, axis=2)
-    dots = np.einsum("ka,bka->b", xc, y_perm)
-    count = int((np.abs(dots) >= threshold).sum())
-    return (1 + count) / (b + 1), "sampled", b
-
-
-def _rank_matrix(values: np.ndarray) -> np.ndarray:
-    """Ranks of the pooled entries, reshaped back to (buckets x algorithms)."""
-    return _rank(values.ravel()).reshape(values.shape)
+    idx = np.argsort(rng.random((b, buckets, a)), axis=2)
+    p = []
+    for x, y, threshold in zip(xc, yc, thresholds):
+        y_perm = np.take_along_axis(np.broadcast_to(y, (b, buckets, a)), idx, axis=2)
+        dots = np.einsum("ka,bka->b", x, y_perm)
+        p.append((1 + int((np.abs(dots) >= threshold).sum())) / (b + 1))
+    return (p if stacked else p[0]), "sampled", b
 
 
 def _stratified_bootstrap(
@@ -255,14 +260,26 @@ def _stratified_bootstrap(
     Resamples algorithm indices with replacement inside each bucket and
     recomputes the within-n centered statistics on each replicate, all
     replicates at once.  A replicate whose centered scores are constant in
-    either corpus is skipped; with none left the CIs are NaN.
+    either corpus is skipped; with none left the CIs are NaN.  A stack of
+    (buckets x algorithms) pairs shares one draw of indices and gives one
+    dict per pair, each the dict a call with that pair alone gives.
     """
     rng = np.random.default_rng(seed)
-    buckets, a = x.shape
+    stacked = x.ndim == 3
+    if not stacked:
+        x, y = x[None], y[None]
+    _, buckets, a = x.shape
     # one draw of b replicates consumes the stream like b draws of one each
     idx = rng.integers(0, a, size=(b, buckets, a))
+    cis = [_bootstrap_cis(xm, ym, idx) for xm, ym in zip(x, y)]
+    return cis if stacked else cis[0]
+
+
+def _bootstrap_cis(x: np.ndarray, y: np.ndarray, idx: np.ndarray) -> dict:
+    """The CIs of one pair over the replicates that ``idx`` (b x buckets x algorithms) draws."""
+    b = len(idx)
     xbc, ybc = (
-        center_within_n(np.take_along_axis(m[None], idx, axis=2)).reshape(b, buckets * a)
+        center_within_n(np.take_along_axis(m[None], idx, axis=2)).reshape(b, -1)
         for m in (x, y)
     )
     keep = (xbc.std(axis=1) != 0) & (ybc.std(axis=1) != 0)
@@ -341,46 +358,61 @@ def agreement(
     """Centered agreement statistics for every metric plus the averages row.
 
     ``exhaustive`` may be True, False, or "auto" (exhaustive when the number
-    of within-bucket permutation combinations fits under the cap).  R^2 is the
-    coefficient of determination of the least-squares fit of centered real
-    scores on centered generated scores, which for a simple regression equals
-    the squared Pearson correlation.
+    of within-bucket permutation combinations fits under the cap); True
+    above the cap raises EnumerationTooLarge before any statistic.  R^2 is
+    the coefficient of determination of the least-squares fit of centered
+    real scores on centered generated scores, which for a simple regression
+    equals the squared Pearson correlation.
+
+    The three metrics go through one stacked pass: one (metrics x buckets x
+    algorithms) array per corpus, centred once, with pooled ranks taken once
+    for the point Spearman and its permutation test.  The six permutation
+    tests (each metric's scores and its centred ranks) share one set of
+    arrangements, and the three bootstraps one draw of indices: the draws
+    that re-seeding each test and bootstrap from ``seed`` would give.
     """
     table.check_grid()
-    if len(table.algorithms) < 2:
+    algorithms, ns = table.algorithms, table.ns
+    if len(algorithms) < 2:
         raise TooFewAlgorithms("agreement needs at least two algorithms")
-    buckets, a = len(table.ns), len(table.algorithms)
+    total = math.factorial(len(algorithms)) ** len(ns)
     if exhaustive == "auto":
-        exhaustive = math.factorial(a) ** buckets <= EXHAUSTIVE_CAP
-    per_metric = {}
-    for metric in METRICS:
-        x = table.matrix(metric, "generated")
-        y = table.matrix(metric, "real")
-        xc, yc = center_within_n(x), center_within_n(y)
-        xf, yf = xc.ravel(), yc.ravel()
-        r = float(_pearson(xf, yf))
-        rho = _spearman(xf, yf)
-        p_pearson, mode, n_perm = _stratified_permutation_p(xc, yc, b_permutations, seed, exhaustive)
-        # Spearman significance through the same stratified scheme, on pooled
-        # ranks (a within-bucket shuffle of scores permutes their ranks in place)
-        rx = center_within_n(_rank_matrix(xc))
-        ry = center_within_n(_rank_matrix(yc))
-        p_spearman, _, _ = _stratified_permutation_p(rx, ry, b_permutations, seed, exhaustive)
-        ci = (
-            _stratified_bootstrap(x, y, b_bootstrap, seed)
-            if with_bootstrap
-            else {}
+        exhaustive = total <= EXHAUSTIVE_CAP
+    elif exhaustive and total > EXHAUSTIVE_CAP:
+        raise EnumerationTooLarge(
+            f"exhaustive enumeration needs {total} combinations, above cap {EXHAUSTIVE_CAP}"
         )
-        per_metric[metric] = MetricAgreement(
-            pearson=r,
-            spearman=rho,
-            r_squared=r * r,
-            p_pearson=p_pearson,
-            p_spearman=p_spearman,
+    scores = np.array(
+        [[[[table.values[(alg, n, corpus)][m] for m in METRICS] for alg in algorithms] for n in ns]
+         for corpus in CORPORA],
+        dtype=float,
+    )
+    # each corpus as (metrics x buckets x algorithms)
+    x, y = np.ascontiguousarray(np.moveaxis(scores, -1, 1))
+    xc, yc = center_within_n(x), center_within_n(y)
+    xf, yf = xc.reshape(len(METRICS), -1), yc.reshape(len(METRICS), -1)
+    r = _pearson(xf, yf).tolist()
+    rx, ry = _rank(xf), _rank(yf)
+    rho = _spearman_of_ranks(rx, ry)
+    # Spearman significance through the same stratified scheme, on pooled
+    # ranks (a within-bucket shuffle of scores permutes their ranks in place)
+    tests_x = np.concatenate((xc, center_within_n(rx.reshape(xc.shape))))
+    tests_y = np.concatenate((yc, center_within_n(ry.reshape(yc.shape))))
+    p, mode, n_perm = _stratified_permutation_p(tests_x, tests_y, b_permutations, seed, exhaustive)
+    cis = _stratified_bootstrap(x, y, b_bootstrap, seed) if with_bootstrap else [{} for _ in METRICS]
+    per_metric = {
+        metric: MetricAgreement(
+            pearson=r[k],
+            spearman=rho[k],
+            r_squared=r[k] * r[k],
+            p_pearson=p[k],
+            p_spearman=p[len(METRICS) + k],
             p_mode=mode,
             n_permutations=n_perm,
-            ci=ci,
+            ci=cis[k],
         )
+        for k, metric in enumerate(METRICS)
+    }
     average = {
         key: float(np.mean([getattr(per_metric[m], key) for m in METRICS]))
         for key in ("pearson", "spearman", "r_squared")

@@ -489,6 +489,22 @@ class TestGenerateEvaluate:
             "qwen": "4ab9402feab731dd96b3ba260fa1a8949529195c4e6fccef9207a25cf71294f9",
         }
 
+    def test_sampled_transfer_outputs_are_pinned(self, tmp_path):
+        """``transfer --sampled --loo`` JSON for each fixture score table hashes to the value a refactor must keep."""
+        digests = {}
+        for name in ("deepseek", "gpt5", "qwen"):
+            out = tmp_path / f"{name}.json"
+            r = CliRunner().invoke(main, ["transfer", "--scores", os.path.join(DATA, f"scores_{name}.csv"), "--sampled",
+                                          "--loo", "--b-boot", "400", "--b-perms", "2000", "--seed", "1",
+                                          "--out", str(out)])
+            assert r.exit_code == 0, r.output
+            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "deepseek": "8a25cf82091f2d8b1ab97b9e24e5d7787bb7a47473b947e733344786135722c6",
+            "gpt5": "b137bd34eb137129dac9882d8f9d4bc24a57cac71f537ab318c128f47142348b",
+            "qwen": "6d53d96ececc9ad140755c58845f6ef482c37b51899810900623365fa8a53c35",
+        }
+
     @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
     def test_damaged_store_line_is_a_one_line_error(self, tmp_path, command):
         runner, graphs, store = self.run_pipeline(tmp_path)
@@ -770,6 +786,33 @@ class TestTransferCommand:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
         assert r.output == f"Error: {path}:3: not UTF-8 text (invalid continuation byte)\n"
+
+    def test_exhaustive_above_cap_is_a_click_error(self, tmp_path):
+        # 5 algorithms in 8 buckets have 120^8 arrangements
+        path = tmp_path / "scores.csv"
+        rows = [f"{alg},{n},{corpus},{(k * 7 + n * 3) % 10 / 10},1,1"
+                for k, alg in enumerate("abcde") for n in range(3, 11) for corpus in ("generated", "real")]
+        path.write_text("algorithm,n,corpus,f1,shd,sid\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "stats.json"
+        r = CliRunner().invoke(main, ["transfer", "--scores", str(path), "--exhaustive", "--loo", "--out", str(out)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output == f"Error: exhaustive enumeration needs {120 ** 8} combinations, above cap 2000000\n"
+        assert not out.exists()
+
+    def test_loo_on_two_algorithms_is_refused_before_any_table(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        with open(os.path.join(DATA, "scores_gpt5.csv")) as fh:
+            path.write_text("".join(line for line in fh if not line.startswith("LLM-CG,")))
+        out = tmp_path / "stats.json"
+        r = CliRunner().invoke(main, ["transfer", "--scores", str(path), "--loo", "--out", str(out)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output == f"Error: --loo needs at least three algorithms, {path} has 2\n"
+        assert not out.exists()
+        r = CliRunner().invoke(main, ["transfer", "--scores", str(path), "--no-bootstrap", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert out.exists()
 
     def test_bad_score_row_is_a_click_error(self, tmp_path):
         path = tmp_path / "scores.csv"

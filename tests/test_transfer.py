@@ -88,7 +88,9 @@ class TestCorrelations:
 
     def test_spearman_matches_scipy(self):
         for x, y in correlation_inputs():
-            assert same_float(transfer._spearman(x, y), sps.spearmanr(x, y)[0])
+            rx, ry = transfer._rank(np.stack((x, y)))
+            (rho,) = transfer._spearman_of_ranks([rx], [ry])
+            assert same_float(rho, sps.spearmanr(x, y)[0])
 
     def test_ranks_match_scipy(self):
         for x, y in correlation_inputs():
@@ -105,7 +107,8 @@ class TestCorrelations:
     def test_constant_input_gives_nan(self):
         x, y = np.full(5, 0.3), np.arange(5.0)
         assert math.isnan(transfer._pearson(x, y)) and math.isnan(transfer._pearson(y, x))
-        assert math.isnan(transfer._spearman(x, y))
+        rx, ry = transfer._rank(np.stack((x, y)))
+        assert all(math.isnan(rho) for rho in transfer._spearman_of_ranks([rx, ry], [ry, rx]))
 
 
 class TestScoreTable:
@@ -278,7 +281,7 @@ def exhaustive_p(xc, yc):
 def centred_pairs(x, y):
     """The centred scores and the centred pooled ranks, as ``agreement`` tests them."""
     xc, yc = center_within_n(x), center_within_n(y)
-    ranks = (center_within_n(transfer._rank_matrix(m)) for m in (xc, yc))
+    ranks = (center_within_n(transfer._rank(m.ravel()).reshape(m.shape)) for m in (xc, yc))
     return [(xc, yc), tuple(ranks)]
 
 
@@ -396,6 +399,182 @@ class TestSampledPValues:
             got = st.per_metric[metric]
             assert got.p_mode == "sampled" and got.n_permutations == 10_000
             assert (got.p_pearson, got.p_spearman) == ((1 + np_) / 10_001, (1 + ns_) / 10_001)
+
+
+def loop_permutation_p(xc, yc, b, seed, exhaustive):
+    """Reference: the one-pair permutation test, re-seeded on every call."""
+    buckets, a = xc.shape
+    norm = math.sqrt((xc**2).sum() * (yc**2).sum())
+    if not norm > 0:
+        raise DegenerateGroups("zero or undefined variance after centering")
+    obs = float((xc * yc).sum())
+    threshold = abs(obs) - 1e-12
+    total = math.factorial(a) ** buckets
+    if exhaustive and total > transfer.EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive enumeration needs {total} combinations, above cap {transfer.EXHAUSTIVE_CAP}")
+    if exhaustive:
+        if threshold <= 0:
+            return 1.0, "exhaustive", total
+        perms = list(itertools.permutations(range(a)))
+        contribs = [np.array([float(xc[bkt] @ yc[bkt, list(p)]) for p in perms]) for bkt in range(buckets)]
+        left = transfer._fold_sums(contribs[: buckets // 2])
+        right = np.sort(transfer._fold_sums(contribs[buckets // 2 :]))
+        count = int(
+            (len(right) - np.searchsorted(right, threshold - left, side="left")).sum()
+            + np.searchsorted(right, -threshold - left, side="right").sum()
+        )
+        return count / total, "exhaustive", total
+    rng = np.random.default_rng(seed)
+    idx = np.argsort(rng.random((b, buckets, a)), axis=2)
+    y_perm = np.take_along_axis(np.broadcast_to(yc, (b, buckets, a)), idx, axis=2)
+    dots = np.einsum("ka,bka->b", xc, y_perm)
+    return (1 + int((np.abs(dots) >= threshold).sum())) / (b + 1), "sampled", b
+
+
+def loop_batched_bootstrap(x, y, b, seed):
+    """Reference: one pair's batched bootstrap, re-seeded on every call."""
+    rng = np.random.default_rng(seed)
+    buckets, a = x.shape
+    idx = rng.integers(0, a, size=(b, buckets, a))
+    xbc, ybc = (center_within_n(np.take_along_axis(m[None], idx, axis=2)).reshape(b, buckets * a) for m in (x, y))
+    keep = (xbc.std(axis=1) != 0) & (ybc.std(axis=1) != 0)
+    if not keep.any():
+        nan = (float("nan"), float("nan"))
+        return {"pearson": nan, "spearman": nan, "r_squared": nan}
+    xbc, ybc = xbc[keep], ybc[keep]
+    r = transfer._pearson(xbc, ybc)
+    rho = transfer._pearson(transfer._rank(xbc), transfer._rank(ybc))
+
+    def ci(vals):
+        lo, hi = np.percentile(vals, [2.5, 97.5])
+        return (float(lo), float(hi))
+
+    return {"pearson": ci(r), "spearman": ci(rho), "r_squared": ci(r * r)}
+
+
+def loop_agreement(table, b_permutations, b_bootstrap, seed, exhaustive, with_bootstrap):
+    """Reference: the per-metric loop ``agreement`` ran before its stacked pass.
+
+    Each metric builds its two matrices, and each of its two permutation
+    tests and its bootstrap draws from a fresh ``default_rng(seed)``.
+    """
+    table.check_grid()
+    if len(table.algorithms) < 2:
+        raise TooFewAlgorithms("agreement needs at least two algorithms")
+    buckets, a = len(table.ns), len(table.algorithms)
+    if exhaustive == "auto":
+        exhaustive = math.factorial(a) ** buckets <= transfer.EXHAUSTIVE_CAP
+    per_metric = {}
+    for metric in ("f1", "shd", "sid"):
+        x = table.matrix(metric, "generated")
+        y = table.matrix(metric, "real")
+        xc, yc = center_within_n(x), center_within_n(y)
+        xf, yf = xc.ravel(), yc.ravel()
+        r = float(transfer._pearson(xf, yf))
+        if (xf == xf[0]).all() or (yf == yf[0]).all():
+            rho = math.nan
+        else:
+            ranked = np.apply_along_axis(transfer._rank, 0, np.column_stack((xf, yf)))
+            rho = float(np.corrcoef(ranked, rowvar=False)[1, 0])
+        p_pearson, mode, n_perm = loop_permutation_p(xc, yc, b_permutations, seed, exhaustive)
+        rx, ry = (center_within_n(transfer._rank(m.ravel()).reshape(m.shape)) for m in (xc, yc))
+        p_spearman, _, _ = loop_permutation_p(rx, ry, b_permutations, seed, exhaustive)
+        ci = loop_batched_bootstrap(x, y, b_bootstrap, seed) if with_bootstrap else {}
+        per_metric[metric] = transfer.MetricAgreement(
+            pearson=r, spearman=rho, r_squared=r * r, p_pearson=p_pearson, p_spearman=p_spearman,
+            p_mode=mode, n_permutations=n_perm, ci=ci,
+        )
+    average = {
+        key: float(np.mean([getattr(per_metric[m], key) for m in ("f1", "shd", "sid")]))
+        for key in ("pearson", "spearman", "r_squared")
+    }
+    return transfer.AgreementStats(per_metric=per_metric, average=average, seed=seed)
+
+
+def same_value(got, want):
+    """Equality that takes nan for nan, through dicts, tuples and lists."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(same_value(got[k], want[k]) for k in want)
+    if isinstance(want, (tuple, list)):
+        return len(got) == len(want) and all(same_value(g, w) for g, w in zip(got, want))
+    if isinstance(want, float):
+        return isinstance(got, float) and same_float(got, want)
+    return type(got) is type(want) and got == want
+
+
+def stacking_table(a, buckets, seed, decimals=None, constant=None):
+    """A seeded table of ``a`` algorithms and ``buckets`` buckets.
+
+    ``decimals`` rounds the scores, which ties many of them; ``constant``
+    names a metric whose scores are all 1.0.
+    """
+    rng = np.random.default_rng([a, buckets, seed])
+    vals = {}
+    for alg in range(a):
+        for n in range(3, 3 + buckets):
+            g = rng.uniform(0, 1, size=3)
+            for corpus, v in (("generated", g), ("real", 0.6 * g + 0.4 * rng.uniform(0, 1, size=3))):
+                if decimals is not None:
+                    v = np.round(v, decimals)
+                if constant is not None:
+                    v[("f1", "shd", "sid").index(constant)] = 1.0
+                vals[(f"alg{alg}", n, corpus)] = tuple(v.tolist())
+    return toy_table(vals)
+
+
+class TestStackedAgreement:
+    """``agreement`` gives every field the per-metric loop gave, to the last bit."""
+
+    @pytest.mark.parametrize("a", range(2, 6))
+    @pytest.mark.parametrize("buckets", range(1, 9))
+    def test_matches_the_per_metric_loop(self, a, buckets):
+        for decimals, exhaustive, with_bootstrap in itertools.product((None, 1), (True, False, "auto"), (True, False)):
+            table = stacking_table(a, buckets, seed=0, decimals=decimals)
+            kw = dict(b_permutations=300, b_bootstrap=200, seed=11, exhaustive=exhaustive, with_bootstrap=with_bootstrap)
+            try:
+                want = loop_agreement(table, **kw)
+            except (ValueError, DegenerateGroups) as exc:  # exhaustive above the cap, or a tie-made constant metric
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    agreement(table, **kw)
+                continue
+            got = agreement(table, **kw)
+            case = (decimals, exhaustive, with_bootstrap)
+            assert got.per_metric.keys() == want.per_metric.keys()
+            for metric, w in want.per_metric.items():
+                assert same_value(vars(got.per_metric[metric]), vars(w)), (case, metric)
+            assert same_value(got.average, want.average), case
+            assert got.seed == want.seed
+
+    def test_cases_cover_ties_and_both_modes(self):
+        table = stacking_table(3, 8, seed=0, decimals=1)
+        f1 = table.matrix("f1", "generated")
+        assert len(np.unique(f1)) < f1.size
+        modes = {agreement(stacking_table(a, 8, seed=0), b_permutations=10, with_bootstrap=False).per_metric["f1"].p_mode
+                 for a in (3, 4)}
+        assert modes == {"exhaustive", "sampled"}
+
+    @pytest.mark.parametrize("constant", ["f1", "shd", "sid"])
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_constant_metric_is_degenerate(self, constant, exhaustive):
+        table = stacking_table(3, 4, seed=1, constant=constant)
+        kw = dict(b_permutations=100, b_bootstrap=50, seed=0, exhaustive=exhaustive, with_bootstrap=True)
+        with pytest.raises(DegenerateGroups) as want:
+            loop_agreement(table, **kw)
+        with pytest.raises(DegenerateGroups) as got:
+            agreement(table, **kw)
+        assert str(got.value) == str(want.value)
+
+    def test_stacked_helpers_match_one_pair_calls(self):
+        table = stacking_table(3, 5, seed=2, decimals=1)
+        x, y = (np.stack([table.matrix(m, c) for m in ("f1", "shd", "sid")]) for c in ("generated", "real"))
+        xc, yc = center_within_n(x), center_within_n(y)
+        for exhaustive in (True, False):
+            p, mode, n = transfer._stratified_permutation_p(xc, yc, 500, 3, exhaustive)
+            assert [transfer._stratified_permutation_p(u, v, 500, 3, exhaustive) for u, v in zip(xc, yc)] == [
+                (pk, mode, n) for pk in p
+            ]
+        cis = transfer._stratified_bootstrap(x, y, 300, 3)
+        assert all(same_value(ci, transfer._stratified_bootstrap(u, v, 300, 3)) for ci, u, v in zip(cis, x, y))
 
 
 def pearson_1d(x, y):

@@ -106,8 +106,13 @@ def main():
 def graphgen(config_path, seed, out, per_n):
     """Sample DAGs over the tested parameter space and write them as JSON."""
     cfg = load_config(config_path)
+    where = "--per-n" if per_n is not None else "phase1.per_n"
     per_n = per_n if per_n is not None else config_value(cfg, "phase1", "per_n", int)
     n_min, n_max = (config_value(cfg, "phase1", key, int) for key in ("n_min", "n_max"))
+    if per_n < 1:
+        raise InvalidConfig(f"{where}: need at least 1 graph per n, got {per_n}")
+    if n_min > n_max:
+        raise InvalidConfig(f"phase1.n_min: {n_min} is above phase1.n_max ({n_max})")
     os.makedirs(out, exist_ok=True)
     count = 0
     for n in range(n_min, n_max + 1):
@@ -126,7 +131,7 @@ def graphgen(config_path, seed, out, per_n):
     click.echo(f"wrote {count} graphs to {out}")
 
 
-def _build_gateway(cfg, backend_name, mock_script, cache_path):
+def _build_gateway(cfg, mock_script, cache_path):
     cache = ResponseCache(cache_path)
     if mock_script is not None:
         try:
@@ -138,13 +143,13 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
             backend = make_mock_backend(script)
         except (OSError, ValueError, TypeError, KeyError) as exc:
             raise InvalidConfig(f"--mock-script: {exc!r}")
-        primary = backend_name or "mock"
+        primary = "mock"
         verifier_model = "mock-verifier"
     else:
         endpoint = cfg.get("backends", "endpoint")
         cred = cfg.get("backends", "credential_env")
         backend = HttpBackend(endpoint, cred)
-        primary = backend_name or cfg.get("backends", "primary")
+        primary = cfg.get("backends", "primary")
         pool = [m.strip() for m in cfg.get("backends", "pool").split(",") if m.strip()]
         try:
             verifier_model = choose_verifier(primary, pool)
@@ -169,13 +174,11 @@ def _build_gateway(cfg, backend_name, mock_script, cache_path):
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--graphs", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--backend", default=None, help="primary model id")
 @click.option("--mock-script", default=None, help="mock script JSON (inline or file path)")
 @click.option("--resume", is_flag=True, help="skip ids already in the store")
 @click.option("--seed", type=int, default=0, show_default=True, help="recorded in the manifest; nothing else reads it")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
-@click.option("--domain", default=None)
-def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache_path, domain):
+def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
     """Run the full annotation pipeline over a directory of graph files.
 
     Samples run side by side through the gateway's request window; their
@@ -183,8 +186,8 @@ def generate(config_path, graphs, out, backend, mock_script, resume, seed, cache
     """
     cfg = load_config(config_path)
     loop_cfg = loop_config_from(cfg)
-    domain = domain or cfg.get("phase3", "domain")
-    gw, profiles = _build_gateway(cfg, backend, mock_script, cache_path)
+    domain = cfg.get("phase3", "domain")
+    gw, profiles = _build_gateway(cfg, mock_script, cache_path)
     store = SampleStore(out)
     files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
     backends = {k: p.model_id for k, p in profiles.items()}

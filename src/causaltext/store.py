@@ -71,12 +71,22 @@ def _records(path: str):
 
     An object without a string or integer ``id``, a ``spec`` object with an
     integer ``n`` and a ``dag`` object raises CorruptLine as ``FILE:LINE: ...``.
+    So does one whose ``tokens`` is not an object with an integer ``total``
+    (an empty object, as a failed sample has, passes), whose
+    ``loop_iterations`` is not an integer or null, or whose ``loop_status``
+    is not a string or null: the manifest reads them.
     """
     for num, obj in read_jsonl(path):
         spec = obj.get("spec")
         if not (isinstance(obj.get("id"), (str, int)) and isinstance(spec, dict) and type(spec.get("n")) is int
                 and isinstance(obj.get("dag"), dict)):
             raise CorruptLine(f"{path}:{num}: not a sample record: it needs an id, a spec with n, and a dag")
+        tokens = obj.get("tokens", {})
+        if not (isinstance(tokens, dict) and type(tokens.get("total", 0)) is int
+                and type(obj.get("loop_iterations")) in (int, type(None))
+                and isinstance(obj.get("loop_status"), (str, type(None)))):
+            raise CorruptLine(f"{path}:{num}: not a sample record: tokens needs an integer total, "
+                              "loop_iterations an integer or null, loop_status a string or null")
         yield num, obj
 
 

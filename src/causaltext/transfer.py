@@ -37,11 +37,15 @@ _ANOVA_BATCH = 1 << 18  # level codes per batch of null ANOVA F statistics
 
 @dataclass
 class ScoreTable:
-    """Per-(algorithm, n, corpus) metric values."""
+    """Metric values of every (algorithm, n, corpus) cell.
+
+    ``scores`` is a C-contiguous (corpora x metrics x buckets x algorithms)
+    float array, in ``CORPORA``, ``METRICS``, ``ns`` and ``algorithms`` order.
+    """
 
     algorithms: list
     ns: list
-    values: dict  # (algorithm, n, corpus) -> {"f1": ..., "shd": ..., "sid": ...}
+    scores: np.ndarray
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
@@ -51,9 +55,10 @@ class ScoreTable:
         is bad when a required cell is missing, ``n`` is not an integer, a metric is
         not a finite number, its corpus is unknown, or its (algorithm, n,
         corpus) cell was already given.  A byte that is not UTF-8 raises
-        CorruptLine, also as ``FILE:LINE: ...``.
+        CorruptLine, also as ``FILE:LINE: ...``.  A cell that no row gives
+        raises IncompleteGrid as ``FILE: missing cell (alg, n, corpus)``.
         """
-        algorithms, ns, values = [], [], {}
+        cells = {}
         with open_utf8(path) as fh:
             reader = csv.DictReader(fh)
             required = {"algorithm", "n", "corpus", *METRICS}
@@ -67,50 +72,43 @@ class ScoreTable:
                     n = int(row["n"])
                 except ValueError:
                     raise IncompleteGrid(f"{where}: n must be an integer, got {row['n']!r}") from None
-                scores = {}
+                scores = []
                 for m in METRICS:
                     try:
-                        scores[m] = float(row[m])
+                        scores.append(float(row[m]))
                     except ValueError:
-                        scores[m] = math.nan  # reported with nan and inf just below
-                    if not math.isfinite(scores[m]):
+                        scores.append(math.nan)  # reported with nan and inf just below
+                    if not math.isfinite(scores[-1]):
                         raise IncompleteGrid(f"{where}: {m} must be a finite number, got {row[m]!r}")
                 alg = row["algorithm"].strip()
                 corpus = row["corpus"].strip()
                 if corpus not in CORPORA:
                     raise IncompleteGrid(f"{where}: unknown corpus {corpus!r}")
                 key = (alg, n, corpus)
-                if key in values:
+                if key in cells:
                     raise IncompleteGrid(f"{where}: duplicate cell {key}")
-                if alg not in algorithms:
-                    algorithms.append(alg)
-                if n not in ns:
-                    ns.append(n)
-                values[key] = scores
-        return cls(algorithms=algorithms, ns=sorted(ns), values=values)
-
-    def check_grid(self) -> None:
-        for alg in self.algorithms:
-            for n in self.ns:
-                for corpus in CORPORA:
-                    if (alg, n, corpus) not in self.values:
-                        raise IncompleteGrid(f"missing cell {(alg, n, corpus)}")
+                cells[key] = scores
+        algorithms = list(dict.fromkeys(alg for alg, _, _ in cells))
+        ns = sorted({n for _, n, _ in cells})
+        grid = np.empty((len(CORPORA), len(METRICS), len(ns), len(algorithms)))
+        for alg, n, corpus in itertools.product(algorithms, ns, CORPORA):
+            if (alg, n, corpus) not in cells:
+                raise IncompleteGrid(f"{path}: missing cell {(alg, n, corpus)}")
+            grid[CORPORA.index(corpus), :, ns.index(n), algorithms.index(alg)] = cells[(alg, n, corpus)]
+        return cls(algorithms=algorithms, ns=ns, scores=grid)
 
     def matrix(self, metric: str, corpus: str) -> np.ndarray:
-        """Scores as an (n-buckets x algorithms) array."""
-        self.check_grid()
-        return np.array(
-            [[self.values[(a, n, corpus)][metric] for a in self.algorithms] for n in self.ns]
-        )
+        """Scores as an (n-buckets x algorithms) array, a view into ``scores``."""
+        return self.scores[CORPORA.index(corpus), METRICS.index(metric)]
 
     def drop(self, algorithm: str) -> "ScoreTable":
         if algorithm not in self.algorithms:
             raise KeyError(algorithm)
-        remaining = [a for a in self.algorithms if a != algorithm]
-        if len(remaining) < 2:
+        if len(self.algorithms) < 3:
             raise TooFewAlgorithms("need at least two algorithms after dropping")
-        values = {k: v for k, v in self.values.items() if k[0] != algorithm}
-        return ScoreTable(algorithms=remaining, ns=list(self.ns), values=values)
+        # np.delete copies into a new C-contiguous array
+        scores = np.delete(self.scores, self.algorithms.index(algorithm), axis=-1)
+        return ScoreTable(algorithms=[a for a in self.algorithms if a != algorithm], ns=list(self.ns), scores=scores)
 
 
 def center_within_n(scores: np.ndarray) -> np.ndarray:
@@ -184,14 +182,14 @@ def _stratified_permutation_p(
     seed,
     exhaustive: bool,
 ):
-    """Two-sided permutation p-values for the pooled Pearson correlation.
+    """Two-sided permutation p-values for the pooled Pearson correlation of each test.
 
-    ``xc`` and ``yc`` are (buckets x algorithms) arrays whose rows each sum to
-    zero (already centered), so within-bucket permutations of ``yc`` leave the
-    pooled mean and variance unchanged and the correlation statistic reduces
-    to a normalized sum of per-bucket dot products.  A stack of such pairs,
-    (tests x buckets x algorithms), is tested against the same arrangements:
-    a test takes the p-value a call with its pair alone gives.
+    ``xc`` and ``yc`` are (tests x buckets x algorithms) stacks whose rows
+    each sum to zero (already centered), so within-bucket permutations of
+    ``yc`` leave the pooled mean and variance unchanged and each correlation
+    statistic reduces to a normalized sum of per-bucket dot products.  All
+    tests are counted against the same arrangements, and a test takes the
+    p-value a stack of that test alone gives.
 
     The exhaustive mode counts all a!^buckets arrangements by meet in the
     middle (Horowitz & Sahni, JACM 1974): the first half of the buckets is
@@ -201,13 +199,8 @@ def _stratified_permutation_p(
     ``total`` under ``EXHAUSTIVE_CAP``.  The sampled mode draws ``b``
     arrangements from ``seed`` once for all tests.
 
-    Returns (p, mode, n_permutations), with one p per test for a stack.
+    Returns (p, mode, n_permutations), with a list of one p per test.
     """
-    xc = np.asarray(xc, float)
-    yc = np.asarray(yc, float)
-    stacked = xc.ndim == 3
-    if not stacked:
-        xc, yc = xc[None], yc[None]
     tests, buckets, a = xc.shape
     flat_x, flat_y = xc.reshape(tests, -1), yc.reshape(tests, -1)
     norms = np.sqrt((flat_x**2).sum(axis=1) * (flat_y**2).sum(axis=1))
@@ -235,7 +228,7 @@ def _stratified_permutation_p(
                 + np.searchsorted(right, -threshold - left, side="right").sum()
             )
             p.append(count / total)
-        return (p if stacked else p[0]), "exhaustive", total
+        return p, "exhaustive", total
 
     if seed is None:
         raise ValueError("seed required for sampled permutation mode")
@@ -246,7 +239,7 @@ def _stratified_permutation_p(
         y_perm = np.take_along_axis(np.broadcast_to(y, (b, buckets, a)), idx, axis=2)
         dots = np.einsum("ka,bka->b", x, y_perm)
         p.append((1 + int((np.abs(dots) >= threshold).sum())) / (b + 1))
-    return (p if stacked else p[0]), "sampled", b
+    return p, "sampled", b
 
 
 def _stratified_bootstrap(
@@ -257,22 +250,19 @@ def _stratified_bootstrap(
 ):
     """Percentile CIs for (pearson, spearman, r^2) under within-bucket resampling.
 
-    Resamples algorithm indices with replacement inside each bucket and
-    recomputes the within-n centered statistics on each replicate, all
-    replicates at once.  A replicate whose centered scores are constant in
-    either corpus is skipped; with none left the CIs are NaN.  A stack of
-    (buckets x algorithms) pairs shares one draw of indices and gives one
-    dict per pair, each the dict a call with that pair alone gives.
+    ``x`` and ``y`` are (pairs x buckets x algorithms) stacks.  Resamples
+    algorithm indices with replacement inside each bucket and recomputes the
+    within-n centered statistics on each replicate, all replicates at once.
+    A replicate whose centered scores are constant in either corpus is
+    skipped; with none left the CIs are NaN.  All pairs share one draw of
+    indices, and the list holds one dict per pair, each the dict a stack of
+    that pair alone gives.
     """
     rng = np.random.default_rng(seed)
-    stacked = x.ndim == 3
-    if not stacked:
-        x, y = x[None], y[None]
     _, buckets, a = x.shape
     # one draw of b replicates consumes the stream like b draws of one each
     idx = rng.integers(0, a, size=(b, buckets, a))
-    cis = [_bootstrap_cis(xm, ym, idx) for xm, ym in zip(x, y)]
-    return cis if stacked else cis[0]
+    return [_bootstrap_cis(xm, ym, idx) for xm, ym in zip(x, y)]
 
 
 def _bootstrap_cis(x: np.ndarray, y: np.ndarray, idx: np.ndarray) -> dict:
@@ -364,14 +354,14 @@ def agreement(
     real scores on centered generated scores, which for a simple regression
     equals the squared Pearson correlation.
 
-    The three metrics go through one stacked pass: one (metrics x buckets x
-    algorithms) array per corpus, centred once, with pooled ranks taken once
-    for the point Spearman and its permutation test.  The six permutation
-    tests (each metric's scores and its centred ranks) share one set of
-    arrangements, and the three bootstraps one draw of indices: the draws
-    that re-seeding each test and bootstrap from ``seed`` would give.
+    The three metrics go through one stacked pass over ``table.scores``,
+    whose (metrics x buckets x algorithms) block per corpus is centred once,
+    with pooled ranks taken once for the point Spearman and its permutation
+    test.  The six permutation tests (each metric's scores and its centred
+    ranks) share one set of arrangements, and the three bootstraps one draw
+    of indices: the draws that re-seeding each test and bootstrap from
+    ``seed`` would give.
     """
-    table.check_grid()
     algorithms, ns = table.algorithms, table.ns
     if len(algorithms) < 2:
         raise TooFewAlgorithms("agreement needs at least two algorithms")
@@ -382,13 +372,7 @@ def agreement(
         raise EnumerationTooLarge(
             f"exhaustive enumeration needs {total} combinations, above cap {EXHAUSTIVE_CAP}"
         )
-    scores = np.array(
-        [[[[table.values[(alg, n, corpus)][m] for m in METRICS] for alg in algorithms] for n in ns]
-         for corpus in CORPORA],
-        dtype=float,
-    )
-    # each corpus as (metrics x buckets x algorithms)
-    x, y = np.ascontiguousarray(np.moveaxis(scores, -1, 1))
+    x, y = table.scores
     xc, yc = center_within_n(x), center_within_n(y)
     xf, yf = xc.reshape(len(METRICS), -1), yc.reshape(len(METRICS), -1)
     r = _pearson(xf, yf).tolist()

@@ -50,6 +50,15 @@ def cut_line_short(path, num):
         fh.writelines(lines)
 
 
+def set_field(path, num, key, value):
+    """Set ``key`` of the record on line ``num`` of a store to the JSON ``value``."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines[num - 1] = json.dumps({**json.loads(lines[num - 1]), key: json.loads(value)}) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
 def damage_line(path, num, how):
     """Damage line ``num`` of a JSON Lines file, keeping its newline: make it a JSON
     array ("array") or put byte 0xe9 inside its first string ("latin1")."""
@@ -209,6 +218,8 @@ class TestConfig:
         ("generate", "[backends]\npool = \n", [], "backends.pool: empty backend pool"),
         ("graphgen", "[phase1]\nn_min = x\n", [], "phase1.n_min"),
         ("graphgen", "not an ini file\n", [], "cannot parse config file"),
+        ("graphgen", "", ["--per-n", "-2"], "--per-n: need at least 1 graph per n, got -2"),
+        ("graphgen", "[phase1]\nn_min = 6\nn_max = 4\n", [], "phase1.n_min: 6 is above phase1.n_max (4)"),
     ])
     def test_config_errors_are_click_errors_naming_the_key(self, tmp_path, command, config, extra, named):
         p = tmp_path / "c.ini"
@@ -248,6 +259,14 @@ class TestGraphgenCommand:
             main, ["graphgen", "--out", str(tmp_path / "g"), "--per-n", "1", "--config", str(p)]
         )
         assert r.exit_code != 0
+
+    def test_config_per_n_below_one_rejected(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[phase1]\nper_n = -2\n")
+        r = CliRunner().invoke(main, ["graphgen", "--out", str(tmp_path / "g"), "--config", str(p)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+        assert r.output == "Error: phase1.per_n: need at least 1 graph per n, got -2\n"
+        assert not (tmp_path / "g").exists()
 
 
 class TestGenerateEvaluate:
@@ -505,10 +524,16 @@ class TestGenerateEvaluate:
             "qwen": "6d53d96ececc9ad140755c58845f6ef482c37b51899810900623365fa8a53c35",
         }
 
+    @pytest.mark.parametrize("damage", ["cut short", 'tokens "lots"', 'loop_iterations "two"', 'tokens {"total": "many"}'])
     @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
-    def test_damaged_store_line_is_a_one_line_error(self, tmp_path, command):
+    def test_damaged_store_line_is_a_one_line_error(self, tmp_path, command, damage):
         runner, graphs, store = self.run_pipeline(tmp_path)
-        cut_line_short(store, 6)
+        if damage == "cut short":
+            cut_line_short(store, 6)
+            message = "not a JSON value ("
+        else:  # "KEY VALUE": the record with KEY set to VALUE
+            set_field(store, 6, *damage.split(" ", 1))
+            message = "not a sample record: tokens needs an integer total, "
         with open(store, "rb") as fh:
             damaged = fh.read()
         args = {
@@ -519,7 +544,7 @@ class TestGenerateEvaluate:
         r = runner.invoke(main, args)
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
-        assert r.output.startswith(f"Error: {store}:6: not a JSON value (")
+        assert r.output.startswith(f"Error: {store}:6: {message}")
         assert len(r.output.splitlines()) == 1
         with open(store, "rb") as fh:
             assert fh.read() == damaged
@@ -821,6 +846,17 @@ class TestTransferCommand:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
         assert f"Error: {path}:3: f1 must be a finite number, got 'abc'" in r.output
+
+    def test_score_csv_with_a_hole_is_refused_at_load(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        with open(os.path.join(DATA, "scores_gpt5.csv")) as fh:
+            path.write_text("".join(line for line in fh if not line.startswith("SCITE,5,real,")))
+        out = tmp_path / "stats.json"
+        r = CliRunner().invoke(main, ["transfer", "--scores", str(path), "--loo", "--out", str(out)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
+        assert r.output == f"Error: {path}: missing cell ('SCITE', 5, 'real')\n"
+        assert not out.exists()
 
 
 class TestConsensusCommand:

@@ -31,15 +31,12 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def toy_table(values):
     """values: {(alg, n, corpus): (f1, shd, sid)}"""
-    algorithms, ns = [], []
-    table = {}
-    for (a, n, c), (f1, sh, si) in values.items():
-        if a not in algorithms:
-            algorithms.append(a)
-        if n not in ns:
-            ns.append(n)
-        table[(a, n, c)] = {"f1": f1, "shd": sh, "sid": si}
-    return ScoreTable(algorithms=algorithms, ns=sorted(ns), values=table)
+    algorithms = list(dict.fromkeys(a for a, _, _ in values))
+    ns = sorted({n for _, n, _ in values})
+    scores = np.empty((len(transfer.CORPORA), len(transfer.METRICS), len(ns), len(algorithms)))
+    for (a, n, c), cell in values.items():
+        scores[transfer.CORPORA.index(c), :, ns.index(n), algorithms.index(a)] = cell
+    return ScoreTable(algorithms=algorithms, ns=ns, scores=scores)
 
 
 class TestCentering:
@@ -112,11 +109,19 @@ class TestCorrelations:
 
 
 class TestScoreTable:
-    def test_incomplete_grid(self):
-        t = toy_table({("a", 3, "generated"): (1, 0, 0), ("a", 3, "real"): (1, 0, 0)})
-        del t.values[("a", 3, "real")]
-        with pytest.raises(IncompleteGrid):
-            t.check_grid()
+    def test_incomplete_grid(self, tmp_path):
+        p = tmp_path / "hole.csv"
+        p.write_text("algorithm,n,corpus,f1,shd,sid\na,3,generated,1,0,0\na,3,real,1,0,0\nb,3,generated,1,0,0\n")
+        with pytest.raises(IncompleteGrid) as info:
+            ScoreTable.from_csv(p)
+        assert str(info.value) == f"{p}: missing cell ('b', 3, 'real')"
+
+    def test_scores_stay_one_c_contiguous_array(self):
+        # a strided BLAS dot can round differently, so a dropped table is contiguous too
+        t = ScoreTable.from_csv(os.path.join(DATA, "scores_gpt5.csv"))
+        for table in (t, *(t.drop(alg) for alg in t.algorithms)):
+            assert table.scores.flags.c_contiguous
+            assert table.scores.shape == (2, 3, len(table.ns), len(table.algorithms))
 
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -157,8 +162,8 @@ class TestScoreTable:
         p = tmp_path / "note.csv"
         p.write_text("algorithm,n,corpus,f1,shd,sid,note\na,3,real,0.5,1,1\na,3,generated,0.4,2,2,kept\n")
         t = ScoreTable.from_csv(p)
-        assert t.values[("a", 3, "real")] == {"f1": 0.5, "shd": 1.0, "sid": 1.0}
-        assert t.values[("a", 3, "generated")] == {"f1": 0.4, "shd": 2.0, "sid": 2.0}
+        # (f1, shd, sid) of the generated cell, then of the real one
+        assert t.scores[:, :, 0, 0].tolist() == [[0.4, 2.0, 2.0], [0.5, 1.0, 1.0]]
 
 
 def linear_table(noise=0.0, seed=0, algs=("a", "b", "c"), ns=range(3, 11)):
@@ -273,9 +278,9 @@ def full_fold_p(xc, yc):
 
 
 def exhaustive_p(xc, yc):
-    p, mode, total = transfer._stratified_permutation_p(xc, yc, 0, None, True)
+    p, mode, total = transfer._stratified_permutation_p(xc[None], yc[None], 0, None, True)
     assert mode == "exhaustive" and total == math.factorial(xc.shape[1]) ** xc.shape[0]
-    return p
+    return p[0]
 
 
 def centred_pairs(x, y):
@@ -364,7 +369,7 @@ class TestMeetInTheMiddle:
         yc = np.array([[0.5, -0.5], [0.25, -0.25]])
         for exhaustive in (True, False):
             with pytest.raises(DegenerateGroups):
-                transfer._stratified_permutation_p(xc, yc, 10, 0, exhaustive)
+                transfer._stratified_permutation_p(xc[None], yc[None], 10, 0, exhaustive)
 
 
 # sampled p-values at seed=7, b=10_000 as (1 + exceedances) / 10_001; a change
@@ -458,7 +463,6 @@ def loop_agreement(table, b_permutations, b_bootstrap, seed, exhaustive, with_bo
     Each metric builds its two matrices, and each of its two permutation
     tests and its bootstrap draws from a fresh ``default_rng(seed)``.
     """
-    table.check_grid()
     if len(table.algorithms) < 2:
         raise TooFewAlgorithms("agreement needs at least two algorithms")
     buckets, a = len(table.ns), len(table.algorithms)
@@ -570,11 +574,11 @@ class TestStackedAgreement:
         xc, yc = center_within_n(x), center_within_n(y)
         for exhaustive in (True, False):
             p, mode, n = transfer._stratified_permutation_p(xc, yc, 500, 3, exhaustive)
-            assert [transfer._stratified_permutation_p(u, v, 500, 3, exhaustive) for u, v in zip(xc, yc)] == [
-                (pk, mode, n) for pk in p
+            assert [transfer._stratified_permutation_p(u[None], v[None], 500, 3, exhaustive) for u, v in zip(xc, yc)] == [
+                ([pk], mode, n) for pk in p
             ]
         cis = transfer._stratified_bootstrap(x, y, 300, 3)
-        assert all(same_value(ci, transfer._stratified_bootstrap(u, v, 300, 3)) for ci, u, v in zip(cis, x, y))
+        assert all(same_value(ci, transfer._stratified_bootstrap(u[None], v[None], 300, 3)[0]) for ci, u, v in zip(cis, x, y))
 
 
 def pearson_1d(x, y):
@@ -642,7 +646,7 @@ class TestBatchedBootstrap:
             for seed in (0, 1, 7):
                 want, kept = loop_bootstrap(x, y, 400, seed)
                 assert kept > 0
-                assert_cis_close(transfer._stratified_bootstrap(x, y, 400, seed), want)
+                assert_cis_close(transfer._stratified_bootstrap(x[None], y[None], 400, seed)[0], want)
 
     def test_skips_constant_replicates(self):
         # two algorithms in one bucket: a replicate that draws one algorithm
@@ -650,12 +654,12 @@ class TestBatchedBootstrap:
         x, y = np.array([[0.1, 0.5]]), np.array([[0.3, 0.2]])
         want, kept = loop_bootstrap(x, y, 200, 3)
         assert 0 < kept < 200
-        assert_cis_close(transfer._stratified_bootstrap(x, y, 200, 3), want)
+        assert_cis_close(transfer._stratified_bootstrap(x[None], y[None], 200, 3)[0], want)
 
     def test_all_replicates_skipped_gives_nan(self):
         x, y = np.array([[0.4, 0.4]]), np.array([[0.3, 0.2]])
         assert loop_bootstrap(x, y, 50, 0)[1] == 0
-        cis = transfer._stratified_bootstrap(x, y, 50, 0)
+        cis = transfer._stratified_bootstrap(x[None], y[None], 50, 0)[0]
         assert all(math.isnan(v) for pair in cis.values() for v in pair)
 
 

@@ -49,10 +49,10 @@ from .metrics import (
 from .store import RunManifest, SampleRecord, SampleStore
 from .textgen import (
     Paragraph,
-    extract_concepts,
-    gen_id_refine,
+    extract_concepts_steps,
+    gen_id_refine_steps,
     generate_text,
-    llm_causal_discovery,
+    llm_causal_discovery_steps,
 )
 from .transfer import (
     AgreementStats,

@@ -12,7 +12,7 @@ import numpy as np
 from . import consensus as consensus_mod
 from . import transfer as transfer_mod
 from .assignment import LoopConfig, run_loop_steps
-from .errors import CausaltextError, InvalidConfig, MissingReference, TooFewAlgorithms, open_utf8
+from .errors import CacheIoError, CausaltextError, InvalidConfig, MissingReference, TooFewAlgorithms, open_utf8
 from .gateway import (
     BackendProfile,
     Gateway,
@@ -188,6 +188,13 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
     loop_cfg = loop_config_from(cfg)
     domain = cfg.get("phase3", "domain")
     gw, profiles = _build_gateway(cfg, mock_script, cache_path)
+    # a file the run cannot append to stops it here, not after the first sample's calls
+    for option, path in (("--out", out), ("--cache", cache_path)):
+        if path is not None:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise click.ClickException(f"{option}: cannot append to {path}: {exc.strerror}")
     store = SampleStore(out)
     files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
     backends = {k: p.model_id for k, p in profiles.items()}
@@ -411,12 +418,16 @@ def consensus(ratings, raters, out):
 @click.option("--clear", is_flag=True)
 def cache(cache_path, clear):
     """Inspect or clear an on-disk response cache."""
-    store = ResponseCache(cache_path)
     if clear:
-        store.clear()
+        # the file is removed unread, so a damaged cache can be cleared too
+        try:
+            if os.path.exists(cache_path):
+                os.remove(cache_path)
+        except OSError as exc:
+            raise CacheIoError(f"cannot clear cache at {cache_path}: {exc}")
         click.echo("cache cleared")
     else:
-        click.echo(f"{len(store)} cached entries")
+        click.echo(f"{len(ResponseCache(cache_path))} cached entries")
 
 
 if __name__ == "__main__":

@@ -579,11 +579,6 @@ class ResponseCache:
     def __len__(self) -> int:
         return len(self.data)
 
-    def clear(self) -> None:
-        self.data = {}
-        if self.path is not None and os.path.exists(self.path):
-            os.remove(self.path)
-
 
 def choose_verifier(primary_model_id: str, pool: list) -> str:
     """Deterministically pick a verifier model different from the primary.

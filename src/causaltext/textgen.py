@@ -3,13 +3,13 @@
 Single-shot paragraph generation with a concept-coverage gate, the bounded
 extract-diagnose-revise refinement loop, concept extraction for real texts,
 and model-based causal discovery whose output matrix is allowed to be
-cyclic (projection happens downstream).
+cyclic (projection happens downstream).  Every model-calling function is a
+``*_steps`` pipeline for ``Gateway.run_samples``.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +83,13 @@ def generate_text(dag: Dag, assignment: ConceptAssignment, gateway, profile, sam
     return gateway.run_sample(generate_text_steps(dag, assignment, profile), sample_id)
 
 
-def llm_causal_discovery(text: str, concepts, gateway, profile, sample_id=None) -> np.ndarray:
-    """Infer a directed adjacency matrix over the given concepts from text.
+def llm_causal_discovery_steps(text: str, concepts, profile):
+    """Pipeline steps that infer a directed adjacency matrix over the given concepts from text.
 
     The result may contain cycles; nonzero diagonal entries are clamped to
     zero with a warning.
     """
-    raw = gateway.run_sample(ask_steps(profile, "discovery", {"Text": text, "Important concepts": concepts}), sample_id)
+    raw = yield from ask_steps(profile, "discovery", {"Text": text, "Important concepts": concepts})
     n = len(concepts)
     try:
         adj = np.asarray(raw, dtype=float)
@@ -118,17 +118,8 @@ REVISION_REQUEST = (
 )
 
 
-def gen_id_refine(
-    dag: Dag,
-    assignment: ConceptAssignment,
-    paragraph: Paragraph,
-    gateway,
-    profile,
-    discovery_profile,
-    k_gen: int = 3,
-    sample_id=None,
-):
-    """Extract-diagnose-revise loop bounded by k_gen revision iterations.
+def gen_id_refine_steps(dag: Dag, assignment: ConceptAssignment, paragraph: Paragraph, profile, discovery_profile, k_gen: int = 3):
+    """Pipeline steps of the extract-diagnose-revise loop, bounded by k_gen revision iterations.
 
     Mismatch is the Hamming distance between the extracted matrix and the
     target.  Stops at mismatch zero, on non-decrease, or when the budget
@@ -145,14 +136,15 @@ def gen_id_refine(
     def name_edges(edges) -> str:
         return ", ".join(f"{assignment.concepts[i]} -> {assignment.concepts[j]}" for i, j in edges) or "(none)"
 
-    def extract(p: Paragraph):
-        adj = llm_causal_discovery(p.text, assignment.concepts, gateway, discovery_profile, sample_id=sample_id)
-        return shd(dag, adj), adj
-
     trace = []
+
+    def extract(p: Paragraph):
+        adj = yield from llm_causal_discovery_steps(p.text, assignment.concepts, discovery_profile)
+        trace.append({"mismatch": shd(dag, adj), "adjacency": adj.tolist()})
+        return trace[-1]["mismatch"], adj
+
     current = paragraph
-    mismatch, adj = extract(current)
-    trace.append({"mismatch": mismatch, "adjacency": adj.tolist()})
+    mismatch, adj = yield from extract(current)
     revisions = 0
     while mismatch > 0 and revisions < k_gen:
         errors = decompose_errors(dag, adj)
@@ -161,11 +153,10 @@ def gen_id_refine(
             missed=name_edges(errors.missed),
             spurious=name_edges(errors.spurious),
         )
-        reply = gateway.run_sample(ask_steps(profile, "phase3", bindings, note), sample_id)
+        reply = yield from ask_steps(profile, "phase3", bindings, note)
         candidate = Paragraph(text=str(reply), source_concepts=assignment)
         revisions += 1
-        new_mismatch, new_adj = extract(candidate)
-        trace.append({"mismatch": new_mismatch, "adjacency": new_adj.tolist()})
+        new_mismatch, new_adj = yield from extract(candidate)
         if new_mismatch >= mismatch:
             break
         current, mismatch, adj = candidate, new_mismatch, new_adj
@@ -179,8 +170,8 @@ EXTRACTION_REASK = (
 )
 
 
-def extract_concepts(text: str, gateway, profile, sample_id=None) -> list:
-    """Pull 3..10 distinct concepts out of a real text.
+def extract_concepts_steps(text: str, profile):
+    """Pipeline steps that pull 3..10 distinct concepts out of a real text.
 
     Deterministic post-processing: normalize-dedupe, drop concepts absent
     from the text, and re-ask once if the size constraint fails.
@@ -203,10 +194,10 @@ def extract_concepts(text: str, gateway, profile, sample_id=None) -> list:
             out.append(c)
         return out
 
-    concepts = clean(gateway.run_sample(ask_steps(profile, "extraction", {"Text": text}), sample_id))
+    concepts = clean((yield from ask_steps(profile, "extraction", {"Text": text})))
     if not 3 <= len(concepts) <= 10:
         note = EXTRACTION_REASK.format(reason=f"{len(concepts)} usable concepts after filtering")
-        concepts = clean(gateway.run_sample(ask_steps(profile, "extraction", {"Text": text}, note), sample_id))
+        concepts = clean((yield from ask_steps(profile, "extraction", {"Text": text}, note)))
         if not 3 <= len(concepts) <= 10:
             raise ExtractionFailed(f"still {len(concepts)} usable concepts after re-ask")
     return concepts

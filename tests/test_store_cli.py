@@ -458,6 +458,31 @@ class TestGenerateEvaluate:
         )
         assert r.exit_code != 0
 
+    @pytest.mark.parametrize("option", ["--out", "--cache"])
+    def test_a_path_that_cannot_be_appended_to_stops_the_run_before_any_call(self, tmp_path, monkeypatch, option):
+        from causaltext.gateway import OracleMockBackend
+
+        class CountingOracle(OracleMockBackend):
+            calls = 0
+
+            def complete(self, payload, meta=None):
+                CountingOracle.calls += 1
+                return super().complete(payload, meta)
+
+        monkeypatch.setattr("causaltext.cli.make_mock_backend", lambda script: CountingOracle())
+        graphs = str(tmp_path / "graphs")
+        assert CliRunner().invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        paths = {"--out": str(tmp_path / "s.jsonl"), "--cache": str(tmp_path / "c.jsonl")}
+        bad = paths[option] = str(tmp_path / "nodir" / "x.jsonl")
+        r = CliRunner().invoke(main, ["generate", "--graphs", graphs, "--mock-script", "{}",
+                                      "--out", paths["--out"], "--cache", paths["--cache"]])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith(f"Error: {option}: cannot append to {bad}: ")
+        assert len(r.output.splitlines()) == 1
+        assert CountingOracle.calls == 0
+        assert not os.path.exists(paths["--out"] + ".manifest.json")
+        assert len(SampleStore(paths["--out"])) == 0
+
     def test_oracle_outputs_are_pinned(self, tmp_path):
         """Graph files, store records (less ``created_at``), manifest and cache
         log of a seeded oracle run hash to the values a refactor must keep."""
@@ -1024,3 +1049,20 @@ class TestCacheCommand:
         assert len(r.output.splitlines()) == 1
         with open(path, "rb") as fh:
             assert fh.read() == damaged
+
+    @pytest.mark.parametrize("how", ["cut", "latin1"])
+    def test_clear_removes_a_damaged_cache_unread(self, tmp_path, how):
+        from causaltext.gateway import ResponseCache
+
+        path = str(tmp_path / "cache.jsonl")
+        c = ResponseCache(path)
+        for k in range(3):
+            c.put(f"k{k}", {"v": k})
+        if how == "cut":
+            cut_line_short(path, 2)  # not a JSON value
+        else:
+            damage_line(path, 1, how)  # not UTF-8 text
+        assert CliRunner().invoke(main, ["cache", "--cache", path]).exit_code == 1
+        r = CliRunner().invoke(main, ["cache", "--cache", path, "--clear"])
+        assert r.exit_code == 0, r.output
+        assert r.output == "cache cleared\n" and not os.path.exists(path)

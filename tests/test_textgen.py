@@ -20,10 +20,10 @@ from causaltext.graphs import Dag
 from causaltext.textgen import (
     Paragraph,
     concept_in_text,
-    extract_concepts,
-    gen_id_refine,
+    extract_concepts_steps,
+    gen_id_refine_steps,
     generate_text,
-    llm_causal_discovery,
+    llm_causal_discovery_steps,
     missing_concepts,
 )
 
@@ -121,44 +121,44 @@ class TestGenerateText:
 class TestDiscovery:
     def test_matrix_parsed(self):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, 1], [0, 0]]}]))
-        adj = llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+        adj = gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
         assert adj.tolist() == [[0, 1], [0, 0]]
 
     def test_cycle_accepted(self):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, 1], [1, 0]]}]))
-        adj = llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+        adj = gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
         assert adj.tolist() == [[0, 1], [1, 0]]
 
     def test_wrong_shape(self):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, 1, 0], [0, 0, 1]]}]))
         with pytest.raises(ShapeMismatch):
-            llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+            gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
 
     def test_nonbinary_rejected(self):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, 2], [0, 0]]}]))
         with pytest.raises(ShapeMismatch):
-            llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+            gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
 
     @pytest.mark.parametrize("entry", [0.5, 0.9, 0.99])
     def test_fractional_entries_rejected(self, entry):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, entry], [0, 0]]}]))
         with pytest.raises(ShapeMismatch):
-            llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+            gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
 
     def test_string_and_bool_entries_accepted(self):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [["0", "1"], [True, 0.0]]}]))
-        adj = llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+        adj = gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
         assert adj.tolist() == [[0, 1], [1, 0]] and adj.dtype == np.int8
 
     def test_missing_entry_is_malformed(self):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[0, None], [0, 0]]}]))
         with pytest.raises(MalformedOutput):
-            llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+            gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
 
     def test_diagonal_clamped_with_warning(self, caplog):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[1, 1], [0, 1]]}]))
         with caplog.at_level("WARNING"):
-            adj = llm_causal_discovery("text", ["a", "b"], gw, DISCOVERY)
+            adj = gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
         assert adj.tolist() == [[0, 1], [0, 0]]
         assert any("diagonal" in r.message for r in caplog.records)
 
@@ -178,8 +178,8 @@ class TestGenIdRefine:
 
     def test_fixed_point_zero_revisions(self):
         gw = self.setup_case([{"adjacency matrix": [[0, 1], [0, 0]]}])
-        best, revisions, trace = gen_id_refine(
-            self.dag(), self.assignment(), self.paragraph(), gw, PHASE3, DISCOVERY
+        best, revisions, trace = gw.run_sample(
+            gen_id_refine_steps(self.dag(), self.assignment(), self.paragraph(), PHASE3, DISCOVERY)
         )
         assert revisions == 0
         assert best.text == self.paragraph().text
@@ -187,9 +187,8 @@ class TestGenIdRefine:
 
     def test_budget_zero_returns_input_untouched(self):
         gw = self.setup_case([])
-        best, revisions, trace = gen_id_refine(
-            self.dag(), self.assignment(), self.paragraph(), gw, PHASE3, DISCOVERY,
-            k_gen=0,
+        best, revisions, trace = gw.run_sample(
+            gen_id_refine_steps(self.dag(), self.assignment(), self.paragraph(), PHASE3, DISCOVERY, k_gen=0)
         )
         assert revisions == 0 and trace == [] and best.text == self.paragraph().text
         assert gw.calls_made == 0
@@ -208,8 +207,8 @@ class TestGenIdRefine:
         ]
         # first extraction: target edges (0,1),(1,2); got (0,2) -> shd 3
         gw = self.setup_case(replies)
-        best, revisions, trace = gen_id_refine(
-            dag, assignment, Paragraph("original", assignment), gw, PHASE3, DISCOVERY
+        best, revisions, trace = gw.run_sample(
+            gen_id_refine_steps(dag, assignment, Paragraph("original", assignment), PHASE3, DISCOVERY)
         )
         assert [t["mismatch"] for t in trace] == [3, 1, 1]
         assert revisions == 2
@@ -224,8 +223,8 @@ class TestGenIdRefine:
                 {"adjacency matrix": [[0, 0], [1, 0]]},  # shd 2
             ]
         )
-        best, revisions, trace = gen_id_refine(
-            self.dag(), self.assignment(), self.paragraph("original"), gw, PHASE3, DISCOVERY
+        best, revisions, trace = gw.run_sample(
+            gen_id_refine_steps(self.dag(), self.assignment(), self.paragraph("original"), PHASE3, DISCOVERY)
         )
         assert revisions == 1
         assert best.text == "original"
@@ -240,7 +239,7 @@ class TestExtraction:
 
     def test_clean_list_passes(self):
         gw = Gateway(ScriptedMockBackend([{"concepts": ["heavy rain", "flooding", "crop damage"]}]))
-        out = extract_concepts(self.TEXT, gw, DISCOVERY)
+        out = gw.run_sample(extract_concepts_steps(self.TEXT, DISCOVERY))
         assert out == ["heavy rain", "flooding", "crop damage"]
 
     def test_duplicates_merged(self):
@@ -249,7 +248,7 @@ class TestExtraction:
                 [{"concepts": ["Flooding", "flooding.", "heavy rain", "food prices"]}]
             )
         )
-        out = extract_concepts(self.TEXT, gw, DISCOVERY)
+        out = gw.run_sample(extract_concepts_steps(self.TEXT, DISCOVERY))
         assert out == ["Flooding", "heavy rain", "food prices"]
 
     def test_absent_concept_dropped_then_reask(self):
@@ -261,7 +260,7 @@ class TestExtraction:
                 ]
             )
         )
-        out = extract_concepts(self.TEXT, gw, DISCOVERY)
+        out = gw.run_sample(extract_concepts_steps(self.TEXT, DISCOVERY))
         assert out == ["heavy rain", "flooding", "food prices"]
         assert gw.calls_made == 2
 
@@ -271,7 +270,7 @@ class TestExtraction:
         gw = Gateway(
             ScriptedMockBackend([{"concepts": many}, {"concepts": many[:5]}])
         )
-        out = extract_concepts(text, gw, DISCOVERY)
+        out = gw.run_sample(extract_concepts_steps(text, DISCOVERY))
         assert len(out) == 5
 
     def test_persistent_failure(self):
@@ -279,16 +278,16 @@ class TestExtraction:
             ScriptedMockBackend([{"concepts": ["flooding"]}, {"concepts": ["flooding"]}])
         )
         with pytest.raises(ExtractionFailed):
-            extract_concepts(self.TEXT, gw, DISCOVERY)
+            gw.run_sample(extract_concepts_steps(self.TEXT, DISCOVERY))
 
     def test_string_reply_is_malformed_not_split_into_letters(self):
         gw = Gateway(ScriptedMockBackend([{"concepts": "rain, wet"}]))
         with pytest.raises(MalformedOutput) as exc:
-            extract_concepts("rain made everything wet", gw, DISCOVERY)
+            gw.run_sample(extract_concepts_steps("rain made everything wet", DISCOVERY))
         assert exc.value.raw_text == "rain, wet"
         assert gw.calls_made == 1
 
     def test_empty_text_rejected(self):
         gw = Gateway(ScriptedMockBackend([]))
         with pytest.raises(ValueError):
-            extract_concepts("   ", gw, DISCOVERY)
+            gw.run_sample(extract_concepts_steps("   ", DISCOVERY))

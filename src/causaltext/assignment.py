@@ -10,7 +10,7 @@ mismatch L_b and thresholded into a fallacy set that drives refinement.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -123,11 +123,7 @@ class FallacySet:
         return not self.missed and not self.spurious
 
     def to_json(self) -> dict:
-        return {
-            "missed": [list(p) for p in self.missed],
-            "spurious": [list(p) for p in self.spurious],
-            "tau": self.tau,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -340,8 +336,8 @@ class LoopConfig:
 
     def __post_init__(self):
         # written so that a NaN fails every comparison and is rejected
-        if not (self.m >= 1 and 0 < self.tau <= 1 and self.alpha >= 0 and self.k_max >= 1):
-            raise ValueError(f"loop settings need m >= 1, 0 < tau <= 1, alpha >= 0, k_max >= 1: {self}")
+        if not (self.m >= 1 and 0 < self.tau <= 1 and 0 <= self.alpha < float("inf") and self.k_max >= 1):
+            raise ValueError(f"loop settings need m >= 1, 0 < tau <= 1, 0 <= alpha < inf, k_max >= 1: {self}")
 
 
 @dataclass

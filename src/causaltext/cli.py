@@ -146,9 +146,6 @@ def _build_gateway(cfg, mock_script, cache_path):
         primary = "mock"
         verifier_model = "mock-verifier"
     else:
-        endpoint = cfg.get("backends", "endpoint")
-        cred = cfg.get("backends", "credential_env")
-        backend = HttpBackend(endpoint, cred)
         primary = cfg.get("backends", "primary")
         pool = [m.strip() for m in cfg.get("backends", "pool").split(",") if m.strip()]
         try:
@@ -157,10 +154,12 @@ def _build_gateway(cfg, mock_script, cache_path):
             raise InvalidConfig(f"backends.pool: {exc}")
     # requests kept in flight at once, shared by the open samples; 1 runs one request at a time
     max_in_flight = config_value(cfg, "backends", "max_in_flight", int)
-    try:
-        gw = Gateway(backend, cache=cache, max_in_flight=max_in_flight)
-    except ValueError as exc:
-        raise InvalidConfig(f"backends.max_in_flight: {exc}")
+    if max_in_flight < 1:
+        raise InvalidConfig(f"backends.max_in_flight: must be >= 1, got {max_in_flight}")
+    if mock_script is None:
+        # a missing credential or a bad endpoint stops the run here, before the first sample
+        backend = HttpBackend(cfg.get("backends", "endpoint"), cfg.get("backends", "credential_env"))
+    gw = Gateway(backend, cache=cache, max_in_flight=max_in_flight)
     profiles = {
         "proposer": BackendProfile.for_role(primary, "proposer"),
         "verifier": BackendProfile.for_role(verifier_model, "verifier"),
@@ -175,7 +174,7 @@ def _build_gateway(cfg, mock_script, cache_path):
 @click.option("--graphs", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--mock-script", default=None, help="mock script JSON (inline or file path)")
-@click.option("--resume", is_flag=True, help="skip ids already in the store")
+@click.option("--resume", is_flag=True, help="skip ids already finished in the store; run failed ones again")
 @click.option("--seed", type=int, default=0, show_default=True, help="recorded in the manifest; nothing else reads it")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
@@ -221,10 +220,11 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
                 failed += 1
                 continue
             if sid_ in records or sid_ in store:
-                if resume:
+                if not resume:
+                    raise click.ClickException(f"id {sid_!r} already in store (use --resume)")
+                if sid_ in records or store.finished(sid_):
                     skipped += 1
-                    continue
-                raise click.ClickException(f"id {sid_!r} already in store (use --resume)")
+                    continue  # a sample whose last record failed runs again
             records[sid_] = SampleRecord(id=sid_, spec=spec, dag=dag, backends=backends)
             yield sid_, _sample_steps(dag, domain, profiles, loop_cfg)
 

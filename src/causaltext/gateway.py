@@ -188,28 +188,31 @@ class HttpBackend:
     Transient failures (connection errors, HTTP 429 and 5xx) are retried
     with jittered exponential backoff starting at ``backoff`` seconds.
     ``http_proxy``, ``https_proxy`` and ``no_proxy`` are honoured, and
-    HTTPS verifies certificates with the default ``ssl`` context.
+    HTTPS verifies certificates with the default ``ssl`` context.  The
+    credential is read and the route resolved once, when the backend is
+    built: a missing credential raises AuthError there, and an endpoint or
+    proxy that is not an http(s) URL TransportError.
     """
 
     def __init__(self, endpoint: str, credential_env: str, retries: int = 3, backoff: float = 1.0, timeout: float = 120.0):
+        key = os.environ.get(credential_env)
+        if not key:
+            raise AuthError(f"no credential in ${credential_env}")
         self.endpoint = endpoint
-        self.credential_env = credential_env
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
         self._idle: list = []  # connections with no reply left to read
-        self._route = None  # (connection factory, request target, proxy headers), set on first use
+        # the connection factory, the request target and the headers of every request
+        self._connect, self._target, proxy_headers = self._resolve_route()
+        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json", **proxy_headers}
 
     def complete(self, payload: dict, meta: dict | None = None):
         return self.submit(payload, meta).result()
 
     def submit(self, payload: dict, meta: dict | None = None) -> "PendingReply":
         """Write one request and return the handle that reads its reply."""
-        key = os.environ.get(self.credential_env)
-        if not key:
-            raise AuthError(f"no credential in ${self.credential_env}")
-        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-        return PendingReply(self, payload, headers)
+        return PendingReply(self, payload)
 
     def _resolve_route(self):
         import http.client
@@ -250,15 +253,13 @@ class HttpBackend:
         """An idle connection whose server has not closed it, or a new one."""
         import select
 
-        if self._route is None:
-            self._route = self._resolve_route()
         while self._idle:
             conn = self._idle.pop()
             # a readable idle socket means the server closed it (or sent junk)
             if conn.sock is None or not select.select([conn.sock], [], [], 0)[0]:
                 return conn
             conn.close()
-        return self._route[0]()
+        return self._connect()
 
     def close(self) -> None:
         """Close every idle connection."""
@@ -274,11 +275,10 @@ class PendingReply:
     connection the unread reply would arrive on.
     """
 
-    def __init__(self, backend: HttpBackend, payload: dict, headers: dict):
+    def __init__(self, backend: HttpBackend, payload: dict):
         self._backend = backend
         self._prompt = payload["messages"][1]["content"]
         self._body = json.dumps(payload).encode("utf-8")
-        self._headers = headers
         self._conn = None
         self._error: Exception | None = None
         self._send()
@@ -286,10 +286,10 @@ class PendingReply:
     def _send(self) -> None:
         import http.client
 
-        conn = self._backend._checkout()
-        _, target, proxy_headers = self._backend._route
+        backend = self._backend
+        conn = backend._checkout()
         try:
-            conn.request("POST", target, self._body, {**self._headers, **proxy_headers})
+            conn.request("POST", backend._target, self._body, backend._headers)
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             self._error = exc

@@ -16,6 +16,14 @@ import numpy as np
 from .errors import CyclicInput, InvalidSpec, ShapeMismatch
 
 MOTIF_RETRY_BUDGET = 20
+# each motif kind, in injection order: the two edges it adds among three nodes
+# sorted by topological order (confounder c -> a, c -> b; collider a -> v,
+# b -> v; chain i -> m -> j).  Its JSON key is the kind's plural.
+MOTIFS = {
+    "confounder": ((0, 1), (0, 2)),
+    "collider": ((0, 2), (1, 2)),
+    "mediator_chain": ((0, 1), (1, 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -122,25 +130,14 @@ class Dag:
 
 @dataclass
 class MotifReport:
-    """Outcome of the best-effort motif injection pass."""
+    """Outcome of the best-effort motif injection pass: counts per kind of ``MOTIFS``."""
 
-    confounders_requested: int = 0
-    confounders_injected: int = 0
-    colliders_requested: int = 0
-    colliders_injected: int = 0
-    mediator_chains_requested: int = 0
-    mediator_chains_injected: int = 0
+    requested: dict = field(default_factory=dict)
+    injected: dict = field(default_factory=dict)
     motifs: list = field(default_factory=list)  # (kind, nodes) for verification
 
     def to_json(self) -> dict:
-        return {
-            "confounders": {"requested": self.confounders_requested, "injected": self.confounders_injected},
-            "colliders": {"requested": self.colliders_requested, "injected": self.colliders_injected},
-            "mediator_chains": {
-                "requested": self.mediator_chains_requested,
-                "injected": self.mediator_chains_injected,
-            },
-        }
+        return {f"{kind}s": {"requested": self.requested[kind], "injected": self.injected[kind]} for kind in MOTIFS}
 
 
 def is_acyclic(adj: np.ndarray) -> bool:
@@ -205,14 +202,9 @@ def sample_dag(spec: GraphSpec) -> tuple[Dag, MotifReport]:
     spec.validate()
     n = spec.n
     ss = np.random.SeedSequence(spec.seed)
-    rng_order, rng_base, rng_conf, rng_coll, rng_chain = (
-        np.random.default_rng(s) for s in ss.spawn(5)
-    )
+    rng_order, rng_base, *rng_motifs = (np.random.default_rng(s) for s in ss.spawn(2 + len(MOTIFS)))
 
     order = rng_order.permutation(n)
-    pos = np.empty(n, dtype=int)  # pos[node] = position in topological order
-    pos[order] = np.arange(n)
-
     edges = np.zeros((n, n), dtype=np.int8)
     in_deg = np.zeros(n, dtype=int)
     out_deg = np.zeros(n, dtype=int)
@@ -223,35 +215,20 @@ def sample_dag(spec: GraphSpec) -> tuple[Dag, MotifReport]:
             if rng_base.random() < spec.p:
                 _try_add_edge(edges, u, v, in_deg, out_deg, spec.max_parents, spec.max_children)
 
-    report = MotifReport(
-        confounders_requested=int(spec.gamma_c * n),
-        colliders_requested=int(spec.gamma_v * n),
-        mediator_chains_requested=spec.mediator_chains,
-    )
-
-    def inject(kind, count, rng, pairs):
-        # each motif adds the two edges ``pairs`` among three nodes sorted by
-        # topological order, all or nothing
-        injected = 0
-        for _ in range(count if n >= 3 else 0):
+    counts = (int(spec.gamma_c * n), int(spec.gamma_v * n), spec.mediator_chains)
+    report = MotifReport(requested=dict(zip(MOTIFS, counts)))
+    for (kind, pairs), rng in zip(MOTIFS.items(), rng_motifs):
+        # each motif is added all or nothing
+        report.injected[kind] = 0
+        for _ in range(report.requested[kind] if n >= 3 else 0):
             for _attempt in range(MOTIF_RETRY_BUDGET):
                 nodes = [order[k] for k in sorted(rng.choice(n, size=3, replace=False))]
                 snapshot = (edges.copy(), in_deg.copy(), out_deg.copy())
-                if all(
-                    _try_add_edge(edges, nodes[s], nodes[t], in_deg, out_deg, spec.max_parents, spec.max_children)
-                    for s, t in pairs
-                ):
-                    injected += 1
+                if all(_try_add_edge(edges, nodes[s], nodes[t], in_deg, out_deg, spec.max_parents, spec.max_children)
+                       for s, t in pairs):
+                    report.injected[kind] += 1
                     report.motifs.append((kind, tuple(int(v) for v in nodes)))
                     break
                 edges[:], in_deg[:], out_deg[:] = snapshot
-        return injected
-
-    # confounder c -> a, c -> b; collider a -> v, b -> v; chain i -> m -> j
-    report.confounders_injected = inject("confounder", report.confounders_requested, rng_conf, ((0, 1), (0, 2)))
-    report.colliders_injected = inject("collider", report.colliders_requested, rng_coll, ((0, 2), (1, 2)))
-    report.mediator_chains_injected = inject(
-        "mediator_chain", report.mediator_chains_requested, rng_chain, ((0, 1), (1, 2))
-    )
 
     return Dag(n=n, edges=edges), report

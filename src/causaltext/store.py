@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .assignment import ConceptAssignment
 from .errors import CausaltextError, CorruptLine
@@ -62,9 +62,6 @@ class SampleRecord:
             created_at=obj.get("created_at", 0.0),
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SampleRecord) and self.to_json() == other.to_json()
-
 
 def _records(path: str):
     """``(line number, JSON object)`` for each line of a store.
@@ -95,18 +92,21 @@ class SampleStore:
 
     Safe to reopen mid-run: existing ids are loaded so interrupted batch
     jobs can resume without duplicates, and a record cut short by a kill
-    is dropped so that it is generated again.  The index is read on first
+    is dropped so that it is generated again.  A sample whose last record
+    carries an error may be appended again, and its new record supersedes
+    the old one; a finished sample may not.  The index is read on first
     use, so a store that is only iterated is read once.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._index: set | None = None
+        self._index: dict | None = None
 
     @property
-    def _ids(self) -> set:
+    def _ids(self) -> dict:
+        """id -> whether its last record finished (carries no error)."""
         if self._index is None:
-            self._index = {obj["id"] for _, obj in _records(self.path)}
+            self._index = {obj["id"]: obj.get("error") is None for _, obj in _records(self.path)}
         return self._index
 
     def __contains__(self, sample_id: str) -> bool:
@@ -115,13 +115,16 @@ class SampleStore:
     def __len__(self) -> int:
         return len(self._ids)
 
+    def finished(self, sample_id: str) -> bool:
+        return self._ids.get(sample_id, False)
+
     def append(self, record: SampleRecord) -> None:
         # the index read also drops a torn last line before this write
-        if record.id in self._ids:
-            raise ValueError(f"duplicate sample id {record.id!r}")
+        if self.finished(record.id):
+            raise ValueError(f"duplicate sample id {record.id!r}: it has finished")
         with open(self.path, "a") as fh:
             fh.write(json.dumps(record.to_json()) + "\n")
-        self._ids.add(record.id)
+        self._ids[record.id] = record.error is None
 
     def __iter__(self):
         for num, obj in _records(self.path):
@@ -144,36 +147,29 @@ class RunManifest:
     errors: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "per_n_counts": {str(k): v for k, v in self.per_n_counts.items()},
-            "success_rate": self.success_rate,
-            "median_iterations": self.median_iterations,
-            "median_tokens": self.median_tokens,
-            "total_tokens": self.total_tokens,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
     @classmethod
     def from_store(cls, store: SampleStore, config: dict, seed: int) -> "RunManifest":
         """Recompute all aggregate statistics directly from the records."""
-        # the stored JSON is enough: a SampleRecord would check each graph again
+        # the stored JSON is enough: a SampleRecord would check each graph again.
+        # A retried id counts once, by the fields read of its last record.
+        last = {obj["id"]: (obj["spec"]["n"], obj.get("error"), obj.get("loop_status"), obj.get("loop_iterations"),
+                            obj.get("tokens")) for _, obj in _records(store.path)}
         per_n: dict = {}
         statuses, iterations, tokens = [], [], []
         errors = 0
-        for _, obj in _records(store.path):
-            n = obj["spec"]["n"]
+        for n, error, status, iters, toks in last.values():
             per_n[n] = per_n.get(n, 0) + 1
-            if obj.get("error") is not None:
+            if error is not None:
                 errors += 1
                 continue
-            if obj.get("loop_status") is not None:
-                statuses.append(obj["loop_status"] == "Success")
-            if obj.get("loop_iterations") is not None:
-                iterations.append(obj["loop_iterations"])
-            if obj.get("tokens"):
-                tokens.append(obj["tokens"].get("total", 0))
+            if status is not None:
+                statuses.append(status == "Success")
+            if iters is not None:
+                iterations.append(iters)
+            if toks:
+                tokens.append(toks.get("total", 0))
         return cls(
             config=config,
             seed=seed,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ CORPORA = ("generated", "real")
 # meet in the middle, so the cap bounds enumeration time, and memory grows
 # only as the square root of the count
 EXHAUSTIVE_CAP = 2_000_000
+# arrangements the permutation ANOVA enumerates instead of sampling
+ANOVA_EXHAUSTIVE_CAP = 200_000
 _ANOVA_BATCH = 1 << 18  # level codes per batch of null ANOVA F statistics
 
 
@@ -518,19 +520,14 @@ def _all_arrangements(codes, per_stratum: list, rows: int):
         yield out
 
 
-def permutation_anova(
-    groups: dict,
-    b: int = 10_000,
-    seed: int | None = 0,
-    exhaustive_cap: int = 200_000,
-) -> AnovaResult:
+def permutation_anova(groups: dict, b: int = 10_000, seed: int | None = 0) -> AnovaResult:
     """Stratified (within-n) permutation ANOVA for one factor.
 
     ``groups`` maps (n, level) -> array of metric values.  The F statistic is
     the one-way ANOVA F across levels computed on stratum-demeaned values;
     the null distribution shuffles level labels independently within each n
     stratum.  Falls back to exhaustive enumeration when the number of
-    distinct within-stratum label arrangements fits under the cap.
+    distinct within-stratum label arrangements fits under ``ANOVA_EXHAUSTIVE_CAP``.
 
     In sampled mode, the arrangements are those of a loop that draws
     ``rng.permutation(len(stratum))`` for each stratum in order, replicate by
@@ -566,7 +563,7 @@ def permutation_anova(
     per_stratum = [np.flatnonzero(stratum_of == n) for n in strata]
     rows = max(1, _ANOVA_BATCH // len(codes))
     total = math.prod(math.factorial(len(ix)) for ix in per_stratum)
-    exhaustive = total <= exhaustive_cap
+    exhaustive = total <= ANOVA_EXHAUSTIVE_CAP
     if exhaustive:
         batches = _all_arrangements(codes, per_stratum, rows)
     elif seed is None:
@@ -625,13 +622,7 @@ class StabilityReport:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "curves": {str(n): {str(k): v for k, v in c.items()} for n, c in self.curves.items()},
-            "delta": self.delta,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def stability_curve(
@@ -646,7 +637,7 @@ def stability_curve(
     For each bucket and each k, averages ``r_trials`` subsample means drawn
     without replacement from that bucket's pool.
     """
-    ks = sorted(ks)
+    ks = sorted(map(int, ks))  # curve keys are Python ints, which JSON writes as keys
     k_lo, k_hi = delta_ks
     rng = np.random.default_rng(seed)
     curves = {}
@@ -654,12 +645,12 @@ def stability_curve(
         pool = np.asarray(pool, dtype=float)
         if len(pool) < max(ks):
             raise PoolTooSmall(f"bucket n={n} has {len(pool)} samples, needs {max(ks)}")
-        curves[n] = {}
+        curve = curves[int(n)] = {}
         for k in ks:
             means = [
                 pool[rng.choice(len(pool), size=k, replace=False)].mean()
                 for _ in range(r_trials)
             ]
-            curves[n][k] = float(np.mean(means))
+            curve[k] = float(np.mean(means))
     delta = max(abs(curves[n][k_hi] - curves[n][k_lo]) for n in curves)
     return StabilityReport(curves=curves, delta=float(delta), k_lo=k_lo, k_hi=k_hi, seed=seed)

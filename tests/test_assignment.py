@@ -344,7 +344,7 @@ class LoopMockBackend:
 class TestLoopConfig:
     @pytest.mark.parametrize("bad", [
         {"m": 0}, {"tau": 0.0}, {"tau": 1.5}, {"tau": float("nan")},
-        {"alpha": -0.1}, {"alpha": float("nan")}, {"k_max": 0},
+        {"alpha": -0.1}, {"alpha": float("nan")}, {"alpha": float("inf")}, {"k_max": 0},
     ])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="loop settings"):

@@ -26,6 +26,7 @@ from causaltext.assignment import (
 from causaltext.cli import main
 from causaltext.errors import (
     AuthError,
+    CacheIoError,
     MalformedOutput,
     TransportError,
     UnboundPlaceholder,
@@ -456,9 +457,24 @@ class TestVerifierChoice:
 class TestHttpBackend:
     def test_missing_credential(self, monkeypatch):
         monkeypatch.delenv("NO_SUCH_KEY", raising=False)
-        b = HttpBackend("http://localhost:1/v1", "NO_SUCH_KEY")
         with pytest.raises(AuthError):
-            b.complete(build_payload(BackendProfile.for_role("m", "proposer"), "p"))
+            HttpBackend("http://localhost:1/v1", "NO_SUCH_KEY")
+
+    @pytest.mark.parametrize("key, named", [
+        (None, "no credential in $SOME_KEY"),
+        ("secret", "endpoint must be an http:// or https:// URL, got ''"),
+    ])
+    def test_a_missing_credential_or_endpoint_stops_generate_before_the_store(self, monkeypatch, tmp_path, key, named):
+        if key is None:
+            monkeypatch.delenv("SOME_KEY", raising=False)
+        else:
+            monkeypatch.setenv("SOME_KEY", key)
+        graphs, out, cfg = str(tmp_path / "graphs"), str(tmp_path / "s.jsonl"), tmp_path / "c.ini"
+        assert CliRunner().invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        cfg.write_text("[backends]\ncredential_env = SOME_KEY\n")  # and the default endpoint, none
+        r = CliRunner().invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
+        assert r.exit_code == 1 and r.output == f"Error: {named}\n"
+        assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
 
     def test_transport_error_after_retries(self, monkeypatch):
         monkeypatch.setenv("SOME_KEY", "secret")
@@ -620,7 +636,7 @@ class WindowBackend:
 
 class RefusingBackend(WindowBackend):
     """A WindowBackend whose ``submit`` raises AuthError from the ``refuse_at``-th send on,
-    as a live backend does when it finds no credential."""
+    as a backend does when its credential stops being accepted."""
 
     def __init__(self, reply, refuse_at):
         super().__init__(reply)
@@ -1105,6 +1121,28 @@ class TestGenerateInFlight:
         assert isinstance(r.exception, OSError)
         assert not backend.pending and [e for e in backend.log if e[0] == "cancel"]
 
+    def test_a_failed_cache_write_fails_only_its_own_sample(self, monkeypatch, tmp_path):
+        put, refused = ResponseCache.put, []
+
+        def put_refusing_once(self, key, value):
+            if not refused:
+                refused.append(key)
+                raise CacheIoError("injected")
+            put(self, key, value)
+
+        backend = SampleWindowBackend(oracle_reply)
+        monkeypatch.setattr(ResponseCache, "put", put_refusing_once)
+        monkeypatch.setattr("causaltext.cli.make_mock_backend", lambda script: backend)
+        out = str(tmp_path / "s.jsonl")
+        r = CliRunner().invoke(main, ["generate", "--graphs", self.graphs(tmp_path, n_max=6), "--out", out,
+                                      "--cache", str(tmp_path / "c.jsonl"), "--mock-script", "{}"])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+        assert "generated 3, failed 1, skipped 0" in r.stdout
+        assert backend.most_samples == 4 and not backend.pending
+        errors = [json.loads(line)["error"] for line in open(out)]
+        assert sorted(errors, key=str) == ["CacheIoError: injected", None, None, None]
+        assert json.load(open(out + ".manifest.json"))["errors"] == 1
+
     def test_records_do_not_depend_on_the_window(self, monkeypatch, tmp_path, stub):
         stub.reply = oracle_reply
         graphs = self.graphs(tmp_path, n_max=6)
@@ -1175,31 +1213,39 @@ class FaultAt(OracleMockBackend):
 
 class TestFaultSweep:
     """A fault at any one call of ``generate`` touches only the record of the
-    sample it hits; the manifest is still written and ``--resume`` exits 0."""
+    sample it hits, and the manifest is still written; ``--resume`` then runs
+    a failed sample again, so that each id's last record is the clean run's."""
 
     def run(self, tmp_path, name, gen):
         out = str(tmp_path / f"{name}.jsonl")
         r = CliRunner().invoke(main, [*gen, "--out", out])
         assert r.exit_code in (0, 1) and (r.exception is None or isinstance(r.exception, SystemExit)), r.output
         assert os.path.exists(out + ".manifest.json")
-        resumed = CliRunner().invoke(main, [*gen, "--out", out, "--resume"])
-        assert resumed.exit_code == 0, resumed.output
+        return out, self.records(out)
+
+    def records(self, out):
         records = [json.loads(line) for line in open(out)]
         for record in records:
             record.pop("created_at")
         return records
 
-    def check(self, clean, records, outcomes):
+    def check(self, clean, out, records, gen, outcomes):
         """The index of the one record that differs from the clean run's.  Its
         outcome must be one of ``outcomes``: the name of the error it carries, or
         "tokens" if it differs only in its tokens (a reply asked again, or a
-        verifier reply that abstains)."""
+        verifier reply that abstains).  A resume then leaves each id's last
+        record equal to the clean run's, tokens aside, and no error in the manifest."""
         assert len(records) == len(clean)
         (k,) = [k for k, (a, b) in enumerate(zip(clean, records)) if a != b]
         if records[k]["error"] is None:
             assert "tokens" in outcomes and {**records[k], "tokens": None} == {**clean[k], "tokens": None}
         else:
             assert records[k]["error"].split(":")[0] in outcomes
+        resumed = CliRunner().invoke(main, [*gen, "--out", out, "--resume"])
+        assert resumed.exit_code == 0, resumed.output
+        last = {record["id"]: {**record, "tokens": None} for record in self.records(out)}
+        assert last == {record["id"]: {**record, "tokens": None} for record in clean}
+        assert json.load(open(out + ".manifest.json"))["errors"] == 0
         return k
 
     def test_every_call_of_an_oracle_run(self, monkeypatch, tmp_path):
@@ -1207,13 +1253,13 @@ class TestFaultSweep:
         gen = ["generate", "--graphs", graphs, "--mock-script", "{}"]
         backend = FaultAt()
         monkeypatch.setattr("causaltext.cli.make_mock_backend", lambda script: backend)
-        clean = self.run(tmp_path, "clean", gen)
+        _, clean = self.run(tmp_path, "clean", gen)
         templates = backend.templates
         assert len(clean) == 2 and len(templates) == 94 and templates.count("phase2") == 2
         for how, outcome in (("transport", "TransportError"), ("junk", "tokens")):
             for at in range(len(templates)):
-                backend = FaultAt(at, how)
-                k = self.check(clean, self.run(tmp_path, f"{how}{at}", gen), [outcome])
+                backend = FaultAt(at, how)  # the resume, past call ``at``, meets no fault
+                k = self.check(clean, *self.run(tmp_path, f"{how}{at}", gen), gen, [outcome])
                 # samples run one at a time, each from its phase-2 call on
                 assert k == templates[: at + 1].count("phase2") - 1
 
@@ -1223,7 +1269,7 @@ class TestFaultSweep:
         cfg = tmp_path / "w8.ini"
         cfg.write_text(f"[backends]\nendpoint = {stub.endpoint}\ncredential_env = SOME_KEY\nmax_in_flight = 8\n")
         gen = ["generate", "--config", str(cfg), "--graphs", graphs]
-        clean = self.run(tmp_path, "clean", gen)
+        _, clean = self.run(tmp_path, "clean", gen)
         calls = stub.requests
         assert len(clean) == 2 and calls > 50
         junk = json.dumps({"choices": [{"message": {"content": "no JSON here"}}]}).encode()
@@ -1235,8 +1281,27 @@ class TestFaultSweep:
         for n, (fault, outcomes) in enumerate(faults):
             for at in range(0, calls, 12):
                 stub.responses[:] = [None] * at + [fault]  # None: the stub's own reply
-                self.check(clean, self.run(tmp_path, f"fault{n}-{at}", gen), outcomes)
+                self.check(clean, *self.run(tmp_path, f"fault{n}-{at}", gen), gen, outcomes)
                 assert not stub.responses
+
+
+def test_a_resume_runs_the_one_failed_sample_again(monkeypatch, tmp_path):
+    graphs = TestGenerateInFlight().graphs(tmp_path)
+    gen = ["generate", "--graphs", graphs, "--out", str(tmp_path / "s.jsonl"), "--mock-script", '{"mode": "oracle"}']
+    with monkeypatch.context() as m:
+        m.setattr("causaltext.cli.make_mock_backend", lambda script: FaultAt(0))
+        r = CliRunner().invoke(main, gen)
+    assert r.exit_code == 1 and "generated 7, failed 1, skipped 0" in r.stdout
+    r = CliRunner().invoke(main, [*gen, "--resume"])
+    assert r.exit_code == 0 and "generated 1, failed 0, skipped 7" in r.stdout
+    records = [json.loads(line) for line in open(tmp_path / "s.jsonl")]
+    assert len(records) == 9 and records[-1]["id"] == records[0]["id"]
+    assert records[0]["error"] == "TransportError: injected" and records[-1]["error"] is None
+    manifest = json.load(open(tmp_path / "s.jsonl.manifest.json"))
+    assert manifest["errors"] == 0 and manifest["success_rate"] == 1.0
+    assert manifest["per_n_counts"] == {str(n): 1 for n in range(3, 11)}
+    r = CliRunner().invoke(main, gen)
+    assert r.exit_code == 1 and "already in store" in r.output
 
 
 def reader_reply(prompt):

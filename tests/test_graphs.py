@@ -134,10 +134,10 @@ class TestSampler:
     def test_motif_report_counts(self):
         spec = make_spec(n=8, p=0.1, max_parents=7, max_children=7, gamma_c=0.5, gamma_v=0.5, mediator_chains=3, seed=11)
         dag, report = sample_dag(spec)
-        assert report.confounders_requested == int(0.5 * 8)
-        assert report.colliders_requested == 4
-        assert report.mediator_chains_requested == 3
-        assert report.confounders_injected <= report.confounders_requested
+        assert report.requested == {"confounder": int(0.5 * 8), "collider": 4, "mediator_chain": 3}
+        assert all(report.injected[kind] <= report.requested[kind] for kind in report.requested)
+        assert sum(report.injected.values()) == len(report.motifs)
+        assert set(report.to_json()) == {"confounders", "colliders", "mediator_chains"}
         assert is_acyclic(dag.edges)
 
     def test_injected_motifs_present_in_graph(self):

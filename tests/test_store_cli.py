@@ -11,12 +11,13 @@ from click.testing import CliRunner
 
 import causaltext
 from causaltext import store as store_mod
-from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment
+from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment, FallacySet
 from causaltext.cli import load_config, loop_config_from, main, sample_seed
 from causaltext.errors import CorruptLine, InvalidConfig
 from causaltext.graphs import Dag, GraphSpec
 from causaltext.store import RunManifest, SampleRecord, SampleStore
 from causaltext.textgen import Paragraph
+from causaltext.transfer import stability_curve
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -94,6 +95,18 @@ class TestStore:
         st.append(make_record("a"))
         with pytest.raises(ValueError):
             st.append(make_record("a"))
+
+    def test_a_failed_record_is_superseded_and_counted_once(self, tmp_path):
+        st = SampleStore(str(tmp_path / "s.jsonl"))
+        st.append(make_record("a", error="TransportError: x"))
+        st.append(make_record("a", error="TransportError: y"))
+        assert "a" in st and not st.finished("a")
+        st.append(make_record("a", tokens=50))
+        assert st.finished("a") and len(st) == 1
+        with pytest.raises(ValueError, match="duplicate sample id 'a'"):
+            SampleStore(st.path).append(make_record("a"))
+        mf = RunManifest.from_store(st, config={}, seed=0)
+        assert (mf.per_n_counts, mf.errors, mf.success_rate, mf.total_tokens) == ({3: 1}, 0, 1.0, 50)
 
     def test_append_to_torn_store_drops_the_torn_line_first(self, tmp_path, caplog):
         path = str(tmp_path / "s.jsonl")
@@ -204,7 +217,7 @@ class TestConfig:
     def test_phase2_defaults_are_the_loop_config_defaults(self):
         assert dict(load_config(None)["phase2"]) == {"m": "5", "tau": "0.6", "alpha": "1.0", "k_max": "10"}
 
-    @pytest.mark.parametrize("line", ["m = 0", "alpha = nan", "k_max = x"])
+    @pytest.mark.parametrize("line", ["m = 0", "alpha = nan", "alpha = inf", "k_max = x"])
     def test_loop_config_errors_become_invalid_config(self, tmp_path, line):
         p = tmp_path / "c.ini"
         p.write_text(f"[phase2]\n{line}\n")
@@ -548,6 +561,24 @@ class TestGenerateEvaluate:
             "gpt5": "b137bd34eb137129dac9882d8f9d4bc24a57cac71f537ab318c128f47142348b",
             "qwen": "6d53d96ececc9ad140755c58845f6ef482c37b51899810900623365fa8a53c35",
         }
+
+    def test_json_text_of_dataclass_records_is_pinned(self, tmp_path):
+        """JSON written from ``asdict``: int keys and tuples come out as the text the hand-written forms gave."""
+        st = SampleStore(str(tmp_path / "s.jsonl"))
+        st.append(make_record("a", n=3, tokens=120))
+        st.append(make_record("b", n=4, error="TransportError: x"))
+        st.append(make_record("c", n=3, status="Fail", iterations=4, tokens=80))
+        manifest = RunManifest.from_store(st, config={"domain": "d"}, seed=5)
+        fallacies = FallacySet(missed=[(0, 1), (2, 0)], spurious=[(1, 2)], tau=0.6)
+        stability = stability_curve({np.int64(3): np.full(40, 0.5), 10: np.full(40, 0.25)}, ks=(np.int64(10), 20),
+                                    r_trials=3, seed=7, delta_ks=(10, 20))
+        assert [json.dumps(x.to_json()) for x in (manifest, fallacies, stability)] == [
+            '{"config": {"domain": "d"}, "seed": 5, "per_n_counts": {"3": 2, "4": 1}, "success_rate": 0.5, '
+            '"median_iterations": 2.5, "median_tokens": 100.0, "total_tokens": 200, "errors": 1}',
+            '{"missed": [[0, 1], [2, 0]], "spurious": [[1, 2]], "tau": 0.6}',
+            '{"curves": {"3": {"10": 0.5, "20": 0.5}, "10": {"10": 0.25, "20": 0.25}}, "delta": 0.0, '
+            '"k_lo": 10, "k_hi": 20, "seed": 7}',
+        ]
 
     @pytest.mark.parametrize("damage", ["cut short", 'tokens "lots"', 'loop_iterations "two"', 'tokens {"total": "many"}'])
     @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])

@@ -801,9 +801,10 @@ class TestBatchedAnova:
     def test_matches_loop_exactly(self, case, batch, cap, monkeypatch):
         if batch is not None:  # several batches, the last one partial
             monkeypatch.setattr(transfer, "_ANOVA_BATCH", batch)
+        monkeypatch.setattr(transfer, "ANOVA_EXHAUSTIVE_CAP", cap)
         groups = anova_cases()[case]
         want = loop_permutation_anova(groups, b=300, seed=4, exhaustive_cap=cap)
-        res = permutation_anova(groups, b=300, seed=4, exhaustive_cap=cap)
+        res = permutation_anova(groups, b=300, seed=4)
         got = (res.p_value, res.partial_eta_squared, res.f_statistic, res.mode, res.n_permutations)
         assert got == want
         assert res.mode == ("sampled" if cap == 0 or case in ("noisy", "power_rounding") else "exhaustive")
@@ -836,9 +837,10 @@ class TestSampledDraws:
     def test_unequal_strata_match_loop_exactly(self, case, batch, monkeypatch):
         if batch is not None:  # one replicate per batch at 7, two or three at 50
             monkeypatch.setattr(transfer, "_ANOVA_BATCH", batch)
+        monkeypatch.setattr(transfer, "ANOVA_EXHAUSTIVE_CAP", 0)
         groups = unequal_strata_cases()[case]
         want = loop_permutation_anova(groups, b=300, seed=4, exhaustive_cap=0)
-        res = permutation_anova(groups, b=300, seed=4, exhaustive_cap=0)
+        res = permutation_anova(groups, b=300, seed=4)
         assert (res.p_value, res.partial_eta_squared, res.f_statistic, res.mode, res.n_permutations) == want
 
 
@@ -854,21 +856,23 @@ class TestPermutationAnova:
         assert res.p_value > 0.05
         assert res.partial_eta_squared < 0.2
 
-    def test_extreme_effect_hits_floor(self):
+    def test_extreme_effect_hits_floor(self, monkeypatch):
         rng = np.random.default_rng(1)
         groups = {}
         for n in (3, 4):
             groups[(n, "lo")] = rng.normal(0, 0.01, size=10)
             groups[(n, "hi")] = rng.normal(5, 0.01, size=10)
-        res = permutation_anova(groups, b=999, seed=0, exhaustive_cap=0)
+        monkeypatch.setattr(transfer, "ANOVA_EXHAUSTIVE_CAP", 0)
+        res = permutation_anova(groups, b=999, seed=0)
         assert res.p_value == pytest.approx(1 / 1000)
         assert res.partial_eta_squared > 0.99
 
-    def test_matches_exhaustive_enumeration(self):
+    def test_matches_exhaustive_enumeration(self, monkeypatch):
         groups = {(3, "a"): [0.1, 0.5], (3, "b"): [0.9, 0.4]}
         res = permutation_anova(groups, seed=0)
         assert res.mode == "exhaustive"
-        sampled = permutation_anova(groups, b=20_000, seed=0, exhaustive_cap=0)
+        monkeypatch.setattr(transfer, "ANOVA_EXHAUSTIVE_CAP", 0)
+        sampled = permutation_anova(groups, b=20_000, seed=0)
         assert abs(sampled.p_value - res.p_value) < 0.02
 
     def test_degenerate_groups(self):

@@ -63,7 +63,7 @@ class ConceptAssignment:
             )
 
     def to_json(self) -> dict:
-        return {"concepts": list(self.concepts), "domain": self.domain}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConceptAssignment":
@@ -134,7 +134,7 @@ class MismatchReport:
     alpha: float
 
     def to_json(self) -> dict:
-        return {"l_b": self.l_b, "l_b_miss": self.l_b_miss, "l_b_spur": self.l_b_spur, "alpha": self.alpha}
+        return asdict(self)
 
 
 def _parse_node_entries(entries, n: int) -> list:
@@ -349,20 +349,9 @@ class LoopResult:
     trace: list  # per-iteration {"votes", "fallacies", "mismatch"}
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "assignment": self.assignment.to_json(),
-            "iterations": self.iterations,
-            "best_l_b": self.best_l_b,
-            "trace": [
-                {
-                    "votes": t["votes"].to_json(),
-                    "fallacies": t["fallacies"].to_json(),
-                    "mismatch": t["mismatch"].to_json(),
-                }
-                for t in self.trace
-            ],
-        }
+        # not asdict, which would write a VoteTable's (i, j) keys as they are
+        return {**vars(self), "assignment": self.assignment.to_json(),
+                "trace": [{k: v.to_json() for k, v in t.items()} for t in self.trace]}
 
 
 def run_loop_steps(

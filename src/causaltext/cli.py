@@ -289,6 +289,9 @@ def evaluate(store_path, reference, out):
                     edges = as_adjacency(json.load(fh)["edges"], f"reference graph for id {rec.id!r}")
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise click.ClickException(f"cannot read reference graph for id {rec.id!r}: {exc!r}")
+            if len(edges) != rec.dag.n:
+                raise click.ClickException(
+                    f"reference graph for id {rec.id!r} has {len(edges)} nodes, the stored graph {rec.dag.n}")
             # projection leaves an acyclic reference as it is
             ref, removed = project_dag(SupportGraph(n=edges.shape[0], support=edges), threshold=0.5)
         report = edge_prf(rec.dag, ref)

@@ -63,7 +63,6 @@ TEMPLATE_SPECS = {
 @dataclass(frozen=True)
 class BackendProfile:
     model_id: str
-    role: str
     temperature: float
     top_p: float
     max_tokens: int
@@ -72,7 +71,7 @@ class BackendProfile:
     def for_role(cls, model_id: str, role: str):
         if role not in ROLE_DEFAULTS:
             raise ValueError(f"unknown role {role!r}")
-        return cls(model_id, role, *ROLE_DEFAULTS[role])
+        return cls(model_id, *ROLE_DEFAULTS[role])
 
 
 @dataclass(frozen=True)

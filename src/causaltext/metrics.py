@@ -31,11 +31,8 @@ class MetricReport:
     sid: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "shd": self.shd, "sid": self.sid,
-        }
+        # a shallow copy, not asdict: this runs once per evaluated sample
+        return dict(vars(self))
 
 
 @dataclass

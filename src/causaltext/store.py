@@ -30,20 +30,8 @@ class SampleRecord:
     created_at: float = field(default_factory=time.time)
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "spec": self.spec.to_json(),
-            "dag": self.dag.to_json(),
-            "assignment": self.assignment.to_json() if self.assignment else None,
-            "paragraph": self.paragraph.to_json() if self.paragraph else None,
-            "loop_status": self.loop_status,
-            "loop_iterations": self.loop_iterations,
-            "best_l_b": self.best_l_b,
-            "backends": self.backends,
-            "tokens": self.tokens,
-            "error": self.error,
-            "created_at": self.created_at,
-        }
+        # each nested record writes its own form: a spec's "lambda" key, a dag's nested lists
+        return {k: v.to_json() if hasattr(v, "to_json") else v for k, v in vars(self).items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SampleRecord":

@@ -301,16 +301,7 @@ class MetricAgreement:
     ci: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "pearson": self.pearson,
-            "spearman": self.spearman,
-            "r_squared": self.r_squared,
-            "p_pearson": self.p_pearson,
-            "p_spearman": self.p_spearman,
-            "p_mode": self.p_mode,
-            "n_permutations": self.n_permutations,
-            "ci": self.ci,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -320,11 +311,7 @@ class AgreementStats:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "per_metric": {m: a.to_json() for m, a in self.per_metric.items()},
-            "average": self.average,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         lines = [f"{'metric':<8} {'pearson':>8} {'spearman':>9} {'r2':>7} {'p':>12}"]
@@ -637,8 +624,13 @@ def stability_curve(
     For each bucket and each k, averages ``r_trials`` subsample means drawn
     without replacement from that bucket's pool.
     """
-    ks = sorted(map(int, ks))  # curve keys are Python ints, which JSON writes as keys
-    k_lo, k_hi = delta_ks
+    # curve keys, k_lo, k_hi and seed are Python ints, which JSON writes
+    ks = sorted(map(int, ks))
+    k_lo, k_hi = map(int, delta_ks)
+    for k in (k_lo, k_hi):
+        if k not in ks:
+            raise ValueError(f"delta_ks value {k} is not one of ks {ks}")
+    seed = None if seed is None else int(seed)
     rng = np.random.default_rng(seed)
     curves = {}
     for n, pool in values_by_n.items():

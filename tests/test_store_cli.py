@@ -11,13 +11,14 @@ from click.testing import CliRunner
 
 import causaltext
 from causaltext import store as store_mod
-from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment, FallacySet
+from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment, FallacySet, LoopResult, MismatchReport, VoteTable
 from causaltext.cli import load_config, loop_config_from, main, sample_seed
 from causaltext.errors import CorruptLine, InvalidConfig
 from causaltext.graphs import Dag, GraphSpec
+from causaltext.metrics import MetricReport
 from causaltext.store import RunManifest, SampleRecord, SampleStore
 from causaltext.textgen import Paragraph
-from causaltext.transfer import stability_curve
+from causaltext.transfer import AgreementStats, MetricAgreement, stability_curve
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -562,8 +563,39 @@ class TestGenerateEvaluate:
             "qwen": "6d53d96ececc9ad140755c58845f6ef482c37b51899810900623365fa8a53c35",
         }
 
+    def test_evaluate_output_is_pinned(self, tmp_path):
+        """``evaluate --reference --out`` JSON of a seeded oracle store hashes to the value a refactor must keep.
+
+        Each odd sample's reference drops its first edge; the first sample's
+        gains the reverse of its first edge, a 2-cycle that is projected away.
+        """
+        runner = CliRunner()
+        graphs, store, refs, out = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "refs", "eval.json"))
+        r = runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "2", "--seed", "3"])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", store, "--mock-script", '{"mode": "oracle"}'])
+        assert r.exit_code == 0, r.output
+        os.mkdir(refs)
+        for k, rec in enumerate(SampleStore(store)):
+            edges = rec.dag.edges.copy()
+            u, v = np.argwhere(edges)[0]
+            if k == 0:
+                edges[v, u] = 1
+            elif k % 2:
+                edges[u, v] = 0
+            with open(os.path.join(refs, f"{rec.id}.json"), "w") as fh:
+                json.dump({"edges": edges.tolist()}, fh)
+        r = runner.invoke(main, ["evaluate", "--store", store, "--reference", refs, "--out", out])
+        assert r.exit_code == 0, r.output
+        with open(out) as fh:
+            assert sum(len(row["projection_removed"]) for row in json.load(fh)["samples"]) == 1
+        with open(out, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "3ce276c97907e18647e12b3a4511e904aad07347b2cfde26a17b8860157150b8"
+
     def test_json_text_of_dataclass_records_is_pinned(self, tmp_path):
-        """JSON written from ``asdict``: int keys and tuples come out as the text the hand-written forms gave."""
+        """JSON written from the dataclass fields: int keys, tuples and nested
+        records come out as the text the hand-written forms gave."""
         st = SampleStore(str(tmp_path / "s.jsonl"))
         st.append(make_record("a", n=3, tokens=120))
         st.append(make_record("b", n=4, error="TransportError: x"))
@@ -571,13 +603,63 @@ class TestGenerateEvaluate:
         manifest = RunManifest.from_store(st, config={"domain": "d"}, seed=5)
         fallacies = FallacySet(missed=[(0, 1), (2, 0)], spurious=[(1, 2)], tau=0.6)
         stability = stability_curve({np.int64(3): np.full(40, 0.5), 10: np.full(40, 0.25)}, ks=(np.int64(10), 20),
-                                    r_trials=3, seed=7, delta_ks=(10, 20))
-        assert [json.dumps(x.to_json()) for x in (manifest, fallacies, stability)] == [
+                                    r_trials=3, seed=np.int64(7), delta_ks=np.array([10, 20]))
+        concepts = ConceptAssignment(["Rain", "Wet grass", "Slippery road"], "weather")
+        mismatch = MismatchReport(l_b=0.7, l_b_miss=0.2, l_b_spur=0.5, alpha=1.0)
+        votes = VoteTable(s={(0, 1): 0.8, (1, 0): 0.2}, m=5, votes={(0, 1): [1, 1, 1, 1, 0], (1, 0): [0, 0, 1, 0, 0]})
+        agree = MetricAgreement(pearson=0.5, spearman=0.375, r_squared=0.25, p_pearson=0.01, p_spearman=0.02,
+                                p_mode="exhaustive", n_permutations=24,
+                                ci={"pearson": (0.25, 0.75), "spearman": (0.125, 0.5), "r_squared": (0.0625, 0.5625)})
+        paragraph = Paragraph("Rain makes wet grass and a slippery road.", concepts)
+        spec = GraphSpec(n=3, p=0.4, max_parents=2, max_children=2, gamma_c=0.0, gamma_v=0.0, mediator_chains=1,
+                         seed=9)
+        dag = Dag(n=3, edges=np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=np.int8))
+        spec_text = ('"spec": {"n": 3, "p": 0.4, "max_parents": 2, "max_children": 2, "gamma_c": 0.0, "gamma_v": 0.0, '
+                     '"lambda": 1, "seed": 9}, "dag": {"n": 3, "edges": [[0, 1, 1], [0, 0, 1], [0, 0, 0]]}')
+        concepts_text = '{"concepts": ["Rain", "Wet grass", "Slippery road"], "domain": "weather"}'
+        paragraph_text = ('{"text": "Rain makes wet grass and a slippery road.", "source_concepts": '
+                          + concepts_text + "}")
+        mismatch_text = '{"l_b": 0.7, "l_b_miss": 0.2, "l_b_spur": 0.5, "alpha": 1.0}'
+        agree_text = ('{"pearson": 0.5, "spearman": 0.375, "r_squared": 0.25, "p_pearson": 0.01, "p_spearman": 0.02, '
+                      '"p_mode": "exhaustive", "n_permutations": 24, "ci": {"pearson": [0.25, 0.75], '
+                      '"spearman": [0.125, 0.5], "r_squared": [0.0625, 0.5625]}}')
+        metric = MetricReport(tp=2, fp=1, fn=0, precision=2 / 3, recall=1.0, f1=0.8, shd=1, sid=2)
+        stats = AgreementStats(
+            per_metric={"f1": agree, "shd": MetricAgreement(pearson=-0.5, spearman=0.0, r_squared=0.25, p_pearson=1.0)},
+            average={"pearson": 0.0, "spearman": 0.1875, "r_squared": 0.25}, seed=1)
+        loop = LoopResult(status="Fail", assignment=concepts, iterations=1, best_l_b=0.7,
+                          trace=[{"votes": votes, "fallacies": fallacies, "mismatch": mismatch}])
+        record = SampleRecord(id="n3_00009", spec=spec, dag=dag, assignment=concepts, paragraph=paragraph,
+                              loop_status="Success", loop_iterations=2, best_l_b=0.0, backends={"proposer": "m1"},
+                              tokens={"total": 321}, created_at=1700000000.5)
+        failed = SampleRecord(id="n3_00010", spec=spec, dag=dag, error="TransportError: x", created_at=2.0)
+        records = (manifest, fallacies, stability, metric, agree, stats, concepts, mismatch, loop, paragraph, record,
+                   failed)
+        assert [json.dumps(x.to_json()) for x in records] == [
             '{"config": {"domain": "d"}, "seed": 5, "per_n_counts": {"3": 2, "4": 1}, "success_rate": 0.5, '
             '"median_iterations": 2.5, "median_tokens": 100.0, "total_tokens": 200, "errors": 1}',
             '{"missed": [[0, 1], [2, 0]], "spurious": [[1, 2]], "tau": 0.6}',
             '{"curves": {"3": {"10": 0.5, "20": 0.5}, "10": {"10": 0.25, "20": 0.25}}, "delta": 0.0, '
             '"k_lo": 10, "k_hi": 20, "seed": 7}',
+            '{"tp": 2, "fp": 1, "fn": 0, "precision": 0.6666666666666666, "recall": 1.0, "f1": 0.8, '
+            '"shd": 1, "sid": 2}',
+            agree_text,
+            '{"per_metric": {"f1": ' + agree_text + ', "shd": {"pearson": -0.5, "spearman": 0.0, "r_squared": 0.25, '
+            '"p_pearson": 1.0, "p_spearman": null, "p_mode": "sampled", "n_permutations": 0, "ci": {}}}, '
+            '"average": {"pearson": 0.0, "spearman": 0.1875, "r_squared": 0.25}, "seed": 1}',
+            concepts_text,
+            mismatch_text,
+            '{"status": "Fail", "assignment": ' + concepts_text + ', "iterations": 1, "best_l_b": 0.7, '
+            '"trace": [{"votes": {"m": 5, "s": {"0,1": 0.8, "1,0": 0.2}, "votes": {"0,1": [1, 1, 1, 1, 0], '
+            '"1,0": [0, 0, 1, 0, 0]}}, "fallacies": {"missed": [[0, 1], [2, 0]], "spurious": [[1, 2]], '
+            '"tau": 0.6}, "mismatch": ' + mismatch_text + "}]}",
+            paragraph_text,
+            '{"id": "n3_00009", ' + spec_text + ', "assignment": ' + concepts_text + ', "paragraph": ' + paragraph_text
+            + ', "loop_status": "Success", "loop_iterations": 2, "best_l_b": 0.0, "backends": {"proposer": "m1"}, '
+            '"tokens": {"total": 321}, "error": null, "created_at": 1700000000.5}',
+            '{"id": "n3_00010", ' + spec_text + ', "assignment": null, "paragraph": null, "loop_status": null, '
+            '"loop_iterations": null, "best_l_b": null, "backends": {}, "tokens": {}, "error": "TransportError: x", '
+            '"created_at": 2.0}',
         ]
 
     @pytest.mark.parametrize("damage", ["cut short", 'tokens "lots"', 'loop_iterations "two"', 'tokens {"total": "many"}'])
@@ -798,8 +880,9 @@ class TestGenerateEvaluate:
             '{"edges": [[0, 1, 0], [0, 0, 1]]}',  # not square
             '{"n": 3}',  # no edges
             '{"edges": [[0, 1',  # not JSON
+            '{"edges": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}',  # 4 nodes for a 3-node graph
         ],
-        ids=["non-binary-cyclic", "non-square", "no-edges", "not-json"],
+        ids=["non-binary-cyclic", "non-square", "no-edges", "not-json", "wrong-size"],
     )
     def test_evaluate_bad_reference_is_a_click_error(self, tmp_path, content):
         runner, graphs, store = self.run_pipeline(tmp_path)

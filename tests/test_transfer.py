@@ -911,6 +911,10 @@ class TestStability:
         assert report.curves[3][300] == pytest.approx(0.5)
         assert report.delta == pytest.approx(abs(report.curves[3][300] - report.curves[3][100]))
 
+    def test_delta_k_not_in_ks_is_named(self):
+        with pytest.raises(ValueError, match="delta_ks value 700 "):
+            stability_curve({3: np.full(600, 0.5)}, seed=0, delta_ks=(300, 700))
+
 
 class TestPaperTables:
     def test_gpt5_pearson_row(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import operator
 import os
 
 import click
@@ -83,6 +84,15 @@ def sample_seed(master: int, *path) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1)[0])
 
 
+def _write_json(path: str, obj, **dump_args) -> None:
+    """``json.dump(obj, fh, **dump_args)`` into ``path``; an ``OSError`` ends the command as an ``--out`` error."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, **dump_args)
+    except OSError as exc:
+        raise click.ClickException(f"--out: cannot write {path}: {exc.strerror}")
+
+
 class _Main(click.Group):
     """The command group: a CausaltextError from any command ends it as a one-line error, exit status 1."""
 
@@ -113,7 +123,10 @@ def graphgen(config_path, seed, out, per_n):
         raise InvalidConfig(f"{where}: need at least 1 graph per n, got {per_n}")
     if n_min > n_max:
         raise InvalidConfig(f"phase1.n_min: {n_min} is above phase1.n_max ({n_max})")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"--out: cannot write {out}: {exc.strerror}")
     count = 0
     for n in range(n_min, n_max + 1):
         for k in range(per_n):
@@ -125,8 +138,7 @@ def graphgen(config_path, seed, out, per_n):
                 "dag": dag.to_json(),
                 "motifs": motifs.to_json(),
             }
-            with open(os.path.join(out, f"n{n}_{k:05d}.json"), "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+            _write_json(os.path.join(out, f"n{n}_{k:05d}.json"), payload, sort_keys=True)
             count += 1
     click.echo(f"wrote {count} graphs to {out}")
 
@@ -323,8 +335,7 @@ def evaluate(store_path, reference, out):
         }
     result = {"samples": rows, "per_n": aggregates}
     if out:
-        with open(out, "w") as fh:
-            json.dump(result, fh, indent=2)
+        _write_json(out, result, indent=2)
     click.echo(json.dumps(aggregates, indent=2))
 
 
@@ -365,8 +376,7 @@ def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
             click.echo(f"\nwithout {alg}:")
             click.echo(loo_stats.format_table())
     if out:
-        with open(out, "w") as fh:
-            json.dump(result, fh, indent=2)
+        _write_json(out, result, indent=2)
 
 
 @main.command()
@@ -386,9 +396,8 @@ def consensus(ratings, raters, out):
                 raise click.ClickException(f"{ratings}:1: empty file, no header row")
             cols = [header.index(name) for name in ("text_id", "i", "j", "rater_id", "label")]
             # rows are read as from_rows asks for them, so line_num is the failing row's physical line
-            rm = consensus_mod.RatingMatrix.from_rows(
-                ([row[c] for c in cols] for row in reader if row), raters=raters
-            )
+            rows = map(operator.itemgetter(*cols), filter(None, reader))
+            rm = consensus_mod.RatingMatrix.from_rows(rows, raters=raters)
         except UnicodeDecodeError:
             raise  # open_utf8 names the line
         except (csv.Error, IndexError, ValueError) as exc:
@@ -411,8 +420,7 @@ def consensus(ratings, raters, out):
         "flags": flags.to_json(),
     }
     if out:
-        with open(out, "w") as fh:
-            json.dump(result, fh, indent=2)
+        _write_json(out, result, indent=2)
     click.echo(f"alpha={alpha:.4f}, texts={len(per_text)}, borderline_edges={len(flags.borderline_edges)}")
 
 

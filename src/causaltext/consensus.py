@@ -13,6 +13,18 @@ from .metrics import SupportGraph, project_dag
 DEFAULT_RATERS = 11
 
 
+def _checked_fields(i, j, rater, label, raters: int) -> tuple[int, int, int, int]:
+    """One rating row's i, j, rater_id and label cast with ``int``, or the ValueError that rejects the row."""
+    i, j, rater, label = int(i), int(j), int(rater), int(label)
+    if not 0 <= rater < raters:
+        raise ValueError(f"rater_id {rater} is not a rater id in 0..{raters - 1}")
+    if label not in (0, 1):
+        raise ValueError(f"label {label} is not 0 or 1")
+    if i < 0 or j < 0 or i == j:
+        raise ValueError(f"pair ({i}, {j}) needs i != j, both >= 0")
+    return i, j, rater, label
+
+
 @dataclass
 class RatingMatrix:
     """Binary edge ratings: items are (text_id, i, j) triples, columns are raters.
@@ -38,17 +50,22 @@ class RatingMatrix:
         i, j, rater_id and label are cast with ``int``.  A row raises
         ``ValueError`` unless its rater id is in 0..raters-1, its label is 0
         or 1, i != j and both indices are >= 0.  A repeated (text_id, i, j,
-        rater_id) row overwrites the earlier label.
+        rater_id) row overwrites the earlier label.  Items are keyed on the
+        cast indices, so ``1``, ``01`` and `` 1`` name one node.
+
+        Each distinct (i, j, rater_id, label) is cast and checked once: a
+        panel repeats few of them over many rows.  Only tuples that pass are
+        kept, so a bad row raises at its own position with the same message.
+        The four fields must be hashable, as the CSV's strings are.
         """
         by_item = defaultdict(lambda: [None] * raters)
+        checked = {}  # raw (i, j, rater_id, label) -> their checked ints
         for text_id, i, j, rater, label in rows:
-            i, j, rater, label = int(i), int(j), int(rater), int(label)
-            if not 0 <= rater < raters:
-                raise ValueError(f"rater_id {rater} is not a rater id in 0..{raters - 1}")
-            if label not in (0, 1):
-                raise ValueError(f"label {label} is not 0 or 1")
-            if i < 0 or j < 0 or i == j:
-                raise ValueError(f"pair ({i}, {j}) needs i != j, both >= 0")
+            key = i, j, rater, label
+            try:
+                i, j, rater, label = checked[key]
+            except KeyError:
+                i, j, rater, label = checked[key] = _checked_fields(*key, raters)
             by_item[text_id, i, j][rater] = label
         return cls(items=list(by_item), ratings=list(by_item.values()))
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 from collections import defaultdict
 from fractions import Fraction
@@ -92,6 +93,60 @@ def loop_flag_low_agreement(supports, raters, graph_quantile=0.9):
     else:
         flagged = []
     return edges, flagged
+
+
+def loop_from_rows(rows, raters=11):
+    """RatingMatrix.from_rows as a per-row loop: every row is cast and checked on its own."""
+    by_item = defaultdict(lambda: [None] * raters)
+    for text_id, i, j, rater, label in rows:
+        i, j, rater, label = int(i), int(j), int(rater), int(label)
+        if not 0 <= rater < raters:
+            raise ValueError(f"rater_id {rater} is not a rater id in 0..{raters - 1}")
+        if label not in (0, 1):
+            raise ValueError(f"label {label} is not 0 or 1")
+        if i < 0 or j < 0 or i == j:
+            raise ValueError(f"pair ({i}, {j}) needs i != j, both >= 0")
+        by_item[text_id, i, j][rater] = label
+    return RatingMatrix(items=list(by_item), ratings=list(by_item.values()))
+
+
+SPELLINGS = ["0", "1", "01", " 1", "+1", "1_0", "\u0661", "2", "11", "-1", "x", "", "1.0"]
+
+
+def spelled_rows(rng, raters, wild):
+    """Endless (text_id, i, j, rater_id, label) rows with fields drawn from SPELLINGS.
+
+    With probability ``wild`` a row is any draw; otherwise it is drawn again
+    until it passes the row rules, so bad rows come at seeded places.
+    """
+    while True:
+        free = rng.random() < wild
+        while True:
+            row = ("tu"[int(rng.integers(2))], *(SPELLINGS[k] for k in rng.integers(len(SPELLINGS), size=4)))
+            try:
+                loop_from_rows([row], raters=raters)
+            except ValueError:
+                if not free:
+                    continue
+            break
+        yield row
+
+
+def rows_outcome(from_rows, rows, raters):
+    """(items, ratings) or (exception type, message), with the number of rows read before it."""
+    consumed = 0
+
+    def counted():
+        nonlocal consumed
+        for row in rows:
+            consumed += 1
+            yield row
+
+    try:
+        rm = from_rows(counted(), raters=raters)
+    except Exception as exc:
+        return type(exc), str(exc), consumed
+    return rm.items, rm.ratings, consumed
 
 
 def random_panel(rng, raters):
@@ -327,6 +382,25 @@ class TestFromRows:
         rows = [("t", "0", "1", "0", "1"), row]
         with pytest.raises(ValueError, match=re.escape(why)):
             RatingMatrix.from_rows(iter(rows), raters=11)
+
+    def test_checks_each_distinct_row_as_the_per_row_loop_does(self):
+        """Seeded streams of spelled fields, some with bad rows, under several
+        panel sizes: the same items and ratings, or the same error after the
+        same number of rows.  Each stream is read twice, so a checked tuple
+        kept from one call to the next shows."""
+        rng = np.random.default_rng(26)
+        outcomes = []
+        for _ in range(250):
+            raters = int(rng.choice([2, 3, 11, 12]))
+            rows = list(itertools.islice(spelled_rows(rng, raters, wild=rng.choice([0.0, 0.02, 0.1])),
+                                         int(rng.integers(1, 60))))
+            got = rows_outcome(RatingMatrix.from_rows, rows, raters)
+            assert got == rows_outcome(loop_from_rows, rows, raters), rows
+            assert rows_outcome(RatingMatrix.from_rows, rows, raters) == got
+            outcomes.append(got)
+        errors = [o for o in outcomes if isinstance(o[0], type)]
+        assert {o[1].split()[0] for o in errors} >= {"invalid", "rater_id", "label", "pair"}
+        assert len(errors) > 50 and sum(o[2] > 20 for o in outcomes if not isinstance(o[0], type)) > 50
 
     def test_rows_are_cast_to_int(self):
         rm = RatingMatrix.from_rows(iter([("t", "0", "1", "1", "1")]), raters=2)

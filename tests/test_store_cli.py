@@ -1041,6 +1041,38 @@ class TestConsensusCommand:
         assert r.exit_code == 0, r.output
         assert "borderline_edges=0" in r.output
 
+    def test_out_is_pinned(self, tmp_path):
+        """``consensus --out`` JSON of a seeded panel hashes to the value a refactor must keep.
+
+        The panel has missing ratings, repeated (text, i, j, rater) rows whose
+        last label wins, blank lines, a cyclic majority 0 -> 1 -> 2 -> 0 on
+        text "c", and index 1 spelled ``1``, ``01`` and `` 1``.
+        """
+        rng = np.random.default_rng(26)
+        lines = ["text_id,i,j,rater_id,label"]
+        for text_id, n in (("a", 3), ("b", 4), ("c", 3)):
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    cyclic = text_id == "c" and (i, j) in ((0, 1), (1, 2), (2, 0))
+                    p_yes = 0.8 if cyclic else rng.random()
+                    for r in range(11):
+                        if rng.random() < 0.15:
+                            continue
+                        spelled = [rng.choice(["1", "01", " 1"]) if x == 1 else str(x) for x in (i, j)]
+                        for _ in range(1 + (rng.random() < 0.1)):
+                            lines.append(f"{text_id},{spelled[0]},{spelled[1]},{r},{int(rng.random() < p_yes)}")
+                        if rng.random() < 0.05:
+                            lines.append("")
+        path, out = tmp_path / "r.csv", tmp_path / "c.json"
+        path.write_text("\n".join(lines) + "\n")
+        r = CliRunner().invoke(main, ["consensus", "--ratings", str(path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        result = json.loads(out.read_bytes())
+        assert list(result["texts"]) == ["a", "b", "c"] and result["texts"]["c"]["removed"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "398bde32c80238ac289f854f5c7cc38fbbd02b8fcd5157d24db59233d3b80cc0"
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = str(tmp_path / "r.csv")
         rows = self.panel({(0, 1): 6})
@@ -1068,6 +1100,13 @@ class TestConsensusCommand:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert f"{path}:24: malformed row ({why}" in r.output
         assert "Traceback" not in r.output
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("text_id,i,j,rater_id,label\nt,0,1,0,1\nt,0,1\n")
+        r = CliRunner().invoke(main, ["consensus", "--ratings", str(path)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {path}:3: malformed row (list index out of range)\n"
 
     def test_line_numbers_are_physical_lines(self, tmp_path):
         path = str(tmp_path / "r.csv")
@@ -1111,6 +1150,45 @@ class TestConsensusCommand:
         r = CliRunner().invoke(main, ["consensus", "--ratings", path, "--raters", "0"])
         assert r.exit_code != 0 and isinstance(r.exception, SystemExit)
         assert "--raters" in r.output and "Traceback" not in r.output
+
+
+class TestOutPath:
+    """An --out the command cannot write ends it with one ``Error:`` line, exit status 1."""
+
+    def inputs(self, tmp_path):
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("text_id,i,j,rater_id,label\nt,0,1,0,1\nt,0,1,1,1\n")
+        store = str(tmp_path / "s.jsonl")
+        SampleStore(store).append(make_record("a"))
+        return {
+            "consensus": ["consensus", "--ratings", str(ratings), "--raters", "2"],
+            "evaluate": ["evaluate", "--store", store],
+            "transfer": ["transfer", "--scores", os.path.join(DATA, "scores_gpt5.csv"),
+                         "--b-boot", "20", "--b-perms", "20"],
+        }
+
+    @pytest.mark.parametrize("command", ["consensus", "evaluate", "transfer"])
+    def test_out_in_a_missing_directory(self, tmp_path, command):
+        out = str(tmp_path / "missing" / "out.json")
+        r = CliRunner().invoke(main, [*self.inputs(tmp_path)[command], "--out", out])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: --out: cannot write {out}: No such file or directory"]
+        assert "Traceback" not in r.output
+
+    def test_graphgen_out_on_an_existing_file(self, tmp_path):
+        out = tmp_path / "graphs"
+        out.write_text("")
+        r = CliRunner().invoke(main, ["graphgen", "--out", str(out), "--per-n", "1"])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: --out: cannot write {out}: File exists\n"
+
+    def test_graphgen_graph_file_that_cannot_be_written(self, tmp_path):
+        out = tmp_path / "graphs"
+        (out / "n3_00000.json").mkdir(parents=True)
+        r = CliRunner().invoke(main, ["graphgen", "--out", str(out), "--per-n", "1"])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: --out: cannot write {out / 'n3_00000.json'}: Is a directory\n"
 
 
 class TestCacheCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import errno
 import json
 import operator
 import os
@@ -91,6 +92,22 @@ def _write_json(path: str, obj, **dump_args) -> None:
             json.dump(obj, fh, **dump_args)
     except OSError as exc:
         raise click.ClickException(f"--out: cannot write {path}: {exc.strerror}")
+
+
+def _checked_out(ctx, param, path):
+    """Refuse an ``--out`` file the command could not write, before its work starts; the file is not created."""
+    if path is None:
+        return None
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return path
+    raise click.ClickException(f"--out: cannot write {path}: {os.strerror(err)}")
 
 
 class _Main(click.Group):
@@ -282,7 +299,7 @@ def _sample_steps(dag, domain, profiles, loop_cfg):
 @click.option("--store", "store_path", type=click.Path(exists=True), required=True)
 @click.option("--reference", type=click.Path(exists=True), default=None,
               help="directory of {id}.json predicted/consensus graphs; default scores the generation-time graphs against themselves")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_checked_out)
 def evaluate(store_path, reference, out):
     """Score reference graphs against each sample's generation-time DAG."""
     store = SampleStore(store_path)
@@ -348,7 +365,7 @@ def evaluate(store_path, reference, out):
               help="force the permutation mode (default: auto)")
 @click.option("--loo", is_flag=True, help="also report leave-one-algorithm-out tables")
 @click.option("--bootstrap/--no-bootstrap", default=True, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_checked_out)
 def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
     """Within-n centered agreement statistics for a score table CSV."""
     table = transfer_mod.ScoreTable.from_csv(scores)
@@ -383,7 +400,7 @@ def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
 @click.option("--ratings", type=click.Path(exists=True), required=True,
               help="CSV with columns text_id,i,j,rater_id,label")
 @click.option("--raters", type=click.IntRange(min=1), default=consensus_mod.DEFAULT_RATERS, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_checked_out)
 def consensus(ratings, raters, out):
     """Majority-vote consensus graphs, inter-rater alpha, and agreement flags."""
     import csv

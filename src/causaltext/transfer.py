@@ -141,20 +141,29 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _rank(values: np.ndarray) -> np.ndarray:
-    """1-based ranks along the last axis, tied values sharing their mean rank."""
-    order = np.argsort(values, axis=-1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=-1)
+    """1-based ranks along the last axis, tied values sharing their mean rank.
+
+    Each nan is a run of its own (nan != nan), ranked after the numbers of
+    its row in index order.
+    """
+    if values.size == 0:
+        return np.empty(values.shape)
     n = values.shape[-1]
-    pos = np.broadcast_to(np.arange(n), values.shape)
-    # sorted positions where a run of equal values starts, and where one ends
-    starts = np.ones(values.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends = np.roll(starts, -1, axis=-1)
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = np.empty(values.shape)
-    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=-1)
-    return ranks
+    # tied values share one rank, so any order among them does; nans are not
+    # tied, and only a stable sort lists them in index order
+    order = np.argsort(values, axis=-1, kind="stable" if np.isnan(values).any() else None)
+    # flat positions of the sorted rows, row after row
+    flat = (order.reshape(-1, n) + np.arange(0, values.size, n)[:, None]).ravel()
+    ordered = values.ravel()[flat]
+    # sorted positions where a run of equal values starts; every row starts one
+    starts = np.empty(values.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts[::n] = True
+    first = np.flatnonzero(starts)
+    lengths = np.diff(first, append=values.size)
+    ranks = np.empty(values.size)
+    ranks[flat] = np.repeat(first % n + (lengths + 1) / 2, lengths)
+    return ranks.reshape(values.shape)
 
 
 def _spearman_of_ranks(rx: np.ndarray, ry: np.ndarray) -> list:
@@ -436,13 +445,18 @@ def _anova_f_rows(values: np.ndarray, codes: np.ndarray):
     same floating-point result as a one-row call with that labelling.  F is
     inf when there is an effect but no error term (df1 or df2 zero, or zero
     within-group variance), else 0.
+
+    One stable sort of each row's codes lists every level's columns in index
+    order, so each group is a column slice of the sorted values.  numpy
+    sorts 8- and 16-bit codes by radix, far faster than ``intp`` ones.
     """
     grand = values.mean()
     counts = np.bincount(codes[0])
     ss_effect = np.zeros(len(codes))
     ss_error = np.zeros(len(codes))
-    for lv, size in enumerate(counts):
-        grp = values[np.nonzero(codes == lv)[1].reshape(len(codes), size)]
+    grouped = values[np.argsort(codes, axis=1, kind="stable")]
+    for size, end in zip(counts.tolist(), np.cumsum(counts).tolist()):
+        grp = grouped[:, end - size : end]
         mean = grp.mean(axis=1)
         # Python's float power, not numpy's array square: the two round
         # differently in about one case in a thousand
@@ -468,7 +482,8 @@ def _sampled_arrangements(codes, per_stratum: list, b: int, rows: int, rng):
     depend on what a row holds, so one call per run of consecutive
     equal-size draws takes the same numbers from the stream as that loop
     and gives the same arrangements.  With strata of one size, a batch is
-    one run.
+    one run.  The rows are shuffled as ``intp``, on which ``permuted`` is
+    fastest, and come out in the type of ``codes``.
     """
     sizes = [len(ix) for ix in per_stratum]
     # the columns of each size's strata, stratum after stratum
@@ -477,7 +492,7 @@ def _sampled_arrangements(codes, per_stratum: list, b: int, rows: int, rng):
         n = min(rows, b - start)
         # per size, one row for each draw of that size, in draw order; each run
         # of consecutive equal-size draws is the next slice of its size's rows
-        draws = {k: np.tile(codes[c], n).reshape(-1, k) for k, c in cols.items()}
+        draws = {k: np.tile(codes[c].astype(np.intp), n).reshape(-1, k) for k, c in cols.items()}
         used = dict.fromkeys(cols, 0)
         edges = (np.flatnonzero(np.diff(np.tile(sizes, n))) + 1).tolist()
         for lo, hi in zip([0, *edges], [*edges, n * len(sizes)]):
@@ -485,7 +500,7 @@ def _sampled_arrangements(codes, per_stratum: list, b: int, rows: int, rng):
             run = draws[k][used[k] : used[k] + hi - lo]
             used[k] += hi - lo
             rng.permuted(run, axis=1, out=run)
-        out = np.empty((n, len(codes)), dtype=np.intp)
+        out = np.empty((n, len(codes)), dtype=codes.dtype)
         for k, c in cols.items():
             out[:, c] = draws[k].reshape(n, -1)
         yield out
@@ -494,14 +509,14 @@ def _sampled_arrangements(codes, per_stratum: list, b: int, rows: int, rng):
 def _all_arrangements(codes, per_stratum: list, rows: int):
     """Batches of every within-stratum arrangement of ``codes``, last stratum fastest."""
     tables = [
-        np.array(list(itertools.permutations(codes[ix].tolist())), dtype=np.intp)
+        np.array(list(itertools.permutations(codes[ix].tolist())), dtype=codes.dtype)
         for ix in per_stratum
     ]
     sizes = [len(t) for t in tables]
     total = math.prod(sizes)
     for start in range(0, total, rows):
         digits = np.unravel_index(np.arange(start, min(start + rows, total)), sizes)
-        out = np.empty((len(digits[0]), len(codes)), dtype=np.intp)
+        out = np.empty((len(digits[0]), len(codes)), dtype=codes.dtype)
         for ix, t, d in zip(per_stratum, tables, digits):
             out[:, ix] = t[d]
         yield out
@@ -544,7 +559,9 @@ def permutation_anova(groups: dict, b: int = 10_000, seed: int | None = 0) -> An
         mask = stratum_of == n
         resid[mask] -= resid[mask].mean()
 
-    codes = np.unique(levels, return_inverse=True)[1].astype(np.intp)
+    names, codes = np.unique(levels, return_inverse=True)
+    # the smallest unsigned type that holds the codes, so that they sort by radix
+    codes = codes.astype(np.min_scalar_type(len(names) - 1))
     f_obs, eta = (float(v[0]) for v in _anova_f_rows(resid, codes[None]))
 
     per_stratum = [np.flatnonzero(stratum_of == n) for n in strata]

@@ -7,12 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+import click
 from click.testing import CliRunner
 
 import causaltext
 from causaltext import store as store_mod
 from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment, FallacySet, LoopResult, MismatchReport, VoteTable
-from causaltext.cli import load_config, loop_config_from, main, sample_seed
+from causaltext.cli import _write_json, load_config, loop_config_from, main, sample_seed
 from causaltext.errors import CorruptLine, InvalidConfig
 from causaltext.graphs import Dag, GraphSpec
 from causaltext.metrics import MetricReport
@@ -1172,9 +1173,33 @@ class TestOutPath:
         out = str(tmp_path / "missing" / "out.json")
         r = CliRunner().invoke(main, [*self.inputs(tmp_path)[command], "--out", out])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
-        errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
-        assert errors == [f"Error: --out: cannot write {out}: No such file or directory"]
-        assert "Traceback" not in r.output
+        # checked before the work: no table or summary is printed first
+        assert r.output == f"Error: --out: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["consensus", "evaluate", "transfer"])
+    @pytest.mark.parametrize("name, reason", [("taken", "Is a directory"), ("file/out.json", "Not a directory")])
+    def test_out_on_a_directory_or_under_a_file(self, tmp_path, command, name, reason):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / name)
+        r = CliRunner().invoke(main, [*self.inputs(tmp_path)[command], "--out", out])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: --out: cannot write {out}: {reason}\n"
+
+    def test_check_creates_no_file(self, tmp_path):
+        out = tmp_path / "t.json"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("algorithm,n\n")
+        r = CliRunner().invoke(main, ["transfer", "--scores", str(bad), "--out", str(out)])
+        assert r.exit_code == 1 and "score CSV must carry columns" in r.output
+        assert not out.exists()
+
+    def test_write_that_fails_after_the_check(self, tmp_path):
+        """The write after the work still turns an OSError (a path gone during the run) into the ``--out`` error."""
+        out = str(tmp_path / "gone" / "t.json")
+        with pytest.raises(click.ClickException) as info:
+            _write_json(out, {})
+        assert info.value.message == f"--out: cannot write {out}: No such file or directory"
 
     def test_graphgen_out_on_an_existing_file(self, tmp_path):
         out = tmp_path / "graphs"

@@ -108,6 +108,57 @@ class TestCorrelations:
         assert all(math.isnan(rho) for rho in transfer._spearman_of_ranks([rx, ry], [ry, rx]))
 
 
+def accumulate_rank(values):
+    """Reference: the rank kernel the flat run bookkeeping replaced (stable sort, two accumulates)."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    n = values.shape[-1]
+    pos = np.broadcast_to(np.arange(n), values.shape)
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.roll(starts, -1, axis=-1)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=-1)
+    return ranks
+
+
+RANK_SHAPES = [(24,), (400, 24), (2, 3, 50, 24), (5, 1), (4, 2), (3, 0)]
+
+
+def rank_inputs(shape, seed):
+    """Heavily tied rows, signed zeros, infinities and nans, and rows that carry a run into the next."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    specials = rng.choice([-0.0, 0.0, 0.0, -math.inf, math.inf, math.nan, 1.0], size=shape)
+    # in index order, runs of five equal values that go on from one row into the
+    # next; shuffled within rows, each row still ends (sorted) with the value the next starts with
+    carried = rng.permuted((np.arange(size) // 5).astype(float).reshape(shape), axis=-1)
+    return {
+        "integers": rng.integers(0, 4, size=shape).astype(float),
+        "rounded": np.round(rng.normal(size=shape), 1),
+        "specials": specials,
+        "specials_without_nan": np.where(np.isnan(specials), -0.0, specials),
+        "carried": carried,
+    }
+
+
+class TestRank:
+    @pytest.mark.parametrize("shape", RANK_SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_accumulate_rank_exactly(self, shape, seed):
+        for kind, values in rank_inputs(shape, seed).items():
+            got, want = transfer._rank(values), accumulate_rank(values)
+            assert got.shape == want.shape and got.dtype == want.dtype, kind
+            assert np.array_equal(got, want), kind
+
+    def test_inputs_carry_runs_across_rows(self):
+        """The carried block has a sorted row end equal to the next row's start, where a run must not cross."""
+        rows = np.sort(rank_inputs((400, 24), 0)["carried"], axis=-1)
+        assert (rows[:-1, -1] == rows[1:, 0]).sum() > 100
+
+
 class TestScoreTable:
     def test_incomplete_grid(self, tmp_path):
         p = tmp_path / "hole.csv"
@@ -790,8 +841,19 @@ def anova_cases():
     # square and Python's float power round differently
     rng = np.random.default_rng(148)
     power_rounding = {(n, lv): rng.normal(size=3) for n in (3, 4) for lv in ("a", "b", "c")}
-    return {"noisy": noisy, "separated": separated, "rounded": rounded,
-            "one_each": one_each, "no_error": no_error, "power_rounding": power_rounding}
+    # keys alternate strata and levels, with unequal level sizes, so that a
+    # level's columns are neither contiguous nor in one stratum
+    rng = np.random.default_rng(23)
+    interleaved = {(n, lv): rng.normal(size=size)
+                   for lv, n, size in (("a", 3, 2), ("b", 4, 2), ("b", 3, 1), ("a", 4, 1), ("c", 3, 2), ("c", 4, 1))}
+    return {"noisy": noisy, "separated": separated, "rounded": rounded, "one_each": one_each,
+            "no_error": no_error, "power_rounding": power_rounding, "interleaved": interleaved}
+
+
+def many_levels_groups():
+    """Two strata x 300 levels, so that a level code needs 16 bits; levels of one and two values."""
+    rng = np.random.default_rng(31)
+    return {(n, f"l{k:03d}"): rng.normal(size=1 + (k + n) % 2) for n in (3, 4) for k in range(300)}
 
 
 class TestBatchedAnova:
@@ -808,6 +870,24 @@ class TestBatchedAnova:
         got = (res.p_value, res.partial_eta_squared, res.f_statistic, res.mode, res.n_permutations)
         assert got == want
         assert res.mode == ("sampled" if cap == 0 or case in ("noisy", "power_rounding") else "exhaustive")
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_many_levels_match_loop_exactly(self, batch, monkeypatch):
+        if batch is not None:  # one arrangement per batch
+            monkeypatch.setattr(transfer, "_ANOVA_BATCH", batch)
+        groups = many_levels_groups()
+        want = loop_permutation_anova(groups, b=20, seed=4, exhaustive_cap=transfer.ANOVA_EXHAUSTIVE_CAP)
+        res = permutation_anova(groups, b=20, seed=4)
+        assert (res.p_value, res.partial_eta_squared, res.f_statistic, res.mode, res.n_permutations) == want
+        assert res.mode == "sampled"
+
+    @pytest.mark.parametrize("dtype, k", [(np.uint8, 3), (np.uint8, 256), (np.uint16, 300), (np.uint16, 65536)])
+    def test_stable_sort_of_small_codes_keeps_index_order(self, dtype, k):
+        """The grouping relies on a stable sort of 8- and 16-bit codes listing equal codes in index order."""
+        codes = np.random.default_rng(k).integers(0, k, size=(20, 700)).astype(dtype)
+        order = np.argsort(codes, axis=1, kind="stable")
+        want = [np.concatenate([np.flatnonzero(row == lv) for lv in np.unique(row)]) for row in codes]
+        assert np.array_equal(order, want)
 
 
 def unequal_strata_cases():

@@ -54,11 +54,13 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         }
     )
     if path:
-        if not os.path.exists(path):
-            raise InvalidConfig(f"config file not found: {path}")
         try:
-            cfg.read(path)
-        except (configparser.Error, UnicodeDecodeError) as exc:
+            with open_utf8(path, newline=None) as fh:  # not cfg.read, which skips a file it cannot open
+                cfg.read_file(fh)
+        except OSError as exc:
+            raise InvalidConfig(f"config file not found: {path}" if exc.errno == errno.ENOENT
+                                else f"cannot read config file {path}: {exc.strerror}")
+        except configparser.Error as exc:
             raise InvalidConfig(f"cannot parse config file {path}: {exc}")
     return cfg
 
@@ -200,7 +202,7 @@ def _build_gateway(cfg, mock_script, cache_path):
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--graphs", type=click.Path(exists=True), required=True)
+@click.option("--graphs", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--mock-script", default=None, help="mock script JSON (inline or file path)")
 @click.option("--resume", is_flag=True, help="skip ids already finished in the store; run failed ones again")
@@ -235,27 +237,21 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
             try:
                 with open(os.path.join(graphs, fname)) as fh:
                     payload = json.load(fh)
-                sid_ = payload.get("id", os.path.splitext(fname)[0])
-                if not isinstance(sid_, (str, int)):
-                    raise TypeError(f"id must be a string or an integer, got {sid_!r}")
-                spec = GraphSpec.from_json(payload["spec"])
-                spec.validate()
-                dag = Dag.from_json(payload["dag"])
-                if dag.n != spec.n:
-                    raise ValueError(f"dag has {dag.n} nodes, spec says {spec.n}")
+                rec = SampleRecord(id=payload.get("id", os.path.splitext(fname)[0]), backends=backends,
+                                   spec=GraphSpec.from_json(payload["spec"]), dag=Dag.from_json(payload["dag"]))
             except (OSError, ValueError, KeyError, TypeError, AttributeError, CausaltextError) as exc:
                 # nothing is stored for the file, so --resume retries it
                 click.echo(f"cannot read graph file {fname}: {type(exc).__name__}: {exc}", err=True)
                 failed += 1
                 continue
-            if sid_ in records or sid_ in store:
+            if rec.id in records or rec.id in store:
                 if not resume:
-                    raise click.ClickException(f"id {sid_!r} already in store (use --resume)")
-                if sid_ in records or store.finished(sid_):
+                    raise click.ClickException(f"id {rec.id!r} already in store (use --resume)")
+                if rec.id in records or store.finished(rec.id):
                     skipped += 1
                     continue  # a sample whose last record failed runs again
-            records[sid_] = SampleRecord(id=sid_, spec=spec, dag=dag, backends=backends)
-            yield sid_, _sample_steps(dag, domain, profiles, loop_cfg)
+            records[rec.id] = rec
+            yield rec.id, _sample_steps(rec.dag, domain, profiles, loop_cfg)
 
     runs = gw.run_samples(samples())
     try:
@@ -296,8 +292,8 @@ def _sample_steps(dag, domain, profiles, loop_cfg):
 
 
 @main.command()
-@click.option("--store", "store_path", type=click.Path(exists=True), required=True)
-@click.option("--reference", type=click.Path(exists=True), default=None,
+@click.option("--store", "store_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--reference", type=click.Path(exists=True, file_okay=False), default=None,
               help="directory of {id}.json predicted/consensus graphs; default scores the generation-time graphs against themselves")
 @click.option("--out", type=click.Path(), default=None, callback=_checked_out)
 def evaluate(store_path, reference, out):
@@ -310,12 +306,11 @@ def evaluate(store_path, reference, out):
         if reference is None:
             ref, removed = rec.dag, []
         else:
-            ref_path = os.path.join(reference, f"{rec.id}.json")
-            if not os.path.exists(ref_path):
-                raise MissingReference(f"no reference graph for id {rec.id!r}")
             try:
-                with open(ref_path) as fh:
+                with open(os.path.join(reference, f"{rec.id}.json")) as fh:
                     edges = as_adjacency(json.load(fh)["edges"], f"reference graph for id {rec.id!r}")
+            except FileNotFoundError:
+                raise MissingReference(f"no reference graph for id {rec.id!r}") from None
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise click.ClickException(f"cannot read reference graph for id {rec.id!r}: {exc!r}")
             if len(edges) != rec.dag.n:
@@ -357,7 +352,7 @@ def evaluate(store_path, reference, out):
 
 
 @main.command()
-@click.option("--scores", type=click.Path(exists=True), required=True)
+@click.option("--scores", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--b-perms", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--b-boot", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -397,7 +392,7 @@ def transfer(scores, b_perms, b_boot, seed, exhaustive, loo, bootstrap, out):
 
 
 @main.command()
-@click.option("--ratings", type=click.Path(exists=True), required=True,
+@click.option("--ratings", type=click.Path(exists=True, dir_okay=False), required=True,
               help="CSV with columns text_id,i,j,rater_id,label")
 @click.option("--raters", type=click.IntRange(min=1), default=consensus_mod.DEFAULT_RATERS, show_default=True)
 @click.option("--out", type=click.Path(), default=None, callback=_checked_out)

@@ -5,17 +5,28 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .assignment import ConceptAssignment
-from .errors import CausaltextError, CorruptLine
+from .errors import CausaltextError, CorruptLine, InvalidSpec
 from .gateway import read_jsonl
 from .graphs import Dag, GraphSpec
 from .textgen import Paragraph
 
 
+def _nested(obj: dict, key: str, kind):
+    """``kind.from_json(obj[key])``; a value it cannot load raises ValueError naming ``key``."""
+    try:
+        return kind.from_json(obj[key])
+    except (CausaltextError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {type(exc).__name__}: {exc}") from None
+
+
 @dataclass
 class SampleRecord:
+    _ID_TYPES = (str, int)  # not a field: the types an id may have; a bool is not an id
+
     id: str
     spec: GraphSpec
     dag: Dag
@@ -29,50 +40,47 @@ class SampleRecord:
     error: str | None = None
     created_at: float = field(default_factory=time.time)
 
+    def __post_init__(self):
+        # the one place a record's rules live, for graph files and store lines alike; each error names its field
+        if type(self.id) not in self._ID_TYPES:
+            raise TypeError(f"id must be a string or an integer, got {self.id!r}")
+        try:
+            self.spec.validate()
+        except InvalidSpec as exc:
+            raise InvalidSpec(f"spec: {exc}") from None
+        if self.dag.n != self.spec.n:
+            raise ValueError(f"dag has {self.dag.n} nodes, spec says {self.spec.n}")
+        if not (isinstance(self.tokens, dict) and type(self.tokens.get("total", 0)) is int):
+            raise TypeError(f"tokens must be an object with an integer total, got {self.tokens!r}")
+        for name, kind in (("loop_iterations", int), ("loop_status", str)):
+            if type(getattr(self, name)) not in (kind, type(None)):
+                raise TypeError(f"{name} must be {kind.__name__} or null, got {getattr(self, name)!r}")
+
     def to_json(self) -> dict:
         # each nested record writes its own form: a spec's "lambda" key, a dag's nested lists
         return {k: v.to_json() if hasattr(v, "to_json") else v for k, v in vars(self).items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SampleRecord":
-        return cls(
-            id=obj["id"],
-            spec=GraphSpec.from_json(obj["spec"]),
-            dag=Dag.from_json(obj["dag"]),
-            assignment=ConceptAssignment.from_json(obj["assignment"]) if obj.get("assignment") else None,
-            paragraph=Paragraph.from_json(obj["paragraph"]) if obj.get("paragraph") else None,
-            loop_status=obj.get("loop_status"),
-            loop_iterations=obj.get("loop_iterations"),
-            best_l_b=obj.get("best_l_b"),
-            backends=obj.get("backends", {}),
-            tokens=obj.get("tokens", {}),
-            error=obj.get("error"),
-            created_at=obj.get("created_at", 0.0),
-        )
-
-
-def _records(path: str):
-    """``(line number, JSON object)`` for each line of a store.
-
-    An object without a string or integer ``id``, a ``spec`` object with an
-    integer ``n`` and a ``dag`` object raises CorruptLine as ``FILE:LINE: ...``.
-    So does one whose ``tokens`` is not an object with an integer ``total``
-    (an empty object, as a failed sample has, passes), whose
-    ``loop_iterations`` is not an integer or null, or whose ``loop_status``
-    is not a string or null: the manifest reads them.
-    """
-    for num, obj in read_jsonl(path):
-        spec = obj.get("spec")
-        if not (isinstance(obj.get("id"), (str, int)) and isinstance(spec, dict) and type(spec.get("n")) is int
-                and isinstance(obj.get("dag"), dict)):
-            raise CorruptLine(f"{path}:{num}: not a sample record: it needs an id, a spec with n, and a dag")
-        tokens = obj.get("tokens", {})
-        if not (isinstance(tokens, dict) and type(tokens.get("total", 0)) is int
-                and type(obj.get("loop_iterations")) in (int, type(None))
-                and isinstance(obj.get("loop_status"), (str, type(None)))):
-            raise CorruptLine(f"{path}:{num}: not a sample record: tokens needs an integer total, "
-                              "loop_iterations an integer or null, loop_status a string or null")
-        yield num, obj
+        """The record a store line holds; a broken field raises ValueError as ``record 'ID': KEY ...``."""
+        try:
+            return cls(
+                id=obj.get("id"),
+                spec=_nested(obj, "spec", GraphSpec),
+                dag=_nested(obj, "dag", Dag),
+                assignment=_nested(obj, "assignment", ConceptAssignment) if obj.get("assignment") else None,
+                paragraph=_nested(obj, "paragraph", Paragraph) if obj.get("paragraph") else None,
+                loop_status=obj.get("loop_status"),
+                loop_iterations=obj.get("loop_iterations"),
+                best_l_b=obj.get("best_l_b"),
+                backends=obj.get("backends", {}),
+                tokens=obj.get("tokens", {}),
+                error=obj.get("error"),
+                created_at=obj.get("created_at", 0.0),
+            )
+        except (CausaltextError, TypeError, ValueError) as exc:
+            where = f"record {obj['id']!r}" if type(obj.get("id")) in cls._ID_TYPES else "not a sample record"
+            raise ValueError(f"{where}: {exc}") from None
 
 
 class SampleStore:
@@ -94,7 +102,7 @@ class SampleStore:
     def _ids(self) -> dict:
         """id -> whether its last record finished (carries no error)."""
         if self._index is None:
-            self._index = {obj["id"]: obj.get("error") is None for _, obj in _records(self.path)}
+            self._index = {rec.id: rec.error is None for rec in self}
         return self._index
 
     def __contains__(self, sample_id: str) -> bool:
@@ -115,11 +123,11 @@ class SampleStore:
         self._ids[record.id] = record.error is None
 
     def __iter__(self):
-        for num, obj in _records(self.path):
+        for num, obj in read_jsonl(self.path):
             try:
                 record = SampleRecord.from_json(obj)
-            except (CausaltextError, AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise CorruptLine(f"{self.path}:{num}: record {obj['id']!r}: {exc}") from None
+            except ValueError as exc:
+                raise CorruptLine(f"{self.path}:{num}: {exc}") from None
             yield record
 
 
@@ -140,33 +148,20 @@ class RunManifest:
     @classmethod
     def from_store(cls, store: SampleStore, config: dict, seed: int) -> "RunManifest":
         """Recompute all aggregate statistics directly from the records."""
-        # the stored JSON is enough: a SampleRecord would check each graph again.
-        # A retried id counts once, by the fields read of its last record.
-        last = {obj["id"]: (obj["spec"]["n"], obj.get("error"), obj.get("loop_status"), obj.get("loop_iterations"),
-                            obj.get("tokens")) for _, obj in _records(store.path)}
-        per_n: dict = {}
-        statuses, iterations, tokens = [], [], []
-        errors = 0
-        for n, error, status, iters, toks in last.values():
-            per_n[n] = per_n.get(n, 0) + 1
-            if error is not None:
-                errors += 1
-                continue
-            if status is not None:
-                statuses.append(status == "Success")
-            if iters is not None:
-                iterations.append(iters)
-            if toks:
-                tokens.append(toks.get("total", 0))
+        last = {rec.id: rec for rec in store}  # a retried id counts once, by its last record
+        done = [rec for rec in last.values() if rec.error is None]
+        statuses = [rec.loop_status == "Success" for rec in done if rec.loop_status is not None]
+        iterations = [rec.loop_iterations for rec in done if rec.loop_iterations is not None]
+        tokens = [rec.tokens.get("total", 0) for rec in done if rec.tokens]
         return cls(
             config=config,
             seed=seed,
-            per_n_counts=per_n,
+            per_n_counts=dict(Counter(rec.spec.n for rec in last.values())),
             success_rate=(sum(statuses) / len(statuses)) if statuses else None,
             median_iterations=statistics.median(iterations) if iterations else None,
             median_tokens=statistics.median(tokens) if tokens else None,
             total_tokens=sum(tokens),
-            errors=errors,
+            errors=len(last) - len(done),
         )
 
     def save(self, path: str) -> None:

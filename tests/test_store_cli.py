@@ -14,7 +14,7 @@ import causaltext
 from causaltext import store as store_mod
 from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment, FallacySet, LoopResult, MismatchReport, VoteTable
 from causaltext.cli import _write_json, load_config, loop_config_from, main, sample_seed
-from causaltext.errors import CorruptLine, InvalidConfig
+from causaltext.errors import CorruptLine, InvalidConfig, InvalidSpec
 from causaltext.graphs import Dag, GraphSpec
 from causaltext.metrics import MetricReport
 from causaltext.store import RunManifest, SampleRecord, SampleStore
@@ -76,12 +76,53 @@ def damage_line(path, num, how):
 
 
 DAMAGE_MESSAGES = {"array": "not a JSON object", "latin1": "not UTF-8 text ("}
+# "KEY VALUE" (the record with KEY set to VALUE) or "spec.KEY VALUE" -> what the store's error line says of it
+FIELD_DAMAGE = {
+    'tokens "lots"': "tokens must be an object with an integer total, got 'lots'",
+    'loop_iterations "two"': "loop_iterations must be int or null, got 'two'",
+    'tokens {"total": "many"}': "tokens must be an object with an integer total, got {'total': 'many'}",
+    "loop_status 5": "loop_status must be str or null, got 5",
+    "tokens null": "tokens must be an object with an integer total, got None",
+    "spec.p 2.0": "spec: p must lie in (0, 1], got 2.0",
+}
+# a whole line, or "KEY VALUE", put on line 3 of an 8-record store (record n4_00000) -> its error line
+RECORD_DAMAGE = {
+    "{}": "not a sample record: spec: KeyError: 'spec'",
+    '{"id": "n3_00000"}': "record 'n3_00000': spec: KeyError: 'spec'",
+    "id [1]": "not a sample record: id must be a string or an integer, got [1]",
+    "id true": "not a sample record: id must be a string or an integer, got True",
+    "spec null": "record 'n4_00000': spec: TypeError: 'NoneType' object is not subscriptable",
+    "spec {}": "record 'n4_00000': spec: KeyError: 'n'",
+    "dag null": "record 'n4_00000': dag: TypeError: 'NoneType' object is not subscriptable",
+    'dag {"n": 4, "edges": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]}':
+        "record 'n4_00000': dag: CyclicInput: adjacency has a directed cycle",
+    'dag {"n": 3, "edges": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}': "record 'n4_00000': dag has 3 nodes, spec says 4",
+}
 
 
 class TestStore:
     def test_record_roundtrip(self):
         rec = make_record("s1")
         assert SampleRecord.from_json(rec.to_json()) == rec
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"id": [1]}, TypeError, "id must be a string or an integer, got [1]"),
+        ({"id": True}, TypeError, "id must be a string or an integer, got True"),  # it would share id 1's index entry
+        ({"spec": GraphSpec(n=3, p=2.0, max_parents=2, max_children=2, gamma_c=0.0, gamma_v=0.0, mediator_chains=0)},
+         InvalidSpec, "spec: p must lie in (0, 1], got 2.0"),
+        ({"dag": Dag(n=2, edges=np.zeros((2, 2)))}, ValueError, "dag has 2 nodes, spec says 3"),
+        ({"tokens": None}, TypeError, "tokens must be an object with an integer total, got None"),
+        ({"tokens": {"total": 1.5}}, TypeError, "tokens must be an object with an integer total, got {'total': 1.5}"),
+        ({"loop_iterations": "2"}, TypeError, "loop_iterations must be int or null, got '2'"),
+        ({"loop_status": 1}, TypeError, "loop_status must be str or null, got 1"),
+    ], ids=["id", "id-bool", "spec", "dag", "tokens", "tokens-total", "loop_iterations", "loop_status"])
+    def test_record_checks_its_fields_and_names_the_one_that_fails(self, change, error, message):
+        fields = {**vars(make_record("s1")), **change}
+        with pytest.raises(error) as info:
+            SampleRecord(**fields)
+        assert str(info.value) == message
+        # an empty tokens object, as a failed sample has, and null loop fields pass
+        SampleRecord(**{**vars(make_record("s1")), "tokens": {}, "loop_iterations": None, "loop_status": None})
 
     def test_append_and_reload(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
@@ -194,8 +235,23 @@ class TestConfig:
         assert lc.m == 7 and lc.k_max == 2 and lc.tau == 0.6
 
     def test_missing_file(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="config file not found: /nonexistent/file.ini"):
             load_config("/nonexistent/file.ini")
+
+    @pytest.mark.parametrize("command", ["graphgen", "generate"])
+    def test_config_that_cannot_be_read_is_one_error_line_and_writes_nothing(self, tmp_path, command):
+        """A --config that is a directory is not skipped: the command stops before it writes anything."""
+        graphs = tmp_path / "graphs"
+        assert CliRunner().invoke(main, ["graphgen", "--out", str(graphs), "--per-n", "1"]).exit_code == 0
+        config = tmp_path / "conf"
+        config.mkdir()
+        args = {"graphgen": ["--out", str(tmp_path / "g"), "--per-n", "1"],
+                "generate": ["--graphs", str(graphs), "--out", str(tmp_path / "s.jsonl"),
+                             "--mock-script", '{"mode": "oracle"}']}[command]
+        r = CliRunner().invoke(main, [command, "--config", str(config), *args])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+        assert r.output == f"Error: cannot read config file {config}: Is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["conf", "graphs"]
 
     def test_out_of_range_values(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -663,16 +719,23 @@ class TestGenerateEvaluate:
             '"created_at": 2.0}',
         ]
 
-    @pytest.mark.parametrize("damage", ["cut short", 'tokens "lots"', 'loop_iterations "two"', 'tokens {"total": "many"}'])
+    @pytest.mark.parametrize("damage", ["cut short", *FIELD_DAMAGE])
     @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
     def test_damaged_store_line_is_a_one_line_error(self, tmp_path, command, damage):
         runner, graphs, store = self.run_pipeline(tmp_path)
         if damage == "cut short":
             cut_line_short(store, 6)
-            message = "not a JSON value ("
-        else:  # "KEY VALUE": the record with KEY set to VALUE
-            set_field(store, 6, *damage.split(" ", 1))
-            message = "not a sample record: tokens needs an integer total, "
+            with open(store) as fh, pytest.raises(json.JSONDecodeError) as info:
+                json.loads(fh.readlines()[5])
+            message = f"not a JSON value ({info.value})"
+        else:
+            key, value = damage.split(" ", 1)
+            if key.startswith("spec."):
+                with open(store) as fh:
+                    spec = json.loads(fh.readlines()[5])["spec"]
+                key, value = "spec", json.dumps({**spec, key[len("spec."):]: json.loads(value)})
+            set_field(store, 6, key, value)
+            message = f"record 'n7_00000': {FIELD_DAMAGE[damage]}"
         with open(store, "rb") as fh:
             damaged = fh.read()
         args = {
@@ -683,8 +746,7 @@ class TestGenerateEvaluate:
         r = runner.invoke(main, args)
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
-        assert r.output.startswith(f"Error: {store}:6: {message}")
-        assert len(r.output.splitlines()) == 1
+        assert r.output == f"Error: {store}:6: {message}\n"
         with open(store, "rb") as fh:
             assert fh.read() == damaged
 
@@ -777,10 +839,15 @@ class TestGenerateEvaluate:
         r = CliRunner().invoke(main, ["evaluate", "--store", str(store)])
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
-        assert "record 'n3_00001': adjacency has a directed cycle" in r.output
+        assert r.output == f"Error: {store}:2: record 'n3_00001': dag: CyclicInput: adjacency has a directed cycle\n"
 
     @pytest.mark.parametrize("key, value", [("assignment", 5), ("spec", {"n": 3}), ("paragraph", {"text": "x"})])
     def test_evaluate_names_the_line_of_a_record_it_cannot_load(self, tmp_path, key, value):
+        message = {
+            "assignment": "assignment: TypeError: 'int' object is not subscriptable",
+            "spec": "spec: KeyError: 'p'",
+            "paragraph": "paragraph: KeyError: 'source_concepts'",
+        }[key]
         store = tmp_path / "samples.jsonl"
         good, bad = make_record("n3_00000").to_json(), make_record("n3_00001").to_json()
         bad[key] = value
@@ -788,13 +855,14 @@ class TestGenerateEvaluate:
         r = CliRunner().invoke(main, ["evaluate", "--store", str(store)])
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
-        assert r.output.startswith(f"Error: {store}:3: record 'n3_00001': ")
-        assert len(r.output.splitlines()) == 1
+        assert r.output == f"Error: {store}:3: record 'n3_00001': {message}\n"
 
-    @pytest.mark.parametrize("damage", ["{}", '{"id": "n3_00000"}', "id [1]", "spec null", "spec {}", "dag null"])
+    @pytest.mark.parametrize("damage", RECORD_DAMAGE)
     @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
     def test_store_record_without_id_spec_or_dag_is_a_one_line_error(self, tmp_path, command, damage):
+        """A cyclic dag, or one of another size than its spec, is refused by generate --resume at the index read."""
         runner, graphs, store = self.run_pipeline(tmp_path)
+        message = RECORD_DAMAGE[damage]
         with open(store) as fh:
             lines = fh.readlines()
         if not damage.startswith("{"):  # "KEY VALUE": the record with KEY set to VALUE
@@ -805,6 +873,8 @@ class TestGenerateEvaluate:
         lines[2] = damage + "\n"
         with open(store, "w") as fh:
             fh.writelines(lines)
+        with open(store, "rb") as fh:
+            damaged = fh.read()
         args = {
             "evaluate": ["evaluate", "--store", store],
             "generate --resume": ["generate", "--graphs", graphs, "--out", store,
@@ -813,7 +883,9 @@ class TestGenerateEvaluate:
         r = runner.invoke(main, args)
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
-        assert r.output == f"Error: {store}:3: not a sample record: it needs an id, a spec with n, and a dag\n"
+        assert r.output == f"Error: {store}:3: {message}\n"
+        with open(store, "rb") as fh:
+            assert fh.read() == damaged
 
     @pytest.mark.parametrize("value", [3, {}, [], "x", {"m": 5, "s": {}}, "proportion 7"],
                              ids=["number", "empty-object", "array", "string", "no-pairs", "out-of-range"])
@@ -1185,6 +1257,29 @@ class TestOutPath:
         r = CliRunner().invoke(main, [*self.inputs(tmp_path)[command], "--out", out])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert r.output == f"Error: --out: cannot write {out}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["generate --graphs", "evaluate --store", "evaluate --reference",
+                                         "transfer --scores", "consensus --ratings"])
+    def test_input_path_of_the_wrong_kind_is_a_usage_error(self, tmp_path, command):
+        """A file where a directory belongs, or a directory where a file belongs: exit status 2, nothing written."""
+        inputs = self.inputs(tmp_path)
+        (tmp_path / "dir").mkdir()
+        args = {
+            "generate --graphs": ["generate", "--graphs", str(tmp_path / "r.csv"), "--out", str(tmp_path / "new.jsonl"),
+                                  "--mock-script", '{"mode": "oracle"}'],
+            "evaluate --store": ["evaluate", "--store", str(tmp_path / "dir"), "--out", str(tmp_path / "new.json")],
+            "evaluate --reference": [*inputs["evaluate"], "--reference", str(tmp_path / "r.csv"),
+                                     "--out", str(tmp_path / "new.json")],
+            "transfer --scores": ["transfer", "--scores", str(tmp_path / "dir"), "--out", str(tmp_path / "new.json")],
+            "consensus --ratings": ["consensus", "--ratings", str(tmp_path / "dir"),
+                                    "--out", str(tmp_path / "new.json")],
+        }[command]
+        before = sorted(os.listdir(tmp_path))
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2, r.output
+        option = command.split(" ")[1]
+        assert f"Invalid value for '{option}'" in r.output
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_check_creates_no_file(self, tmp_path):
         out = tmp_path / "t.json"

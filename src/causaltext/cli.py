@@ -88,10 +88,14 @@ def sample_seed(master: int, *path) -> int:
 
 
 def _write_json(path: str, obj, **dump_args) -> None:
-    """``json.dump(obj, fh, **dump_args)`` into ``path``; an ``OSError`` ends the command as an ``--out`` error."""
+    """``json.dumps(obj, **dump_args)`` into ``path``, in one write; an ``OSError`` ends the command as an ``--out`` error.
+
+    ``json.dump`` would stream through the pure-Python encoder; ``dumps`` gives the same text from the C one.
+    """
+    text = json.dumps(obj, **dump_args)
     try:
         with open(path, "w") as fh:
-            json.dump(obj, fh, **dump_args)
+            fh.write(text)
     except OSError as exc:
         raise click.ClickException(f"--out: cannot write {path}: {exc.strerror}")
 
@@ -218,6 +222,10 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
     loop_cfg = loop_config_from(cfg)
     domain = cfg.get("phase3", "domain")
     gw, profiles = _build_gateway(cfg, mock_script, cache_path)
+    files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
+    if not files:
+        # before the probe below, so that no store, manifest or cache file is left behind
+        raise click.ClickException(f"--graphs: no graph files (*.json) in {graphs}")
     # a file the run cannot append to stops it here, not after the first sample's calls
     for option, path in (("--out", out), ("--cache", cache_path)):
         if path is not None:
@@ -226,7 +234,6 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
             except OSError as exc:
                 raise click.ClickException(f"{option}: cannot append to {path}: {exc.strerror}")
     store = SampleStore(out)
-    files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
     backends = {k: p.model_id for k, p in profiles.items()}
     done = failed = skipped = 0
     records: dict = {}  # id -> record of each sample handed to the gateway and not yet stored

@@ -180,15 +180,54 @@ def sample_spec_space(n: int, seed: int) -> GraphSpec:
     return spec
 
 
-def _try_add_edge(edges, u, v, in_deg, out_deg, max_parents, max_children) -> bool:
-    if edges[u, v]:
-        return True
-    if in_deg[v] >= max_parents or out_deg[u] >= max_children:
-        return False
-    edges[u, v] = 1
-    in_deg[v] += 1
-    out_deg[u] += 1
+def _add_edges(adj, edges, in_deg, out_deg, max_parents, max_children) -> bool:
+    """Add each edge of ``edges`` that ``adj`` lacks, in turn.  If a full degree
+    cap refuses one, undo the edges added and return False."""
+    added = []
+    for u, v in edges:
+        if adj[u][v]:
+            continue
+        if in_deg[v] >= max_parents or out_deg[u] >= max_children:
+            for x, y in added:
+                adj[x][y] = 0
+                in_deg[y] -= 1
+                out_deg[x] -= 1
+            return False
+        adj[u][v] = 1
+        in_deg[v] += 1
+        out_deg[u] += 1
+        added.append((u, v))
     return True
+
+
+def _has_room(kind, order, adj, in_deg, out_deg, max_parents, max_children) -> bool:
+    """Whether some three nodes, taken in topological order, can still take a motif of ``kind``.
+
+    Exact: False only when every draw of three nodes would fail.  An edge that
+    exists always fits; a missing one needs room under both degree caps.
+    """
+    if kind == "mediator_chain":
+        # i -> m -> j: the two edges count against different degrees, so any
+        # earlier i and any later j that fit on their own fit together
+        return any(
+            any(adj[i][m] or (in_deg[m] < max_parents and out_deg[i] < max_children) for i in order[:pos])
+            and any(adj[m][j] or (in_deg[j] < max_parents and out_deg[m] < max_children) for j in order[pos + 1:])
+            for pos, m in enumerate(order)
+        )
+    # both edges meet at a hub: c -> a, c -> b from a confounder's first node,
+    # a -> v, b -> v into a collider's last; each missing edge takes one of the hub's free slots
+    for pos, hub in enumerate(order):
+        # (edge present, room at the other end) for each node the hub can join
+        if kind == "confounder":
+            free = max_children - out_deg[hub]
+            ends = [(adj[hub][y], in_deg[y] < max_parents) for y in order[pos + 1:]]
+        else:
+            free = max_parents - in_deg[hub]
+            ends = [(adj[x][hub], out_deg[x] < max_children) for x in order[:pos]]
+        need = max(0, 2 - sum(edge for edge, _ in ends))
+        if free >= need and sum(1 for edge, room in ends if not edge and room) >= need:
+            return True
+    return False
 
 
 def sample_dag(spec: GraphSpec) -> tuple[Dag, MotifReport]:
@@ -197,38 +236,44 @@ def sample_dag(spec: GraphSpec) -> tuple[Dag, MotifReport]:
     Deterministic given the spec (including seed): the seed is split into
     independent child streams for the topological order, the base edges, and
     each motif subroutine, so changing one subroutine's draws never perturbs
-    the others.
+    the others.  A motif kind stops drawing from its stream once no three
+    nodes can take it.
     """
     spec.validate()
-    n = spec.n
-    ss = np.random.SeedSequence(spec.seed)
-    rng_order, rng_base, *rng_motifs = (np.random.default_rng(s) for s in ss.spawn(2 + len(MOTIFS)))
+    n, max_parents, max_children = spec.n, spec.max_parents, spec.max_children
+    seed_order, seed_base, *seed_motifs = np.random.SeedSequence(spec.seed).spawn(2 + len(MOTIFS))
 
-    order = rng_order.permutation(n)
-    edges = np.zeros((n, n), dtype=np.int8)
-    in_deg = np.zeros(n, dtype=int)
-    out_deg = np.zeros(n, dtype=int)
+    order = np.random.default_rng(seed_order).permutation(n).tolist()
+    adj = [[0] * n for _ in range(n)]
+    in_deg = [0] * n
+    out_deg = [0] * n
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            u, v = order[a], order[b]
-            if rng_base.random() < spec.p:
-                _try_add_edge(edges, u, v, in_deg, out_deg, spec.max_parents, spec.max_children)
+    # one draw per order-respecting pair, in the order the pairs are visited
+    draws = iter(np.random.default_rng(seed_base).random(n * (n - 1) // 2).tolist())
+    for a, u in enumerate(order):
+        for v in order[a + 1:]:
+            if next(draws) < spec.p and in_deg[v] < max_parents and out_deg[u] < max_children:
+                adj[u][v] = 1
+                in_deg[v] += 1
+                out_deg[u] += 1
 
     counts = (int(spec.gamma_c * n), int(spec.gamma_v * n), spec.mediator_chains)
-    report = MotifReport(requested=dict(zip(MOTIFS, counts)))
-    for (kind, pairs), rng in zip(MOTIFS.items(), rng_motifs):
-        # each motif is added all or nothing
-        report.injected[kind] = 0
-        for _ in range(report.requested[kind] if n >= 3 else 0):
+    report = MotifReport(requested=dict(zip(MOTIFS, counts)), injected=dict.fromkeys(MOTIFS, 0))
+    for (kind, pairs), seed in zip(MOTIFS.items(), seed_motifs):
+        rng = None
+        for _ in range(report.requested[kind]):
+            # the edges and degrees only grow, so a kind with no room now never has room again
+            if not _has_room(kind, order, adj, in_deg, out_deg, max_parents, max_children):
+                break
+            if rng is None:
+                rng = np.random.default_rng(seed)
             for _attempt in range(MOTIF_RETRY_BUDGET):
+                # each motif is added all or nothing
                 nodes = [order[k] for k in sorted(rng.choice(n, size=3, replace=False))]
-                snapshot = (edges.copy(), in_deg.copy(), out_deg.copy())
-                if all(_try_add_edge(edges, nodes[s], nodes[t], in_deg, out_deg, spec.max_parents, spec.max_children)
-                       for s, t in pairs):
+                if _add_edges(adj, [(nodes[s], nodes[t]) for s, t in pairs],
+                              in_deg, out_deg, max_parents, max_children):
                     report.injected[kind] += 1
-                    report.motifs.append((kind, tuple(int(v) for v in nodes)))
+                    report.motifs.append((kind, tuple(nodes)))
                     break
-                edges[:], in_deg[:], out_deg[:] = snapshot
 
-    return Dag(n=n, edges=edges), report
+    return Dag(n=n, edges=np.array(adj, dtype=np.int8)), report

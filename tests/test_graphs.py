@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from causaltext.errors import CyclicInput, InvalidSpec, ShapeMismatch
 from causaltext.graphs import (
+    MOTIF_RETRY_BUDGET,
+    MOTIFS,
     Dag,
     GraphSpec,
+    MotifReport,
     is_acyclic,
     sample_dag,
     sample_spec_space,
@@ -39,6 +42,59 @@ def adjacency(draw):
         order = draw(st.permutations(range(n)))
         a = np.triu(a, 1)[np.ix_(order, order)]
     return a
+
+
+def reference_sample_dag(spec):
+    """The sampler on numpy arrays, run literally: one base-edge draw per pair,
+    and every motif makes all its attempts, each from a copy of the arrays."""
+    spec.validate()
+    n = spec.n
+    ss = np.random.SeedSequence(spec.seed)
+    rng_order, rng_base, *rng_motifs = (np.random.default_rng(s) for s in ss.spawn(2 + len(MOTIFS)))
+    order = rng_order.permutation(n)
+    edges = np.zeros((n, n), dtype=np.int8)
+    in_deg = np.zeros(n, dtype=int)
+    out_deg = np.zeros(n, dtype=int)
+
+    def try_add_edge(u, v):
+        if edges[u, v]:
+            return True
+        if in_deg[v] >= spec.max_parents or out_deg[u] >= spec.max_children:
+            return False
+        edges[u, v] = 1
+        in_deg[v] += 1
+        out_deg[u] += 1
+        return True
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng_base.random() < spec.p:
+                try_add_edge(order[a], order[b])
+    counts = (int(spec.gamma_c * n), int(spec.gamma_v * n), spec.mediator_chains)
+    report = MotifReport(requested=dict(zip(MOTIFS, counts)))
+    for (kind, pairs), rng in zip(MOTIFS.items(), rng_motifs):
+        report.injected[kind] = 0
+        for _ in range(report.requested[kind] if n >= 3 else 0):
+            for _attempt in range(MOTIF_RETRY_BUDGET):
+                nodes = [order[k] for k in sorted(rng.choice(n, size=3, replace=False))]
+                snapshot = (edges.copy(), in_deg.copy(), out_deg.copy())
+                if all(try_add_edge(nodes[s], nodes[t]) for s, t in pairs):
+                    report.injected[kind] += 1
+                    report.motifs.append((kind, tuple(int(v) for v in nodes)))
+                    break
+                edges[:], in_deg[:], out_deg[:] = snapshot
+    return Dag(n=n, edges=edges), report
+
+
+def edge_case_specs():
+    """Specs at the edges of the domain: n = 2, p = 1, zero and full caps, gamma 0 or 1, lambda = n - 2."""
+    for n in (2, 3, 5, 10):
+        for p in (0.3, 1.0):
+            for caps in ((0, 0), (0, n - 1), (n - 1, 0), (1, 1), (2, 1), (n - 1, n - 1)):
+                for gammas in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)):
+                    for seed in range(3):
+                        yield GraphSpec(n, p, min(caps[0], n - 1), min(caps[1], n - 1), *gammas,
+                                        mediator_chains=n - 2, seed=seed)
 
 
 def make_spec(**kw):
@@ -153,6 +209,25 @@ class TestSampler:
             else:
                 i, m, j = nodes
                 assert dag.edges[i, m] and dag.edges[m, j]
+
+
+class TestReferenceSampler:
+    """``sample_dag`` gives what the array sampler gives: the same edges, motif counts and motif nodes."""
+
+    def assert_same(self, spec):
+        dag, report = sample_dag(spec)
+        want_dag, want = reference_sample_dag(spec)
+        assert dag.edges.dtype == np.int8 and np.array_equal(dag.edges, want_dag.edges), spec
+        assert (report.requested, report.injected, report.motifs) == (want.requested, want.injected, want.motifs), spec
+        assert all(type(v) is int for _, nodes in report.motifs for v in nodes)
+
+    def test_spec_space(self):
+        for k in range(2_000):
+            self.assert_same(sample_spec_space(3 + k % 8, seed=k))
+
+    def test_edge_case_specs(self):
+        for spec in edge_case_specs():
+            self.assert_same(spec)
 
 
 class TestSpecSpace:

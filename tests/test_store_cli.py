@@ -322,6 +322,20 @@ class TestGraphgenCommand:
         for f in files:
             assert open(os.path.join(out1, f)).read() == open(os.path.join(out2, f)).read()
 
+    def test_200_graph_files_are_pinned(self, tmp_path):
+        """The 200 files of ``graphgen --per-n 25 --seed 3`` (n = 3..10), names included, hash to
+        the value computed with the array sampler, before ``sample_dag`` moved to Python lists."""
+        out = str(tmp_path / "graphs")
+        r = CliRunner().invoke(main, ["graphgen", "--out", out, "--per-n", "25", "--seed", "3"])
+        assert r.exit_code == 0, r.output
+        files = hashlib.sha256()
+        names = sorted(os.listdir(out))
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                files.update(name.encode() + b"\0" + fh.read())
+        assert len(names) == 200
+        assert files.hexdigest() == "2bf7664f4a9d08d7723e4631b5aeb2deff27bfb0149ae4d3f59a91a1b07f1bd3"
+
     def test_invalid_config_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[phase1]\nn_min = 3\nn_max = 11\n")
@@ -528,6 +542,21 @@ class TestGenerateEvaluate:
             ["generate", "--graphs", graphs, "--out", store, "--mock-script", '{"mode": "oracle"}'],
         )
         assert r.exit_code != 0
+
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("content", [[], ["scores.csv"]], ids=["empty", "csv-only"])
+    def test_graphs_directory_without_graph_files_is_one_error_line(self, tmp_path, content, resume):
+        """Exit status 1 and one ``Error:`` line naming the directory; no store, manifest or cache file."""
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        for name in content:
+            (graphs / name).write_text("algorithm,n\n")
+        r = CliRunner().invoke(main, ["generate", "--graphs", str(graphs), "--out", str(tmp_path / "s.jsonl"),
+                                      "--cache", str(tmp_path / "c.jsonl"), "--mock-script", '{"mode": "oracle"}',
+                                      *(["--resume"] if resume else [])])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: --graphs: no graph files (*.json) in {graphs}\n"
+        assert os.listdir(tmp_path) == ["graphs"]
 
     @pytest.mark.parametrize("option", ["--out", "--cache"])
     def test_a_path_that_cannot_be_appended_to_stops_the_run_before_any_call(self, tmp_path, monkeypatch, option):

@@ -912,6 +912,15 @@ class TestSampledDraws:
         assert rows.tolist() == [looped.permutation(k).tolist() for _ in range(5)]
         assert batched.random() == looped.random()
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_random_block_is_successive_random_calls(self, seed):
+        """``Generator.random(k)`` gives what k ``random()`` calls would, from the same stream:
+        ``sample_dag`` takes its n(n-1)/2 base-edge draws (up to 45) in one call."""
+        for k in range(1, 46):
+            batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert batched.random(k).tolist() == [looped.random() for _ in range(k)]
+            assert batched.random() == looped.random()
+
     @pytest.mark.parametrize("case", sorted(unequal_strata_cases()))
     @pytest.mark.parametrize("batch", [None, 7, 50])
     def test_unequal_strata_match_loop_exactly(self, case, batch, monkeypatch):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class ConceptAssignment:
             )
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"concepts": list(self.concepts), "domain": self.domain}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConceptAssignment":
@@ -79,11 +80,10 @@ class RelationSets:
 def analyze_causal_structure(dag: Dag) -> RelationSets:
     """Partition ordered non-diagonal pairs into required edges and non-edges."""
     e_plus, e_minus = [], []
-    for i in range(dag.n):
-        for j in range(dag.n):
-            if i == j:
-                continue
-            (e_plus if dag.edges[i, j] else e_minus).append((i, j))
+    for i, row in enumerate(dag.edges.tolist()):
+        for j, edge in enumerate(row):
+            if i != j:
+                (e_plus if edge else e_minus).append((i, j))
     return RelationSets(e_plus=e_plus, e_minus=e_minus)
 
 
@@ -102,15 +102,18 @@ class VoteTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VoteTable":
-        def key(k):
-            i, j = k.split(",")
-            return (int(i), int(j))
-
         return cls(
             m=int(obj["m"]),
-            s={key(k): float(v) for k, v in obj["s"].items()},
-            votes={key(k): list(v) for k, v in obj.get("votes", {}).items()},
+            s={_pair_of_key(k): float(v) for k, v in obj["s"].items()},
+            votes={_pair_of_key(k): list(v) for k, v in obj.get("votes", {}).items()},
         )
+
+
+@lru_cache(maxsize=4096)
+def _pair_of_key(key: str) -> tuple:
+    """``"i,j"`` -> ``(i, j)``; a key that does not parse raises, and is not remembered."""
+    i, j = key.split(",")
+    return (int(i), int(j))
 
 
 @dataclass
@@ -278,13 +281,15 @@ def quantify_mismatch(votes: VoteTable, relations: RelationSets, alpha: float = 
 
     An empty relation class contributes 0 by convention.
     """
-    miss = (
-        float(np.mean([1.0 - votes.s[p] for p in relations.e_plus])) if relations.e_plus else 0.0
-    )
-    spur = (
-        alpha * float(np.mean([votes.s[p] for p in relations.e_minus])) if relations.e_minus else 0.0
-    )
+    miss = _mean([1.0 - votes.s[p] for p in relations.e_plus]) if relations.e_plus else 0.0
+    spur = alpha * _mean([votes.s[p] for p in relations.e_minus]) if relations.e_minus else 0.0
     return MismatchReport(l_b=miss + spur, l_b_miss=miss, l_b_spur=spur, alpha=alpha)
+
+
+def _mean(vals: list) -> float:
+    # np.mean's bits without its overhead: numpy's pairwise sum (8 or more values
+    # are not summed left to right, so neither sum nor math.fsum would do), then one division
+    return float(np.add.reduce(np.asarray(vals, dtype=float)) / len(vals))
 
 
 def fallacy_analysis(votes: VoteTable, relations: RelationSets, tau: float = 0.6) -> FallacySet:

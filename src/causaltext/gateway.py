@@ -96,8 +96,7 @@ def load_template(name: str) -> PromptTemplate:
 
 def format_matrix(adj) -> str:
     """Rows of 0/1 digits separated by newlines (the prompt-side serialization)."""
-    a = np.asarray(adj, dtype=int)
-    return "\n".join("".join(str(int(v)) for v in row) for row in a)
+    return "\n".join("".join(map(str, row)) for row in np.asarray(adj, dtype=int).tolist())
 
 
 def _serialize_binding(value) -> str:
@@ -105,6 +104,8 @@ def _serialize_binding(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if type(value) is list and all(type(v) is str for v in value):
+        return ", ".join(value)  # a concept list, the common case, without an object array
     arr = np.asarray(value, dtype=object)
     if arr.ndim == 2:
         return format_matrix(value)

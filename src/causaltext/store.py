@@ -7,6 +7,7 @@ import statistics
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .assignment import ConceptAssignment
 from .errors import CausaltextError, CorruptLine, InvalidSpec
@@ -83,6 +84,21 @@ class SampleRecord:
             raise ValueError(f"{where}: {exc}") from None
 
 
+class _Entry(NamedTuple):
+    """What the index keeps of an id's last record: its check and its manifest counts."""
+
+    finished: bool  # carries no error
+    n: int
+    loop_status: str | None
+    loop_iterations: int | None
+    tokens: int | None  # the tokens total; None when the record has no tokens
+
+    @classmethod
+    def of(cls, rec: SampleRecord) -> "_Entry":
+        tokens = rec.tokens.get("total", 0) if rec.tokens else None
+        return cls(rec.error is None, rec.spec.n, rec.loop_status, rec.loop_iterations, tokens)
+
+
 class SampleStore:
     """Append-only JSON Lines store with an in-memory id index.
 
@@ -91,7 +107,8 @@ class SampleStore:
     is dropped so that it is generated again.  A sample whose last record
     carries an error may be appended again, and its new record supersedes
     the old one; a finished sample may not.  The index is read on first
-    use, so a store that is only iterated is read once.
+    use, so a store that is only iterated is read once; it keeps a few
+    fields of each id's last record, never the record.
     """
 
     def __init__(self, path: str):
@@ -100,9 +117,9 @@ class SampleStore:
 
     @property
     def _ids(self) -> dict:
-        """id -> whether its last record finished (carries no error)."""
+        """id -> the ``_Entry`` of its last record, in the order the ids first appear."""
         if self._index is None:
-            self._index = {rec.id: rec.error is None for rec in self}
+            self._index = {rec.id: _Entry.of(rec) for rec in self}
         return self._index
 
     def __contains__(self, sample_id: str) -> bool:
@@ -112,7 +129,8 @@ class SampleStore:
         return len(self._ids)
 
     def finished(self, sample_id: str) -> bool:
-        return self._ids.get(sample_id, False)
+        entry = self._ids.get(sample_id)
+        return entry is not None and entry.finished
 
     def append(self, record: SampleRecord) -> None:
         # the index read also drops a torn last line before this write
@@ -120,7 +138,7 @@ class SampleStore:
             raise ValueError(f"duplicate sample id {record.id!r}: it has finished")
         with open(self.path, "a") as fh:
             fh.write(json.dumps(record.to_json()) + "\n")
-        self._ids[record.id] = record.error is None
+        self._ids[record.id] = _Entry.of(record)
 
     def __iter__(self):
         for num, obj in read_jsonl(self.path):
@@ -147,16 +165,18 @@ class RunManifest:
 
     @classmethod
     def from_store(cls, store: SampleStore, config: dict, seed: int) -> "RunManifest":
-        """Recompute all aggregate statistics directly from the records."""
-        last = {rec.id: rec for rec in store}  # a retried id counts once, by its last record
-        done = [rec for rec in last.values() if rec.error is None]
-        statuses = [rec.loop_status == "Success" for rec in done if rec.loop_status is not None]
-        iterations = [rec.loop_iterations for rec in done if rec.loop_iterations is not None]
-        tokens = [rec.tokens.get("total", 0) for rec in done if rec.tokens]
+        """Aggregate statistics counted from the store's index: the records
+        this store object has read and appended, a retried id once, by its
+        last record.  A store whose index is not yet read is read once here."""
+        last = store._ids.values()
+        done = [e for e in last if e.finished]
+        statuses = [e.loop_status == "Success" for e in done if e.loop_status is not None]
+        iterations = [e.loop_iterations for e in done if e.loop_iterations is not None]
+        tokens = [e.tokens for e in done if e.tokens is not None]
         return cls(
             config=config,
             seed=seed,
-            per_n_counts=dict(Counter(rec.spec.n for rec in last.values())),
+            per_n_counts=dict(Counter(e.n for e in last)),
             success_rate=(sum(statuses) / len(statuses)) if statuses else None,
             median_iterations=statistics.median(iterations) if iterations else None,
             median_tokens=statistics.median(tokens) if tokens else None,

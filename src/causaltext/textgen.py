@@ -10,7 +10,7 @@ cyclic (projection happens downstream).  Every model-calling function is a
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class Paragraph:
     source_concepts: ConceptAssignment
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"text": self.text, "source_concepts": self.source_concepts.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Paragraph":

@@ -9,6 +9,7 @@ from causaltext.assignment import (
     ConceptAssignment,
     FallacySet,
     LoopConfig,
+    MismatchReport,
     RelationSets,
     VoteTable,
     analyze_causal_structure,
@@ -87,6 +88,34 @@ class TestAnalyze:
     def test_partition_covers_all_pairs(self):
         rel = analyze_causal_structure(make_dag(4, [(0, 3)]))
         assert len(rel.e_plus) + len(rel.e_minus) == 12
+
+
+def reference_analyze(dag):
+    """``analyze_causal_structure`` as it was, indexing the array once per pair."""
+    e_plus, e_minus = [], []
+    for i in range(dag.n):
+        for j in range(dag.n):
+            if i == j:
+                continue
+            (e_plus if dag.edges[i, j] else e_minus).append((i, j))
+    return RelationSets(e_plus=e_plus, e_minus=e_minus)
+
+
+def random_dag(rng, n, p):
+    a = np.triu(rng.random((n, n)) < p, 1).astype(np.int8)
+    order = rng.permutation(n)
+    return Dag(n=n, edges=a[np.ix_(order, order)])
+
+
+class TestReferenceAnalyze:
+    def test_relations_match_the_indexing_loop(self):
+        rng = np.random.default_rng(30)
+        for n in range(1, 11):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                dag = random_dag(rng, n, p)
+                rel = analyze_causal_structure(dag)
+                assert rel == reference_analyze(dag)
+                assert all(type(k) is int for pair in rel.e_plus + rel.e_minus for k in pair)
 
 
 class TestInitialAssignment:
@@ -261,6 +290,78 @@ class TestMismatch:
             assert abs(rep.l_b - (rep.l_b_miss + rep.l_b_spur)) < 1e-12
             base = quantify_mismatch(votes, rel, alpha=1.0)
             assert abs(rep.l_b_spur - alpha * base.l_b_spur) < 1e-12
+
+
+def reference_quantify_mismatch(votes, relations, alpha=1.0):
+    """``quantify_mismatch`` as it was, through ``np.mean``."""
+    miss = float(np.mean([1.0 - votes.s[p] for p in relations.e_plus])) if relations.e_plus else 0.0
+    spur = alpha * float(np.mean([votes.s[p] for p in relations.e_minus])) if relations.e_minus else 0.0
+    return MismatchReport(l_b=miss + spur, l_b_miss=miss, l_b_spur=spur, alpha=alpha)
+
+
+class TestReferenceMismatch:
+    def test_bits_match_np_mean(self):
+        """n = 2..10, so each relation class holds 0 to 90 pairs; m = 5 proportions and arbitrary floats."""
+        rng = np.random.default_rng(30)
+        lengths = set()
+        for n in range(2, 11):
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            for t in range(60):
+                if t < 3:  # one pair, all but one, or every pair in e_plus
+                    mask = rng.permutation(len(pairs)) < (1, len(pairs) - 1, len(pairs))[t]
+                else:
+                    mask = rng.random(len(pairs)) < rng.random()
+                rel = RelationSets(e_plus=[p for p, m in zip(pairs, mask) if m],
+                                   e_minus=[p for p, m in zip(pairs, mask) if not m])
+                lengths.update((len(rel.e_plus), len(rel.e_minus)))
+                if rng.random() < 0.5:
+                    s = {p: int(k) / 5 for p, k in zip(pairs, rng.integers(0, 6, len(pairs)))}
+                else:
+                    s = {p: float(v) for p, v in zip(pairs, rng.random(len(pairs)))}
+                votes = VoteTable(s=s, m=5)
+                for alpha in (0.0, 0.5, 1.0, 2.0):
+                    got = quantify_mismatch(votes, rel, alpha=alpha)
+                    want = reference_quantify_mismatch(votes, rel, alpha=alpha)
+                    assert [x.hex() for x in (got.l_b, got.l_b_miss, got.l_b_spur)] == \
+                        [x.hex() for x in (want.l_b, want.l_b_miss, want.l_b_spur)]
+                    assert all(type(x) is float for x in (got.l_b, got.l_b_miss, got.l_b_spur))
+        assert {1, 8, 9, 45, 89, 90} <= lengths
+
+
+def reference_vote_table(obj):
+    """``VoteTable.from_json`` as it was, parsing every key anew."""
+    def key(k):
+        i, j = k.split(",")
+        return (int(i), int(j))
+
+    return VoteTable(m=int(obj["m"]), s={key(k): float(v) for k, v in obj["s"].items()},
+                     votes={key(k): list(v) for k, v in obj.get("votes", {}).items()})
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the reference decides which exceptions count
+        return type(exc), str(exc)
+
+
+class TestReferenceVoteTable:
+    @pytest.mark.parametrize("key", ["a,b", "1", "1,2,3", " 1,02", "0,1", "", ",", "1,", "-1,2", "1_0,2", "١,٢"])
+    def test_each_key_parses_or_fails_as_the_reference(self, key):
+        table = {"m": 5, "s": {key: 0.4}, "votes": {key: [1, 0, 1, 0, 0]}}
+        want = outcome(reference_vote_table, table)
+        for _ in range(2):  # a failing key is not remembered: the second call fails again
+            assert outcome(VoteTable.from_json, table) == want
+
+    def test_round_trips_match_the_reference(self):
+        rng = np.random.default_rng(30)
+        for n in range(2, 11):
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            votes = {p: [int(v) for v in rng.integers(0, 2, 5)] for p in pairs}
+            table = VoteTable(s={p: sum(v) / 5 for p, v in votes.items()}, m=5, votes=votes).to_json()
+            got = VoteTable.from_json(table)
+            assert got == reference_vote_table(table)
+            assert list(got.s) == pairs and all(type(k) is int for pair in got.s for k in pair)
 
 
 class TestFallacies:

@@ -36,6 +36,7 @@ from causaltext.gateway import (
     JSON_REASK,
     ROLE_DEFAULTS,
     SYSTEM_MESSAGE,
+    TEMPLATE_SPECS,
     BackendProfile,
     CacheGet,
     Gateway,
@@ -98,6 +99,76 @@ class TestTemplates:
 
     def test_format_matrix(self):
         assert format_matrix(np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]])) == "011\n000\n100"
+
+
+def reference_format_matrix(adj) -> str:
+    """``format_matrix`` as it was, one ``str(int(v))`` per numpy scalar."""
+    a = np.asarray(adj, dtype=int)
+    return "\n".join("".join(str(int(v)) for v in row) for row in a)
+
+
+def reference_serialize_binding(value) -> str:
+    """``_serialize_binding`` as it was, every list through an object array."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    arr = np.asarray(value, dtype=object)
+    if arr.ndim == 2:
+        return reference_format_matrix(value)
+    if arr.ndim == 1:
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
+def reference_render(template, bindings) -> str:
+    text = template.body
+    for name in template.placeholders:
+        text = text.replace(f"[{name}]", reference_serialize_binding(bindings[name]))
+    return text
+
+
+class Label(str):
+    pass
+
+
+class TestReferenceRender:
+    """Prompts render to the same text as the numpy-scalar serialization did."""
+
+    MATRIX_NAMES = {"Matrix", "Adjacency Matrix"}
+    LIST_NAMES = {"Concepts", "Important concepts", "Assignment"}
+    CONCEPT_LISTS = [
+        [], (), ("Rain", "Wet grass"), ["Rain", "Wet grass", "Slippery road"], ["Regen", "Nässe", "雨", "Glätte"],
+        ["Node 0: Rain", "Node 1: Wet grass"], [Label("Rain"), "Wet grass"], ["Rain", 2], [""], ["a, b", "c"],
+    ]
+
+    def matrices(self):
+        rng = np.random.default_rng(30)
+        for n in range(1, 8):
+            for _ in range(3):
+                a = (rng.random((n, n)) < 0.4).astype(np.int8)
+                np.fill_diagonal(a, 0)
+                yield from (a, a.astype(bool), a.astype(np.int64), a.tolist(), a.astype(bool).tolist(), a.T)
+
+    def test_format_matrix_matches_reference(self):
+        for adj in self.matrices():
+            assert format_matrix(adj) == reference_format_matrix(adj)
+
+    @pytest.mark.parametrize("name", list(TEMPLATE_SPECS))
+    def test_every_template_renders_as_the_reference(self, name):
+        template = load_template(name)
+        others = {"N": [3, np.int64(7), np.int8(2)], "Text": ["Rain falls.", "Regen fällt; 雨"]}
+        for adj, concepts, other in itertools.product(self.matrices(), self.CONCEPT_LISTS, range(2)):
+            bindings = {}
+            for ph in template.placeholders:
+                if ph in self.MATRIX_NAMES:
+                    bindings[ph] = adj
+                elif ph in self.LIST_NAMES:
+                    bindings[ph] = concepts
+                else:
+                    choices = others.get(ph, ["Rain", "Wet grass -> Mud (Node 1 -> Node 2)"])
+                    bindings[ph] = choices[other % len(choices)]
+            assert render_prompt(template, bindings) == reference_render(template, bindings), bindings
 
 
 class TestPayload:

@@ -75,6 +75,20 @@ def damage_line(path, num, how):
         fh.writelines(lines)
 
 
+def file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def records_digest(path):
+    """sha256 over a store's records, each without ``created_at``, in key order."""
+    records = hashlib.sha256()
+    for _, obj in store_mod.read_jsonl(path):
+        del obj["created_at"]
+        records.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
+    return records.hexdigest()
+
+
 DAMAGE_MESSAGES = {"array": "not a JSON object", "latin1": "not UTF-8 text ("}
 # "KEY VALUE" (the record with KEY set to VALUE) or "spec.KEY VALUE" -> what the store's error line says of it
 FIELD_DAMAGE = {
@@ -185,6 +199,21 @@ class TestStore:
         assert mf.median_tokens == 300
         assert mf.total_tokens == 1300
         assert mf.errors == 1
+
+    def test_manifest_from_the_index_equals_a_fresh_read(self, tmp_path):
+        """Counted from what one store object read and appended, or from another object's read."""
+        path = str(tmp_path / "s.jsonl")
+        SampleStore(path).append(make_record("a", error="TransportError: x"))
+        st = SampleStore(path)
+        st.append(make_record("b", n=4, tokens=70))
+        st.append(make_record("a", iterations=None, status=None))
+        for sid, tokens in (("c", {}), ("d", {"calls": 3})):
+            st.append(SampleRecord(**{**vars(make_record(sid, n=5)), "tokens": tokens}))
+        st.append(make_record("e", error="VerificationError: y"))
+        mf = RunManifest.from_store(st, config={}, seed=0)
+        assert mf == RunManifest.from_store(SampleStore(path), config={}, seed=0)
+        assert (mf.per_n_counts, mf.errors, mf.success_rate, mf.median_iterations, mf.median_tokens,
+                mf.total_tokens) == ({3: 2, 4: 1, 5: 2}, 1, 1.0, 1, 70, 170)
 
 
 class TestStartup:
@@ -585,37 +614,39 @@ class TestGenerateEvaluate:
 
     def test_oracle_outputs_are_pinned(self, tmp_path):
         """Graph files, store records (less ``created_at``), manifest and cache
-        log of a seeded oracle run hash to the values a refactor must keep."""
+        log of a seeded oracle run hash to the values a refactor must keep; so
+        do the records and manifest of a second, warm run over the same cache
+        into a new store (the warm digests were computed before the warm path
+        stopped calling numpy on per-sample values)."""
         runner = CliRunner()
-        graphs, store, cache = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "cache.jsonl"))
+        graphs, store, cache, warm = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "cache.jsonl", "w.jsonl"))
         r = runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "3", "--seed", "3"])
         assert r.exit_code == 0, r.output
         r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", store, "--cache", cache,
+                                 "--mock-script", '{"mode": "oracle"}'])
+        assert r.exit_code == 0, r.output
+        cache_digest = file_digest(cache)
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", warm, "--cache", cache,
                                  "--mock-script", '{"mode": "oracle"}'])
         assert r.exit_code == 0, r.output
         files = hashlib.sha256()
         for name in sorted(os.listdir(graphs)):
             with open(os.path.join(graphs, name), "rb") as fh:
                 files.update(name.encode() + b"\0" + fh.read())
-        records = hashlib.sha256()
-        for _, obj in store_mod.read_jsonl(store):
-            del obj["created_at"]
-            records.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
-
-        def file_digest(path):
-            with open(path, "rb") as fh:
-                return hashlib.sha256(fh.read()).hexdigest()
-
         assert {
             "graphs": files.hexdigest(),
-            "store": records.hexdigest(),
+            "store": records_digest(store),
             "manifest": file_digest(store + ".manifest.json"),
-            "cache": file_digest(cache),
+            "cache": cache_digest,
+            "warm store": records_digest(warm),
+            "warm manifest": file_digest(warm + ".manifest.json"),
         } == {
             "graphs": "b1a1aadd3b568386ff82f4aeac7c5dd40c4f885c74a8ad934e2c8a8e846ecb84",
             "store": "40f1299c1c0f59aafc99ab24bfde15b1047657a17ef8b854252d994bef1a44c8",
             "manifest": "b42e5501b05a741e81fbf775a780fd8dd0761209251bbc23585ff513b8cce812",
             "cache": "d74ce07b02b099af922e58801fb488f6da1ee85a7be5b379c8497f90e21e3a46",
+            "warm store": "bcd48572f0aac88259997da4a7f42c2ff1d36f262acccf86e74590eb62f35412",
+            "warm manifest": "cfdc48c2b0d4403f6ffeeb858a41ca4dd6e0663218eb51ccbbf71fba627450d3",
         }
 
     def test_transfer_outputs_are_pinned(self, tmp_path):
@@ -811,7 +842,8 @@ class TestGenerateEvaluate:
         for n, agg in result["per_n"].items():
             assert agg["f1"]["mean"] == 1.0
 
-    def test_evaluate_reads_store_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["evaluate", "generate --resume"])
+    def test_reads_store_once(self, tmp_path, monkeypatch, command):
         runner, graphs, store = self.run_pipeline(tmp_path)
         calls = []
 
@@ -821,9 +853,40 @@ class TestGenerateEvaluate:
 
         read_jsonl = store_mod.read_jsonl
         monkeypatch.setattr(store_mod, "read_jsonl", counting_read_jsonl)
-        r = runner.invoke(main, ["evaluate", "--store", store])
+        args = {
+            "evaluate": ["evaluate", "--store", store],
+            "generate --resume": ["generate", "--graphs", graphs, "--out", store,
+                                  "--mock-script", '{"mode": "oracle"}', "--resume"],
+        }[command]
+        r = runner.invoke(main, args)
         assert r.exit_code == 0, r.output
         assert calls == [store]
+
+    def assert_manifest_is_a_fresh_count(self, store):
+        """The manifest generate wrote is the one a fresh read of its store counts."""
+        with open(store + ".manifest.json") as fh:
+            written = json.load(fh)
+        fresh = RunManifest.from_store(SampleStore(store), config=written["config"], seed=written["seed"])
+        assert json.loads(json.dumps(fresh.to_json())) == written
+
+    def test_written_manifest_is_a_fresh_count(self, tmp_path):
+        """A fresh run, a failed run resumed by an oracle, and a resume that skips every id."""
+        runner, graphs, store = self.run_pipeline(tmp_path, per_n=2)
+        self.assert_manifest_is_a_fresh_count(store)
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", store, "--mock-script",
+                                 '{"mode": "oracle"}', "--resume"])
+        assert r.exit_code == 0 and "generated 0, failed 0, skipped 16;" in r.output, r.output
+        self.assert_manifest_is_a_fresh_count(store)
+        failing = str(tmp_path / "failing.jsonl")
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", failing, "--mock-script", '{"rules": []}'])
+        assert r.exit_code == 1, r.output
+        self.assert_manifest_is_a_fresh_count(failing)
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", failing, "--mock-script",
+                                 '{"mode": "oracle"}', "--resume"])
+        assert r.exit_code == 0 and "generated 16, failed 0, skipped 0;" in r.output, r.output
+        self.assert_manifest_is_a_fresh_count(failing)
+        with open(failing + ".manifest.json") as fh:
+            assert json.load(fh)["errors"] == 0
 
     def test_evaluate_with_reference_dir(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)

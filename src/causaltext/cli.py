@@ -37,7 +37,7 @@ DEFAULT_POOL = [
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)  # a value is read as written, % included
     # defaults mirror the reference generation settings
     cfg.read_dict(
         {
@@ -133,7 +133,7 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--per-n", type=int, default=None, help="graphs per variable count")
 def graphgen(config_path, seed, out, per_n):
@@ -362,7 +362,7 @@ def evaluate(store_path, reference, out):
 @click.option("--scores", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--b-perms", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--b-boot", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--exhaustive/--sampled", "exhaustive", default=None,
               help="force the permutation mode (default: auto)")
 @click.option("--loo", is_flag=True, help="also report leave-one-algorithm-out tables")

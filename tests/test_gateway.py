@@ -531,19 +531,24 @@ class TestHttpBackend:
         with pytest.raises(AuthError):
             HttpBackend("http://localhost:1/v1", "NO_SUCH_KEY")
 
-    @pytest.mark.parametrize("key, named", [
-        (None, "no credential in $SOME_KEY"),
-        ("secret", "endpoint must be an http:// or https:// URL, got ''"),
+    @pytest.mark.parametrize("env, key, named", [
+        ("CAUSALTEXT_API_KEY", None, "no credential in $CAUSALTEXT_API_KEY"),  # no --config: the defaults
+        ("SOME_KEY", None, "no credential in $SOME_KEY"),
+        ("SOME_KEY", "secret", "endpoint must be an http:// or https:// URL, got ''"),
     ])
-    def test_a_missing_credential_or_endpoint_stops_generate_before_the_store(self, monkeypatch, tmp_path, key, named):
+    def test_a_missing_credential_or_endpoint_stops_generate_before_the_store(self, monkeypatch, tmp_path, env, key,
+                                                                              named):
         if key is None:
-            monkeypatch.delenv("SOME_KEY", raising=False)
+            monkeypatch.delenv(env, raising=False)
         else:
-            monkeypatch.setenv("SOME_KEY", key)
+            monkeypatch.setenv(env, key)
         graphs, out, cfg = str(tmp_path / "graphs"), str(tmp_path / "s.jsonl"), tmp_path / "c.ini"
         assert CliRunner().invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
-        cfg.write_text("[backends]\ncredential_env = SOME_KEY\n")  # and the default endpoint, none
-        r = CliRunner().invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
+        config = []
+        if env != "CAUSALTEXT_API_KEY":
+            cfg.write_text(f"[backends]\ncredential_env = {env}\n")  # and the default endpoint, none
+            config = ["--config", str(cfg)]
+        r = CliRunner().invoke(main, ["generate", *config, "--graphs", graphs, "--out", out])
         assert r.exit_code == 1 and r.output == f"Error: {named}\n"
         assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
 

@@ -14,7 +14,8 @@ import causaltext
 from causaltext import store as store_mod
 from causaltext.assignment import ASSIGNMENT_KEY, ConceptAssignment, FallacySet, LoopResult, MismatchReport, VoteTable
 from causaltext.cli import _write_json, load_config, loop_config_from, main, sample_seed
-from causaltext.errors import CorruptLine, InvalidConfig, InvalidSpec
+from causaltext.errors import AuthError, CorruptLine, InvalidConfig, InvalidSpec
+from causaltext.gateway import HttpBackend
 from causaltext.graphs import Dag, GraphSpec
 from causaltext.metrics import MetricReport
 from causaltext.store import RunManifest, SampleRecord, SampleStore
@@ -249,6 +250,27 @@ class TestStartup:
             out = subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True, text=True, check=True)
             assert out.stdout.strip() == want
 
+    @pytest.mark.parametrize("args, status, stdout, stderr", [
+        (["consensus", "--ratings", "r.csv", "--raters", "2"], 0, "alpha=1.0000, texts=1, borderline_edges=0\n", ""),
+        (["consensus", "--ratings", "r.csv", "--raters", "0"], 2, "",
+         "\n\nError: Invalid value for '--raters': 0 is not in the range x>=1.\n"),
+        (["transfer", "--scores", os.path.join(DATA, "scores_gpt5.csv"), "--out", "missing/t.json"], 1, "",
+         "Error: --out: cannot write missing/t.json: No such file or directory\n"),
+    ], ids=["success", "usage-error", "error"])
+    def test_module_run_keeps_stderr_apart_from_stdout(self, tmp_path, args, status, stdout, stderr):
+        """``python -m causaltext.cli`` in a process of its own: the exit status, and stdout and stderr as
+        separate streams, for a success, a usage error (click's usage lines, then the error) and an ``Error:`` line."""
+        (tmp_path / "r.csv").write_text("text_id,i,j,rater_id,label\nt1,0,1,0,1\nt1,0,1,1,1\nt1,1,0,0,0\nt1,1,0,1,0\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(causaltext.__file__)))
+        out = subprocess.run([sys.executable, "-m", "causaltext.cli", *args], cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (status, stdout)
+        if status == 2:
+            assert out.stderr.startswith("Usage: ") and out.stderr.endswith(stderr), out.stderr
+        else:
+            assert out.stderr == stderr
+        assert sorted(os.listdir(tmp_path)) == ["r.csv"]
+
 
 class TestConfig:
     def test_defaults(self):
@@ -281,6 +303,33 @@ class TestConfig:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
         assert r.output == f"Error: cannot read config file {config}: Is a directory\n"
         assert sorted(os.listdir(tmp_path)) == ["conf", "graphs"]
+
+    def test_a_percent_in_a_value_is_read_verbatim(self, tmp_path, monkeypatch):
+        """No ``%`` interpolation: the domain reaches the manifest, and a percent-encoded endpoint the backend, as written."""
+        endpoint = "http://localhost:1/v1/chat%2Fcompletions"
+        p = tmp_path / "c.ini"
+        p.write_text(f"[phase3]\ndomain = 50% retail\n[backends]\nendpoint = {endpoint}\ncredential_env = SOME_KEY\n")
+        built = []
+
+        class Recording(HttpBackend):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.endpoint)
+                raise AuthError("stopped before the first call")
+
+        monkeypatch.setattr("causaltext.cli.HttpBackend", Recording)
+        monkeypatch.setenv("SOME_KEY", "secret")
+        runner = CliRunner()
+        graphs, store = str(tmp_path / "graphs"), str(tmp_path / "s.jsonl")
+        assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        gen = ["generate", "--config", str(p), "--graphs", graphs]
+        r = runner.invoke(main, [*gen, "--out", store, "--mock-script", '{"mode": "oracle"}'])
+        assert r.exit_code == 0, r.exception
+        with open(store + ".manifest.json") as fh:
+            assert json.load(fh)["config"]["domain"] == "50% retail"
+        r = runner.invoke(main, [*gen, "--out", str(tmp_path / "live.jsonl")])
+        assert r.exit_code == 1 and r.output == "Error: stopped before the first call\n", r.exception
+        assert built == [endpoint]
 
     def test_out_of_range_values(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -381,6 +430,16 @@ class TestGraphgenCommand:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
         assert r.output == "Error: phase1.per_n: need at least 1 graph per n, got -2\n"
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("command", ["graphgen", "transfer"])
+    def test_negative_seed_is_a_usage_error_before_any_file(self, tmp_path, command):
+        args = {"graphgen": ["graphgen", "--out", str(tmp_path / "g"), "--per-n", "1"],
+                "transfer": ["transfer", "--scores", os.path.join(DATA, "scores_gpt5.csv"),
+                             "--out", str(tmp_path / "t.json")]}[command]
+        r = CliRunner().invoke(main, [*args, "--seed", "-1"])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.exception
+        assert "Invalid value for '--seed': -1 is not in the range x>=0." in r.output
+        assert os.listdir(tmp_path) == []
 
 
 class TestGenerateEvaluate:
@@ -626,6 +685,7 @@ class TestGenerateEvaluate:
                                  "--mock-script", '{"mode": "oracle"}'])
         assert r.exit_code == 0, r.output
         cache_digest = file_digest(cache)
+        assert runner.invoke(main, ["cache", "--cache", cache]).output == "24 cached entries\n"  # a vote table per graph
         r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", warm, "--cache", cache,
                                  "--mock-script", '{"mode": "oracle"}'])
         assert r.exit_code == 0, r.output
@@ -863,11 +923,14 @@ class TestGenerateEvaluate:
         assert calls == [store]
 
     def assert_manifest_is_a_fresh_count(self, store):
-        """The manifest generate wrote is the one a fresh read of its store counts."""
+        """The manifest file generate wrote is, byte for byte, the one a fresh read of its store saves."""
         with open(store + ".manifest.json") as fh:
-            written = json.load(fh)
-        fresh = RunManifest.from_store(SampleStore(store), config=written["config"], seed=written["seed"])
-        assert json.loads(json.dumps(fresh.to_json())) == written
+            written = fh.read()
+        settings = json.loads(written)
+        fresh = RunManifest.from_store(SampleStore(store), config=settings["config"], seed=settings["seed"])
+        fresh.save(store + ".fresh.json")
+        with open(store + ".fresh.json") as fh:
+            assert fh.read() == written
 
     def test_written_manifest_is_a_fresh_count(self, tmp_path):
         """A fresh run, a failed run resumed by an oracle, and a resume that skips every id."""
@@ -1060,7 +1123,7 @@ class TestGenerateEvaluate:
         r = runner.invoke(main, ["evaluate", "--store", store, "--reference", str(refs)])
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # a click error, not a traceback
-        assert "'n3_00000'" in r.output
+        assert "id 'n3_00000'" in r.stderr
 
 class TestTransferCommand:
     def test_table_output(self, tmp_path):
@@ -1237,6 +1300,16 @@ class TestConsensusCommand:
         result = json.loads(out.read_bytes())
         assert list(result["texts"]) == ["a", "b", "c"] and result["texts"]["c"]["removed"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == "398bde32c80238ac289f854f5c7cc38fbbd02b8fcd5157d24db59233d3b80cc0"
+
+    def test_spelled_numbers_and_blank_lines_read_as_the_plain_csv(self, tmp_path):
+        """``00``, `` 1`` and ``+0`` are the numbers 0, 1 and 0, and a blank line is no row."""
+        plain, spelled = tmp_path / "plain.csv", tmp_path / "spelled.csv"
+        plain.write_text("text_id,i,j,rater_id,label\nt1,0,1,0,1\nt1,0,1,1,1\nt1,1,0,0,0\nt1,1,0,1,0\n")
+        spelled.write_text("text_id,i,j,rater_id,label\nt1,00, 1,0,1\n\nt1,0, 1,1,1\nt1, 1,00,0,+0\nt1,1,0,1,0\n")
+        runs = [CliRunner().invoke(main, ["consensus", "--ratings", str(path), "--raters", "2",
+                                          "--out", str(path) + ".json"]) for path in (plain, spelled)]
+        assert [r.output for r in runs] == ["alpha=1.0000, texts=1, borderline_edges=0\n"] * 2
+        assert (tmp_path / "spelled.csv.json").read_bytes() == (tmp_path / "plain.csv.json").read_bytes()
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = str(tmp_path / "r.csv")

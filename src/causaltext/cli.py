@@ -14,7 +14,15 @@ import numpy as np
 from . import consensus as consensus_mod
 from . import transfer as transfer_mod
 from .assignment import LoopConfig, run_loop_steps
-from .errors import CacheIoError, CausaltextError, InvalidConfig, MissingReference, TooFewAlgorithms, open_utf8
+from .errors import (
+    CacheIoError,
+    CausaltextError,
+    InvalidConfig,
+    InvalidSpec,
+    MissingReference,
+    TooFewAlgorithms,
+    open_utf8,
+)
 from .gateway import (
     BackendProfile,
     Gateway,
@@ -90,7 +98,9 @@ def sample_seed(master: int, *path) -> int:
 def _write_json(path: str, obj, **dump_args) -> None:
     """``json.dumps(obj, **dump_args)`` into ``path``, in one write; an ``OSError`` ends the command as an ``--out`` error.
 
-    ``json.dump`` would stream through the pure-Python encoder; ``dumps`` gives the same text from the C one.
+    ``dumps`` gives the same text as ``json.dump`` would.  Only a compact dump, as of the graph files,
+    goes through the C encoder.  With ``indent`` set, as for ``evaluate``, ``consensus`` and
+    ``transfer``, CPython 3.10-3.12 encode in pure Python either way.
     """
     text = json.dumps(obj, **dump_args)
     try:
@@ -146,6 +156,11 @@ def graphgen(config_path, seed, out, per_n):
         raise InvalidConfig(f"{where}: need at least 1 graph per n, got {per_n}")
     if n_min > n_max:
         raise InvalidConfig(f"phase1.n_min: {n_min} is above phase1.n_max ({n_max})")
+    for key, n in (("n_min", n_min), ("n_max", n_max)):
+        try:
+            sample_spec_space(n, seed)  # the owner of the n range refuses one outside it, before any file
+        except InvalidSpec as exc:
+            raise InvalidConfig(f"phase1.{key}: {exc}")
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:

@@ -22,7 +22,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,14 +149,15 @@ class UsageLedger:
         self._per_sample: dict = {}
         self._totals = {"input": 0, "output": 0, "total": 0, "calls": 0}
 
-    def record(self, sample_id, input_tokens: int, output_tokens: int) -> None:
+    def record(self, sample_id, input_tokens: int, output_tokens: int, *, calls: int = 1) -> None:
+        """Add ``calls`` calls that together used these tokens to ``sample_id``'s counts."""
         ti, to = int(input_tokens), int(output_tokens)
         acc = self._per_sample.setdefault(sample_id, dict.fromkeys(self._totals, 0))
         for counts in (acc, self._totals):
             counts["input"] += ti
             counts["output"] += to
             counts["total"] += ti + to
-            counts["calls"] += 1
+            counts["calls"] += calls
 
     def per_sample(self) -> dict:
         return {sid: dict(counts) for sid, counts in self._per_sample.items()}
@@ -206,13 +207,20 @@ class HttpBackend:
         # the connection factory, the request target and the headers of every request
         self._connect, self._target, proxy_headers = self._resolve_route()
         self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json", **proxy_headers}
+        self._last_payload = self._last_body = None  # the last payload submitted, and its encoded body
 
     def complete(self, payload: dict, meta: dict | None = None):
         return self.submit(payload, meta).result()
 
     def submit(self, payload: dict, meta: dict | None = None) -> "PendingReply":
-        """Write one request and return the handle that reads its reply."""
-        return PendingReply(self, payload)
+        """Write one request and return the handle that reads its reply.
+
+        The body of the last payload handed in is kept, so a payload sent
+        several times in a row, as a pair's votes are, is encoded once.
+        """
+        if payload is not self._last_payload:
+            self._last_payload, self._last_body = payload, json.dumps(payload).encode("utf-8")
+        return PendingReply(self, payload, self._last_body)
 
     def _resolve_route(self):
         import http.client
@@ -275,10 +283,10 @@ class PendingReply:
     connection the unread reply would arrive on.
     """
 
-    def __init__(self, backend: HttpBackend, payload: dict):
+    def __init__(self, backend: HttpBackend, payload: dict, body: bytes):
         self._backend = backend
         self._prompt = payload["messages"][1]["content"]
-        self._body = json.dumps(payload).encode("utf-8")
+        self._body = body
         self._conn = None
         self._error: Exception | None = None
         self._send()
@@ -607,6 +615,11 @@ JSON_REASKS = 2  # re-asks of a reply that is not a JSON object with the expecte
 class Gateway:
     """Ties a backend, a usage ledger, and a response cache together.
 
+    A request's payload is built once and handed to the backend on each of
+    its sends (a pair's m votes send one request m times), so a backend must
+    not change a payload it is handed.  The ledger is updated once per
+    sample, when the sample ends, with every call read for it.
+
     Every request goes through one scheduler, ``run_samples``, which keeps up
     to ``max_in_flight`` requests pending at once, from any number of open
     sample pipelines, all on the calling thread.  The window is shared by
@@ -634,21 +647,17 @@ class Gateway:
         self._submit = submit or functools.partial(_Deferred, backend)
         self._window = max_in_flight if submit else 1
 
-    def _send(self, profile: BackendProfile, prompt: str, template: str | None):
+    def _send(self, payload: dict, meta: dict):
         """Write one request; returns the handle its reply is read from."""
-        handle = self._submit(build_payload(profile, prompt), {"template": template})
+        handle = self._submit(payload, meta)
         self.calls_made += 1
         return handle
 
-    def _read(self, handle, sample_id):
-        """Read one reply and record its usage against ``sample_id``."""
-        text, usage = handle.result()
+    def complete(self, profile: BackendProfile, prompt: str, template: str | None = None, sample_id=None):
+        """One request's raw reply text and usage, recorded against ``sample_id``."""
+        text, usage = self._send(build_payload(profile, prompt), {"template": template}).result()
         self.ledger.record(sample_id, usage.get("input_tokens", 0), usage.get("output_tokens", 0))
         return text, usage
-
-    def complete(self, profile: BackendProfile, prompt: str, template: str | None = None, sample_id=None):
-        """One request's raw reply text and usage."""
-        return self._read(self._send(profile, prompt, template), sample_id)
 
     def run_samples(self, samples):
         """Run sample pipelines side by side through one window of requests.
@@ -678,8 +687,11 @@ class Gateway:
         ``CausaltextError`` that ended it (raised in ``steps`` or by the
         backend).  Such an error ends only its own sample, whose pending
         requests are cancelled; any other exception cancels every pending
-        request and propagates.  Usage is recorded
-        against each sample's id.
+        request and propagates.  Usage is recorded against each sample's id
+        in one ledger update per sample: when the sample ends, before it is
+        yielded, or, for a sample still open, as an exception propagates.
+        Each request's payload is built once and shared by its sends, so
+        neither the backend nor the pipeline may change it.
         """
         return _Scheduler(self, samples).run()
 
@@ -707,13 +719,23 @@ class Gateway:
 class Request:
     """One request of a sample pipeline: ``prompt`` is sent with ``profile``,
     and re-asked up to ``JSON_REASKS`` times until the reply is a JSON
-    object with every one of ``expected_keys``.  A batch may hold one
-    request several times, so it is not changed once yielded."""
+    object with every one of ``expected_keys``.  Its payload is built once,
+    when it is made, and every send of it hands the backend that one
+    payload; a re-ask builds its own.  A batch may hold one request several
+    times, so neither the request nor its payload is changed once made."""
 
     profile: BackendProfile
     prompt: str
     expected_keys: tuple
     template: str | None = None
+    _payload: dict = field(init=False, repr=False, compare=False)
+    _meta: dict = field(init=False, repr=False, compare=False)
+    _keys: frozenset = field(init=False, repr=False, compare=False)  # expected_keys, for the reply check
+
+    def __post_init__(self):
+        self._payload = build_payload(self.profile, self.prompt)
+        self._meta = {"template": self.template}
+        self._keys = frozenset(self.expected_keys)
 
 
 @dataclass(frozen=True)
@@ -775,7 +797,8 @@ _UNREAD = object()  # a reply slot whose final reply has not been read yet
 class _Sample:
     """An admitted pipeline and where it stands in its current batch."""
 
-    __slots__ = ("sample_id", "steps", "batch", "replies", "given", "upto", "sent", "result", "error", "done")
+    __slots__ = ("sample_id", "steps", "batch", "replies", "given", "upto", "sent", "result", "error", "done",
+                 "input_tokens", "output_tokens", "calls")
 
     def __init__(self, sample_id, steps):
         self.sample_id = sample_id
@@ -787,6 +810,8 @@ class _Sample:
         self.sent = 0  # requests of the batch written so far
         self.result = self.error = None
         self.done = False
+        # the usage of every reply read for the sample, given to the ledger when it ends
+        self.input_tokens = self.output_tokens = self.calls = 0
 
 
 class _Scheduler:
@@ -829,6 +854,8 @@ class _Scheduler:
             pending.clear()
             for s in order:
                 s.steps.close()
+                if not s.done:  # the run stops with the sample open; what it read is billed all the same
+                    self._bill(s)
 
     def _fill(self) -> None:
         pending, window, queued = self.pending, self.window, self.queued
@@ -852,11 +879,12 @@ class _Scheduler:
     def _send(self, s: _Sample, index: int, attempt: int) -> None:
         """Write request ``index`` of the sample's batch, as its ``attempt``-th re-ask if not 0."""
         request = s.batch[index]
-        prompt = request.prompt
+        payload = request._payload
         if attempt:
-            prompt += "\n\n" + JSON_REASK.format(keys=", ".join(repr(k) for k in request.expected_keys))
+            note = JSON_REASK.format(keys=", ".join(repr(k) for k in request.expected_keys))
+            payload = build_payload(request.profile, request.prompt + "\n\n" + note)
         try:
-            handle = self.gw._send(request.profile, prompt, request.template)
+            handle = self.gw._send(payload, request._meta)
         except CausaltextError as exc:
             self._end(s, error=exc)
             self._drain()
@@ -866,7 +894,7 @@ class _Scheduler:
     def _read(self, s: _Sample, index: int, attempt: int, handle) -> None:
         request = s.batch[index]  # a pending request's batch is its sample's current one
         try:
-            text, _ = self.gw._read(handle, s.sample_id)
+            text, usage = handle.result()
         except MalformedOutput as exc:
             reply = exc
         except CausaltextError as exc:
@@ -874,8 +902,12 @@ class _Scheduler:
             self._drain()
             return
         else:
+            ti, to = int(usage.get("input_tokens", 0)), int(usage.get("output_tokens", 0))
+            s.input_tokens += ti
+            s.output_tokens += to
+            s.calls += 1
             reply = _extract_json(text)
-            if reply is None or not all(k in reply for k in request.expected_keys):
+            if reply is None or not reply.keys() >= request._keys:
                 if attempt < JSON_REASKS:
                     self._send(s, index, attempt + 1)  # on the slot this read freed
                     return
@@ -959,6 +991,7 @@ class _Scheduler:
         self._drop(s)
         s.steps.close()
         s.result, s.error, s.done = result, error, True
+        self._bill(s)
         for key, claim in list(self.claims.items()):
             if claim[0] is s:
                 # the next waiter computes the key itself, as a sequential run would
@@ -967,6 +1000,11 @@ class _Scheduler:
                     self.ready.append((claim[0], None))
                 else:
                     del self.claims[key]
+
+    def _bill(self, s: _Sample) -> None:
+        """Record the usage of every reply read for the sample, in one ledger update."""
+        if s.calls:
+            self.gw.ledger.record(s.sample_id, s.input_tokens, s.output_tokens, calls=s.calls)
 
 
 def _extract_json(text: str):

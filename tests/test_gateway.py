@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import hashlib
 import http.server
@@ -39,6 +40,7 @@ from causaltext.gateway import (
     TEMPLATE_SPECS,
     BackendProfile,
     CacheGet,
+    CachePut,
     Gateway,
     HttpBackend,
     OracleMockBackend,
@@ -842,9 +844,11 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self):
         stub = self.server.stub
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.loads(raw)
         with stub.lock:
             stub.requests += 1
+            stub.bodies.append(raw)
             stub.targets.append(self.path)
             stub.headers.append(self.headers)
             scripted = stub.responses.pop(0) if stub.responses else None
@@ -874,15 +878,15 @@ class StubServer:
     """A keep-alive chat-completion stub on 127.0.0.1, one thread per connection.
 
     It replies ``reply(prompt)`` (by default ``{"k": prompt}``), or the next
-    scripted ``(status, body)`` in ``responses``, and counts connections and
-    requests.  With ``close_after_reply`` it closes each connection after
+    scripted ``(status, body)`` in ``responses``, counts connections and
+    requests, and keeps each request's body as received.  With ``close_after_reply`` it closes each connection after
     one reply without saying so in its headers.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
         self.reply = lambda prompt: json.dumps({"k": prompt})
-        self.responses, self.targets, self.headers = [], [], []
+        self.responses, self.targets, self.headers, self.bodies = [], [], [], []
         self.connections = self.requests = 0
         self.close_after_reply = False
         self.closed = threading.Event()
@@ -1416,3 +1420,182 @@ class TestGenIdRefineSideBySide:
             assert error is None and revisions == min(edge_count, 3)
             assert [t["mismatch"] for t in trace] == list(range(edge_count, edge_count - revisions - 1, -1))
             assert (paragraph.to_json(), revisions, trace) == (alone[0].to_json(), *alone[1:])
+
+
+class UsageBackend:
+    """A backend without ``submit`` whose usage per prompt is known.  A prompt
+    is ``"<sample id>:<k>"``, a re-ask that plus its note; the reply is
+    ``{"k": prompt}``, except a first ask in ``prose``, which gets prose, and a
+    prompt in ``broken``, which raises TransportError.  ``served`` holds, per
+    sample id, the usage of every reply handed back, in the ledger's form."""
+
+    def __init__(self, prose=(), broken=()):
+        self.prose, self.broken = set(prose), set(broken)
+        self.served = {}
+
+    def complete(self, payload, meta=None):
+        prompt = payload["messages"][1]["content"]
+        ask = prompt.split("\n\n")[0]
+        if ask in self.broken:
+            raise TransportError("gone")
+        text = "no JSON here" if prompt in self.prose else json.dumps({"k": ask})
+        usage = {"input_tokens": len(prompt), "output_tokens": 1 + len(ask) % 7}
+        counts = self.served.setdefault(ask.split(":")[0], dict.fromkeys(("input", "output", "total", "calls"), 0))
+        counts["input"] += usage["input_tokens"]
+        counts["output"] += usage["output_tokens"]
+        counts["total"] += usage["input_tokens"] + usage["output_tokens"]
+        counts["calls"] += 1
+        return text, usage
+
+    def totals(self):
+        return {key: sum(counts[key] for counts in self.served.values()) for key in ("input", "output", "total", "calls")}
+
+
+class UsageSubmitBackend(UsageBackend):
+    """A ``UsageBackend`` with ``submit``: a reply is served when it is read, and a cancelled one never."""
+
+    class Handle:
+        def __init__(self, backend, payload):
+            self.backend, self.payload = backend, payload
+
+        def result(self):
+            return self.backend.complete(self.payload)
+
+        def cancel(self):
+            pass
+
+    def submit(self, payload, meta=None):
+        return self.Handle(self, payload)
+
+
+def usage_steps(sid, sizes, key=None):
+    """A pipeline of one batch of ``"<sid>:<k>"`` prompts per entry of ``sizes``,
+    its result cached under ``key`` if given and taken from the cache if there."""
+    if key is not None:
+        cached = yield CacheGet(key)
+        if cached is not None:
+            return cached
+    replies, k = [], 0
+    for size in sizes:
+        yield [Request(VERIFIER, f"{sid}:{k + i}", ("k",)) for i in range(size)]
+        replies += yield size
+        k += size
+    if key is not None:
+        yield CachePut(key, replies)
+    return replies
+
+
+class TestUsageAccounting:
+    """The ledger holds, per sample, exactly the usage of the replies read for it,
+    whatever the window and however the sample ends."""
+
+    BACKENDS = [(UsageSubmitBackend, 1), (UsageSubmitBackend, 3), (UsageSubmitBackend, 8), (UsageBackend, 8)]
+
+    @pytest.mark.parametrize("make, window", BACKENDS)
+    def test_ledger_equals_what_was_served(self, make, window):
+        backend = make(prose={"p:1", "p:4"}, broken={"f:5"})
+        gw = Gateway(backend, max_in_flight=window)
+        samples = [
+            ("a", usage_steps("a", [3, 2], key="shared")),
+            ("f", usage_steps("f", [4, 4])),  # fails in its second batch, with requests of it pending
+            ("b", usage_steps("b", [3, 2], key="shared")),  # waits for the value "a" computes
+            ("p", usage_steps("p", [2, 3])),  # two prose replies, each re-asked once
+            ("q", usage_steps("q", [1])),
+        ]
+        out = {sid: (result, error) for sid, result, error in gw.run_samples(samples)}
+        assert isinstance(out["f"][1], TransportError)
+        assert out["b"] == out["a"] == ([{"k": f"a:{k}"} for k in range(5)], None)
+        assert out["p"] == ([{"k": f"p:{k}"} for k in range(5)], None)
+        assert set(backend.served) == {"a", "f", "p", "q"}  # "b" read nothing
+        assert backend.served["p"]["calls"] == 5 + 2 and backend.served["f"]["calls"] >= 4
+        assert gw.ledger.per_sample() == backend.served
+        assert gw.ledger.totals() == backend.totals()
+        assert gw.ledger.sample("b") == {"input": 0, "output": 0, "total": 0, "calls": 0}
+
+    @pytest.mark.parametrize("make, window", BACKENDS)
+    def test_usage_read_before_an_unexpected_exception_stays_in_the_ledger(self, make, window):
+        def raising(sid):
+            yield [Request(VERIFIER, f"{sid}:{k}", ("k",)) for k in range(3)]
+            yield 3
+            raise RuntimeError("boom")
+
+        backend = make(prose={"a:0"})
+        gw = Gateway(backend, max_in_flight=window)
+        samples = [("a", usage_steps("a", [4, 4])), ("r", raising("r")), ("q", usage_steps("q", [6]))]
+        with pytest.raises(RuntimeError, match="boom"):
+            list(gw.run_samples(samples))
+        assert backend.served["r"]["calls"] == 3
+        assert gw.ledger.per_sample() == backend.served
+        assert gw.ledger.totals() == backend.totals()
+
+
+class TestRequestBuiltOnce:
+    """A request's payload is built once and shared by its sends; a re-ask builds its own."""
+
+    def test_each_distinct_request_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting_build_payload(profile, prompt):
+            built.append(prompt)
+            return build_payload(profile, prompt)
+
+        monkeypatch.setattr("causaltext.gateway.build_payload", counting_build_payload)
+        asked = collections.Counter()
+
+        def reply(prompt):
+            asked[prompt] += 1
+            if "Cause candidate: F0" in prompt and "Effect candidate: F1" in prompt and asked[prompt] == 1 \
+                    and "could not be parsed" not in prompt:
+                return "let me think"  # the first of the pair's votes is re-asked, once in each sample
+            return oracle_reply(prompt)
+
+        sent, snapshots = [], {}
+
+        class Recording(WindowBackend):
+            def submit(self, payload, meta=None):
+                sent.append(payload)
+                snapshots.setdefault(id(payload), copy.deepcopy(payload))
+                return super().submit(payload, meta)
+
+        gw = Gateway(Recording(reply), max_in_flight=8)
+        assert all(error is None for _, _, error in loops_and_text(gw))
+        note = JSON_REASK.split("{")[0]
+        prompts = [payload["messages"][1]["content"] for payload in sent]
+        reasks = [prompt for prompt in prompts if note in prompt]
+        distinct = {prompt for prompt in prompts if note not in prompt}
+        assert len(reasks) == 3 and len(sent) == gw.calls_made
+        assert len(built) == len(distinct) + len(reasks) < len(sent)
+        assert all(prompt.endswith("\n\n" + JSON_REASK.format(keys="'direct cause'")) for prompt in reasks)
+        by_prompt = collections.defaultdict(list)
+        for payload, prompt in zip(sent, prompts):
+            by_prompt[prompt].append(payload)
+        votes = [group for prompt, group in by_prompt.items() if prompt.startswith("Concepts under consideration:")
+                 and note not in prompt]
+        assert votes and all(len(group) == 5 for group in votes)
+        for group in votes:
+            assert all(payload == group[0] for payload in group)
+        # no send, re-ask or backend changed a payload it was handed
+        assert all(payload == snapshots[id(payload)] for payload in sent)
+
+    def test_a_pairs_votes_reach_the_server_as_equal_bodies(self, stub):
+        def verdict(prompt):
+            if "Effect candidate: Accident" in prompt and "could not be parsed" not in prompt:
+                return "let me think"  # re-asked
+            return json.dumps({"direct cause": "yes" if "Cause candidate: Rain" in prompt else "no"})
+
+        stub.reply = verdict
+        dag = Dag(n=3, edges=np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=np.int8))
+        ca = ConceptAssignment(["Rain", "Wet grass", "Accident"], "weather")
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)
+        counterfactual_verification(ca, analyze_causal_structure(dag), dag, Gateway(b, max_in_flight=4), VERIFIER, m=5)
+        b.close()
+        bodies = collections.defaultdict(set)
+        counts = collections.Counter()
+        for raw in stub.bodies:
+            prompt = json.loads(raw)["messages"][1]["content"]
+            bodies[prompt].add(raw)
+            counts[prompt] += 1
+        first_asks = [prompt for prompt in counts if "could not be parsed" not in prompt]
+        assert len(first_asks) == 6 and all(counts[prompt] == 5 for prompt in first_asks)
+        assert len(counts) == 6 + 2  # the two pairs into "Accident" are re-asked
+        assert all(len(raws) == 1 for raws in bodies.values())

@@ -423,6 +423,18 @@ class TestGraphgenCommand:
         )
         assert r.exit_code != 0
 
+    @pytest.mark.parametrize("bounds, named", [
+        ("n_max = 11", "phase1.n_max: n must lie in 3..10 for spec-space sampling, got 11"),
+        ("n_min = 2", "phase1.n_min: n must lie in 3..10 for spec-space sampling, got 2"),
+    ], ids=["n_max-11", "n_min-2"])
+    def test_n_outside_the_sampled_range_is_one_error_line_before_any_file(self, tmp_path, bounds, named):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[phase1]\n{bounds}\n")
+        r = CliRunner().invoke(main, ["graphgen", "--out", str(tmp_path / "g"), "--per-n", "1", "--config", str(p)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+        assert r.output == f"Error: {named}\n"
+        assert not (tmp_path / "g").exists()
+
     def test_config_per_n_below_one_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[phase1]\nper_n = -2\n")

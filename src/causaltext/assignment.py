@@ -201,28 +201,24 @@ def initial_assignment(dag: Dag, domain: str, gateway, profile, sample_id=None) 
 def counterfactual_verification_steps(
     assignment: ConceptAssignment, relations: RelationSets, dag: Dag, profile, m: int = 5
 ):
-    key = make_cache_key(assignment.concepts, dag.edges, profile.model_id, "verify")
+    key = make_cache_key(assignment.concepts, dag.edges, profile.model_id, "verify", m)
     table = yield CacheGet(key)
-    while table is not None:
-        votes = _cached_votes(table, relations, key)
-        if votes.m == m:
-            return votes
-        # a table of another m is recomputed under a claim, so open samples on the key share one
-        table = yield CacheGet(key, refresh=True)
+    if table is not None:
+        return _cached_votes(table, relations, key, m)
     votes = yield from _vote_steps(assignment.concepts, relations, profile, m)
     yield CachePut(key, votes.to_json())
     return votes
 
 
-def _cached_votes(table, relations: RelationSets, key: str) -> VoteTable:
-    """The vote table cached under ``key``; a value that is not a table of
-    proportions over exactly the graph's ordered pairs is a CacheIoError."""
+def _cached_votes(table, relations: RelationSets, key: str, m: int) -> VoteTable:
+    """The vote table cached under ``key``; a value that is not a table of m
+    votes' proportions over exactly the graph's ordered pairs is a CacheIoError."""
     pairs = set(relations.e_plus + relations.e_minus)
     try:
         votes = VoteTable.from_json(table)
     except (AttributeError, KeyError, TypeError, ValueError):
         votes = None
-    if votes is None or votes.s.keys() != pairs or not all(0 <= v <= 1 for v in votes.s.values()):
+    if votes is None or votes.m != m or votes.s.keys() != pairs or not all(0 <= v <= 1 for v in votes.s.values()):
         raise CacheIoError(f"cached value {key} is not a vote table over the graph's {len(pairs)} ordered pairs")
     return votes
 
@@ -265,8 +261,8 @@ def counterfactual_verification(
     """Vote proportions s_ij from m independent verifier completions per pair.
 
     The whole table is cached under (assignment, adjacency, verifier model,
-    template), so re-verifying an unchanged assignment costs zero calls; a
-    table cached at another m is recomputed and cached again.
+    template, m), so re-verifying an unchanged assignment costs zero calls,
+    and tables at several m sit side by side.
     A completion that stays unparseable after the re-ask budget abstains;
     at least min(3, m) parsed completions are required per pair.  Each
     pair's prompt is rendered once, and all pair x vote requests form one

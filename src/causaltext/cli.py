@@ -107,11 +107,11 @@ def _write_json(path: str, obj, **dump_args) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise click.ClickException(f"--out: cannot write {path}: {exc.strerror}")
+        raise click.ClickException(f"--out: cannot write {path}: {exc.strerror or exc}")
 
 
 def _checked_out(ctx, param, path):
-    """Refuse an ``--out`` file the command could not write, before its work starts; the file is not created."""
+    """Refuse an output file the command could not write, before its work starts; the file is not created."""
     if path is None:
         return None
     parent = os.path.dirname(path) or "."
@@ -123,7 +123,7 @@ def _checked_out(ctx, param, path):
         err = errno.EACCES
     else:
         return path
-    raise click.ClickException(f"--out: cannot write {path}: {os.strerror(err)}")
+    raise click.ClickException(f"{param.opts[0]}: cannot write {path}: {os.strerror(err)}")
 
 
 class _Main(click.Group):
@@ -222,11 +222,11 @@ def _build_gateway(cfg, mock_script, cache_path):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--graphs", type=click.Path(exists=True, file_okay=False), required=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(), required=True, callback=_checked_out)
 @click.option("--mock-script", default=None, help="mock script JSON (inline or file path)")
 @click.option("--resume", is_flag=True, help="skip ids already finished in the store; run failed ones again")
 @click.option("--seed", type=int, default=0, show_default=True, help="recorded in the manifest; nothing else reads it")
-@click.option("--cache", "cache_path", type=click.Path(), default=None)
+@click.option("--cache", "cache_path", type=click.Path(), default=None, callback=_checked_out)
 def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
     """Run the full annotation pipeline over a directory of graph files.
 
@@ -239,15 +239,7 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
     gw, profiles = _build_gateway(cfg, mock_script, cache_path)
     files = sorted(f for f in os.listdir(graphs) if f.endswith(".json"))
     if not files:
-        # before the probe below, so that no store, manifest or cache file is left behind
         raise click.ClickException(f"--graphs: no graph files (*.json) in {graphs}")
-    # a file the run cannot append to stops it here, not after the first sample's calls
-    for option, path in (("--out", out), ("--cache", cache_path)):
-        if path is not None:
-            try:
-                open(path, "a").close()
-            except OSError as exc:
-                raise click.ClickException(f"{option}: cannot append to {path}: {exc.strerror}")
     store = SampleStore(out)
     backends = {k: p.model_id for k, p in profiles.items()}
     done = failed = skipped = 0
@@ -290,7 +282,10 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
             else:
                 rec.error = f"{type(error).__name__}: {error}"
                 failed += 1
-            store.append(rec)
+            try:
+                store.append(rec)
+            except OSError as exc:
+                raise click.ClickException(f"--out: cannot write {out}: {exc.strerror or exc}")
     finally:
         runs.close()  # cancels every request still pending
         if isinstance(gw.backend, HttpBackend):
@@ -300,7 +295,10 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
         config={"phase2": dict(cfg["phase2"]), "domain": domain, "backends": backends},
         seed=seed,
     )
-    manifest.save(out + ".manifest.json")
+    try:
+        manifest.save(out + ".manifest.json")
+    except OSError as exc:
+        raise click.ClickException(f"--out: cannot write {out}.manifest.json: {exc.strerror or exc}")
     click.echo(f"generated {done}, failed {failed}, skipped {skipped}; manifest at {out}.manifest.json")
     if failed:
         raise click.ClickException(f"{failed} samples failed (recorded in the store, or named above if unreadable)")

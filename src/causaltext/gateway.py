@@ -498,14 +498,15 @@ def make_mock_backend(script):
     return ScriptedMockBackend(script)
 
 
-def make_cache_key(concepts, adjacency, backend_id: str, template_name: str) -> str:
-    """Digest of (concept assignment, adjacency matrix, verifier backend, template)."""
+def make_cache_key(concepts, adjacency, backend_id: str, template_name: str, m: int) -> str:
+    """Digest of (concept assignment, adjacency matrix, verifier backend, template, votes per pair)."""
     blob = json.dumps(
         {
             "concepts": list(concepts),
             "adjacency": np.asarray(adjacency, dtype=int).tolist(),
             "backend": backend_id,
             "template": template_name,
+            "m": m,
         },
         sort_keys=True,
     )
@@ -678,14 +679,15 @@ class Gateway:
           the sample computes the value and yields :class:`CachePut`.  A key
           another open sample is computing is waited for, not computed
           twice; if that sample ends without storing it, the next waiter
-          computes it.  With ``refresh`` set the cached value is passed
-          over, so the value returned is one another open sample stored
-          while this one waited, or None.
+          computes it.
 
         Yields ``(sample_id, result, error)`` for each sample, in admission
         order: ``result`` is what ``steps`` returned, or ``error`` the
-        ``CausaltextError`` that ended it (raised in ``steps`` or by the
-        backend).  Such an error ends only its own sample, whose pending
+        ``CausaltextError`` that ended it: raised in ``steps``, or by the
+        first send or read to fail, in batch order, among the replies the
+        steps asked for.  A failure fills its request's reply slot and no
+        later request of the batch is sent, so the error is the same at
+        every window.  Such an error ends only its own sample, whose pending
         requests are cancelled; any other exception cancels every pending
         request and propagates.  Usage is recorded against each sample's id
         in one ledger update per sample: when the sample ends, before it is
@@ -740,14 +742,9 @@ class Request:
 
 @dataclass(frozen=True)
 class CacheGet:
-    """Pipeline step: the cached value for ``key``, or None if the sample is to compute it.
-
-    ``refresh`` passes over the value already cached (one the sample cannot
-    use), so the key is claimed as on a miss.
-    """
+    """Pipeline step: the cached value for ``key``, or None if the sample is to compute it."""
 
     key: str
-    refresh: bool = False
 
 
 @dataclass(frozen=True)
@@ -792,6 +789,7 @@ class _Deferred:
 
 
 _UNREAD = object()  # a reply slot whose final reply has not been read yet
+_Failed = collections.namedtuple("_Failed", "error")  # the reply slot of a request whose send or read failed
 
 
 class _Sample:
@@ -807,7 +805,7 @@ class _Sample:
         self.replies: list = []  # the batch's final replies so far, by index
         self.given = 0  # replies handed to the steps
         self.upto = 0  # the steps wait for replies[given:upto]; 0 if they do not wait
-        self.sent = 0  # requests of the batch written so far
+        self.sent = 0  # requests of the batch written so far; all of them once one failed
         self.result = self.error = None
         self.done = False
         # the usage of every reply read for the sample, given to the ledger when it ends
@@ -823,7 +821,8 @@ class _Scheduler:
     needs a re-ask is re-asked by that read, on the slot it just freed, so
     the re-ask goes out before any request not yet written.  Any other free
     slot goes to the oldest batch with requests not yet written, then to
-    the next sample.
+    the next sample.  A failed send or read fills its request's reply
+    slot, and only ``_step`` ends a sample.
     """
 
     def __init__(self, gateway: Gateway, samples):
@@ -884,12 +883,9 @@ class _Scheduler:
             note = JSON_REASK.format(keys=", ".join(repr(k) for k in request.expected_keys))
             payload = build_payload(request.profile, request.prompt + "\n\n" + note)
         try:
-            handle = self.gw._send(payload, request._meta)
+            self.pending.append((s, index, attempt, self.gw._send(payload, request._meta)))
         except CausaltextError as exc:
-            self._end(s, error=exc)
-            self._drain()
-            return
-        self.pending.append((s, index, attempt, handle))
+            self._settle(s, index, _Failed(exc))
 
     def _read(self, s: _Sample, index: int, attempt: int, handle) -> None:
         request = s.batch[index]  # a pending request's batch is its sample's current one
@@ -898,9 +894,7 @@ class _Scheduler:
         except MalformedOutput as exc:
             reply = exc
         except CausaltextError as exc:
-            self._end(s, error=exc)
-            self._drain()
-            return
+            reply = _Failed(exc)
         else:
             ti, to = int(usage.get("input_tokens", 0)), int(usage.get("output_tokens", 0))
             s.input_tokens += ti
@@ -915,22 +909,37 @@ class _Scheduler:
                     f"no valid JSON with keys {list(request.expected_keys)} after {JSON_REASKS} re-asks",
                     raw_text=text,
                 )
+        self._settle(s, index, reply)
+
+    def _settle(self, s: _Sample, index: int, reply) -> None:
+        """Make ``reply`` request ``index``'s final reply; after a failure, send no later request of the batch."""
         s.replies[index] = reply
-        upto = s.upto
-        if index < upto:
-            value = s.replies[s.given:upto]
-            if _UNREAD not in value:
-                s.given, s.upto = upto, 0
-                self._step(s, value)
-                self._drain()
+        if type(reply) is _Failed and s.sent < len(s.batch):
+            self.queued.remove(s)
+            s.sent = len(s.batch)
+        if index < s.upto:
+            self._step(s)
+            self._drain()
 
     def _drain(self) -> None:
         while self.ready:
             self._step(*self.ready.popleft())
 
-    def _step(self, s: _Sample, value) -> None:
-        """Send ``value`` into the sample's steps and act on what they yield, until they wait."""
+    def _step(self, s: _Sample, value=None) -> None:
+        """Send the steps the replies they wait for, or else ``value``, and act on what they yield, until they wait.
+
+        The sample ends instead at the first failed reply they wait for, once every reply before it is in.
+        """
         while True:
+            if s.upto:  # the steps wait for replies[given:upto]
+                value = s.replies[s.given:s.upto]
+                for reply in value:
+                    if reply is _UNREAD:
+                        return
+                    if type(reply) is _Failed:
+                        self._end(s, error=reply.error)
+                        return
+                s.given, s.upto = s.upto, 0
             try:
                 step = s.steps.send(value)
             except StopIteration as stop:
@@ -943,11 +952,7 @@ class _Scheduler:
                 end = s.given + step
                 if s.batch is None or not s.given <= end <= len(s.batch):
                     raise TypeError(f"a sample pipeline asked for {step} replies its open batch does not hold")
-                value = s.replies[s.given:end]
-                if _UNREAD in value:
-                    s.upto = end
-                    return
-                s.given = end
+                s.upto, value = end, []  # [] for a step of 0 at the start of the batch
                 continue
             self._drop(s)
             value = None
@@ -957,7 +962,7 @@ class _Scheduler:
                 if step:
                     self.queued.append(s)
             elif type(step) is CacheGet:
-                if not step.refresh and step.key in self.gw.cache:
+                if step.key in self.gw.cache:
                     value = self.gw.cache.get(step.key)
                 else:
                     claim = self.claims.setdefault(step.key, collections.deque())

@@ -13,6 +13,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -757,7 +758,7 @@ def test_criterion_8_end_to_end_mock(tmp_path):
         if r.exit_code != 0:
             problems.append(f"evaluate failed: {r.output}")
         else:
-            result = json.load(open(eval_path))
+            result = json.loads(Path(eval_path).read_text())
             for row in result["samples"]:
                 if not (row["f1"] == 1.0 and row["shd"] == 0 and row["sid"] == 0):
                     problems.append(f"{row['id']}: f1={row['f1']} shd={row['shd']} sid={row['sid']}")

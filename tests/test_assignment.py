@@ -206,9 +206,11 @@ class TestVerification:
         votes = counterfactual_verification(ca, rel, dag, gw, VERIFIER, m=3)
         assert gw.calls_made - before == 3 * 2 * 3
         assert votes.m == 3 and all(len(v) == 3 for v in votes.votes.values())
-        # the m = 3 table replaced the m = 5 one
+        # the m = 3 table sits beside the m = 5 one, so neither pass calls again
+        before = gw.calls_made
+        assert counterfactual_verification(ca, rel, dag, gw, VERIFIER, m=5).m == 5
         assert counterfactual_verification(ca, rel, dag, gw, VERIFIER, m=3) == votes
-        assert gw.calls_made - before == 3 * 2 * 3
+        assert gw.calls_made == before
 
     def test_abstention_below_quorum(self):
         # three completions burn the whole re-ask budget (3 calls each) and

@@ -1,13 +1,17 @@
 import collections
 import copy
 import dataclasses
+import functools
 import hashlib
 import http.server
 import itertools
 import json
 import os
+import random
 import re
 import threading
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,19 +421,20 @@ class TestPromptIdentity:
 class TestCache:
     def test_hit_skips_compute(self):
         gw = Gateway(ScriptedMockBackend([]), cache=ResponseCache())
-        key = make_cache_key(["a", "b"], [[0, 1], [0, 0]], "verifier-1", "verify")
+        key = make_cache_key(["a", "b"], [[0, 1], [0, 0]], "verifier-1", "verify", 5)
         calls = []
         assert gw.cached(key, lambda: calls.append(1) or {"v": 1}) == {"v": 1}
         assert gw.cached(key, lambda: calls.append(1) or {"v": 2}) == {"v": 1}
         assert len(calls) == 1
 
     def test_key_sensitivity(self):
-        base = make_cache_key(["a", "b"], [[0, 1], [0, 0]], "be", "verify")
-        assert make_cache_key(["a", "c"], [[0, 1], [0, 0]], "be", "verify") != base
-        assert make_cache_key(["a", "b"], [[0, 0], [0, 0]], "be", "verify") != base
-        assert make_cache_key(["a", "b"], [[0, 1], [0, 0]], "other", "verify") != base
-        assert make_cache_key(["a", "b"], [[0, 1], [0, 0]], "be", "refine") != base
-        assert make_cache_key(["a", "b"], [[0, 1], [0, 0]], "be", "verify") == base
+        base = make_cache_key(["a", "b"], [[0, 1], [0, 0]], "be", "verify", 5)
+        assert make_cache_key(["a", "c"], [[0, 1], [0, 0]], "be", "verify", 5) != base
+        assert make_cache_key(["a", "b"], [[0, 0], [0, 0]], "be", "verify", 5) != base
+        assert make_cache_key(["a", "b"], [[0, 1], [0, 0]], "other", "verify", 5) != base
+        assert make_cache_key(["a", "b"], [[0, 1], [0, 0]], "be", "refine", 5) != base
+        assert make_cache_key(["a", "b"], [[0, 1], [0, 0]], "be", "verify", 3) != base
+        assert make_cache_key(["a", "b"], [[0, 1], [0, 0]], "be", "verify", 5) == base
 
     def test_disk_roundtrip(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -599,7 +604,7 @@ class TestHttpBackend:
         r = runner.invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
         assert "generated 0, failed 8, skipped 0" in r.stdout
-        assert json.load(open(out + ".manifest.json"))["errors"] == 8
+        assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 8
         assert stub.requests == 8
 
     def test_many_calls_share_at_most_window_connections(self, stub):
@@ -1138,6 +1143,176 @@ class TestRunSamples:
         assert not backend.pending
 
 
+def model_reply(fault, prompt):
+    """The reply to ``prompt`` under ``fault``: TransportError for "read", prose for
+    "prose", else ``{"k": the prompt without a re-ask note}``."""
+    kind = fault(prompt)
+    if kind == "read":
+        raise TransportError(f"read {prompt!r}")
+    return "no JSON here" if kind == "prose" else json.dumps({"k": prompt.split("\n\n")[0]})
+
+
+class FaultyBackend(WindowBackend):
+    """A WindowBackend whose every outcome is a function of the prompt: ``fault(prompt)``
+    is None, "send" (``submit`` raises AuthError), "read" or "prose" (see ``model_reply``)."""
+
+    def __init__(self, fault):
+        super().__init__(functools.partial(model_reply, fault))
+        self.fault = fault
+
+    def submit(self, payload, meta=None):
+        prompt = payload["messages"][1]["content"]
+        if self.fault(prompt) == "send":
+            raise AuthError(f"send {prompt!r}")
+        return super().submit(payload, meta)
+
+
+class FaultySequential:
+    """``FaultyBackend`` without ``submit``: a refused send is met when the call is made."""
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def complete(self, payload, meta=None):
+        prompt = payload["messages"][1]["content"]
+        if self.fault(prompt) == "send":
+            raise AuthError(f"send {prompt!r}")
+        return model_reply(self.fault, prompt), {"input_tokens": 1, "output_tokens": 1}
+
+
+def seeded_fault(seed):
+    """3 % of sends are refused, 12 % of reads raise and 11 % of replies are prose, by a hash of the prompt."""
+
+    def fault(prompt):
+        def roll(kind):
+            return zlib.crc32(f"{seed}/{kind}/{prompt}".encode()) % 100
+
+        if roll("send") < 3:
+            return "send"
+        if roll("read") < 12:
+            return "read"
+        return "prose" if roll("prose") < 11 else None
+
+    return fault
+
+
+def model_program(rng, keys):
+    """1-4 random steps: a batch read in part or in full, a cache key, or a raise."""
+    ops = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if keys and roll < 0.3:
+            ops.append(("get", rng.choice(keys)))
+        elif roll < 0.93:
+            size = rng.randint(0, 5)
+            reads, left = [], size
+            while left and rng.random() < 0.85:
+                reads.append(rng.randint(0, left))
+                left -= reads[-1]
+            ops.append(("batch", size, reads))
+        else:
+            ops.append(("raise", RuntimeError if rng.random() < 0.1 else VerificationError))
+    return ops
+
+
+def model_steps(tag, ops, computes):
+    """The pipeline of ``ops``: what it was handed, as text.  A cache key missed is
+    computed by the key's own program, so its value and its faults depend only on the key."""
+    got = []
+    for n, op in enumerate(ops):
+        if op[0] == "batch":
+            yield [Request(VERIFIER, f"{tag}.{n}.{i}", ("k",)) for i in range(op[1])]
+            for k in op[2]:
+                got += [r["k"] if isinstance(r, dict) else f"MalformedOutput: {r}" for r in (yield k)]
+        elif op[0] == "get":
+            value = yield CacheGet(op[1])
+            if value is None:
+                yield from model_steps(op[1], computes[op[1]], {})
+                value = f"value of {op[1]}"
+                yield CachePut(op[1], value)
+            got.append(value)
+        else:
+            raise op[1](f"{tag} gives up at step {n}")
+    return got
+
+
+def run_model(make, window, fault, programs, computes):
+    """Each sample's outcome, in admission order, or the repr of the exception that stopped the run;
+    checks that every handle is read or cancelled once, within the window, and none is left."""
+    backend = make(fault)
+    gw = Gateway(backend, max_in_flight=window)
+    samples = [(sid, model_steps(sid, ops, computes)) for sid, ops in programs]
+    try:
+        out = [(sid, result, error and f"{type(error).__name__}: {error}")
+               for sid, result, error in gw.run_samples(samples)]
+    except RuntimeError as exc:
+        out = repr(exc)
+    if isinstance(backend, WindowBackend):
+        assert not backend.pending and backend.most_pending <= window
+    return out, backend
+
+
+MODEL_RUNS = [(FaultyBackend, 1), (FaultyBackend, 3), (FaultyBackend, 8), (FaultySequential, 8)]
+
+
+class TestSchedulerModel:
+    """A sample's outcome, its result or the error it ends with, is the same at
+    every window and without ``submit``: a failed send or read fills its reply
+    slot, and the sample ends with the lowest-indexed failure among the replies
+    its steps asked for."""
+
+    def test_seeded_cases_agree_at_every_window(self):
+        differ = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            computes = {key: model_program(rng, ()) for key in ("x", "y")}
+            programs = [(f"s{k}", model_program(rng, ("x", "y"))) for k in range(rng.randint(1, 6))]
+            fault = seeded_fault(seed)
+            outs = [run_model(make, window, fault, programs, computes)[0] for make, window in MODEL_RUNS]
+            differ += [(seed, make.__name__, window) for (make, window), out in zip(MODEL_RUNS, outs)
+                       if out != outs[0]]
+            # a run closed after its first outcome leaves nothing pending
+            backend = FaultyBackend(fault)
+            runs = Gateway(backend, max_in_flight=8).run_samples(
+                [(sid, model_steps(sid, ops, computes)) for sid, ops in programs])
+            try:
+                next(runs, None)
+            except RuntimeError:
+                pass
+            runs.close()
+            assert not backend.pending
+        assert differ == []
+
+    # the prompts of a one-batch program's first four requests
+    A, B, C, D = (f"s.0.{i}" for i in range(4))
+
+    def test_the_lowest_failure_asked_for_ends_the_sample(self):
+        # b's first reply is prose and its re-ask fails; c fails too
+        b_reask = self.B + REASK_NOTE
+        fault = {self.B: "prose", b_reask: "read", self.C: "read"}.get
+        for make, window in MODEL_RUNS:
+            out, backend = run_model(make, window, fault, [("s", [("batch", 3, [3])])], {})
+            assert out == [("s", None, f"TransportError: read {b_reask!r}")], (make, window)
+            if window == 1:
+                assert backend.submitted() == [self.A, self.B, b_reask]  # c is never sent
+
+    def test_a_refused_later_send_met_first_does_not_end_the_sample(self):
+        # at window 3, c's send is refused before a's read fails
+        fault = {self.A: "read", self.C: "send"}.get
+        for make, window in MODEL_RUNS:
+            out, _ = run_model(make, window, fault, [("s", [("batch", 3, [1, 2])])], {})
+            assert out == [("s", None, f"TransportError: read {self.A!r}")], (make, window)
+
+    def test_a_failed_reply_never_asked_for_does_not_fail_the_sample(self):
+        # a's re-ask is read after b's read fails; the steps ask for a alone
+        fault = {self.A: "prose", self.B: "read"}.get
+        for make, window in MODEL_RUNS:
+            out, backend = run_model(make, window, fault, [("s", [("batch", 4, [1])])], {})
+            assert out == [("s", [self.A], None)], (make, window)
+            if make is FaultyBackend and window < 4:  # d is not sent once b's read has failed
+                assert self.D not in backend.submitted(), window
+
+
 def loops_and_text(gw):
     """Three samples of assignment loop plus paragraph, each to its end."""
 
@@ -1180,7 +1355,7 @@ class TestGenerateInFlight:
     def test_a_duplicate_id_stops_the_run_with_nothing_pending(self, monkeypatch, tmp_path):
         graphs = self.graphs(tmp_path)
         path = os.path.join(graphs, "n9_00000.json")
-        payload = json.load(open(path))
+        payload = json.loads(Path(path).read_text())
         payload["id"] = "n10_00000"  # the id of the first file
         with open(path, "w") as fh:
             json.dump(payload, fh)
@@ -1198,7 +1373,8 @@ class TestGenerateInFlight:
         backend = WindowBackend(oracle_reply)
         # n3_00000 comes first and finishes while the larger graphs still have requests pending
         r = self.generate(monkeypatch, tmp_path, backend, self.graphs(tmp_path, n_max=9))
-        assert isinstance(r.exception, OSError)
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: --out: cannot write {tmp_path / 's.jsonl'}: disk full\n"
         assert not backend.pending and [e for e in backend.log if e[0] == "cancel"]
 
     def test_a_failed_cache_write_fails_only_its_own_sample(self, monkeypatch, tmp_path):
@@ -1219,9 +1395,9 @@ class TestGenerateInFlight:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
         assert "generated 3, failed 1, skipped 0" in r.stdout
         assert backend.most_samples == 4 and not backend.pending
-        errors = [json.loads(line)["error"] for line in open(out)]
+        errors = [json.loads(line)["error"] for line in Path(out).read_text().splitlines()]
         assert sorted(errors, key=str) == ["CacheIoError: injected", None, None, None]
-        assert json.load(open(out + ".manifest.json"))["errors"] == 1
+        assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 1
 
     def test_records_do_not_depend_on_the_window(self, monkeypatch, tmp_path, stub):
         stub.reply = oracle_reply
@@ -1248,7 +1424,7 @@ class TestGenerateInFlight:
             before, most[0] = stub.requests, 0
             r = CliRunner().invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
             assert r.exit_code == 0, r.output
-            records = [json.loads(line) for line in open(out)]
+            records = [json.loads(line) for line in Path(out).read_text().splitlines()]
             for record in records:
                 record.pop("created_at")
             stores.append(records)
@@ -1304,7 +1480,7 @@ class TestFaultSweep:
         return out, self.records(out)
 
     def records(self, out):
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in Path(out).read_text().splitlines()]
         for record in records:
             record.pop("created_at")
         return records
@@ -1325,7 +1501,7 @@ class TestFaultSweep:
         assert resumed.exit_code == 0, resumed.output
         last = {record["id"]: {**record, "tokens": None} for record in self.records(out)}
         assert last == {record["id"]: {**record, "tokens": None} for record in clean}
-        assert json.load(open(out + ".manifest.json"))["errors"] == 0
+        assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 0
         return k
 
     def test_every_call_of_an_oracle_run(self, monkeypatch, tmp_path):
@@ -1374,10 +1550,10 @@ def test_a_resume_runs_the_one_failed_sample_again(monkeypatch, tmp_path):
     assert r.exit_code == 1 and "generated 7, failed 1, skipped 0" in r.stdout
     r = CliRunner().invoke(main, [*gen, "--resume"])
     assert r.exit_code == 0 and "generated 1, failed 0, skipped 7" in r.stdout
-    records = [json.loads(line) for line in open(tmp_path / "s.jsonl")]
+    records = [json.loads(line) for line in Path(tmp_path / "s.jsonl").read_text().splitlines()]
     assert len(records) == 9 and records[-1]["id"] == records[0]["id"]
     assert records[0]["error"] == "TransportError: injected" and records[-1]["error"] is None
-    manifest = json.load(open(tmp_path / "s.jsonl.manifest.json"))
+    manifest = json.loads(Path(tmp_path / "s.jsonl.manifest.json").read_text())
     assert manifest["errors"] == 0 and manifest["success_rate"] == 1.0
     assert manifest["per_n_counts"] == {str(n): 1 for n in range(3, 11)}
     r = CliRunner().invoke(main, gen)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,7 +399,7 @@ class TestGraphgenCommand:
         files = sorted(os.listdir(out1))
         assert len(files) == 16  # 2 per n for n in 3..10
         for f in files:
-            assert open(os.path.join(out1, f)).read() == open(os.path.join(out2, f)).read()
+            assert Path(out1, f).read_text() == Path(out2, f).read_text()
 
     def test_200_graph_files_are_pinned(self, tmp_path):
         """The 200 files of ``graphgen --per-n 25 --seed 3`` (n = 3..10), names included, hash to
@@ -469,7 +470,7 @@ class TestGenerateEvaluate:
             assert rec.loop_iterations == 1
             assert rec.error is None
             assert rec.paragraph is not None
-        manifest = json.load(open(store + ".manifest.json"))
+        manifest = json.loads(Path(store + ".manifest.json").read_text())
         assert manifest["success_rate"] == 1.0
         assert manifest["errors"] == 0
 
@@ -525,7 +526,7 @@ class TestGenerateEvaluate:
         assert "n4_00000.json" in r.stderr
         assert "generated 7, failed 1, skipped 0" in r.stdout
         assert len(SampleStore(store)) == 7
-        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+        assert json.loads(Path(store + ".manifest.json").read_text())["errors"] == 0
         with open(bad, "w") as fh:
             fh.write(original)
         r = runner.invoke(main, [*gen, "--resume"])
@@ -544,7 +545,7 @@ class TestGenerateEvaluate:
         }
         for sid_, edges in bad.items():
             path = os.path.join(graphs, f"{sid_}.json")
-            payload = json.load(open(path))
+            payload = json.loads(Path(path).read_text())
             payload["dag"]["edges"] = edges
             with open(path, "w") as fh:
                 json.dump(payload, fh)
@@ -554,7 +555,7 @@ class TestGenerateEvaluate:
         assert "n4_00000.json: ShapeMismatch" in r.stderr
         assert "generated 6, failed 2, skipped 0" in r.stdout
         assert {r.id for r in SampleStore(store)}.isdisjoint(bad)
-        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+        assert json.loads(Path(store + ".manifest.json").read_text())["errors"] == 0
 
     @pytest.mark.parametrize("dag, why", [
         ({"n": 1, "edges": [[0]]}, "InvalidSpec"),  # with a one-node spec
@@ -566,7 +567,7 @@ class TestGenerateEvaluate:
         store = str(tmp_path / "samples.jsonl")
         assert runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
         path = os.path.join(graphs, "n3_00000.json")
-        original = open(path).read()
+        original = Path(path).read_text()
         payload = json.loads(original)
         payload["dag"] = dag
         if dag["n"] == 1:
@@ -578,7 +579,7 @@ class TestGenerateEvaluate:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert f"n3_00000.json: {why}" in r.stderr
         assert "generated 7, failed 1, skipped 0" in r.stdout
-        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+        assert json.loads(Path(store + ".manifest.json").read_text())["errors"] == 0
         with open(path, "w") as fh:
             fh.write(original)
         r = runner.invoke(main, [*gen, "--resume"])
@@ -597,7 +598,7 @@ class TestGenerateEvaluate:
         records = list(SampleStore(store))
         assert len(records) == 8
         assert all(rec.error.startswith("MalformedOutput: concept entries are not a list") for rec in records)
-        assert json.load(open(store + ".manifest.json"))["errors"] == 8
+        assert json.loads(Path(store + ".manifest.json").read_text())["errors"] == 8
 
     def test_unhashable_id_fails_only_that_file(self, tmp_path):
         runner = CliRunner()
@@ -607,7 +608,7 @@ class TestGenerateEvaluate:
 
         def set_id(fname, value):
             path = os.path.join(graphs, fname)
-            payload = json.load(open(path))
+            payload = json.loads(Path(path).read_text())
             payload["id"] = value
             with open(path, "w") as fh:
                 json.dump(payload, fh)
@@ -620,7 +621,7 @@ class TestGenerateEvaluate:
         assert "n4_00000.json: TypeError" in r.stderr
         assert "generated 7, failed 1, skipped 0" in r.stdout
         assert 5 in SampleStore(store) and len(SampleStore(store)) == 7
-        assert json.load(open(store + ".manifest.json"))["errors"] == 0
+        assert json.loads(Path(store + ".manifest.json").read_text())["errors"] == 0
         set_id("n4_00000.json", "n4_00000")
         r = runner.invoke(main, [*gen, "--resume"])
         assert r.exit_code == 0, r.output
@@ -669,7 +670,7 @@ class TestGenerateEvaluate:
         r = CliRunner().invoke(main, ["generate", "--graphs", graphs, "--mock-script", "{}",
                                       "--out", paths["--out"], "--cache", paths["--cache"]])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
-        assert r.output.startswith(f"Error: {option}: cannot append to {bad}: ")
+        assert r.output.startswith(f"Error: {option}: cannot write {bad}: ")
         assert len(r.output.splitlines()) == 1
         assert CountingOracle.calls == 0
         assert not os.path.exists(paths["--out"] + ".manifest.json")
@@ -708,7 +709,7 @@ class TestGenerateEvaluate:
             "graphs": "b1a1aadd3b568386ff82f4aeac7c5dd40c4f885c74a8ad934e2c8a8e846ecb84",
             "store": "40f1299c1c0f59aafc99ab24bfde15b1047657a17ef8b854252d994bef1a44c8",
             "manifest": "b42e5501b05a741e81fbf775a780fd8dd0761209251bbc23585ff513b8cce812",
-            "cache": "d74ce07b02b099af922e58801fb488f6da1ee85a7be5b379c8497f90e21e3a46",
+            "cache": "649049cfa1a7c55a07bdb7aeb602b33ecfe52ef8c85fc527b0fc799c006555b3",
             "warm store": "bcd48572f0aac88259997da4a7f42c2ff1d36f262acccf86e74590eb62f35412",
             "warm manifest": "cfdc48c2b0d4403f6ffeeb858a41ca4dd6e0663218eb51ccbbf71fba627450d3",
         }
@@ -899,7 +900,7 @@ class TestGenerateEvaluate:
         out = str(tmp_path / "eval.json")
         r = runner.invoke(main, ["evaluate", "--store", store, "--out", out])
         assert r.exit_code == 0, r.output
-        result = json.load(open(out))
+        result = json.loads(Path(out).read_text())
         for row in result["samples"]:
             assert row["f1"] == 1.0 and row["shd"] == 0 and row["sid"] == 0
             assert row["coverage_ok"] is True
@@ -986,7 +987,7 @@ class TestGenerateEvaluate:
         out = str(tmp_path / "eval.json")
         r = runner.invoke(main, ["evaluate", "--store", store, "--reference", str(refs), "--out", out])
         assert r.exit_code == 0, r.output
-        result = json.load(open(out))
+        result = json.loads(Path(out).read_text())
         assert all(len(row["projection_removed"]) >= 1 for row in result["samples"])
 
     def test_evaluate_names_a_stored_record_that_cannot_be_loaded(self, tmp_path):
@@ -1046,8 +1047,8 @@ class TestGenerateEvaluate:
         with open(store, "rb") as fh:
             assert fh.read() == damaged
 
-    @pytest.mark.parametrize("value", [3, {}, [], "x", {"m": 5, "s": {}}, "proportion 7"],
-                             ids=["number", "empty-object", "array", "string", "no-pairs", "out-of-range"])
+    @pytest.mark.parametrize("value", [3, {}, [], "x", {"m": 5, "s": {}}, "proportion 7", "other m"],
+                             ids=["number", "empty-object", "array", "string", "no-pairs", "out-of-range", "other-m"])
     def test_damaged_cache_value_fails_only_its_sample(self, tmp_path, value):
         runner = CliRunner()
         graphs, store, cache = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "cache.jsonl"))
@@ -1059,6 +1060,8 @@ class TestGenerateEvaluate:
         ((key, table),) = json.loads(lines[2]).items()
         if value == "proportion 7":
             value = {**table, "s": {**table["s"], "0,1": 7}}
+        elif value == "other m":  # a table of 3 votes under the key of 5
+            value = {**table, "m": 3}
         lines[2] = json.dumps({key: value}) + "\n"
         with open(cache, "w") as fh:
             fh.writelines(lines)
@@ -1067,7 +1070,7 @@ class TestGenerateEvaluate:
         assert "generated 7, failed 1, skipped 0" in r.stdout
         errors = [rec.error for rec in SampleStore(store) if rec.error is not None]
         assert len(errors) == 1 and errors[0].startswith(f"CacheIoError: cached value {key} is not a vote table")
-        assert json.load(open(store + ".manifest.json"))["errors"] == 1
+        assert json.loads(Path(store + ".manifest.json").read_text())["errors"] == 1
 
     def test_resume_after_a_cut_at_any_line_ends_matches_the_uncut_run(self, tmp_path):
         """Cut the store and the cache at every pair of line ends, as a kill
@@ -1140,7 +1143,7 @@ class TestTransferCommand:
         )
         assert r.exit_code == 0, r.output
         assert "f1" in r.output and "average" in r.output
-        result = json.load(open(out))
+        result = json.loads(Path(out).read_text())
         assert result["agreement"]["per_metric"]["f1"]["pearson"] == pytest.approx(0.923, abs=0.005)
 
     def test_loo_flag(self, tmp_path):
@@ -1162,7 +1165,7 @@ class TestTransferCommand:
              "--no-bootstrap", "--loo", "--out", out, *([flag] if flag else [])],
         )
         assert r.exit_code == 0, r.output
-        result = json.load(open(out))
+        result = json.loads(Path(out).read_text())
         tables = [result["agreement"], *result["leave_one_out"].values()]
         assert len(tables) == 4
         for stats in tables:
@@ -1255,7 +1258,7 @@ class TestConsensusCommand:
         r = CliRunner().invoke(main, ["consensus", "--ratings", path, "--out", out])
         assert r.exit_code == 0, r.output
         assert "alpha=1.0000" in r.output
-        result = json.load(open(out))
+        result = json.loads(Path(out).read_text())
         assert result["texts"]["t"]["consensus"]["edges"][0][1] == 1
         assert result["flags"]["borderline_edges"] == []
 
@@ -1464,6 +1467,31 @@ class TestOutPath:
         with pytest.raises(click.ClickException) as info:
             _write_json(out, {})
         assert info.value.message == f"--out: cannot write {out}: No such file or directory"
+
+    @pytest.mark.parametrize("option", ["--out", "--cache"])
+    @pytest.mark.parametrize("name, reason", [("taken", "Is a directory"), ("file/x.jsonl", "Not a directory")])
+    def test_generate_refuses_a_path_before_it_makes_any_file(self, tmp_path, option, name, reason):
+        graphs = str(tmp_path / "graphs")
+        assert CliRunner().invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "file").write_text("")
+        paths = {"--out": str(tmp_path / "s.jsonl"), "--cache": str(tmp_path / "c.jsonl"), option: str(tmp_path / name)}
+        before = sorted(os.listdir(tmp_path))
+        r = CliRunner().invoke(main, ["generate", "--graphs", graphs, "--mock-script", '{"mode": "oracle"}',
+                                      "--out", paths["--out"], "--cache", paths["--cache"]])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {option}: cannot write {paths[option]}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_generate_manifest_that_cannot_be_written(self, tmp_path):
+        """The samples are stored, and the manifest write ends the run with one ``--out`` error line."""
+        graphs, out = str(tmp_path / "graphs"), str(tmp_path / "s.jsonl")
+        assert CliRunner().invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        os.mkdir(out + ".manifest.json")
+        r = CliRunner().invoke(main, ["generate", "--graphs", graphs, "--out", out, "--mock-script", '{"mode": "oracle"}'])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: --out: cannot write {out}.manifest.json: Is a directory\n"
+        assert [rec.error for rec in SampleStore(out)] == [None] * 8
 
     def test_graphgen_out_on_an_existing_file(self, tmp_path):
         out = tmp_path / "graphs"

@@ -21,6 +21,7 @@ from .gateway import (
     CacheGet,
     CachePut,
     Request,
+    _serialize_binding,
     ask_steps,
     load_template,
     make_cache_key,
@@ -228,9 +229,10 @@ def _vote_steps(concepts, relations: RelationSets, profile, m: int):
     (reply_key,) = template.expected_json_keys
     required = min(3, m)
     pairs = relations.e_plus + relations.e_minus
+    joined = _serialize_binding(concepts)  # the concept list as every pair's prompt spells it
     batch = []
     for (i, j) in pairs:
-        bindings = {"Concepts": concepts, "Cause": concepts[i], "Effect": concepts[j]}
+        bindings = {"Concepts": joined, "Cause": concepts[i], "Effect": concepts[j]}
         batch += [Request(profile, render_prompt(template, bindings), template.expected_json_keys, "verify")] * m
     yield batch
     s, votes = {}, {}

@@ -618,8 +618,11 @@ class Gateway:
 
     A request's payload is built once and handed to the backend on each of
     its sends (a pair's m votes send one request m times), so a backend must
-    not change a payload it is handed.  The ledger is updated once per
-    sample, when the sample ends, with every call read for it.
+    not change a payload it is handed.  A reply text read for a sample is
+    parsed once while the sample's reads repeat it, and those reads share
+    one parsed object, so a pipeline must not change a reply it is handed.
+    The ledger is updated once per sample, when the sample ends, with every
+    call read for it.
 
     Every request goes through one scheduler, ``run_samples``, which keeps up
     to ``max_in_flight`` requests pending at once, from any number of open
@@ -693,7 +696,10 @@ class Gateway:
         in one ledger update per sample: when the sample ends, before it is
         yielded, or, for a sample still open, as an exception propagates.
         Each request's payload is built once and shared by its sends, so
-        neither the backend nor the pipeline may change it.
+        neither the backend nor the pipeline may change it.  A sample's
+        consecutive reads of one reply text are parsed once, and the replies
+        they give may be one shared object, so the pipeline must not change
+        a reply; the key check, the re-asks and the usage stay per read.
         """
         return _Scheduler(self, samples).run()
 
@@ -724,7 +730,9 @@ class Request:
     object with every one of ``expected_keys``.  Its payload is built once,
     when it is made, and every send of it hands the backend that one
     payload; a re-ask builds its own.  A batch may hold one request several
-    times, so neither the request nor its payload is changed once made."""
+    times, so neither the request nor its payload is changed once made.
+    Its copies' replies, like any of a sample's consecutive reads of one
+    text, may be one parsed object, so a reply is not changed either."""
 
     profile: BackendProfile
     prompt: str
@@ -796,7 +804,7 @@ class _Sample:
     """An admitted pipeline and where it stands in its current batch."""
 
     __slots__ = ("sample_id", "steps", "batch", "replies", "given", "upto", "sent", "result", "error", "done",
-                 "input_tokens", "output_tokens", "calls")
+                 "input_tokens", "output_tokens", "calls", "text", "parsed")
 
     def __init__(self, sample_id, steps):
         self.sample_id = sample_id
@@ -810,6 +818,8 @@ class _Sample:
         self.done = False
         # the usage of every reply read for the sample, given to the ledger when it ends
         self.input_tokens = self.output_tokens = self.calls = 0
+        # the last reply text read for the sample and what _extract_json made of it, reused while the text repeats
+        self.text = self.parsed = None
 
 
 class _Scheduler:
@@ -900,7 +910,9 @@ class _Scheduler:
             s.input_tokens += ti
             s.output_tokens += to
             s.calls += 1
-            reply = _extract_json(text)
+            if text != s.text:
+                s.text, s.parsed = text, _extract_json(text)
+            reply = s.parsed
             if reply is None or not reply.keys() >= request._keys:
                 if attempt < JSON_REASKS:
                     self._send(s, index, attempt + 1)  # on the slot this read freed

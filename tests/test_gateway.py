@@ -1215,19 +1215,21 @@ def model_program(rng, keys):
     return ops
 
 
-def model_steps(tag, ops, computes):
+def model_steps(tag, ops, computes, copies=1):
     """The pipeline of ``ops``: what it was handed, as text.  A cache key missed is
-    computed by the key's own program, so its value and its faults depend only on the key."""
+    computed by the key's own program, so its value and its faults depend only on the key.
+    Each request object of a batch fills ``copies`` slots in a row, as a pair's votes do."""
     got = []
     for n, op in enumerate(ops):
         if op[0] == "batch":
-            yield [Request(VERIFIER, f"{tag}.{n}.{i}", ("k",)) for i in range(op[1])]
+            requests = [Request(VERIFIER, f"{tag}.{n}.{i}", ("k",)) for i in range(-(-op[1] // copies))]
+            yield [requests[i // copies] for i in range(op[1])]
             for k in op[2]:
                 got += [r["k"] if isinstance(r, dict) else f"MalformedOutput: {r}" for r in (yield k)]
         elif op[0] == "get":
             value = yield CacheGet(op[1])
             if value is None:
-                yield from model_steps(op[1], computes[op[1]], {})
+                yield from model_steps(op[1], computes[op[1]], {}, copies)
                 value = f"value of {op[1]}"
                 yield CachePut(op[1], value)
             got.append(value)
@@ -1236,12 +1238,12 @@ def model_steps(tag, ops, computes):
     return got
 
 
-def run_model(make, window, fault, programs, computes):
+def run_model(make, window, fault, programs, computes, copies=1):
     """Each sample's outcome, in admission order, or the repr of the exception that stopped the run;
     checks that every handle is read or cancelled once, within the window, and none is left."""
     backend = make(fault)
     gw = Gateway(backend, max_in_flight=window)
-    samples = [(sid, model_steps(sid, ops, computes)) for sid, ops in programs]
+    samples = [(sid, model_steps(sid, ops, computes, copies)) for sid, ops in programs]
     try:
         out = [(sid, result, error and f"{type(error).__name__}: {error}")
                for sid, result, error in gw.run_samples(samples)]
@@ -1253,6 +1255,15 @@ def run_model(make, window, fault, programs, computes):
 
 
 MODEL_RUNS = [(FaultyBackend, 1), (FaultyBackend, 3), (FaultyBackend, 8), (FaultySequential, 8)]
+
+
+class PaddedFaultyBackend(FaultyBackend):
+    """A FaultyBackend whose every reply ends in one more space than the last, so no two are the same text."""
+
+    def __init__(self, fault):
+        super().__init__(fault)
+        spaces = itertools.count()
+        self.reply = lambda prompt: model_reply(fault, prompt) + " " * next(spaces)
 
 
 class TestSchedulerModel:
@@ -1281,6 +1292,21 @@ class TestSchedulerModel:
                 pass
             runs.close()
             assert not backend.pending
+        assert differ == []
+
+    def test_seeded_cases_with_repeated_requests_agree_at_every_window(self):
+        # one request object fills 1-4 slots in a row, so its copies meet one fault and read one text;
+        # the last run's replies all differ in text
+        runs = MODEL_RUNS + [(PaddedFaultyBackend, 8)]
+        differ = []
+        for seed in range(300):
+            rng = random.Random(f"repeated/{seed}")
+            copies = rng.randint(1, 4)
+            computes = {key: model_program(rng, ()) for key in ("x", "y")}
+            programs = [(f"s{k}", model_program(rng, ("x", "y"))) for k in range(rng.randint(1, 6))]
+            fault = seeded_fault(seed)
+            outs = [run_model(make, window, fault, programs, computes, copies)[0] for make, window in runs]
+            differ += [(seed, make.__name__, window) for (make, window), out in zip(runs, outs) if out != outs[0]]
         assert differ == []
 
     # the prompts of a one-batch program's first four requests
@@ -1775,3 +1801,133 @@ class TestRequestBuiltOnce:
         assert len(first_asks) == 6 and all(counts[prompt] == 5 for prompt in first_asks)
         assert len(counts) == 6 + 2  # the two pairs into "Accident" are re-asked
         assert all(len(raws) == 1 for raws in bodies.values())
+
+
+class Sequential:
+    """A backend without ``submit`` that replies ``reply(prompt)``."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def complete(self, payload, meta=None):
+        return self.reply(payload["messages"][1]["content"]), {"input_tokens": 1, "output_tokens": 1}
+
+
+def reply_runs(reply):
+    """A WindowBackend at windows 1, 3 and 8, and a backend without ``submit``, each replying ``reply``."""
+    return [(WindowBackend(reply), 1), (WindowBackend(reply), 3), (WindowBackend(reply), 8), (Sequential(reply), 8)]
+
+
+def padded(reply):
+    """``reply`` with one more trailing space on each call than on the last."""
+    spaces = itertools.count()
+    return lambda prompt: reply(prompt) + " " * next(spaces)
+
+
+def hashed_verdict(prompt):
+    return json.dumps({"direct cause": "yes" if zlib.crc32(prompt.encode()) % 3 else "no"})
+
+
+def mixed_verdicts():
+    """Replies that change from vote to vote: the k-th ask of a prompt gets a verdict,
+    an abstention, prose or the wrong key by a hash of (prompt, k); a re-ask gets "no"."""
+    asked = collections.Counter()
+    kinds = ['{"direct cause": "yes"}', '{"direct cause": "yes"}', '{"direct cause": "no"}',
+             '{"direct cause": "maybe"}', "let me think", '{"cause": "yes"}']
+
+    def reply(prompt):
+        if "could not be parsed" in prompt:
+            return '{"direct cause": "no"}'
+        asked[prompt] += 1
+        return kinds[zlib.crc32(f"{asked[prompt]}/{prompt}".encode()) % len(kinds)]
+
+    return reply
+
+
+RAIN = ConceptAssignment(["Rain", "Wet grass", "Slippery road", "Accident"], "weather")
+RAIN_DAG = Dag(n=4, edges=np.array([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int8))
+
+
+class TestReplyParsedOnce:
+    """A sample's reads of one reply text in a row parse it once; the key check,
+    the re-asks, the ``MalformedOutput`` and the usage stay per read."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Every text ``_extract_json`` is called with, in order."""
+        import causaltext.gateway
+
+        texts, extract = [], causaltext.gateway._extract_json
+
+        def counting(text):
+            texts.append(text)
+            return extract(text)
+
+        monkeypatch.setattr(causaltext.gateway, "_extract_json", counting)
+        return texts
+
+    def verify(self, backend, window, m=5):
+        gw = Gateway(backend, max_in_flight=window)
+        table = counterfactual_verification(RAIN, analyze_causal_structure(RAIN_DAG), RAIN_DAG, gw, VERIFIER, m=m)
+        return table, gw
+
+    def test_a_pass_parses_once_per_change_of_text(self, parsed):
+        relations = analyze_causal_structure(RAIN_DAG)
+        pairs = relations.e_plus + relations.e_minus
+        for backend, window in reply_runs(hashed_verdict):
+            parsed.clear()
+            table, gw = self.verify(backend, window)
+            verdicts = ["yes" if table.s[p] else "no" for p in pairs]
+            assert parsed == [json.dumps({"direct cause": v}) for v, _ in itertools.groupby(verdicts)], window
+            assert 1 < len(parsed) < len(pairs)
+            assert gw.calls_made == gw.ledger.totals()["calls"] == 5 * len(pairs)
+
+    def test_distinct_texts_are_each_parsed(self, parsed):
+        for backend, window in reply_runs(padded(hashed_verdict)):
+            parsed.clear()
+            _, gw = self.verify(backend, window)
+            assert len(parsed) == len(set(parsed)) == gw.calls_made == 60, window
+
+    def test_repeated_prose_is_still_reasked_to_the_same_malformed_output(self, parsed):
+        for backend, window in reply_runs(lambda prompt: "no JSON here"):
+            parsed.clear()
+            gw = Gateway(backend, max_in_flight=window)
+            replies = gw.run_sample(one_batch(["a", "b"]))
+            assert [(type(r), str(r), r.raw_text) for r in replies] == [
+                (MalformedOutput, "no valid JSON with keys ['k'] after 2 re-asks", "no JSON here")] * 2
+            assert gw.calls_made == gw.ledger.totals()["calls"] == 6
+            assert parsed == ["no JSON here"]
+            if window == 1:
+                assert backend.submitted() == ["a", "a" + REASK_NOTE, "a" + REASK_NOTE,
+                                               "b", "b" + REASK_NOTE, "b" + REASK_NOTE]
+
+    def test_the_key_check_stays_per_read(self, parsed):
+        def steps():
+            yield [Request(VERIFIER, "p", ("k",)), Request(VERIFIER, "q", ("j",))]
+            return (yield 2)
+
+        for backend, window in reply_runs(lambda prompt: '{"k": 1}'):
+            parsed.clear()
+            gw = Gateway(backend, max_in_flight=window)
+            k, j = gw.run_sample(steps())
+            assert k == {"k": 1} and isinstance(j, MalformedOutput) and j.raw_text == '{"k": 1}'
+            assert gw.calls_made == 4 and parsed == ['{"k": 1}']
+
+    def test_vote_tables_do_not_depend_on_repeated_texts(self, parsed):
+        for window in (1, 3, 8):
+            parsed.clear()
+            plain, gw = self.verify(WindowBackend(mixed_verdicts()), window)
+            assert len(parsed) < gw.calls_made
+            parsed.clear()
+            spaced, gw = self.verify(WindowBackend(padded(mixed_verdicts())), window)
+            assert len(parsed) == gw.calls_made
+            assert plain == spaced, window
+            assert any(len(set(v)) > 1 for v in plain.votes.values())
+
+    def test_a_windowed_http_run_parses_fewer_replies_than_it_sends(self, parsed, stub):
+        stub.reply = hashed_verdict
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)
+        table, _ = self.verify(b, 4)
+        b.close()
+        assert table == self.verify(Sequential(hashed_verdict), 1)[0]
+        assert 0 < len(parsed) < stub.requests

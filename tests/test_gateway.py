@@ -1257,13 +1257,18 @@ def run_model(make, window, fault, programs, computes, copies=1):
 MODEL_RUNS = [(FaultyBackend, 1), (FaultyBackend, 3), (FaultyBackend, 8), (FaultySequential, 8)]
 
 
+def padded(reply):
+    """``reply`` with one more trailing space on each call than on the last, so no two are the same text."""
+    spaces = itertools.count()
+    return lambda prompt: reply(prompt) + " " * next(spaces)
+
+
 class PaddedFaultyBackend(FaultyBackend):
-    """A FaultyBackend whose every reply ends in one more space than the last, so no two are the same text."""
+    """A FaultyBackend whose replies are ``padded``."""
 
     def __init__(self, fault):
         super().__init__(fault)
-        spaces = itertools.count()
-        self.reply = lambda prompt: model_reply(fault, prompt) + " " * next(spaces)
+        self.reply = padded(self.reply)
 
 
 class TestSchedulerModel:
@@ -1818,13 +1823,8 @@ def reply_runs(reply):
     return [(WindowBackend(reply), 1), (WindowBackend(reply), 3), (WindowBackend(reply), 8), (Sequential(reply), 8)]
 
 
-def padded(reply):
-    """``reply`` with one more trailing space on each call than on the last."""
-    spaces = itertools.count()
-    return lambda prompt: reply(prompt) + " " * next(spaces)
-
-
 def hashed_verdict(prompt):
+    """A verdict that is a function of the prompt alone, "yes" for about two in three."""
     return json.dumps({"direct cause": "yes" if zlib.crc32(prompt.encode()) % 3 else "no"})
 
 
@@ -1886,7 +1886,7 @@ class TestReplyParsedOnce:
         for backend, window in reply_runs(padded(hashed_verdict)):
             parsed.clear()
             _, gw = self.verify(backend, window)
-            assert len(parsed) == len(set(parsed)) == gw.calls_made == 60, window
+            assert len(parsed) == len(set(parsed)) == gw.calls_made == 12 * 5, window
 
     def test_repeated_prose_is_still_reasked_to_the_same_malformed_output(self, parsed):
         for backend, window in reply_runs(lambda prompt: "no JSON here"):

@@ -1,8 +1,11 @@
 """Provider-agnostic chat-completion access.
 
-Covers prompt-template rendering, the uniform request payload, an HTTP
-client over pooled keep-alive connections with transport retries and
-exponential backoff, a single-threaded window of requests in flight,
+Covers prompt-template rendering, the uniform request payload, an
+HTTP/1.1 client over pooled keep-alive connections (one write per request,
+with ``Accept-Encoding: identity``; replies framed by Content-Length, by
+chunked encoding or by the server closing the connection; ``http.client``
+opens the connections, so proxies and TLS work as before) with transport
+retries and exponential backoff, a single-threaded window of requests in flight,
 strict-JSON extraction with a bounded re-ask budget, response caching,
 token accounting, and two mock backends
 (a scriptable one for unit tests and an oracle that answers consistently
@@ -179,35 +182,50 @@ def _approx_tokens(text: str) -> int:
 class HttpBackend:
     """Chat-completion client over an OpenAI-style HTTP endpoint.
 
-    Requests go out over persistent ``http.client`` connections, kept in a
-    pool of idle ones.  ``submit`` writes a request and returns at once, so
-    one thread can keep several requests in flight, one per connection;
-    ``complete`` is ``submit(...).result()``.  The pool grows to the largest
-    number of requests ever pending at once.  An idle connection the server
-    has closed is replaced before it is used.
+    It speaks HTTP/1.1 over persistent connections, kept in a pool of idle
+    ones.  The request head (request line, ``Host``, ``Accept-Encoding:
+    identity``, ``Authorization``, ``Content-Type`` and any proxy headers)
+    is built and checked once, when the backend is built, and each request
+    leaves in one write of head, ``Content-Length`` and body.  A reply's
+    body may be framed by ``Content-Length``, by chunked encoding or by the
+    server closing the connection; a connection goes back to the pool only
+    when the reply allows keep-alive.  ``http.client`` only opens
+    connections: TCP_NODELAY, a proxy's CONNECT tunnel and TLS.
 
-    Transient failures (connection errors, HTTP 429 and 5xx) are retried
-    with jittered exponential backoff starting at ``backoff`` seconds.
-    ``http_proxy``, ``https_proxy`` and ``no_proxy`` are honoured, and
-    HTTPS verifies certificates with the default ``ssl`` context.  The
-    credential is read and the route resolved once, when the backend is
-    built: a missing credential raises AuthError there, and an endpoint or
-    proxy that is not an http(s) URL TransportError.
+    ``submit`` writes a request and returns at once, so one thread can keep
+    several requests in flight, one per connection; ``complete`` is
+    ``submit(...).result()``.  The pool grows to the largest number of
+    requests ever pending at once.  An idle connection the server has
+    closed is replaced before it is used.
+
+    Transient failures (connection errors, malformed or cut-short replies,
+    HTTP 429 and 5xx) are retried with jittered exponential backoff
+    starting at ``backoff`` seconds.  ``http_proxy``, ``https_proxy`` and
+    ``no_proxy`` are honoured, and HTTPS verifies certificates with the
+    default ``ssl`` context.  The credential is read and the route resolved
+    once, when the backend is built: a missing credential, or one that
+    holds a control or non-ASCII character, raises AuthError there, and an
+    endpoint or proxy that is not an http(s) URL TransportError.
     """
 
     def __init__(self, endpoint: str, credential_env: str, retries: int = 3, backoff: float = 1.0, timeout: float = 120.0):
         key = os.environ.get(credential_env)
         if not key:
             raise AuthError(f"no credential in ${credential_env}")
+        if not (key.isascii() and key.isprintable()):
+            raise AuthError(f"credential in ${credential_env} holds a control or non-ASCII character")
         self.endpoint = endpoint
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
         self._idle: list = []  # connections with no reply left to read
-        # the connection factory, the request target and the headers of every request
-        self._connect, self._target, proxy_headers = self._resolve_route()
-        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json", **proxy_headers}
-        self._last_payload = self._last_body = None  # the last payload submitted, and its encoded body
+        # the connection factory, and the head of every request up to its Content-Length value
+        self._connect, target, host, proxy_headers = self._resolve_route()
+        fields = {"Host": host, "Accept-Encoding": "identity", "Authorization": f"Bearer {key}",
+                  "Content-Type": "application/json", **proxy_headers}
+        head = f"POST {target} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in fields.items())
+        self._head = (head + "Content-Length: ").encode("ascii")
+        self._last_payload = self._last_request = None  # the last payload submitted, and its request bytes
 
     def complete(self, payload: dict, meta: dict | None = None):
         return self.submit(payload, meta).result()
@@ -215,14 +233,17 @@ class HttpBackend:
     def submit(self, payload: dict, meta: dict | None = None) -> "PendingReply":
         """Write one request and return the handle that reads its reply.
 
-        The body of the last payload handed in is kept, so a payload sent
-        several times in a row, as a pair's votes are, is encoded once.
+        The request bytes of the last payload handed in are kept, so a
+        payload sent several times in a row, as a pair's votes are, is
+        encoded once.
         """
         if payload is not self._last_payload:
-            self._last_payload, self._last_body = payload, json.dumps(payload).encode("utf-8")
-        return PendingReply(self, payload, self._last_body)
+            body = json.dumps(payload).encode("utf-8")
+            self._last_payload, self._last_request = payload, self._head + b"%d\r\n\r\n" % len(body) + body
+        return PendingReply(self, payload, self._last_request)
 
     def _resolve_route(self):
+        """The connection factory, the request target, the ``Host`` value and the proxy's headers."""
         import http.client
         import urllib.parse
         import urllib.request
@@ -233,9 +254,16 @@ class HttpBackend:
         origin = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         port = url.port or origin.default_port
         path = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        host = url.hostname if url.hostname.isascii() else url.hostname.encode("idna").decode("ascii")
+        authority = f"[{host}]" if ":" in host else host
+        if re.search(r"[^\x21-\x7e]", authority + path):
+            raise TransportError(f"endpoint must be an http:// or https:// URL without spaces or control characters, "
+                                 f"got {self.endpoint!r}")
+        # as http.client writes it: the port only when it is not the scheme's default
+        host_field = authority if port == origin.default_port else f"{authority}:{port}"
         proxy = None if urllib.request.proxy_bypass(url.hostname) else urllib.request.getproxies().get(url.scheme)
         if not proxy:
-            return functools.partial(origin, url.hostname, port, timeout=self.timeout), path, {}
+            return functools.partial(origin, url.hostname, port, timeout=self.timeout), path, host_field, {}
         purl = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
         if purl.scheme != "http" or not purl.hostname:
             raise TransportError(f"proxy must be an http:// URL, got {proxy!r}")
@@ -246,28 +274,36 @@ class HttpBackend:
             creds = f"{urllib.parse.unquote(purl.username)}:{urllib.parse.unquote(purl.password or '')}"
             proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(creds.encode()).decode("ascii")
         if url.scheme == "http":
-            # the proxy gets the absolute URL as the request target
+            # the proxy gets the absolute URL as the request target, and its authority as Host
             connect = functools.partial(http.client.HTTPConnection, purl.hostname, purl.port or 80, timeout=self.timeout)
-            return connect, f"http://{url.hostname}:{port}{path}", proxy_headers
+            return connect, f"http://{authority}:{port}{path}", f"{authority}:{port}", proxy_headers
 
         def tunnel():
             conn = origin(purl.hostname, purl.port or 80, timeout=self.timeout)
             conn.set_tunnel(url.hostname, port, headers=proxy_headers)
             return conn
 
-        return tunnel, path, {}
+        return tunnel, path, host_field, {}
 
-    def _checkout(self):
+    def _checkout(self) -> "_Connection":
         """An idle connection whose server has not closed it, or a new one."""
         import select
 
         while self._idle:
             conn = self._idle.pop()
             # a readable idle socket means the server closed it (or sent junk)
-            if conn.sock is None or not select.select([conn.sock], [], [], 0)[0]:
+            if not select.select([conn.sock], [], [], 0)[0]:
                 return conn
             conn.close()
-        return self._connect()
+        import http.client
+
+        conn = self._connect()
+        try:
+            conn.connect()  # TCP_NODELAY, the CONNECT tunnel and the TLS handshake
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
+        return _Connection(conn.sock)
 
     def close(self) -> None:
         """Close every idle connection."""
@@ -275,18 +311,108 @@ class HttpBackend:
             self._idle.pop().close()
 
 
+class _Connection:
+    """A pooled socket and the one buffered reader its replies are read through."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+# the bounds http.client puts on a reply's head
+_MAXLINE = 65536
+_MAXHEADERS = 100
+
+
+class _BadReply(Exception):
+    """A reply that breaks HTTP/1.1 framing or the bounds on its head; its request is retried."""
+
+
+def _read_line(reader, what: str) -> bytes:
+    line = reader.readline(_MAXLINE + 1)
+    if len(line) > _MAXLINE:
+        raise _BadReply(f"got more than {_MAXLINE} bytes when reading {what}")
+    return line
+
+
+def _read_fields(reader) -> dict:
+    """The header (or trailer) fields up to the empty line, by lower-cased name."""
+    fields = {}
+    for _ in range(_MAXHEADERS + 1):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        fields[name.lower()] = value.strip()
+    raise _BadReply(f"got more than {_MAXHEADERS} headers")
+
+
+def _read_exactly(reader, n: int) -> bytes:
+    data = reader.read(n)
+    if len(data) < n:
+        raise _BadReply(f"reply cut short: got {len(data)} of {n} bytes")
+    return data
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(reader, "chunk size")
+        size = line.split(b";", 1)[0].strip()  # a chunk extension is ignored
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise _BadReply(f"bad chunk size line {line[:40]!r}")
+        size = int(size, 16)
+        if not size:
+            _read_fields(reader)  # the trailer section
+            return b"".join(chunks)
+        chunks.append(_read_exactly(reader, size + 2)[:size])  # the chunk and its CRLF
+
+
+def _read_reply(reader):
+    """Read one reply (RFC 9112): ``(status, body, keep_alive)``."""
+    status = 100
+    while status < 200:  # an interim 1xx reply has no body
+        line = _read_line(reader, "status line")
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") or len(parts[1]) != 3 or not parts[1].isdigit():
+            raise _BadReply(f"bad status line {line[:40]!r}" if line else "connection closed without a reply")
+        status = int(parts[1])
+        fields = _read_fields(reader)
+    connection = fields.get(b"connection", b"").lower()
+    keep = b"keep-alive" in connection if parts[0] == b"HTTP/1.0" else b"close" not in connection
+    coding = fields.get(b"transfer-encoding")
+    length = fields.get(b"content-length")
+    if status in (204, 304):
+        return status, b"", keep
+    if coding is not None and coding.lower().rsplit(b",", 1)[-1].strip() == b"chunked":
+        return status, _read_chunked(reader), keep
+    if coding is None and length is not None:
+        if not length.isdigit():
+            raise _BadReply(f"bad Content-Length {length[:40]!r}")
+        return status, _read_exactly(reader, int(length)), keep
+    return status, reader.read(), False  # the body ends where the server closes the connection
+
+
 class PendingReply:
     """One request written by ``HttpBackend.submit``, its reply not yet read.
 
+    It owns the pooled connection its request went out on, with that
+    connection's socket and buffered reader, until the reply is read.
     ``result()`` reads the reply (retrying the request on a transient
     failure) and returns ``(text, usage)``; ``cancel()`` closes the
     connection the unread reply would arrive on.
     """
 
-    def __init__(self, backend: HttpBackend, payload: dict, body: bytes):
+    def __init__(self, backend: HttpBackend, payload: dict, request: bytes):
         self._backend = backend
         self._prompt = payload["messages"][1]["content"]
-        self._body = body
+        self._request = request
         self._conn = None
         self._error: Exception | None = None
         self._send()
@@ -294,12 +420,13 @@ class PendingReply:
     def _send(self) -> None:
         import http.client
 
-        backend = self._backend
-        conn = backend._checkout()
+        conn = None
         try:
-            conn.request("POST", backend._target, self._body, backend._headers)
+            conn = self._backend._checkout()
+            conn.sock.sendall(self._request)
         except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+            if conn is not None:
+                conn.close()
             self._error = exc
         else:
             self._conn = conn
@@ -310,8 +437,6 @@ class PendingReply:
             self._conn = None
 
     def result(self):
-        import http.client
-
         backend = self._backend
         for attempt in range(backend.retries + 1):
             if attempt:
@@ -321,14 +446,15 @@ class PendingReply:
                 continue  # the request could not be written
             conn, self._conn = self._conn, None
             try:
-                resp = conn.getresponse()
-                data = resp.read()
-            except (OSError, http.client.HTTPException) as exc:
+                status, data, keep = _read_reply(conn.reader)
+            except (OSError, _BadReply) as exc:
                 conn.close()
                 self._error = exc
                 continue
-            backend._idle.append(conn)
-            status = resp.status
+            if keep:
+                backend._idle.append(conn)
+            else:
+                conn.close()
             if status == 429 or status >= 500:
                 self._error = RuntimeError(f"HTTP {status}")
                 continue

@@ -9,6 +9,10 @@ import json
 import os
 import random
 import re
+import shutil
+import socket
+import ssl
+import subprocess
 import threading
 import zlib
 from pathlib import Path
@@ -532,6 +536,18 @@ class TestVerifierChoice:
             choose_verifier("m", [])
 
 
+@dataclasses.dataclass
+class Raw:
+    """A scripted reply that the stub writes as it is; with ``close`` the stub then ends the connection."""
+    data: bytes
+    close: bool = False
+
+
+# a reply envelope whose content is the JSON text {"k": "raw"}
+ENVELOPE = json.dumps({"choices": [{"message": {"content": '{"k": "raw"}'}}],
+                       "usage": {"prompt_tokens": 1, "completion_tokens": 1}}).encode()
+
+
 class TestHttpBackend:
     def test_missing_credential(self, monkeypatch):
         monkeypatch.delenv("NO_SUCH_KEY", raising=False)
@@ -542,6 +558,7 @@ class TestHttpBackend:
         ("CAUSALTEXT_API_KEY", None, "no credential in $CAUSALTEXT_API_KEY"),  # no --config: the defaults
         ("SOME_KEY", None, "no credential in $SOME_KEY"),
         ("SOME_KEY", "secret", "endpoint must be an http:// or https:// URL, got ''"),
+        ("SOME_KEY", "abc\n", "credential in $SOME_KEY holds a control or non-ASCII character"),
     ])
     def test_a_missing_credential_or_endpoint_stops_generate_before_the_store(self, monkeypatch, tmp_path, env, key,
                                                                               named):
@@ -558,6 +575,12 @@ class TestHttpBackend:
         r = CliRunner().invoke(main, ["generate", *config, "--graphs", graphs, "--out", out])
         assert r.exit_code == 1 and r.output == f"Error: {named}\n"
         assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
+
+    @pytest.mark.parametrize("endpoint", ["http://localhost:1/v1/chat completions", "http://localhost:1/v1\x00"])
+    def test_an_endpoint_that_cannot_go_in_a_request_line_is_refused(self, monkeypatch, endpoint):
+        monkeypatch.setenv("SOME_KEY", "secret")
+        with pytest.raises(TransportError, match="without spaces or control characters"):
+            HttpBackend(endpoint, "SOME_KEY")
 
     def test_transport_error_after_retries(self, monkeypatch):
         monkeypatch.setenv("SOME_KEY", "secret")
@@ -641,8 +664,11 @@ class TestHttpBackend:
         assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
         b.close()
         assert stub.targets == ["http://llm.example:8080/v1/chat/completions?x=1"]
-        assert stub.headers[0]["Host"] == "llm.example:8080"
-        assert stub.headers[0]["Proxy-Authorization"] == "Basic dXNlcjpwdw=="  # user:pw
+        assert sorted(stub.headers[0].items()) == sorted([
+            ("Host", "llm.example:8080"), ("Accept-Encoding", "identity"),
+            ("Content-Length", str(len(stub.bodies[0]))), ("Authorization", "Bearer secret"),
+            ("Content-Type", "application/json"), ("Proxy-Authorization", "Basic dXNlcjpwdw=="),  # user:pw
+        ])
 
     def test_no_proxy_goes_direct(self, monkeypatch, stub):
         monkeypatch.setenv("http_proxy", "http://127.0.0.1:1")  # nothing listens there
@@ -651,6 +677,90 @@ class TestHttpBackend:
         assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
         b.close()
         assert stub.targets == ["/v1/chat/completions"]
+
+    @pytest.mark.parametrize("endpoint, host", [
+        (None, "127.0.0.1:{port}"),
+        ("http://llm.example/v1/chat/completions", "llm.example"),  # the default port is left out
+    ], ids=["port", "default-port"])
+    def test_the_direct_route_sends_the_expected_headers(self, monkeypatch, stub, endpoint, host):
+        connect = socket.create_connection
+        monkeypatch.setattr(socket, "create_connection", lambda address, *args: connect(("127.0.0.1", stub.port), *args))
+        b = HttpBackend(endpoint or stub.endpoint, "SOME_KEY", retries=0)
+        assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
+        b.close()
+        assert stub.targets == ["/v1/chat/completions"]
+        assert sorted(stub.headers[0].items()) == sorted([
+            ("Host", host.format(port=stub.port)), ("Accept-Encoding", "identity"),
+            ("Content-Length", str(len(stub.bodies[0]))), ("Authorization", "Bearer secret"),
+            ("Content-Type", "application/json"),
+        ])
+
+    @pytest.mark.parametrize("raw", [
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"a;name=value\r\n" + ENVELOPE[:10] + b"\r\n"
+        + b"%x\r\n" % (len(ENVELOPE) - 10) + ENVELOPE[10:] + b"\r\n"
+        + b"0\r\nX-Trailer: done\r\n\r\n",
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(ENVELOPE) + ENVELOPE,
+    ], ids=["chunked-with-extension-and-trailer", "interim-100"])
+    def test_a_reply_is_read_whole_and_its_connection_kept(self, stub, raw):
+        stub.responses.append(Raw(raw))
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, timeout=5)  # any retry would fail the call
+        assert b.complete(build_payload(VERIFIER, "first")) == ('{"k": "raw"}', {"input_tokens": 1, "output_tokens": 1})
+        assert json.loads(b.complete(build_payload(VERIFIER, "second"))[0]) == {"k": "second"}
+        b.close()
+        assert stub.requests == 2 and stub.connections == 1
+
+    @pytest.mark.parametrize("raw", [
+        Raw(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + ENVELOPE, close=True),
+        Raw(b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n" % len(ENVELOPE) + ENVELOPE),
+        Raw(b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(ENVELOPE) + ENVELOPE),
+    ], ids=["ended-by-close", "connection-close", "http-1.0"])
+    def test_a_reply_without_keep_alive_ends_its_connection(self, stub, raw):
+        """The next call opens a new connection, without a retry, even where the server keeps the old one open."""
+        stub.responses.append(raw)
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, timeout=5)
+        assert b.complete(build_payload(VERIFIER, "first"))[0] == '{"k": "raw"}'
+        assert json.loads(b.complete(build_payload(VERIFIER, "second"))[0]) == {"k": "second"}
+        b.close()
+        assert stub.requests == 2 and stub.connections == 2
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    @pytest.mark.parametrize("raw", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(ENVELOPE) + ENVELOPE[:20],
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n" % len(ENVELOPE) + ENVELOPE + b"\r\n",
+    ], ids=["content-length", "chunked"])
+    def test_a_body_cut_short_is_retried(self, stub, raw, retries):
+        stub.responses.append(Raw(raw, close=True))
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=retries, backoff=0.0, timeout=5)
+        payload = build_payload(VERIFIER, "p")
+        if retries:
+            assert json.loads(b.complete(payload)[0]) == {"k": "p"}
+        else:
+            with pytest.raises(TransportError):
+                b.complete(payload)
+        b.close()
+        assert stub.requests == retries + 1
+
+    @pytest.mark.parametrize("head, error", [
+        (b"X-Long: " + b"a" * 65536 + b"\r\n", "got more than 65536 bytes when reading header line"),
+        (b"".join(b"X-%d: v\r\n" % k for k in range(101)), "got more than 100 headers"),
+    ], ids=["long-line", "101-headers"])
+    def test_an_oversized_head_ends_in_transport_error(self, stub, head, error):
+        """The server keeps the connection open, so a client that read on would wait for its timeout."""
+        stub.responses.append(Raw(b"HTTP/1.1 200 OK\r\n" + head + b"Content-Length: 2\r\n\r\n{}"))
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, timeout=30)
+        with pytest.raises(TransportError, match=error):
+            b.complete(build_payload(VERIFIER, "p"))
+        b.close()
+
+    def test_an_https_endpoint(self, tls_stub):
+        b = HttpBackend(tls_stub.endpoint, "SOME_KEY", retries=0)
+        assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
+        prompts = [f"p{k}" for k in range(20)]
+        assert Gateway(b, max_in_flight=4).run_sample(one_batch(prompts)) == [{"k": p} for p in prompts]
+        b.close()
+        assert tls_stub.requests == 21 and 1 <= tls_stub.connections <= 4
+        assert tls_stub.headers[0]["Host"] == f"127.0.0.1:{tls_stub.port}"
 
     def test_vote_tables_do_not_depend_on_the_window(self, stub):
         def verdict(prompt):
@@ -857,6 +967,10 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
             stub.targets.append(self.path)
             stub.headers.append(self.headers)
             scripted = stub.responses.pop(0) if stub.responses else None
+        if isinstance(scripted, Raw):
+            self.wfile.write(scripted.data)
+            self.close_connection = scripted.close
+            return
         if scripted is None:
             text = stub.reply(body["messages"][-1]["content"])
             envelope = {"choices": [{"message": {"content": text}}], "usage": {"prompt_tokens": 1, "completion_tokens": 1}}
@@ -883,12 +997,12 @@ class StubServer:
     """A keep-alive chat-completion stub on 127.0.0.1, one thread per connection.
 
     It replies ``reply(prompt)`` (by default ``{"k": prompt}``), or the next
-    scripted ``(status, body)`` in ``responses``, counts connections and
-    requests, and keeps each request's body as received.  With ``close_after_reply`` it closes each connection after
-    one reply without saying so in its headers.
+    scripted ``(status, body)`` or ``Raw`` reply in ``responses``, counts connections and
+    requests, and keeps each request's body, target and headers as received.  With ``close_after_reply`` it closes
+    each connection after one reply without saying so in its headers.  Given an ``ssl.SSLContext`` it speaks HTTPS.
     """
 
-    def __init__(self):
+    def __init__(self, tls=None):
         self.lock = threading.Lock()
         self.reply = lambda prompt: json.dumps({"k": prompt})
         self.responses, self.targets, self.headers, self.bodies = [], [], [], []
@@ -897,8 +1011,10 @@ class StubServer:
         self.closed = threading.Event()
         self._httpd = _StubServer(("127.0.0.1", 0), _StubHandler)
         self._httpd.stub = self
+        if tls is not None:
+            self._httpd.socket = tls.wrap_socket(self._httpd.socket, server_side=True)
         self.port = self._httpd.server_address[1]
-        self.endpoint = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        self.endpoint = f"{'https' if tls else 'http'}://127.0.0.1:{self.port}/v1/chat/completions"
         self._thread = threading.Thread(target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05})
 
     def __enter__(self):
@@ -912,12 +1028,35 @@ class StubServer:
         assert not self._thread.is_alive()
 
 
-@pytest.fixture
-def stub(monkeypatch):
+def no_proxy_and_a_key(monkeypatch):
     for var in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("SOME_KEY", "secret")
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    no_proxy_and_a_key(monkeypatch)
     with StubServer() as server:
+        yield server
+
+
+@pytest.fixture
+def tls_stub(monkeypatch, tmp_path):
+    """The stub over HTTPS, with a self-signed certificate for 127.0.0.1 trusted through ``SSL_CERT_FILE``."""
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("the openssl command, which makes the test certificate, is not installed")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run([openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes",
+                    "-keyout", str(key), "-out", str(cert), "-days", "1", "-subj", "/CN=127.0.0.1",
+                    "-addext", "subjectAltName=IP:127.0.0.1"], check=True, capture_output=True)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    context.options |= getattr(ssl, "OP_IGNORE_UNEXPECTED_EOF", 0)  # the client closes without a TLS close_notify
+    no_proxy_and_a_key(monkeypatch)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    with StubServer(context) as server:
         yield server
 
 

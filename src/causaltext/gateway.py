@@ -3,8 +3,8 @@
 Covers prompt-template rendering, the uniform request payload, an
 HTTP/1.1 client over pooled keep-alive connections (one write per request,
 with ``Accept-Encoding: identity``; replies framed by Content-Length, by
-chunked encoding or by the server closing the connection; ``http.client``
-opens the connections, so proxies and TLS work as before) with transport
+chunked encoding or by the server closing the connection; its own sockets,
+with a proxy's CONNECT tunnel and one TLS context per backend) with transport
 retries and exponential backoff, a single-threaded window of requests in flight,
 strict-JSON extraction with a bounded re-ask budget, response caching,
 token accounting, and two mock backends
@@ -189,8 +189,8 @@ class HttpBackend:
     leaves in one write of head, ``Content-Length`` and body.  A reply's
     body may be framed by ``Content-Length``, by chunked encoding or by the
     server closing the connection; a connection goes back to the pool only
-    when the reply allows keep-alive.  ``http.client`` only opens
-    connections: TCP_NODELAY, a proxy's CONNECT tunnel and TLS.
+    when the reply allows keep-alive.  It opens its own connections: the
+    TCP connect with TCP_NODELAY, a proxy's CONNECT tunnel and TLS.
 
     ``submit`` writes a request and returns at once, so one thread can keep
     several requests in flight, one per connection; ``complete`` is
@@ -201,11 +201,14 @@ class HttpBackend:
     Transient failures (connection errors, malformed or cut-short replies,
     HTTP 429 and 5xx) are retried with jittered exponential backoff
     starting at ``backoff`` seconds.  ``http_proxy``, ``https_proxy`` and
-    ``no_proxy`` are honoured, and HTTPS verifies certificates with the
-    default ``ssl`` context.  The credential is read and the route resolved
-    once, when the backend is built: a missing credential, or one that
-    holds a control or non-ASCII character, raises AuthError there, and an
-    endpoint or proxy that is not an http(s) URL TransportError.
+    ``no_proxy`` are honoured; an HTTPS endpoint is reached through the
+    proxy's CONNECT tunnel, and its certificate is verified with one default
+    ``ssl`` context, made for the backend's first TLS connection.  A reply
+    whose body would be over 16 MiB is refused.  The credential is read
+    and the route resolved once, when the backend is built: a missing
+    credential, or one that holds a control or non-ASCII character, raises
+    AuthError there, and an endpoint or proxy that is not an http(s) URL
+    TransportError.
     """
 
     def __init__(self, endpoint: str, credential_env: str, retries: int = 3, backoff: float = 1.0, timeout: float = 120.0):
@@ -219,8 +222,9 @@ class HttpBackend:
         self.backoff = backoff
         self.timeout = timeout
         self._idle: list = []  # connections with no reply left to read
-        # the connection factory, and the head of every request up to its Content-Length value
-        self._connect, target, host, proxy_headers = self._resolve_route()
+        self._tls = None  # the one TLS context, made when the first TLS connection is opened
+        # where and how to open a connection, and the head of every request up to its Content-Length value
+        self._address, self._tunnel, self._server_name, target, host, proxy_headers = self._resolve_route()
         fields = {"Host": host, "Accept-Encoding": "identity", "Authorization": f"Bearer {key}",
                   "Content-Type": "application/json", **proxy_headers}
         head = f"POST {target} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in fields.items())
@@ -243,27 +247,26 @@ class HttpBackend:
         return PendingReply(self, payload, self._last_request)
 
     def _resolve_route(self):
-        """The connection factory, the request target, the ``Host`` value and the proxy's headers."""
-        import http.client
+        """The address to dial, the CONNECT request and TLS server name or None, the target, Host and proxy headers."""
         import urllib.parse
         import urllib.request
 
         url = urllib.parse.urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise TransportError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
-        origin = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        port = url.port or origin.default_port
+        default_port = 443 if url.scheme == "https" else 80
+        port = url.port or default_port
         path = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         host = url.hostname if url.hostname.isascii() else url.hostname.encode("idna").decode("ascii")
         authority = f"[{host}]" if ":" in host else host
         if re.search(r"[^\x21-\x7e]", authority + path):
             raise TransportError(f"endpoint must be an http:// or https:// URL without spaces or control characters, "
                                  f"got {self.endpoint!r}")
-        # as http.client writes it: the port only when it is not the scheme's default
-        host_field = authority if port == origin.default_port else f"{authority}:{port}"
+        # the port only when it is not the scheme's default
+        host_field = authority if port == default_port else f"{authority}:{port}"
         proxy = None if urllib.request.proxy_bypass(url.hostname) else urllib.request.getproxies().get(url.scheme)
         if not proxy:
-            return functools.partial(origin, url.hostname, port, timeout=self.timeout), path, host_field, {}
+            return (host, port), None, host if url.scheme == "https" else None, path, host_field, {}
         purl = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
         if purl.scheme != "http" or not purl.hostname:
             raise TransportError(f"proxy must be an http:// URL, got {proxy!r}")
@@ -273,21 +276,20 @@ class HttpBackend:
 
             creds = f"{urllib.parse.unquote(purl.username)}:{urllib.parse.unquote(purl.password or '')}"
             proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(creds.encode()).decode("ascii")
+        address = (purl.hostname, purl.port or 80)
         if url.scheme == "http":
             # the proxy gets the absolute URL as the request target, and its authority as Host
-            connect = functools.partial(http.client.HTTPConnection, purl.hostname, purl.port or 80, timeout=self.timeout)
-            return connect, f"http://{authority}:{port}{path}", f"{authority}:{port}", proxy_headers
-
-        def tunnel():
-            conn = origin(purl.hostname, purl.port or 80, timeout=self.timeout)
-            conn.set_tunnel(url.hostname, port, headers=proxy_headers)
-            return conn
-
-        return tunnel, path, host_field, {}
+            return address, None, None, f"http://{authority}:{port}{path}", f"{authority}:{port}", proxy_headers
+        # an https endpoint is reached through a tunnel (RFC 9110, 9.3.6), and the proxy's headers go on its CONNECT alone
+        fields = {"Host": f"{authority}:{port}", **proxy_headers}
+        connect = f"CONNECT {authority}:{port} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in fields.items())
+        return address, (connect + "\r\n").encode("ascii"), host, path, host_field, {}
 
     def _checkout(self) -> "_Connection":
         """An idle connection whose server has not closed it, or a new one."""
         import select
+        import socket
+        import ssl
 
         while self._idle:
             conn = self._idle.pop()
@@ -295,15 +297,25 @@ class HttpBackend:
             if not select.select([conn.sock], [], [], 0)[0]:
                 return conn
             conn.close()
-        import http.client
-
-        conn = self._connect()
+        sock = socket.create_connection(self._address, self.timeout)
         try:
-            conn.connect()  # TCP_NODELAY, the CONNECT tunnel and the TLS handshake
-        except (OSError, http.client.HTTPException):
-            conn.close()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb", buffering=0) as reader:  # unbuffered, so it takes none of the TLS bytes
+                    line = _read_line(reader, "proxy status line")
+                    if line.split(None, 2)[1:2] != [b"200"]:
+                        raise _BadReply(f"proxy refused the tunnel: {line[:40]!r}")
+                    _read_fields(reader)
+            if self._server_name:
+                if self._tls is None:
+                    self._tls = ssl.create_default_context()
+                    self._tls.set_alpn_protocols(["http/1.1"])
+                sock = self._tls.wrap_socket(sock, server_hostname=self._server_name)
+        except OSError:
+            sock.close()
             raise
-        return _Connection(conn.sock)
+        return _Connection(sock)
 
     def close(self) -> None:
         """Close every idle connection."""
@@ -325,13 +337,15 @@ class _Connection:
         self.sock.close()
 
 
-# the bounds http.client puts on a reply's head
+# the bounds http.client puts on a reply's head, and one on its body, far above any chat reply,
+# so that a bogus length is refused before it is read
 _MAXLINE = 65536
 _MAXHEADERS = 100
+_MAXBODY = 16 * 1024 * 1024
 
 
-class _BadReply(Exception):
-    """A reply that breaks HTTP/1.1 framing or the bounds on its head; its request is retried."""
+class _BadReply(OSError):
+    """A reply, or a proxy's answer to CONNECT, that breaks HTTP/1.1 framing or a bound; retried as an OSError is."""
 
 
 def _read_line(reader, what: str) -> bytes:
@@ -349,8 +363,17 @@ def _read_fields(reader) -> dict:
         if line in (b"\r\n", b"\n", b""):
             return fields
         name, _, value = line.partition(b":")
-        fields[name.lower()] = value.strip()
+        name, value = name.lower(), value.strip()
+        if name == b"content-length" and fields.get(name, value) != value:
+            raise _BadReply("differing Content-Length values")  # RFC 9112, 6.3
+        fields[name] = value
     raise _BadReply(f"got more than {_MAXHEADERS} headers")
+
+
+def _bounded(size: int) -> int:
+    if size > _MAXBODY:
+        raise _BadReply(f"reply body of more than {_MAXBODY} bytes")
+    return size
 
 
 def _read_exactly(reader, n: int) -> bytes:
@@ -361,7 +384,7 @@ def _read_exactly(reader, n: int) -> bytes:
 
 
 def _read_chunked(reader) -> bytes:
-    chunks = []
+    chunks, total = [], 0
     while True:
         line = _read_line(reader, "chunk size")
         size = line.split(b";", 1)[0].strip()  # a chunk extension is ignored
@@ -371,6 +394,7 @@ def _read_chunked(reader) -> bytes:
         if not size:
             _read_fields(reader)  # the trailer section
             return b"".join(chunks)
+        total = _bounded(total + size)
         chunks.append(_read_exactly(reader, size + 2)[:size])  # the chunk and its CRLF
 
 
@@ -395,8 +419,10 @@ def _read_reply(reader):
     if coding is None and length is not None:
         if not length.isdigit():
             raise _BadReply(f"bad Content-Length {length[:40]!r}")
-        return status, _read_exactly(reader, int(length)), keep
-    return status, reader.read(), False  # the body ends where the server closes the connection
+        return status, _read_exactly(reader, _bounded(int(length))), keep
+    body = reader.read(_MAXBODY + 1)  # the body ends where the server closes the connection
+    _bounded(len(body))
+    return status, body, False
 
 
 class PendingReply:
@@ -418,13 +444,11 @@ class PendingReply:
         self._send()
 
     def _send(self) -> None:
-        import http.client
-
         conn = None
         try:
             conn = self._backend._checkout()
             conn.sock.sendall(self._request)
-        except (OSError, http.client.HTTPException) as exc:
+        except OSError as exc:
             if conn is not None:
                 conn.close()
             self._error = exc
@@ -447,7 +471,7 @@ class PendingReply:
             conn, self._conn = self._conn, None
             try:
                 status, data, keep = _read_reply(conn.reader)
-            except (OSError, _BadReply) as exc:
+            except OSError as exc:
                 conn.close()
                 self._error = exc
                 continue
@@ -469,7 +493,7 @@ class PendingReply:
                 if not isinstance(text, str):
                     # OpenAI-style APIs send "content": null on a refusal
                     raise TypeError(f"content is {text!r}, not a string")
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise MalformedOutput(f"malformed response body: {exc!r}", raw_text=raw[:200])
             usage = body.get("usage")
             usage = usage if isinstance(usage, dict) else {}
@@ -1155,7 +1179,7 @@ def _extract_json(text: str):
     try:
         val = json.loads(text)
         return val if isinstance(val, dict) else None
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # a value nested too deeply to parse is unparseable too
         pass
     start, end = text.find("{"), text.rfind("}")
     if start == -1 or end <= start:
@@ -1163,5 +1187,5 @@ def _extract_json(text: str):
     try:
         val = json.loads(text[start : end + 1])
         return val if isinstance(val, dict) else None
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return None

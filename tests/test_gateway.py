@@ -602,6 +602,14 @@ class TestHttpBackend:
         assert exc.value.raw_text == content.decode()
         b.close()
 
+    def test_a_body_nested_too_deeply_raises_malformed_output(self, stub):
+        stub.responses.append((200, NESTED.encode()))
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0)
+        with pytest.raises(MalformedOutput, match="RecursionError") as exc:
+            b.complete(build_payload(VERIFIER, "p"))
+        assert exc.value.raw_text == NESTED[:200]
+        b.close()
+
     @pytest.mark.parametrize("usage", [
         {},
         {"usage": None},
@@ -701,7 +709,8 @@ class TestHttpBackend:
         + b"%x\r\n" % (len(ENVELOPE) - 10) + ENVELOPE[10:] + b"\r\n"
         + b"0\r\nX-Trailer: done\r\n\r\n",
         b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(ENVELOPE) + ENVELOPE,
-    ], ids=["chunked-with-extension-and-trailer", "interim-100"])
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\ncontent-length: %d\r\n\r\n" % (len(ENVELOPE), len(ENVELOPE)) + ENVELOPE,
+    ], ids=["chunked-with-extension-and-trailer", "interim-100", "equal-content-lengths"])
     def test_a_reply_is_read_whole_and_its_connection_kept(self, stub, raw):
         stub.responses.append(Raw(raw))
         b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, timeout=5)  # any retry would fail the call
@@ -753,6 +762,24 @@ class TestHttpBackend:
             b.complete(build_payload(VERIFIER, "p"))
         b.close()
 
+    @pytest.mark.parametrize("raw, error", [
+        (b"Content-Length: 99999999999999\r\n\r\n", "reply body of more than 16777216 bytes"),
+        (b"Transfer-Encoding: chunked\r\n\r\nfffffffffff\r\n", "reply body of more than 16777216 bytes"),
+        (b"Transfer-Encoding: chunked\r\n\r\n" + b"%x\r\n%s\r\n" % (60, b"x" * 60) * 2,
+         "reply body of more than 100 bytes"),
+        (b"\r\n" + b"x" * 150, "reply body of more than 100 bytes"),  # to be ended by a close that never comes
+        (b"Content-Length: 2\r\nContent-Length: 3\r\n\r\n{}", "differing Content-Length values"),
+    ], ids=["content-length", "chunk-size", "chunked-total", "close-delimited", "two-content-lengths"])
+    def test_an_unbounded_or_ambiguous_body_ends_in_transport_error(self, monkeypatch, stub, raw, error):
+        """Refused before it is read, while the server holds the connection open."""
+        if "100 bytes" in error:
+            monkeypatch.setattr("causaltext.gateway._MAXBODY", 100)
+        stub.responses.append(Raw(b"HTTP/1.1 200 OK\r\n" + raw))
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, timeout=30)
+        with pytest.raises(TransportError, match=error):
+            b.complete(build_payload(VERIFIER, "p"))
+        b.close()
+
     def test_an_https_endpoint(self, tls_stub):
         b = HttpBackend(tls_stub.endpoint, "SOME_KEY", retries=0)
         assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
@@ -761,6 +788,61 @@ class TestHttpBackend:
         b.close()
         assert tls_stub.requests == 21 and 1 <= tls_stub.connections <= 4
         assert tls_stub.headers[0]["Host"] == f"127.0.0.1:{tls_stub.port}"
+
+    def test_one_tls_context_serves_every_connection(self, monkeypatch, tls_stub):
+        made, create = [], ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda *args, **kw: made.append(args) or create(*args, **kw))
+        tls_stub.close_after_reply = True  # so connections are opened again and again
+        b = HttpBackend(tls_stub.endpoint, "SOME_KEY", retries=3, backoff=0.0)
+        prompts = [f"p{k}" for k in range(12)]
+        assert Gateway(b, max_in_flight=4).run_sample(one_batch(prompts)) == [{"k": p} for p in prompts]
+        b.close()
+        assert tls_stub.connections >= 12 and len(made) == 1
+
+    @pytest.mark.parametrize("credentials", ["", "user:pw@"], ids=["anonymous", "credentials"])
+    def test_an_https_endpoint_through_a_proxy_tunnel(self, monkeypatch, tmp_path, stub, credentials):
+        stub.tunnel_tls = trusted_tls(monkeypatch, tmp_path)
+        monkeypatch.setenv("https_proxy", f"http://{credentials}127.0.0.1:{stub.port}")
+        b = HttpBackend("https://127.0.0.1:8443/v1/chat/completions", "SOME_KEY", retries=0)
+        assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
+        prompts = [f"p{k}" for k in range(8)]
+        assert Gateway(b, max_in_flight=4).run_sample(one_batch(prompts)) == [{"k": p} for p in prompts]
+        b.close()
+        connect = b"CONNECT 127.0.0.1:8443 HTTP/1.1\r\nHost: 127.0.0.1:8443\r\n"
+        if credentials:
+            connect += b"Proxy-Authorization: Basic dXNlcjpwdw==\r\n"  # user:pw
+        assert stub.connects == [connect] * stub.connections and 1 <= stub.connections <= 4
+        assert stub.requests == 9 and stub.targets == ["/v1/chat/completions"] * 9
+        assert sorted(stub.headers[0].items()) == sorted([  # the proxy's credentials stay on the CONNECT
+            ("Host", "127.0.0.1:8443"), ("Accept-Encoding", "identity"),
+            ("Content-Length", str(len(stub.bodies[0]))), ("Authorization", "Bearer secret"),
+            ("Content-Type", "application/json"),
+        ])
+
+    @pytest.mark.parametrize("endpoint, credentials, connect", [
+        ("https://llm.example/v1", "", b"CONNECT llm.example:443 HTTP/1.1\r\nHost: llm.example:443\r\n"),
+        ("https://llm.example/v1", "user:pw@", b"CONNECT llm.example:443 HTTP/1.1\r\nHost: llm.example:443\r\n"
+                                               b"Proxy-Authorization: Basic dXNlcjpwdw==\r\n"),
+        ("https://b\u00fccher.example/v1", "",
+         b"CONNECT xn--bcher-kva.example:443 HTTP/1.1\r\nHost: xn--bcher-kva.example:443\r\n"),
+        ("https://[::1]:8443/v1", "", b"CONNECT [::1]:8443 HTTP/1.1\r\nHost: [::1]:8443\r\n"),
+    ], ids=["anonymous", "credentials", "non-ascii-host", "ipv6"])
+    def test_the_connect_request_on_the_wire(self, monkeypatch, stub, endpoint, credentials, connect):
+        """The same bytes on every Python; the stream through the tunnel then opens with a TLS handshake record."""
+        monkeypatch.setenv("https_proxy", f"http://{credentials}127.0.0.1:{stub.port}")
+        b = HttpBackend(endpoint, "SOME_KEY", retries=0, timeout=5)
+        with pytest.raises(TransportError):  # the stub ends the tunnel after the handshake's first bytes
+            b.complete(build_payload(VERIFIER, "p"))
+        assert stub.connects == [connect] and stub.tunnelled == [b"\x16\x03"] and stub.requests == 0
+
+    @pytest.mark.parametrize("status", [407, 502])
+    def test_a_proxy_that_refuses_the_tunnel(self, monkeypatch, stub, status):
+        stub.tunnel_status = status
+        monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{stub.port}")
+        b = HttpBackend("https://llm.example/v1", "SOME_KEY", retries=1, backoff=0.0, timeout=5)
+        with pytest.raises(TransportError, match=f"proxy refused the tunnel: b'HTTP/1.1 {status} "):
+            b.complete(build_payload(VERIFIER, "p"))
+        assert len(stub.connects) == 2 and stub.requests == 0
 
     def test_vote_tables_do_not_depend_on_the_window(self, stub):
         def verdict(prompt):
@@ -984,6 +1066,31 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         self.wfile.write(payload)
         self.close_connection = stub.close_after_reply
 
+    def do_CONNECT(self):
+        """Act as the proxy, and as the server at the far end of the tunnel."""
+        stub = self.server.stub
+        with stub.lock:
+            stub.connects.append(self.raw_requestline + b"".join(
+                f"{name}: {value}\r\n".encode("latin-1") for name, value in self.headers.items()))
+        self.send_response(stub.tunnel_status)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        if stub.tunnel_status != 200:
+            self.close_connection = True
+        elif stub.tunnel_tls is None:
+            stub.tunnelled.append(self.rfile.read(2))  # the first bytes through the tunnel
+            self.close_connection = True
+        else:
+            self.rfile.close()
+            self.connection = stub.tunnel_tls.wrap_socket(self.connection, server_side=True)
+            self.rfile = self.connection.makefile("rb")
+            self.wfile = self.connection.makefile("wb")
+
+    def finish(self):
+        super().finish()
+        if self.connection is not self.request:  # the tunnel's TLS socket, which the server does not know of
+            self.connection.close()
+
 
 class _StubServer(http.server.ThreadingHTTPServer):
     daemon_threads = True
@@ -1000,12 +1107,18 @@ class StubServer:
     scripted ``(status, body)`` or ``Raw`` reply in ``responses``, counts connections and
     requests, and keeps each request's body, target and headers as received.  With ``close_after_reply`` it closes
     each connection after one reply without saying so in its headers.  Given an ``ssl.SSLContext`` it speaks HTTPS.
+
+    It also acts as a proxy: it keeps each CONNECT request's line and fields, as received, in ``connects`` and
+    answers ``tunnel_status``.  After a 200 it serves the tunnelled stream itself, over TLS with the server context
+    ``tunnel_tls``; without one, it keeps the first two bytes the client sends through the tunnel in
+    ``tunnelled`` and closes the connection.
     """
 
     def __init__(self, tls=None):
         self.lock = threading.Lock()
         self.reply = lambda prompt: json.dumps({"k": prompt})
         self.responses, self.targets, self.headers, self.bodies = [], [], [], []
+        self.connects, self.tunnelled, self.tunnel_status, self.tunnel_tls = [], [], 200, None
         self.connections = self.requests = 0
         self.close_after_reply = False
         self.closed = threading.Event()
@@ -1043,7 +1156,14 @@ def stub(monkeypatch):
 
 @pytest.fixture
 def tls_stub(monkeypatch, tmp_path):
-    """The stub over HTTPS, with a self-signed certificate for 127.0.0.1 trusted through ``SSL_CERT_FILE``."""
+    """The stub over HTTPS."""
+    no_proxy_and_a_key(monkeypatch)
+    with StubServer(trusted_tls(monkeypatch, tmp_path)) as server:
+        yield server
+
+
+def trusted_tls(monkeypatch, tmp_path):
+    """A server context with a self-signed certificate for 127.0.0.1 that clients trust through ``SSL_CERT_FILE``."""
     openssl = shutil.which("openssl")
     if openssl is None:
         pytest.skip("the openssl command, which makes the test certificate, is not installed")
@@ -1054,10 +1174,8 @@ def tls_stub(monkeypatch, tmp_path):
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(cert, key)
     context.options |= getattr(ssl, "OP_IGNORE_UNEXPECTED_EOF", 0)  # the client closes without a TLS close_notify
-    no_proxy_and_a_key(monkeypatch)
     monkeypatch.setenv("SSL_CERT_FILE", str(cert))
-    with StubServer(context) as server:
-        yield server
+    return context
 
 
 def oracle_reply(prompt):
@@ -1103,6 +1221,10 @@ EDGES = {
     "b": [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]],
     "c": [[0, 0, 1], [0, 0, 1], [0, 0, 0]],
 }
+
+
+# a JSON text nested past the parser's recursion limit
+NESTED = '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 def loops(gw, edges, ids, config=None):
@@ -1212,6 +1334,21 @@ class TestRunSamples:
         assert isinstance(out["a"][1], MalformedOutput)
         assert out["b"][1] is None and out["c"][1] is None
         assert not backend.pending
+
+    @pytest.mark.parametrize("window", [1, 3, 8, None], ids=["window-1", "window-3", "window-8", "without-submit"])
+    def test_a_reply_nested_too_deeply_fails_only_its_own_sample(self, window):
+        def reply(prompt):
+            return NESTED if sample_of(prompt) == "0110-0001-0001-0000" else oracle_reply(prompt)  # sample "b"
+
+        class Sequential:
+            def complete(self, payload, meta=None):
+                return reply(payload["messages"][1]["content"]), {"input_tokens": 1, "output_tokens": 1}
+
+        backend = Sequential() if window is None else WindowBackend(reply)
+        out = loops(Gateway(backend, max_in_flight=window or 8), EDGES, ["a", "b", "c"])
+        assert list(out) == ["a", "b", "c"]
+        assert isinstance(out["b"][1], MalformedOutput) and "after 2 re-asks" in str(out["b"][1])
+        assert out["a"][1] is None and out["c"][1] is None and out["c"][0].status == "Success"
 
     def test_a_refused_send_fails_the_sample_it_belongs_to(self):
         backend = RefusingBackend(oracle_reply, refuse_at=1 + 6 * 5 + 2)
@@ -1568,6 +1705,19 @@ class TestGenerateInFlight:
         errors = [json.loads(line)["error"] for line in Path(out).read_text().splitlines()]
         assert sorted(errors, key=str) == ["CacheIoError: injected", None, None, None]
         assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 1
+
+    def test_a_reply_nested_too_deeply_fails_only_its_own_sample(self, monkeypatch, tmp_path):
+        def reply(prompt):
+            return NESTED if sample_of(prompt).count("-") == 4 else oracle_reply(prompt)  # the 5-node graph
+
+        out = tmp_path / "s.jsonl"
+        r = self.generate(monkeypatch, tmp_path, WindowBackend(reply), self.graphs(tmp_path))
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+        assert "generated 7, failed 1, skipped 0" in r.stdout and r.output.count("Error:") == 1
+        records = {record["id"]: record for record in map(json.loads, out.read_text().splitlines())}
+        assert len(records) == 8 and records["n5_00000"]["error"].startswith("MalformedOutput: ")
+        assert all(record["error"] is None for sid, record in records.items() if sid != "n5_00000")
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["errors"] == 1
 
     def test_records_do_not_depend_on_the_window(self, monkeypatch, tmp_path, stub):
         stub.reply = oracle_reply

@@ -57,6 +57,7 @@ def load_config(path: str | None) -> configparser.ConfigParser:
                 "endpoint": "",
                 "credential_env": "CAUSALTEXT_API_KEY",
                 "max_in_flight": "8",
+                "votes_per_request": "1",
             },
             "phase3": {"domain": "business"},
         }
@@ -204,11 +205,15 @@ def _build_gateway(cfg, mock_script, cache_path):
             raise InvalidConfig(f"backends.pool: {exc}")
     # requests kept in flight at once, shared by the open samples; 1 runs one request at a time
     max_in_flight = config_value(cfg, "backends", "max_in_flight", int)
-    if max_in_flight < 1:
-        raise InvalidConfig(f"backends.max_in_flight: must be >= 1, got {max_in_flight}")
+    # the most of a pair's votes an HTTP request asks for, as OpenAI's n; 1 sends no n
+    votes_per_request = config_value(cfg, "backends", "votes_per_request", int)
+    for key, value in (("max_in_flight", max_in_flight), ("votes_per_request", votes_per_request)):
+        if value < 1:
+            raise InvalidConfig(f"backends.{key}: must be >= 1, got {value}")
     if mock_script is None:
         # a missing credential or a bad endpoint stops the run here, before the first sample
-        backend = HttpBackend(cfg.get("backends", "endpoint"), cfg.get("backends", "credential_env"))
+        backend = HttpBackend(cfg.get("backends", "endpoint"), cfg.get("backends", "credential_env"),
+                              max_choices=votes_per_request)
     gw = Gateway(backend, cache=cache, max_in_flight=max_in_flight)
     profiles = {
         "proposer": BackendProfile.for_role(primary, "proposer"),
@@ -231,7 +236,8 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
     """Run the full annotation pipeline over a directory of graph files.
 
     Samples run side by side through the gateway's request window; their
-    records are appended in graph-file order as they finish.
+    records are appended in graph-file order as they finish.  An interrupted
+    run (Ctrl-C) still writes the manifest of the records stored so far.
     """
     cfg = load_config(config_path)
     loop_cfg = loop_config_from(cfg)
@@ -267,6 +273,17 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
             records[rec.id] = rec
             yield rec.id, _sample_steps(rec.dag, domain, profiles, loop_cfg)
 
+    def save_manifest():
+        manifest = RunManifest.from_store(
+            store,
+            config={"phase2": dict(cfg["phase2"]), "domain": domain, "backends": backends},
+            seed=seed,
+        )
+        try:
+            manifest.save(out + ".manifest.json")
+        except OSError as exc:
+            raise click.ClickException(f"--out: cannot write {out}.manifest.json: {exc.strerror or exc}")
+
     runs = gw.run_samples(samples())
     try:
         for sid_, outcome, error in runs:
@@ -286,19 +303,14 @@ def generate(config_path, graphs, out, mock_script, resume, seed, cache_path):
                 store.append(rec)
             except OSError as exc:
                 raise click.ClickException(f"--out: cannot write {out}: {exc.strerror or exc}")
+    except KeyboardInterrupt:
+        save_manifest()  # an interrupted run's manifest counts what its store holds so far
+        raise
     finally:
         runs.close()  # cancels every request still pending
         if isinstance(gw.backend, HttpBackend):
             gw.backend.close()
-    manifest = RunManifest.from_store(
-        store,
-        config={"phase2": dict(cfg["phase2"]), "domain": domain, "backends": backends},
-        seed=seed,
-    )
-    try:
-        manifest.save(out + ".manifest.json")
-    except OSError as exc:
-        raise click.ClickException(f"--out: cannot write {out}.manifest.json: {exc.strerror or exc}")
+    save_manifest()
     click.echo(f"generated {done}, failed {failed}, skipped {skipped}; manifest at {out}.manifest.json")
     if failed:
         raise click.ClickException(f"{failed} samples failed (recorded in the store, or named above if unreadable)")

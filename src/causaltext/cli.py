@@ -57,7 +57,6 @@ def load_config(path: str | None) -> configparser.ConfigParser:
                 "endpoint": "",
                 "credential_env": "CAUSALTEXT_API_KEY",
                 "max_in_flight": "8",
-                "votes_per_request": "1",
             },
             "phase3": {"domain": "business"},
         }
@@ -205,15 +204,11 @@ def _build_gateway(cfg, mock_script, cache_path):
             raise InvalidConfig(f"backends.pool: {exc}")
     # requests kept in flight at once, shared by the open samples; 1 runs one request at a time
     max_in_flight = config_value(cfg, "backends", "max_in_flight", int)
-    # the most of a pair's votes an HTTP request asks for, as OpenAI's n; 1 sends no n
-    votes_per_request = config_value(cfg, "backends", "votes_per_request", int)
-    for key, value in (("max_in_flight", max_in_flight), ("votes_per_request", votes_per_request)):
-        if value < 1:
-            raise InvalidConfig(f"backends.{key}: must be >= 1, got {value}")
+    if max_in_flight < 1:
+        raise InvalidConfig(f"backends.max_in_flight: must be >= 1, got {max_in_flight}")
     if mock_script is None:
         # a missing credential or a bad endpoint stops the run here, before the first sample
-        backend = HttpBackend(cfg.get("backends", "endpoint"), cfg.get("backends", "credential_env"),
-                              max_choices=votes_per_request)
+        backend = HttpBackend(cfg.get("backends", "endpoint"), cfg.get("backends", "credential_env"))
     gw = Gateway(backend, cache=cache, max_in_flight=max_in_flight)
     profiles = {
         "proposer": BackendProfile.for_role(primary, "proposer"),

@@ -5,8 +5,7 @@ HTTP/1.1 client over pooled keep-alive connections (one write per request,
 with ``Accept-Encoding: identity``; replies framed by Content-Length, by
 chunked encoding or by the server closing the connection; its own sockets,
 with a proxy's CONNECT tunnel and one TLS context per backend) with transport
-retries and exponential backoff, a single-threaded window of requests in flight
-(a pair's votes going as the choices of one request where the backend takes several),
+retries and exponential backoff, a single-threaded window of requests in flight,
 strict-JSON extraction with a bounded re-ask budget, response caching,
 token accounting, and two mock backends
 (a scriptable one for unit tests and an oracle that answers consistently
@@ -25,7 +24,6 @@ import logging
 import os
 import random
 import re
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -177,8 +175,7 @@ class UsageLedger:
 
 @functools.lru_cache(maxsize=64)
 def _approx_tokens(text: str) -> int:
-    # a reply text repeats across choices and pairs (a verifier's verdicts), and a prompt across a pair's
-    # votes when they go one choice per request
+    # a pair's m votes send one prompt m times in a row
     return len(text.split())
 
 
@@ -201,14 +198,6 @@ class HttpBackend:
     requests ever pending at once.  An idle connection the server has
     closed is replaced before it is used.
 
-    ``max_choices`` is the most choices one request may ask for, through
-    OpenAI's ``n``, which not every endpoint accepts; at its default of 1 no
-    request carries ``n``.  ``submit(payload, meta, n)`` with n from 2 to
-    ``max_choices`` asks for n choices, and its ``result()`` is ``(texts,
-    usage)``: the reply texts in the order the choices come, at most n, None
-    for a choice whose content is not a string, and the usage of the whole
-    request, whose input the server bills once.
-
     Transient failures (connection errors, malformed or cut-short replies,
     HTTP 429 and 5xx) are retried with jittered exponential backoff
     starting at ``backoff`` seconds.  ``http_proxy``, ``https_proxy`` and
@@ -222,8 +211,7 @@ class HttpBackend:
     TransportError.
     """
 
-    def __init__(self, endpoint: str, credential_env: str, retries: int = 3, backoff: float = 1.0, timeout: float = 120.0,
-                 max_choices: int = 1):
+    def __init__(self, endpoint: str, credential_env: str, retries: int = 3, backoff: float = 1.0, timeout: float = 120.0):
         key = os.environ.get(credential_env)
         if not key:
             raise AuthError(f"no credential in ${credential_env}")
@@ -233,7 +221,6 @@ class HttpBackend:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self.max_choices = max_choices
         self._idle: list = []  # connections with no reply left to read
         self._tls = None  # the one TLS context, made when the first TLS connection is opened
         # where and how to open a connection, and the head of every request up to its Content-Length value
@@ -242,24 +229,22 @@ class HttpBackend:
                   "Content-Type": "application/json", **proxy_headers}
         head = f"POST {target} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in fields.items())
         self._head = (head + "Content-Length: ").encode("ascii")
-        # the last payload and choice count submitted, and their request bytes
-        self._last_payload = self._last_n = self._last_request = None
+        self._last_payload = self._last_request = None  # the last payload submitted, and its request bytes
 
-    def complete(self, payload: dict, meta: dict | None = None, n: int = 1):
-        return self.submit(payload, meta, n).result()
+    def complete(self, payload: dict, meta: dict | None = None):
+        return self.submit(payload, meta).result()
 
-    def submit(self, payload: dict, meta: dict | None = None, n: int = 1) -> "PendingReply":
-        """Write one request for ``n`` choices and return the handle that reads its reply.
+    def submit(self, payload: dict, meta: dict | None = None) -> "PendingReply":
+        """Write one request and return the handle that reads its reply.
 
-        The request bytes of the last payload and count handed in are kept,
-        so a payload sent several times in a row, as a pair's votes are when
-        they go one choice per request, is encoded once.
+        The request bytes of the last payload handed in are kept, so a
+        payload sent several times in a row, as a pair's votes are, is
+        encoded once.
         """
-        if payload is not self._last_payload or n != self._last_n:
-            body = json.dumps(payload if n == 1 else {**payload, "n": n}).encode("utf-8")
-            self._last_request = self._head + b"%d\r\n\r\n" % len(body) + body
-            self._last_payload, self._last_n = payload, n
-        return PendingReply(self, payload, self._last_request, n)
+        if payload is not self._last_payload:
+            body = json.dumps(payload).encode("utf-8")
+            self._last_payload, self._last_request = payload, self._head + b"%d\r\n\r\n" % len(body) + body
+        return PendingReply(self, payload, self._last_request)
 
     def _resolve_route(self):
         """The address to dial, the CONNECT request and TLS server name or None, the target, Host and proxy headers."""
@@ -370,12 +355,17 @@ def _read_line(reader, what: str) -> bytes:
     return line
 
 
-def _read_fields(reader) -> dict:
-    """The header (or trailer) fields up to the empty line, by lower-cased name."""
+def _read_fields(reader, trailer: bool = False) -> dict:
+    """The header (or ``trailer``) fields up to the empty line, by lower-cased name.
+
+    A head cut before its empty line is refused; a trailer section may also
+    end where the stream does, as ``http.client`` reads it, since the body
+    it follows is whole.
+    """
     fields = {}
     for _ in range(_MAXHEADERS + 1):
         line = _read_line(reader, "header line")
-        if line in (b"\r\n", b"\n"):
+        if line in (b"\r\n", b"\n") or (trailer and not line):
             return fields
         if not line:
             raise _BadReply("connection closed before the end of the reply head")
@@ -409,7 +399,7 @@ def _read_chunked(reader) -> bytes:
             raise _BadReply(f"bad chunk size line {line[:40]!r}")
         size = int(size, 16)
         if not size:
-            _read_fields(reader)  # the trailer section
+            _read_fields(reader, trailer=True)
             return b"".join(chunks)
         total = _bounded(total + size)
         chunks.append(_read_exactly(reader, size + 2)[:size])  # the chunk and its CRLF
@@ -448,16 +438,14 @@ class PendingReply:
     It owns the pooled connection its request went out on, with that
     connection's socket and buffered reader, until the reply is read.
     ``result()`` reads the reply (retrying the request on a transient
-    failure) and returns ``(text, usage)``, or ``(texts, usage)`` for a
-    request of ``n`` above 1 (see ``HttpBackend``); ``cancel()`` closes the
+    failure) and returns ``(text, usage)``; ``cancel()`` closes the
     connection the unread reply would arrive on.
     """
 
-    def __init__(self, backend: HttpBackend, payload: dict, request: bytes, n: int = 1):
+    def __init__(self, backend: HttpBackend, payload: dict, request: bytes):
         self._backend = backend
         self._prompt = payload["messages"][1]["content"]
         self._request = request
-        self._n = n
         self._conn = None
         self._error: Exception | None = None
         self._send()
@@ -508,35 +496,25 @@ class PendingReply:
                 raise TransportError(f"HTTP {status}: {raw[:200]}")
             try:
                 body = json.loads(raw)
-                choices = body["choices"]
-                if self._n == 1:
-                    text = choices[0]["message"]["content"]
-                    if not isinstance(text, str):
-                        # OpenAI-style APIs send "content": null on a refusal
-                        raise TypeError(f"content is {text!r}, not a string")
-                else:
-                    texts = [_content(choice) for choice in choices[: self._n]]  # None for a bad choice
+                text = body["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    # OpenAI-style APIs send "content": null on a refusal
+                    raise TypeError(f"content is {text!r}, not a string")
             except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise MalformedOutput(f"malformed response body: {exc!r}", raw_text=raw[:200])
             usage = body.get("usage")
             usage = usage if isinstance(usage, dict) else {}
-            # a count the server leaves out, or sends as anything but an int, is estimated
-            ti, to = usage.get("prompt_tokens"), usage.get("completion_tokens")
-            if type(ti) is not int:
-                ti = _approx_tokens(self._prompt)
-            if type(to) is not int:
-                to = _approx_tokens(text) if self._n == 1 else sum(_approx_tokens(t) for t in texts if t is not None)
-            return (text if self._n == 1 else texts), {"input_tokens": ti, "output_tokens": to}
+
+            def count(key, words):
+                # a count the server leaves out, or sends as anything but an int, is estimated
+                value = usage.get(key)
+                return value if type(value) is int else _approx_tokens(words)
+
+            return text, {
+                "input_tokens": count("prompt_tokens", self._prompt),
+                "output_tokens": count("completion_tokens", text),
+            }
         raise TransportError(f"request failed after {backend.retries} retries: {self._error}")
-
-
-def _content(choice):
-    """A reply choice's text, or None if its content is not a string."""
-    try:
-        text = choice["message"]["content"]
-    except (KeyError, IndexError, TypeError):
-        return None
-    return text if isinstance(text, str) else None
 
 
 class ScriptedMockBackend:
@@ -545,12 +523,8 @@ class ScriptedMockBackend:
     Rules are dicts with optional ``template`` (exact template-name match)
     and ``contains`` (prompt substring match), a ``reply`` (string or JSON
     value), and an optional ``times`` use count (default unlimited).
-    A plain list of replies acts as a consume-in-order queue.  A request
-    for n choices takes n queue entries or rule uses, in order, and is
-    billed as n calls; the choices it finds nothing for are left out.
+    A plain list of replies acts as a consume-in-order queue.
     """
-
-    max_choices = None  # any number
 
     def __init__(self, script):
         if isinstance(script, dict) and "rules" in script:
@@ -566,36 +540,28 @@ class ScriptedMockBackend:
     def _as_text(reply) -> str:
         return reply if isinstance(reply, str) else json.dumps(reply)
 
-    def complete(self, payload: dict, meta: dict | None = None, n: int = 1):
-        template = (meta or {}).get("template")
+    def complete(self, payload: dict, meta: dict | None = None):
+        meta = meta or {}
         prompt = payload["messages"][1]["content"]
-        texts = []
-        try:
-            while len(texts) < n:
-                texts.append(self._as_text(self._reply(template, prompt)))
-        except TransportError:
-            if not texts:
-                raise
-        usage = {"input_tokens": len(texts) * _approx_tokens(prompt),
-                 "output_tokens": sum(_approx_tokens(text) for text in texts)}
-        return (texts[0] if n == 1 else texts), usage
-
-    def _reply(self, template, prompt):
         if self.queue is not None:
             if not self.queue:
                 raise TransportError("mock reply queue exhausted")
-            return self.queue.pop(0)
-        for rule in self.rules:
-            if rule.get("times", None) == 0:
-                continue
-            if "template" in rule and rule["template"] != template:
-                continue
-            if "contains" in rule and rule["contains"] not in prompt:
-                continue
-            if "times" in rule:
-                rule["times"] -= 1
-            return rule["reply"]
-        raise TransportError(f"no mock rule matches template={template!r}")
+            text = self._as_text(self.queue.pop(0))
+        else:
+            for rule in self.rules:
+                if rule.get("times", None) == 0:
+                    continue
+                if "template" in rule and rule["template"] != meta.get("template"):
+                    continue
+                if "contains" in rule and rule["contains"] not in prompt:
+                    continue
+                if "times" in rule:
+                    rule["times"] -= 1
+                text = self._as_text(rule["reply"])
+                break
+            else:
+                raise TransportError(f"no mock rule matches template={meta.get('template')!r}")
+        return text, {"input_tokens": _approx_tokens(prompt), "output_tokens": _approx_tokens(text)}
 
 
 class OracleMockBackend:
@@ -607,15 +573,18 @@ class OracleMockBackend:
     reproduces the stored matrix for discovery calls.  State is per
     proposal, so samples must be processed sequentially: it has no
     ``submit``, so a ``Gateway`` calls it when each reply is read, with a
-    window of one, and runs one sample at a time.  A request for n choices
-    is answered once, its text repeated n times, and billed as n calls.
-    """
+    window of one, and runs one sample at a time.
 
-    max_choices = None  # any number
+    An answer depends only on the prompt and on the state that the last
+    proposal prompt set, so a payload handed in again right after itself,
+    as a pair's m votes are, gets the last reply back without being
+    answered again; each call is still billed as a call.
+    """
 
     def __init__(self):
         self.matrix: list | None = None
         self.concepts: list | None = None
+        self._last_payload = self._last_meta = self._last_reply = None  # the last call answered, and its reply
 
     @staticmethod
     def _parse_matrix(prompt: str):
@@ -634,13 +603,14 @@ class OracleMockBackend:
     def _index_of(self, concept: str) -> int:
         return self.concepts.index(concept.strip())
 
-    def complete(self, payload: dict, meta: dict | None = None, n: int = 1):
-        meta = meta or {}
+    def complete(self, payload: dict, meta: dict | None = None):
+        if payload is self._last_payload and meta is self._last_meta:
+            return self._last_reply
         prompt = payload["messages"][1]["content"]
-        reply = self._answer(meta.get("template"), prompt)
-        text = json.dumps(reply)
-        usage = {"input_tokens": n * _approx_tokens(prompt), "output_tokens": n * _approx_tokens(text)}
-        return (text if n == 1 else [text] * n), usage
+        text = json.dumps(self._answer((meta or {}).get("template"), prompt))
+        self._last_reply = text, {"input_tokens": _approx_tokens(prompt), "output_tokens": _approx_tokens(text)}
+        self._last_payload, self._last_meta = payload, meta
+        return self._last_reply
 
     def _answer(self, template, prompt):
         if template not in TEMPLATE_SPECS:
@@ -812,35 +782,25 @@ class Gateway:
     """Ties a backend, a usage ledger, and a response cache together.
 
     A request's payload is built once and handed to the backend on each of
-    its sends, so a backend must not change a payload it is handed.  A reply
-    text read for a sample is parsed once while the sample's reads repeat
-    it, and those reads share one parsed object, so a pipeline must not
-    change a reply it is handed.  The ledger is updated once per sample,
-    when the sample ends, with every completion read for it.
-
-    A backend's ``max_choices`` is the most choices one request may ask for:
-    None means any number, and a backend that declares none takes 1.  One
-    that declares more than 1 is also called as ``complete(payload, meta, n)``
-    or ``submit(payload, meta, n)``, with n from 2 to its limit, and the
-    reply is ``(texts, usage)``: at most n texts in choice order, None for a
-    choice with no usable text, and the usage of the whole request.
-    ``calls_made`` counts completions asked for: a request for n counts n.
+    its sends (a pair's m votes send one request m times), so a backend must
+    not change a payload it is handed.  A reply text read for a sample is
+    parsed once while the sample's reads repeat it, and those reads share
+    one parsed object, so a pipeline must not change a reply it is handed.
+    The ledger is updated once per sample, when the sample ends, with every
+    call read for it.
 
     Every request goes through one scheduler, ``run_samples``, which keeps up
     to ``max_in_flight`` requests pending at once, from any number of open
     sample pipelines, all on the calling thread.  The window is shared by
     every open sample, and the next sample is admitted while the window has
-    room and no open sample has a request waiting to be sent.  A run of a
-    batch's reply slots that hold one request object, as a pair's m votes
-    do, is sent as one request for that many choices, up to the backend's
-    limit.  A reply that needs a re-ask, and a choice missing from a reply,
-    are sent again alone, with one choice, ahead of any request not yet
-    sent.  A backend without ``submit`` is called when its reply is read,
-    with a window of one, so it serves one sample at a time in the order a
-    sequential run would.  Idle keep-alive connections hold a server's
-    handlers, so a window larger than the number of connections the server
-    serves at once stalls.  ``complete_json`` runs one sample through the
-    same scheduler.  A gateway built without a cache keeps one in memory.
+    room and no open sample has a request waiting to be sent.  A reply that
+    needs a re-ask is re-asked at once, on the slot its read freed.  A backend
+    without ``submit`` is called when its reply is read, with a window of
+    one, so it serves one sample at a time in the order a sequential run
+    would.  Idle keep-alive connections hold a server's handlers, so a
+    window larger than the number of connections the server serves at once
+    stalls.  ``complete_json`` runs one sample through the same scheduler.
+    A gateway built without a cache keeps one in memory.
     """
 
     def __init__(self, backend, *, cache: ResponseCache | None = None, max_in_flight: int = 8):
@@ -850,19 +810,16 @@ class Gateway:
         self.ledger = UsageLedger()
         self.cache = ResponseCache() if cache is None else cache
         self.max_in_flight = max_in_flight
-        self.calls_made = 0  # completions asked for: a request for n choices counts n
+        self.calls_made = 0
         # a backend without submit is called when the reply is read, so it serves one request at a time
         submit = getattr(backend, "submit", None)
         self._submit = submit or functools.partial(_Deferred, backend)
         self._window = max_in_flight if submit else 1
-        # the most choices one request may ask for: 1 unless the backend declares more, None for any number
-        choices = getattr(backend, "max_choices", 1)
-        self._choices = sys.maxsize if choices is None else choices
 
-    def _send(self, payload: dict, meta: dict, n: int = 1):
-        """Write one request for ``n`` choices; returns the handle its reply is read from."""
-        handle = self._submit(payload, meta) if n == 1 else self._submit(payload, meta, n)
-        self.calls_made += n
+    def _send(self, payload: dict, meta: dict):
+        """Write one request; returns the handle its reply is read from."""
+        handle = self._submit(payload, meta)
+        self.calls_made += 1
         return handle
 
     def complete(self, profile: BackendProfile, prompt: str, template: str | None = None, sample_id=None):
@@ -904,14 +861,10 @@ class Gateway:
         in one ledger update per sample: when the sample ends, before it is
         yielded, or, for a sample still open, as an exception propagates.
         Each request's payload is built once and shared by its sends, so
-        neither the backend nor the pipeline may change it.  Consecutive
-        slots of a batch that hold one request object go out as the choices
-        of one request, up to the backend's ``max_choices``, and the read
-        settles them in order, each as a read of its own would be; a choice
-        the reply lacks is sent again alone.  A sample's consecutive reads of
-        one reply text are parsed once, and the replies they give may be one
-        shared object, so the pipeline must not change a reply; the key
-        check and the re-asks stay per slot, and the usage per request.
+        neither the backend nor the pipeline may change it.  A sample's
+        consecutive reads of one reply text are parsed once, and the replies
+        they give may be one shared object, so the pipeline must not change
+        a reply; the key check, the re-asks and the usage stay per read.
         """
         return _Scheduler(self, samples).run()
 
@@ -942,11 +895,9 @@ class Request:
     object with every one of ``expected_keys``.  Its payload is built once,
     when it is made, and every send of it hands the backend that one
     payload; a re-ask builds its own.  A batch may hold one request several
-    times, so neither the request nor its payload is changed once made; its
-    copies in a row, as a pair's votes, are asked for as the choices of one
-    send where the backend takes several.  Its copies' replies, like any of
-    a sample's consecutive reads of one text, may be one parsed object, so a
-    reply is not changed either."""
+    times, so neither the request nor its payload is changed once made.
+    Its copies' replies, like any of a sample's consecutive reads of one
+    text, may be one parsed object, so a reply is not changed either."""
 
     profile: BackendProfile
     prompt: str
@@ -998,13 +949,13 @@ def ask_steps(profile: BackendProfile, template: str, bindings: dict, note: str 
 class _Deferred:
     """The handle of a backend without ``submit``: the call is made when the reply is read."""
 
-    __slots__ = ("_backend", "_args")
+    __slots__ = ("_backend", "_payload", "_meta")
 
-    def __init__(self, backend, *args):
-        self._backend, self._args = backend, args  # (payload, meta), and n for more than one choice
+    def __init__(self, backend, payload: dict, meta: dict):
+        self._backend, self._payload, self._meta = backend, payload, meta
 
     def result(self):
-        return self._backend.complete(*self._args)
+        return self._backend.complete(self._payload, self._meta)
 
     def cancel(self) -> None:
         pass
@@ -1041,22 +992,19 @@ class _Scheduler:
 
     ``run()`` repeats three things until nothing is pending: fill the
     window, yield the samples finished so far that come next in admission
-    order, and read the oldest pending reply and hand it on.  A free slot
-    goes first to the reply slots waiting to be sent alone (re-asks, and
-    choices a reply lacked), oldest first, so they go out before any request
-    not yet written; then to the oldest batch with requests not yet written,
-    whose next run of slots that hold one request object goes out as one
-    request for that many choices, up to the backend's limit; then to the
-    next sample.  A failed send or read fills the first reply slot of its
-    request, and only ``_step`` ends a sample.
+    order, and read the oldest pending reply and hand it on.  A reply that
+    needs a re-ask is re-asked by that read, on the slot it just freed, so
+    the re-ask goes out before any request not yet written.  Any other free
+    slot goes to the oldest batch with requests not yet written, then to
+    the next sample.  A failed send or read fills its request's reply
+    slot, and only ``_step`` ends a sample.
     """
 
     def __init__(self, gateway: Gateway, samples):
         self.gw = gateway
         self.samples = iter(samples)
         self.window = gateway._window
-        self.pending = collections.deque()  # (sample, index, attempt, choices, handle), oldest first
-        self.resend = collections.deque()  # (sample, index, attempt) of reply slots to send alone, oldest first
+        self.pending = collections.deque()  # (sample, index, attempt, handle), oldest first
         self.queued = collections.deque()  # samples whose batch has requests not yet written
         self.order = collections.deque()  # admitted samples not yet handed out
         self.ready = collections.deque()  # (sample, value) to resume with
@@ -1076,31 +1024,23 @@ class _Scheduler:
                 self._read(*pending.popleft())
         finally:
             for entry in pending:
-                entry[-1].cancel()
+                entry[3].cancel()
             pending.clear()
-            self.resend.clear()
             for s in order:
                 s.steps.close()
                 if not s.done:  # the run stops with the sample open; what it read is billed all the same
                     self._bill(s)
 
     def _fill(self) -> None:
-        pending, window, queued, resend = self.pending, self.window, self.queued, self.resend
+        pending, window, queued = self.pending, self.window, self.queued
         while len(pending) < window:
-            if resend:
-                self._send(*resend.popleft())
-            elif queued:
+            if queued:
                 s = queued[0]
-                batch = s.batch
                 index = s.sent
-                # the run of slots that hold this request object, as a pair's votes do, goes out as one request
-                request, end = batch[index], min(len(batch), index + self.gw._choices)
                 s.sent += 1
-                while s.sent < end and batch[s.sent] is request:
-                    s.sent += 1
-                if s.sent == len(batch):
+                if s.sent == len(s.batch):
                     queued.popleft()
-                self._send(s, index, 0, s.sent - index)
+                self._send(s, index, 0)
             else:
                 admitted = next(self.samples, None)
                 if admitted is None:
@@ -1110,59 +1050,43 @@ class _Scheduler:
                 self._step(s, None)
                 self._drain()
 
-    def _send(self, s: _Sample, index: int, attempt: int, choices: int = 1) -> None:
-        """Write request ``index`` of the sample's batch, as its ``attempt``-th re-ask if not 0, for the
-        reply slots from ``index`` on: ``choices`` of them, which all hold that request."""
+    def _send(self, s: _Sample, index: int, attempt: int) -> None:
+        """Write request ``index`` of the sample's batch, as its ``attempt``-th re-ask if not 0."""
         request = s.batch[index]
         payload = request._payload
         if attempt:
             note = JSON_REASK.format(keys=", ".join(repr(k) for k in request.expected_keys))
             payload = build_payload(request.profile, request.prompt + "\n\n" + note)
         try:
-            self.pending.append((s, index, attempt, choices, self.gw._send(payload, request._meta, choices)))
+            self.pending.append((s, index, attempt, self.gw._send(payload, request._meta)))
         except CausaltextError as exc:
             self._settle(s, index, _Failed(exc))
 
-    def _read(self, s: _Sample, index: int, attempt: int, choices: int, handle) -> None:
-        """Read a reply and settle the reply slots of its choices, in one pass."""
+    def _read(self, s: _Sample, index: int, attempt: int, handle) -> None:
         request = s.batch[index]  # a pending request's batch is its sample's current one
         try:
-            if choices == 1:
-                text, usage = handle.result()
-                texts = (text,)
-            else:
-                texts, usage = handle.result()
+            text, usage = handle.result()
         except MalformedOutput as exc:
-            if choices == 1:
-                self._settle(s, index, exc)
-                return
-            texts, usage = (), {}  # a reply that holds no choice: each slot is sent again alone
+            reply = exc
         except CausaltextError as exc:
-            self._settle(s, index, _Failed(exc))
-            return
-        s.input_tokens += int(usage.get("input_tokens", 0))
-        s.output_tokens += int(usage.get("output_tokens", 0))
-        for slot in range(index, index + choices):
-            text = texts[slot - index] if slot - index < len(texts) else None
-            if text is None:
-                self.resend.append((s, slot, 0))  # a choice missing or bad: the slot is sent again, alone
-                continue
+            reply = _Failed(exc)
+        else:
+            ti, to = int(usage.get("input_tokens", 0)), int(usage.get("output_tokens", 0))
+            s.input_tokens += ti
+            s.output_tokens += to
             s.calls += 1
             if text != s.text:
                 s.text, s.parsed = text, _extract_json(text)
             reply = s.parsed
             if reply is None or not reply.keys() >= request._keys:
                 if attempt < JSON_REASKS:
-                    self.resend.append((s, slot, attempt + 1))  # ahead of any request not yet written
-                    continue
+                    self._send(s, index, attempt + 1)  # on the slot this read freed
+                    return
                 reply = MalformedOutput(
                     f"no valid JSON with keys {list(request.expected_keys)} after {JSON_REASKS} re-asks",
                     raw_text=text,
                 )
-            s.replies[slot] = reply
-        if index < s.upto:
-            self._step(s)
-            self._drain()
+        self._settle(s, index, reply)
 
     def _settle(self, s: _Sample, index: int, reply) -> None:
         """Make ``reply`` request ``index``'s final reply; after a failure, send no later request of the batch."""
@@ -1241,10 +1165,8 @@ class _Scheduler:
         if s.sent < len(s.batch):
             self.queued.remove(s)
         for entry in [entry for entry in self.pending if entry[0] is s]:
-            entry[-1].cancel()
+            entry[3].cancel()
             self.pending.remove(entry)
-        for entry in [entry for entry in self.resend if entry[0] is s]:
-            self.resend.remove(entry)
         s.batch = None
 
     def _end(self, s: _Sample, result=None, error=None) -> None:

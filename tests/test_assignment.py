@@ -14,7 +14,6 @@ from causaltext.assignment import (
     VoteTable,
     analyze_causal_structure,
     counterfactual_verification,
-    counterfactual_verification_steps,
     fallacy_analysis,
     initial_assignment,
     normalize_concept,
@@ -165,12 +164,6 @@ class TestInitialAssignment:
             initial_assignment(make_dag(2, [(0, 1)]), "d", gw, PROPOSER)
 
 
-class OneChoiceScript(ScriptedMockBackend):
-    """A reply queue written in the order of one-choice requests: a pair's votes, each followed by its re-asks."""
-
-    max_choices = 1
-
-
 class TestVerification:
     def test_vote_proportion(self):
         # pair (0,1): yes,yes,yes,no,no -> 0.6; pair (1,0): all no
@@ -223,7 +216,7 @@ class TestVerification:
         # three completions burn the whole re-ask budget (3 calls each) and
         # abstain, leaving only 2 parsed of the required 3
         replies = ["not json"] * 9 + [{"direct cause": "yes"}] * 2
-        gw = Gateway(OneChoiceScript(replies))
+        gw = Gateway(ScriptedMockBackend(replies))
         dag = make_dag(2, [(0, 1)])
         with pytest.raises(VerificationError):
             counterfactual_verification(
@@ -239,7 +232,7 @@ class TestVerification:
         # one abstained completion of five still leaves 4 >= min(3, m)
         replies = ["junk"] * 3 + [{"direct cause": "yes"}] * 4
         replies += [{"direct cause": "no"}] * 5
-        gw = Gateway(OneChoiceScript(replies))
+        gw = Gateway(ScriptedMockBackend(replies))
         dag = make_dag(2, [(0, 1)])
         votes = counterfactual_verification(
             ConceptAssignment(["A", "B"], "d"),
@@ -251,25 +244,6 @@ class TestVerification:
         )
         assert votes.s[(0, 1)] == 1.0
         assert len(votes.votes[(0, 1)]) == 4
-
-    @pytest.mark.parametrize("abstaining, raises", [(3, True), (1, False)])
-    def test_a_pairs_votes_take_the_queue_in_choice_order_then_their_reasks(self, abstaining, raises):
-        # the pair's five votes are one request that takes five queue entries, and the
-        # unparsed choices' re-asks follow, alone, two each
-        yes, no = {"direct cause": "yes"}, {"direct cause": "no"}
-        replies = ["junk"] * abstaining + [yes] * (5 - abstaining) + ["junk"] * 2 * abstaining + [no] * 5
-        gw = Gateway(ScriptedMockBackend(replies))
-        dag = make_dag(2, [(0, 1)])
-        steps = counterfactual_verification_steps(
-            ConceptAssignment(["A", "B"], "d"), analyze_causal_structure(dag), dag, VERIFIER, m=5)
-        if raises:
-            with pytest.raises(VerificationError, match=r"only 2 of 5"):
-                gw.run_sample(steps)
-        else:
-            votes = gw.run_sample(steps)
-            assert votes.votes == {(0, 1): [1, 1, 1, 1], (1, 0): [0] * 5}
-            assert gw.ledger.totals()["calls"] == 12 and gw.calls_made == 12
-        assert gw.backend.queue == ([no] * 5 if raises else [])
 
     def test_vote_table_roundtrip(self):
         vt = VoteTable(s={(0, 1): 0.6, (1, 0): 0.0}, m=5, votes={(0, 1): [1, 1, 1, 0, 0]})

@@ -240,6 +240,20 @@ class TestScriptedMock:
         assert b.complete(p)[0] == "a"
         assert b.complete(p)[0] == "b"
 
+    def test_the_oracle_answers_a_payload_again_only_after_another(self):
+        b = OracleMockBackend()
+        proposer, verifier = BackendProfile.for_role("m", "proposer"), BackendProfile.for_role("m", "verifier")
+        edge, empty = (build_payload(proposer, f"Adjacency Matrix:\n{rows}\n") for rows in ("01\n00", "00\n00"))
+        pair, meta = build_payload(verifier, "Cause candidate: Factor 0\nEffect candidate: Factor 1"), {"template": "verify"}
+        b.complete(edge, {"template": "phase2"})
+        first = b.complete(pair, meta)
+        assert b.complete(pair, meta) is first and json.loads(first[0]) == {"direct cause": "yes"}
+        assert first[1] == {"input_tokens": 8, "output_tokens": 3}  # billed as a call each time
+        back = build_payload(verifier, "Cause candidate: Factor 1\nEffect candidate: Factor 0")
+        assert json.loads(b.complete(back, meta)[0]) == {"direct cause": "no"}
+        b.complete(empty, {"template": "phase2"})  # a new proposal, so the same pair is answered afresh
+        assert json.loads(b.complete(pair, meta)[0]) == {"direct cause": "no"}
+
     def test_factory(self):
         assert isinstance(make_mock_backend({"mode": "oracle"}), OracleMockBackend)
         assert isinstance(make_mock_backend(["x"]), ScriptedMockBackend)
@@ -639,38 +653,6 @@ class TestHttpBackend:
         assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 8
         assert stub.requests == 8
 
-    def test_a_request_for_several_choices_sends_n(self, stub):
-        stub.null_choice = True
-        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, max_choices=3)
-        assert b.complete(build_payload(VERIFIER, "p"), None, 3) == (
-            ['{"k": "p"}', '{"k": "p"}', None], {"input_tokens": 1, "output_tokens": 3})
-        assert json.loads(b.complete(build_payload(VERIFIER, "q"))[0]) == {"k": "q"}
-        b.close()
-        assert [json.loads(body).get("n") for body in stub.bodies] == [3, None]
-        assert stub.billed == 4 + 2
-
-    @pytest.mark.parametrize("choices, texts", [
-        ([], []),
-        ([{"message": {"content": "a b"}}, {"message": {}}, "junk", {"message": {"content": None}},
-          {"message": {"content": "c"}}], ["a b", None, None, None]),
-        ([{"message": {"content": "a"}}, {"message": {"content": "b c"}}], ["a", "b c"]),
-    ])
-    def test_each_choice_is_read_in_order_and_a_bad_one_is_none(self, stub, choices, texts):
-        stub.responses.append((200, json.dumps({"choices": choices}).encode()))
-        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, max_choices=4)
-        got = b.complete(build_payload(VERIFIER, "x y z"), None, 4)
-        b.close()
-        # without usage, the prompt is counted once and each choice's words
-        assert got == (texts, {"input_tokens": 3, "output_tokens": sum(len(t.split()) for t in texts if t)})
-
-    @pytest.mark.parametrize("content", [b"<html>bad gateway</html>", b'{"choices": {"0": {}}}', b"[]"])
-    def test_a_reply_without_a_list_of_choices_raises_malformed_output(self, stub, content):
-        stub.responses.append((200, content))
-        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, max_choices=2)
-        with pytest.raises(MalformedOutput):
-            b.complete(build_payload(VERIFIER, "p"), None, 2)
-        b.close()
-
     def test_many_calls_share_at_most_window_connections(self, stub):
         b = HttpBackend(stub.endpoint, "SOME_KEY")
         prompts = [f"p{k}" for k in range(40)]
@@ -899,47 +881,18 @@ class TestHttpBackend:
         assert set(tables[0].s.values()) == {0.0, 1.0}
         assert requests[0] == requests[1] > 12 * 5  # some prompts were re-asked
 
-    def test_vote_tables_do_not_depend_on_the_votes_per_request(self, stub):
-        def verdict(prompt):  # the pair's prompt picks the verdict, and with a count of the choices served, prose
-            pair, reask, _ = prompt.partition("\n\nYour previous reply could not be parsed")
-            if not reask and hashlib.sha256(f"{prompt}/{next(served)}".encode()).digest()[1] % 4 == 0:
-                return "let me think"  # re-asked
-            return json.dumps({"direct cause": "yes" if hashlib.sha256(pair.encode()).digest()[0] % 2 else "no"})
-
-        stub.reply = verdict
-        dag = Dag(n=4, edges=np.array([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int8))
-        ca = ConceptAssignment(["Rain", "Wet grass", "Slippery road", "Accident"], "weather")
-        tables, requests, ns = [], [], []
-        for votes in (1, 5, 3):
-            served, before = itertools.count(), len(stub.bodies)
-            b = HttpBackend(stub.endpoint, "SOME_KEY", retries=0, max_choices=votes)
-            tables.append(counterfactual_verification(ca, analyze_causal_structure(dag), dag, Gateway(b), VERIFIER, m=5))
-            b.close()
-            bodies = [json.loads(body) for body in stub.bodies[before:]]
-            requests.append(len(bodies))
-            ns.append(collections.Counter(body.get("n") for body in bodies))
-        assert tables[0] == tables[1] == tables[2] and set(tables[0].s.values()) == {0.0, 1.0}
-        # the re-asks go alone; a pair's five votes go as one request at 5, and as two at 3
-        reasks = requests[0] - 12 * 5
-        assert reasks > 0 and ns[0] == {None: requests[0]}
-        assert ns[1][5] == 12 and 1 not in ns[1] and requests[1] < requests[0]
-        assert ns[2][3] == 12 and ns[2][2] == 12 and 1 not in ns[2]
-
 
 VERIFIER = BackendProfile.for_role("v", "verifier")
 
 
 class FakeHandle:
-    n = 1  # the choices asked for
-
     def __init__(self, backend, prompt):
         self.backend, self.prompt = backend, prompt
 
     def result(self):
         self.backend.finish(self, "read")
-        if self.n == 1:
-            return self.backend.reply(self.prompt), {"input_tokens": 1, "output_tokens": 1}
-        return choice_texts(self.backend, self.prompt, self.n), {"input_tokens": 1, "output_tokens": self.n}
+        text = self.backend.reply(self.prompt)
+        return text, {"input_tokens": 1, "output_tokens": 1}
 
     def cancel(self):
         self.backend.finish(self, "cancel")
@@ -1116,14 +1069,8 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
             self.close_connection = scripted.close
             return
         if scripted is None:
-            prompt = body["messages"][-1]["content"]
-            n = 1 if stub.ignore_n else body.get("n", 1)
-            choices = [{"index": k, "message": {"content": stub.reply(prompt)}} for k in range(n)]
-            if n > 1 and stub.null_choice:
-                choices[-1]["message"]["content"] = None
-            envelope = {"choices": choices, "usage": {"prompt_tokens": 1, "completion_tokens": n}}
-            with stub.lock:
-                stub.billed += 1 + n
+            text = stub.reply(body["messages"][-1]["content"])
+            envelope = {"choices": [{"message": {"content": text}}], "usage": {"prompt_tokens": 1, "completion_tokens": 1}}
             status, payload = 200, json.dumps(envelope).encode()
         else:
             status, payload = scripted
@@ -1172,13 +1119,10 @@ class _StubServer(http.server.ThreadingHTTPServer):
 class StubServer:
     """A keep-alive chat-completion stub on 127.0.0.1, one thread per connection.
 
-    It replies ``reply(prompt)`` (by default ``{"k": prompt}``), once for each of the request's ``n`` choices, or the
-    next scripted ``(status, body)`` or ``Raw`` reply in ``responses``, counts connections and requests, and keeps
-    each request's body, target and headers as received.  A reply of its own bills one prompt token and one
-    completion token per choice, summed in ``billed``; with ``ignore_n`` it sends one choice whatever ``n`` asks, and
-    with ``null_choice`` the last choice of a reply of several has ``content: null``.  With ``close_after_reply`` it
-    closes each connection after one reply without saying so in its headers.  Given an ``ssl.SSLContext`` it speaks
-    HTTPS.
+    It replies ``reply(prompt)`` (by default ``{"k": prompt}``), or the next
+    scripted ``(status, body)`` or ``Raw`` reply in ``responses``, counts connections and
+    requests, and keeps each request's body, target and headers as received.  With ``close_after_reply`` it closes
+    each connection after one reply without saying so in its headers.  Given an ``ssl.SSLContext`` it speaks HTTPS.
 
     It also acts as a proxy: it keeps each CONNECT request's line and fields, as received, in ``connects`` and
     answers ``tunnel_status``.  After a 200 it serves the tunnelled stream itself, over TLS with the server context
@@ -1191,8 +1135,8 @@ class StubServer:
         self.reply = lambda prompt: json.dumps({"k": prompt})
         self.responses, self.targets, self.headers, self.bodies = [], [], [], []
         self.connects, self.tunnelled, self.tunnel_status, self.tunnel_tls = [], [], 200, None
-        self.connections = self.requests = self.billed = 0
-        self.close_after_reply = self.ignore_n = self.null_choice = False
+        self.connections = self.requests = 0
+        self.close_after_reply = False
         self.closed = threading.Event()
         self._httpd = _StubServer(("127.0.0.1", 0), _StubHandler)
         self._httpd.stub = self
@@ -1619,65 +1563,6 @@ class PaddedFaultyBackend(FaultyBackend):
         self.reply = padded(self.reply)
 
 
-def choice_texts(backend, prompt, n):
-    """The texts of a reply of ``n`` choices: one ``backend.reply(prompt)`` per choice, as a call of its
-    own would give, except that with ``backend.short`` the last choice is left out and the one before is null."""
-    texts = [backend.reply(prompt) for _ in range(n)]
-    if backend.short:
-        texts = texts[:-1]
-        texts[-1] = None
-    return texts
-
-
-class ChoiceFaultyBackend(FaultyBackend):
-    """A FaultyBackend that takes up to ``max_choices`` choices per request; each choice meets the fault of
-    the prompt, as a request of one choice would, so "send" and "read" fail the whole request."""
-
-    max_choices = 3
-    short = False
-
-    def submit(self, payload, meta=None, n=1):
-        handle = super().submit(payload, meta)
-        handle.n = n
-        return handle
-
-
-class ShortChoiceBackend(ChoiceFaultyBackend):
-    """A ChoiceFaultyBackend whose replies of several choices miss one choice and send the one before it null."""
-
-    max_choices = 4
-    short = True
-
-
-class PaddedChoiceBackend(ChoiceFaultyBackend):
-    """A ChoiceFaultyBackend whose replies are ``padded``, choice by choice."""
-
-    max_choices = 2
-
-    def __init__(self, fault):
-        super().__init__(fault)
-        self.reply = padded(self.reply)
-
-
-class ChoiceFaultySequential(FaultySequential):
-    """``ChoiceFaultyBackend`` without ``submit``."""
-
-    max_choices = None
-    short = False
-
-    def __init__(self, fault):
-        super().__init__(fault)
-        self.reply = functools.partial(model_reply, fault)
-
-    def complete(self, payload, meta=None, n=1):
-        if n == 1:
-            return super().complete(payload, meta)
-        prompt = payload["messages"][1]["content"]
-        if self.fault(prompt) == "send":
-            raise AuthError(f"send {prompt!r}")
-        return choice_texts(self, prompt, n), {"input_tokens": 1, "output_tokens": n}
-
-
 class TestSchedulerModel:
     """A sample's outcome, its result or the error it ends with, is the same at
     every window and without ``submit``: a failed send or read fills its reply
@@ -1720,44 +1605,6 @@ class TestSchedulerModel:
             outs = [run_model(make, window, fault, programs, computes, copies)[0] for make, window in runs]
             differ += [(seed, make.__name__, window) for (make, window), out in zip(runs, outs) if out != outs[0]]
         assert differ == []
-
-    def test_seeded_cases_agree_when_a_request_takes_several_choices(self):
-        # one request object fills 1-5 slots in a row, and its copies go out as the choices of one request,
-        # up to the backend's limit; a choice missing or null is sent again alone.  A RuntimeError stops the
-        # whole run, and which open sample meets one first depends on how many samples the window holds, which
-        # coalescing changes, so such a run compares as stopped, whichever sample stopped it
-        runs = [(FaultyBackend, 1), (ChoiceFaultyBackend, 1), (ChoiceFaultyBackend, 3), (ChoiceFaultyBackend, 8),
-                (ShortChoiceBackend, 1), (ShortChoiceBackend, 3), (PaddedChoiceBackend, 8), (ChoiceFaultySequential, 8)]
-        differ, calls = [], collections.Counter()
-        for seed in range(300):
-            rng = random.Random(f"choices/{seed}")
-            copies = rng.randint(1, 5)
-            computes = {key: model_program(rng, ()) for key in ("x", "y")}
-            programs = [(f"s{k}", model_program(rng, ("x", "y"))) for k in range(rng.randint(1, 6))]
-            fault = seeded_fault(seed)
-            outs = []
-            for make, window in runs:
-                out, backend = run_model(make, window, fault, programs, computes, copies)
-                outs.append("stopped" if isinstance(out, str) else out)
-                calls[make.__name__, window] += len(backend.submitted()) if isinstance(backend, WindowBackend) else 0
-            differ += [(seed, make.__name__, window) for (make, window), out in zip(runs, outs) if out != outs[0]]
-        assert differ == []
-        # coalescing sends fewer requests; a short reply's slots are sent again
-        assert calls["ChoiceFaultyBackend", 8] < calls["FaultyBackend", 1] < calls["ShortChoiceBackend", 3]
-
-    def test_reasks_of_several_choices_wait_their_turn_ahead_of_unsent_requests(self):
-        a, b, c = (Request(VERIFIER, p, ("k",)) for p in "abc")
-
-        def steps():
-            yield [a, a, a, b, c]
-            return (yield 5)
-
-        backend = ChoiceFaultyBackend({"a": "prose"}.get)
-        out = Gateway(backend, max_in_flight=2).run_sample(steps())
-        assert out == [{"k": "a"}] * 3 + [{"k": "b"}, {"k": "c"}]
-        # a's three choices come back as prose and free one slot: its re-asks take each slot freed next
-        assert backend.submitted() == ["a", "b", *["a" + REASK_NOTE] * 3, "c"]
-        assert backend.most_pending == 2 and not backend.pending
 
     # the prompts of a one-batch program's first four requests
     A, B, C, D = (f"s.0.{i}" for i in range(4))
@@ -1938,64 +1785,10 @@ class TestGenerateInFlight:
         assert len(closed) == 2 and closed[0] > 0
 
 
-def http_config(tmp_path, stub, name, **backends):
-    """A config file for ``stub``'s endpoint, with the given ``[backends]`` settings."""
-    cfg = tmp_path / f"{name}.ini"
-    cfg.write_text(f"[backends]\nendpoint = {stub.endpoint}\ncredential_env = SOME_KEY\n"
-                   + "".join(f"{key} = {value}\n" for key, value in backends.items()))
-    return str(cfg)
-
-
-class TestVotesPerRequest:
-    """``[backends] votes_per_request`` asks for up to that many of a pair's votes as the choices of one request."""
-
-    def generate(self, tmp_path, stub, graphs, votes):
-        cfg = http_config(tmp_path, stub, f"v{votes}", votes_per_request=votes)
-        out, cache = str(tmp_path / f"v{votes}.jsonl"), str(tmp_path / f"v{votes}.cache.jsonl")
-        sent, billed = len(stub.bodies), stub.billed
-        r = CliRunner().invoke(main, ["generate", "--config", cfg, "--graphs", graphs, "--out", out, "--cache", cache])
-        assert r.exit_code == 0, r.output
-        records = [json.loads(line) for line in Path(out).read_text().splitlines()]
-        manifest = json.loads(Path(out + ".manifest.json").read_text())
-        assert manifest["total_tokens"] == stub.billed - billed  # the server's bill, each request's input once
-        bodies = [json.loads(body) for body in stub.bodies[sent:]]
-        return records, ResponseCache(cache).data, manifest, bodies
-
-    @pytest.mark.parametrize("server", [None, "ignore_n", "null_choice"])
-    def test_five_give_the_records_and_vote_tables_of_one(self, tmp_path, stub, server):
-        stub.reply = oracle_reply
-        graphs = TestGenerateInFlight().graphs(tmp_path, n_max=6)
-        one = self.generate(tmp_path, stub, graphs, 1)
-        if server:
-            setattr(stub, server, True)  # the missing or bad choices are sent again, alone
-        five = self.generate(tmp_path, stub, graphs, 5)
-
-        def kept(records):
-            return [{k: v for k, v in record.items() if k not in ("created_at", "tokens")} for record in records]
-
-        assert len(one[0]) == 4 and kept(five[0]) == kept(one[0])
-        assert len(one[1]) == 4 and five[1] == one[1]  # every vote table
-        assert all("n" not in body for body in one[3])
-        verify = [body for body in five[3] if body["messages"][1]["content"].startswith("Concepts under")]
-        assert all("n" not in body for body in five[3] if body not in verify)
-        pairs = sum(len(table["s"]) for table in one[1].values())
-        assert collections.Counter(body.get("n") for body in verify) == {
-            None: {5: pairs},
-            "ignore_n": {5: pairs, None: 4 * pairs},
-            "null_choice": {5: pairs, None: pairs},
-        }[server]
-        if server is None:
-            assert len(five[3]) == len(one[3]) - 4 * pairs
-            assert five[2]["total_tokens"] < one[2]["total_tokens"]
-
-
 class FaultAt(OracleMockBackend):
     """The oracle mock, except that call ``at`` (counting from 0) raises
     TransportError ("transport") or KeyboardInterrupt ("interrupt", as Ctrl-C does),
-    or replies with text that is not JSON ("junk").
-    It takes one choice per call, so that a call is one completion."""
-
-    max_choices = 1
+    or replies with text that is not JSON ("junk")."""
 
     def __init__(self, at=-1, how="transport"):
         super().__init__()
@@ -2071,16 +1864,17 @@ class TestFaultSweep:
                 # samples run one at a time, each from its phase-2 call on
                 assert k == templates[: at + 1].count("phase2") - 1
 
-    def sweep(self, tmp_path, stub, monkeypatch, stride=12, **backends):
-        """Put each fault in turn at every ``stride``-th request of a windowed ``generate --config``
-        against the stub, and check each run; the number of requests of the clean run."""
+    def test_a_stride_of_calls_over_http_at_window_8(self, tmp_path, stub, monkeypatch):
         stub.reply = oracle_reply
         # a read that is tried again waits no backoff
         monkeypatch.setattr(HttpBackend, "__init__", functools.partialmethod(HttpBackend.__init__, backoff=0.0))
         graphs = TestGenerateInFlight().graphs(tmp_path, n_max=4)
-        gen = ["generate", "--config", http_config(tmp_path, stub, "w8", max_in_flight=8, **backends), "--graphs", graphs]
+        cfg = tmp_path / "w8.ini"
+        cfg.write_text(f"[backends]\nendpoint = {stub.endpoint}\ncredential_env = SOME_KEY\nmax_in_flight = 8\n")
+        gen = ["generate", "--config", str(cfg), "--graphs", graphs]
         _, clean = self.run(tmp_path, "clean", gen)
         calls = stub.requests
+        assert len(clean) == 2 and calls > 50
         junk = json.dumps({"choices": [{"message": {"content": "no JSON here"}}]}).encode()
         nested_text = json.dumps({"choices": [{"message": {"content": NESTED}}]}).encode()
         faults = [
@@ -2092,22 +1886,10 @@ class TestFaultSweep:
             (Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\n"), ["retried"]),  # refused unread
         ]
         for n, (fault, outcomes) in enumerate(faults):
-            for at in range(0, calls, stride):
+            for at in range(0, calls, 12):
                 stub.responses[:] = [None] * at + [fault]  # None: the stub's own reply
                 self.check(clean, *self.run(tmp_path, f"fault{n}-{at}", gen), gen, outcomes)
                 assert not stub.responses
-        assert len(clean) == 2
-        return calls
-
-    def test_a_stride_of_calls_over_http_at_window_8(self, tmp_path, stub, monkeypatch):
-        assert self.sweep(tmp_path, stub, monkeypatch) > 50
-
-    def test_a_stride_of_calls_over_http_at_five_votes_per_request(self, tmp_path, stub, monkeypatch):
-        # a fault that hits a request for a pair's five votes holds at most one choice: the
-        # other slots are sent again alone, so a reply without choices or a short one costs tokens only
-        assert self.sweep(tmp_path, stub, monkeypatch, stride=3, votes_per_request=5) == 22
-        # the clean run: a phase-2 and a phase-3 request per sample, and one request per pair
-        assert collections.Counter(json.loads(body).get("n") for body in stub.bodies[:22]) == {None: 4, 5: 18}
 
 
 @pytest.mark.parametrize("at, stored", [(0, 0), (300, 0), (452, 1), (900, 5), (1655, 7)])

@@ -118,6 +118,13 @@ class TestAgainstHttpClient:
         if b"content-length" in head and b"transfer-encoding" not in head:
             assert ours(data + rest) == oracle(data + rest) == oracle(data)
 
+    @pytest.mark.parametrize("trailer", [b"", b"X-Trailer: 1\r\n"])
+    def test_a_chunked_body_whose_stream_ends_in_its_trailer_section_is_whole(self, trailer):
+        # the last chunk has come, so the body is whole: a trailer section cut before its empty line
+        # ends where the stream does, for both, unlike a cut head
+        data = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n" + trailer
+        assert ours(data) == oracle(data) == (200, b"hello", True)
+
 
 def mutated(data: bytes, draw):
     for _ in range(draw(st.integers(1, 4))):

@@ -65,7 +65,6 @@ UNREACHED = {
     # what a live server sends and the offline runs do not
     "errors.MalformedOutput.__init__": "live-only: tests/test_gateway.py::test_malformed_body_raises_malformed_output",
     "gateway.PendingReply.cancel": "live-only: tests/test_gateway.py::test_a_stride_of_calls_over_http_at_window_8",
-    "gateway._content": "live-only: tests/test_gateway.py::test_each_choice_is_read_in_order_and_a_bad_one_is_none",
     "gateway._read_chunked": "live-only: tests/test_gateway.py::test_a_reply_is_read_whole_and_its_connection_kept",
     # item 6: blocking wrappers over the one scheduler, which only tests and library callers use
     "assignment.counterfactual_verification": "item 6",

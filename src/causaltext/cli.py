@@ -24,6 +24,7 @@ from .errors import (
     open_utf8,
 )
 from .gateway import (
+    ROLE_DEFAULTS,
     BackendProfile,
     Gateway,
     HttpBackend,
@@ -193,8 +194,7 @@ def _build_gateway(cfg, mock_script, cache_path):
             backend = make_mock_backend(script)
         except (OSError, ValueError, TypeError, KeyError) as exc:
             raise InvalidConfig(f"--mock-script: {exc!r}")
-        primary = "mock"
-        verifier_model = "mock-verifier"
+        primary, verifier_model = "mock", "mock-verifier"
     else:
         primary = cfg.get("backends", "primary")
         pool = [m.strip() for m in cfg.get("backends", "pool").split(",") if m.strip()]
@@ -202,20 +202,15 @@ def _build_gateway(cfg, mock_script, cache_path):
             verifier_model = choose_verifier(primary, pool)
         except ValueError as exc:
             raise InvalidConfig(f"backends.pool: {exc}")
-    # requests kept in flight at once, shared by the open samples; 1 runs one request at a time
-    max_in_flight = config_value(cfg, "backends", "max_in_flight", int)
-    if max_in_flight < 1:
-        raise InvalidConfig(f"backends.max_in_flight: must be >= 1, got {max_in_flight}")
-    if mock_script is None:
         # a missing credential or a bad endpoint stops the run here, before the first sample
         backend = HttpBackend(cfg.get("backends", "endpoint"), cfg.get("backends", "credential_env"))
-    gw = Gateway(backend, cache=cache, max_in_flight=max_in_flight)
-    profiles = {
-        "proposer": BackendProfile.for_role(primary, "proposer"),
-        "verifier": BackendProfile.for_role(verifier_model, "verifier"),
-        "phase3": BackendProfile.for_role(primary, "phase3"),
-        "discovery": BackendProfile.for_role(primary, "discovery"),
-    }
+    # requests kept in flight at once, shared by the open samples; 1 runs one request at a time
+    try:
+        gw = Gateway(backend, cache=cache, max_in_flight=config_value(cfg, "backends", "max_in_flight", int))
+    except ValueError as exc:  # Gateway's own check of the window
+        raise InvalidConfig(f"backends.{exc}")
+    profiles = {role: BackendProfile.for_role(verifier_model if role == "verifier" else primary, role)
+                for role in ROLE_DEFAULTS}
     return gw, profiles
 
 

@@ -163,6 +163,12 @@ class TestInitialAssignment:
         with pytest.raises(MalformedOutput, match="not a list"):
             initial_assignment(make_dag(2, [(0, 1)]), "d", gw, PROPOSER)
 
+    @pytest.mark.parametrize("entry", ["Rain", "Node A: Rain", "Node 1 Rain", "Node 1:", 1])
+    def test_an_entry_not_of_the_node_form_is_malformed(self, entry):
+        gw = Gateway(ScriptedMockBackend([{ASSIGNMENT_KEY: ["Node 0: Wind", entry]}]))
+        with pytest.raises(MalformedOutput, match=f"cannot parse concept entry {re.escape(repr(entry))}"):
+            initial_assignment(make_dag(2, [(0, 1)]), "d", gw, PROPOSER)
+
 
 class TestVerification:
     def test_vote_proportion(self):

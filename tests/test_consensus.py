@@ -383,6 +383,15 @@ class TestFromRows:
         with pytest.raises(ValueError, match=re.escape(why)):
             RatingMatrix.from_rows(iter(rows), raters=11)
 
+    @pytest.mark.parametrize("items, ratings, why", [
+        ([("t", 0, 1), ("t", 1, 0)], [[1, 0]], "items and ratings must align"),
+        ([("t", 0, 1)], [[1, 2]], "ratings must be 0/1/None, got 2"),
+        ([("t", 0, 1)], [[True, 0.5]], "ratings must be 0/1/None, got 0.5"),
+    ])
+    def test_a_matrix_built_directly_is_checked(self, items, ratings, why):
+        with pytest.raises(ValueError, match=re.escape(why)):
+            RatingMatrix(items=items, ratings=ratings)
+
     def test_checks_each_distinct_row_as_the_per_row_loop_does(self):
         """Seeded streams of spelled fields, some with bad rows, under several
         panel sizes: the same items and ratings, or the same error after the

@@ -52,6 +52,7 @@ from causaltext.gateway import (
     Gateway,
     HttpBackend,
     OracleMockBackend,
+    PromptTemplate,
     Request,
     ResponseCache,
     ScriptedMockBackend,
@@ -64,6 +65,7 @@ from causaltext.gateway import (
     make_cache_key,
     make_mock_backend,
     render_prompt,
+    request_steps,
 )
 from causaltext.graphs import Dag
 from causaltext.store import RunManifest, SampleStore
@@ -110,6 +112,14 @@ class TestTemplates:
 
     def test_format_matrix(self):
         assert format_matrix(np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]])) == "011\n000\n100"
+
+    def test_unknown_template(self):
+        with pytest.raises(KeyError):
+            load_template("no-such-template")
+
+    @pytest.mark.parametrize("value, text", [(2.5, "2.5"), (np.float64(0.25), "0.25")])
+    def test_a_scalar_binding_renders_as_its_str(self, value, text):
+        assert render_prompt(PromptTemplate("t", "N = [N]", ("N",), ()), {"N": value}) == f"N = {text}"
 
 
 def reference_format_matrix(adj) -> str:
@@ -253,6 +263,28 @@ class TestScriptedMock:
         assert json.loads(b.complete(back, meta)[0]) == {"direct cause": "no"}
         b.complete(empty, {"template": "phase2"})  # a new proposal, so the same pair is answered afresh
         assert json.loads(b.complete(pair, meta)[0]) == {"direct cause": "no"}
+
+    @pytest.mark.parametrize("template, prompt", [
+        ("phase2", "Matrix:\n01\n00"),  # no "Adjacency Matrix:" block
+        ("refine", "Adjacency Matrix:\n01\n00"),
+        ("discovery", "Text: Rain wets the grass."),
+        ("extraction", "Text: Rain wets the grass."),
+        (None, "p"),
+    ])
+    def test_the_oracle_refuses_a_prompt_generate_does_not_send(self, template, prompt):
+        b = OracleMockBackend()
+        b.complete(build_payload(PROPOSER, "Adjacency Matrix:\n01\n00"), {"template": "phase2"})
+        with pytest.raises(TransportError, match="oracle mock"):
+            b.complete(build_payload(PROPOSER, prompt), {"template": template})
+
+    def test_an_oracle_refusal_fails_only_its_own_sample(self):
+        keys = TEMPLATE_SPECS["phase2"][1]
+        prompts = {"a": "Matrix:\n01\n00", "b": "Adjacency Matrix:\n01\n00"}
+        runs = Gateway(OracleMockBackend()).run_samples(
+            (sid, request_steps(Request(PROPOSER, prompt, keys, "phase2"))) for sid, prompt in prompts.items())
+        (a, _, refused), (b, reply, error) = runs
+        assert (a, b) == ("a", "b") and isinstance(refused, TransportError) and error is None
+        assert reply[ASSIGNED] == ["Node 0: Factor 0", "Node 1: Factor 1"]
 
     def test_factory(self):
         assert isinstance(make_mock_backend({"mode": "oracle"}), OracleMockBackend)
@@ -486,6 +518,15 @@ class TestCache:
         c2.put("k3", {"v": 3})
         assert ResponseCache(path).data == {"k1": {"v": 1}, "k3": {"v": 3}}
 
+    def test_a_cache_file_that_cannot_be_read_raises_cache_io_error(self, tmp_path):
+        with pytest.raises(CacheIoError, match="cannot read cache at"):
+            ResponseCache(str(tmp_path))  # a directory
+
+    def test_a_cache_file_that_cannot_be_written_raises_cache_io_error(self, tmp_path):
+        cache = ResponseCache(str(tmp_path / "missing" / "cache.jsonl"))
+        with pytest.raises(CacheIoError, match="cannot write cache at"):
+            cache.put("k", {"v": 1})
+
     def test_single_object_cache_file_is_read(self, tmp_path):
         path = str(tmp_path / "cache.json")
         old = {"a": {"x": 1}, "b": [1, 2]}
@@ -652,6 +693,49 @@ class TestHttpBackend:
         assert "generated 0, failed 8, skipped 0" in r.stdout
         assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 8
         assert stub.requests == 8
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_an_auth_refusal_fails_only_its_own_sample_and_the_manifest_is_written(self, stub, tmp_path, status):
+        stub.reply = oracle_reply
+        stub.responses.append((status, b'{"error": "bad key"}'))  # the first sample's phase-2 request
+        graphs, out = TestGenerateInFlight().graphs(tmp_path, n_max=4), str(tmp_path / "s.jsonl")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[backends]\nendpoint = {stub.endpoint}\ncredential_env = SOME_KEY\nmax_in_flight = 1\n")
+        r = CliRunner().invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+        assert "generated 1, failed 1, skipped 0" in r.stdout
+        first, second = SampleStore(out)
+        assert first.error == f"AuthError: HTTP {status} from {stub.endpoint}"
+        assert second.error is None and second.loop_status == "Success"
+        assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 1
+
+    @pytest.mark.parametrize("proxy", ["https://127.0.0.1:1", "socks5://127.0.0.1:1"])
+    def test_a_proxy_that_is_not_http_stops_generate_before_the_store(self, monkeypatch, tmp_path, proxy):
+        no_proxy_and_a_key(monkeypatch)
+        monkeypatch.setenv("http_proxy", proxy)
+        graphs, out, cfg = str(tmp_path / "graphs"), str(tmp_path / "s.jsonl"), tmp_path / "c.ini"
+        assert CliRunner().invoke(main, ["graphgen", "--out", graphs, "--per-n", "1"]).exit_code == 0
+        cfg.write_text("[backends]\nendpoint = http://llm.example/v1\ncredential_env = SOME_KEY\n")
+        r = CliRunner().invoke(main, ["generate", "--config", str(cfg), "--graphs", graphs, "--out", out])
+        assert r.exit_code == 1 and r.output == f"Error: proxy must be an http:// URL, got {proxy!r}\n"
+        assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
+
+    def test_a_request_whose_write_fails_closes_its_connection_and_is_retried(self, monkeypatch, stub):
+        b = HttpBackend(stub.endpoint, "SOME_KEY", retries=1, backoff=0.0)
+        checkout, shut = b._checkout, []
+
+        def checkout_shut_once():
+            conn = checkout()
+            if not shut:
+                conn.sock.shutdown(socket.SHUT_WR)  # so the request's write fails
+                shut.append(conn)
+            return conn
+
+        monkeypatch.setattr(b, "_checkout", checkout_shut_once)
+        assert json.loads(b.complete(build_payload(VERIFIER, "p"))[0]) == {"k": "p"}
+        b.close()
+        assert shut[0].sock.fileno() == -1  # closed
+        assert stub.requests == 1
 
     def test_many_calls_share_at_most_window_connections(self, stub):
         b = HttpBackend(stub.endpoint, "SOME_KEY")
@@ -1734,6 +1818,26 @@ class TestGenerateInFlight:
         assert len(records) == 8 and records["n5_00000"]["error"].startswith("MalformedOutput: ")
         assert all(record["error"] is None for sid, record in records.items() if sid != "n5_00000")
         assert json.loads(Path(f"{out}.manifest.json").read_text())["errors"] == 1
+
+    def test_a_concept_entry_not_of_the_node_form_fails_only_its_sample(self, monkeypatch, tmp_path):
+        class FirstEntrySpoiled(OracleMockBackend):
+            spoiled = False
+
+            def _answer(self, template, prompt):
+                reply = super()._answer(template, prompt)
+                if template == "phase2" and not self.spoiled:
+                    self.spoiled = True
+                    reply[ASSIGNED][0] = "Rain causes mud"
+                return reply
+
+        out = str(tmp_path / "s.jsonl")
+        r = self.generate(monkeypatch, tmp_path, FirstEntrySpoiled(), self.graphs(tmp_path, n_max=4))
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+        assert "generated 1, failed 1, skipped 0" in r.stdout
+        first, second = SampleStore(out)
+        assert first.error == "MalformedOutput: cannot parse concept entry 'Rain causes mud'"
+        assert second.error is None and second.loop_status == "Success"
+        assert json.loads(Path(out + ".manifest.json").read_text())["errors"] == 1
 
     def test_records_do_not_depend_on_the_window(self, monkeypatch, tmp_path, stub):
         stub.reply = oracle_reply

@@ -290,6 +290,11 @@ class TestProjection:
                 edges[u, v] = 0
             assert not cycle_edges(edges).any() and np.array_equal(dag.edges, edges)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (9,)])
+    def test_support_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ShapeMismatch, match="support must be 3x3"):
+            SupportGraph(n=3, support=np.zeros(shape))
+
     def test_support_diagonal_zeroed(self):
         sg = SupportGraph(n=2, support=np.array([[0.9, 0.2], [0.1, 0.8]]))
         assert sg.support[0, 0] == 0.0 and sg.support[1, 1] == 0.0

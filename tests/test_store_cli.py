@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -370,6 +371,15 @@ class TestConfig:
         ("graphgen", "not an ini file\n", [], "cannot parse config file"),
         ("graphgen", "", ["--per-n", "-2"], "--per-n: need at least 1 graph per n, got -2"),
         ("graphgen", "[phase1]\nn_min = 6\nn_max = 4\n", [], "phase1.n_min: 6 is above phase1.n_max (4)"),
+        ("generate", "[backends]\nprimary = a\npool = a, a\n", [],
+         "backends.pool: pool contains no model distinct from the primary"),
+        ("generate", "", ["--mock-script", '{"mode": "scripted"}'],
+         "--mock-script: ValueError(\"script must be {'rules': [...]} or a reply list\")"),
+        ("generate", "[backends]\nmax_in_flight = 0\n", ["--mock-script", '{"mode": "oracle"}'],
+         "backends.max_in_flight must be >= 1, got 0"),
+        # the backend is built before the window is checked
+        ("generate", "[backends]\nmax_in_flight = 0\ncredential_env = CAUSALTEXT_TEST_NO_SUCH_KEY\n", [],
+         "no credential in $CAUSALTEXT_TEST_NO_SUCH_KEY"),
     ])
     def test_config_errors_are_click_errors_naming_the_key(self, tmp_path, command, config, extra, named):
         p = tmp_path / "c.ini"
@@ -599,6 +609,15 @@ class TestGenerateEvaluate:
         assert len(records) == 8
         assert all(rec.error.startswith("MalformedOutput: concept entries are not a list") for rec in records)
         assert json.loads(Path(store + ".manifest.json").read_text())["errors"] == 8
+
+    def test_a_mock_script_file_gives_the_store_of_the_same_script_inline(self, tmp_path):
+        runner, graphs, inline = self.run_pipeline(tmp_path)
+        script = tmp_path / "script.json"
+        script.write_text('{"mode": "oracle"}')
+        out = str(tmp_path / "from_file.jsonl")
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", out, "--mock-script", str(script)])
+        assert r.exit_code == 0, r.output
+        assert records_digest(out) == records_digest(inline)
 
     def test_unhashable_id_fails_only_that_file(self, tmp_path):
         runner = CliRunner()
@@ -955,6 +974,22 @@ class TestGenerateEvaluate:
         self.assert_manifest_is_a_fresh_count(failing)
         with open(failing + ".manifest.json") as fh:
             assert json.load(fh)["errors"] == 0
+
+    def test_evaluate_skips_failed_records(self, tmp_path):
+        store, out = str(tmp_path / "s.jsonl"), str(tmp_path / "eval.json")
+        for rec in (make_record("a"), make_record("b", error="TransportError: down"),
+                    make_record("c", n=4, error="AuthError: HTTP 401"), make_record("d", n=4)):
+            SampleStore(store).append(rec)
+        finished = str(tmp_path / "finished.jsonl")
+        for rec in (make_record("a"), make_record("d", n=4)):
+            SampleStore(finished).append(rec)
+        results = []
+        for path in (store, finished):
+            r = CliRunner().invoke(main, ["evaluate", "--store", path, "--out", out])
+            assert r.exit_code == 0, r.output
+            results.append(json.loads(Path(out).read_text()))
+        assert [row["id"] for row in results[0]["samples"]] == ["a", "d"]
+        assert results[0] == results[1]
 
     def test_evaluate_with_reference_dir(self, tmp_path):
         runner, graphs, store = self.run_pipeline(tmp_path)
@@ -1421,6 +1456,17 @@ class TestOutPath:
         assert r.output == f"Error: --out: cannot write {out}: No such file or directory\n"
 
     @pytest.mark.parametrize("command", ["consensus", "evaluate", "transfer"])
+    def test_out_in_a_directory_the_user_cannot_write(self, tmp_path, monkeypatch, command):
+        args, out = self.inputs(tmp_path)[command], str(tmp_path / "out.json")
+        access = os.access
+        # root may write anywhere, so the refusal is simulated
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: not mode & os.W_OK and access(path, mode, **kw))
+        r = CliRunner().invoke(main, [*args, "--out", out])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: --out: cannot write {out}: Permission denied\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["consensus", "evaluate", "transfer"])
     @pytest.mark.parametrize("name, reason", [("taken", "Is a directory"), ("file/out.json", "Not a directory")])
     def test_out_on_a_directory_or_under_a_file(self, tmp_path, command, name, reason):
         (tmp_path / "taken").mkdir()
@@ -1558,6 +1604,19 @@ class TestCacheCommand:
         assert len(r.output.splitlines()) == 1
         with open(path, "rb") as fh:
             assert fh.read() == damaged
+
+    def test_clear_that_cannot_remove_the_file_is_one_error_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("")
+
+        def refuse(name):
+            raise PermissionError(errno.EACCES, "Permission denied", name)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        r = CliRunner().invoke(main, ["cache", "--cache", str(path), "--clear"])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: cannot clear cache at {path}: [Errno 13] Permission denied: '{path}'\n"
+        assert path.exists()
 
     @pytest.mark.parametrize("how", ["cut", "latin1"])
     def test_clear_removes_a_damaged_cache_unread(self, tmp_path, how):

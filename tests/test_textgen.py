@@ -155,6 +155,12 @@ class TestDiscovery:
         with pytest.raises(MalformedOutput):
             gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
 
+    @pytest.mark.parametrize("matrix", [[["a", "b"], [0, 0]], [[0, 1], [0]], [[0, {}], [0, 0]], "01\n00"])
+    def test_a_matrix_that_is_not_numeric_is_malformed(self, matrix):
+        gw = Gateway(ScriptedMockBackend([{"adjacency matrix": matrix}]))
+        with pytest.raises(MalformedOutput, match="not a numeric array"):
+            gw.run_sample(llm_causal_discovery_steps("text", ["a", "b"], DISCOVERY))
+
     def test_diagonal_clamped_with_warning(self, caplog):
         gw = Gateway(ScriptedMockBackend([{"adjacency matrix": [[1, 1], [0, 1]]}]))
         with caplog.at_level("WARNING"):
@@ -184,6 +190,14 @@ class TestGenIdRefine:
         assert revisions == 0
         assert best.text == self.paragraph().text
         assert trace[0]["mismatch"] == 0
+
+    def test_negative_budget_rejected(self):
+        gw = self.setup_case([])
+        with pytest.raises(ValueError, match="k_gen must be >= 0"):
+            gw.run_sample(
+                gen_id_refine_steps(self.dag(), self.assignment(), self.paragraph(), PHASE3, DISCOVERY, k_gen=-1)
+            )
+        assert gw.calls_made == 0
 
     def test_budget_zero_returns_input_untouched(self):
         gw = self.setup_case([])

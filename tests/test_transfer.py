@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import re
@@ -305,6 +306,10 @@ class TestAgreement:
         assert agreement(t, seed=0, b_permutations=200, with_bootstrap=False).per_metric["f1"].p_mode == "sampled"
         with pytest.raises(ValueError, match="above cap"):
             agreement(t, exhaustive=True, with_bootstrap=False)
+
+    def test_sampled_mode_needs_a_seed(self):
+        with pytest.raises(ValueError, match="seed required"):
+            agreement(linear_table(), seed=None, exhaustive=False, b_permutations=20, with_bootstrap=False)
 
     def test_too_few_algorithms(self):
         t = linear_table(algs=("a",))
@@ -715,6 +720,10 @@ class TestBatchedBootstrap:
 
 
 class TestLeaveOneOut:
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(KeyError, match="z"):
+            linear_table().drop("z")
+
     def test_drop_to_one_rejected(self):
         t = linear_table(algs=("a", "b"))
         with pytest.raises(TooFewAlgorithms):
@@ -969,6 +978,21 @@ class TestPermutationAnova:
             permutation_anova({(3, "only"): [1.0, 2.0]})
         with pytest.raises(DegenerateGroups):
             permutation_anova({(3, "a"): [1.0], (3, "b"): [2.0], (4, "a"): [1.0]})
+
+    def test_sampled_mode_needs_a_seed(self, monkeypatch):
+        groups = {(3, "a"): [0.1, 0.5], (3, "b"): [0.9, 0.4]}
+        monkeypatch.setattr(transfer, "ANOVA_EXHAUSTIVE_CAP", 0)
+        with pytest.raises(ValueError, match="seed required"):
+            permutation_anova(groups, seed=None)
+
+    def test_report_to_json(self):
+        groups = {(3, "a"): [0.1, 0.5], (3, "b"): [0.9, 0.4]}
+        report = permutation_anova_report({"alpha": groups, "beta": groups}, seed=0)
+        alpha = report.per_parameter["alpha"]
+        row = {"p_value": alpha.p_value, "partial_eta_squared": alpha.partial_eta_squared,
+               "f_statistic": alpha.f_statistic, "mode": "exhaustive"}
+        assert report.to_json() == {"per_parameter": {"alpha": row, "beta": row}, "corrected_p": report.corrected_p}
+        assert json.loads(json.dumps(report.to_json())) == report.to_json()
 
     def test_report_applies_bh(self):
         rng = np.random.default_rng(2)

@@ -748,6 +748,65 @@ class TestGenerateEvaluate:
             "qwen": "4ab9402feab731dd96b3ba260fa1a8949529195c4e6fccef9207a25cf71294f9",
         }
 
+    def test_evaluate_and_consensus_outputs_are_pinned(self, tmp_path):
+        """``evaluate --reference --out`` and ``consensus --out`` JSON on seeded inputs hash to the values a refactor must keep.
+
+        The store holds two oracle samples for each n = 3..10, and each
+        reference flips seeded cells of its stored graph, so some references
+        are cyclic and some acyclic; one is written with floats and one with
+        booleans.  The 11-rater panel gives each rated pair a seeded number of
+        yes votes, some of them 5 or 6 (the borderline band), with ratings
+        missing here and there, and rates both directions of some pairs.
+        """
+        runner = CliRunner()
+        graphs, store, refs = (str(tmp_path / x) for x in ("graphs", "s.jsonl", "refs"))
+        r = runner.invoke(main, ["graphgen", "--out", graphs, "--per-n", "2", "--seed", "11"])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["generate", "--graphs", graphs, "--out", store, "--mock-script", '{"mode": "oracle"}'])
+        assert r.exit_code == 0, r.output
+        rng = np.random.default_rng(39)
+        os.mkdir(refs)
+        for k, rec in enumerate(SampleStore(store)):
+            edges = rec.dag.edges ^ (rng.random((rec.dag.n, rec.dag.n)) < 0.2)
+            np.fill_diagonal(edges, 0)
+            rows = edges.tolist()
+            if k == 1:
+                rows = edges.astype(float).tolist()
+            elif k == 2:
+                rows = edges.astype(bool).tolist()
+            with open(os.path.join(refs, f"{rec.id}.json"), "w") as fh:
+                json.dump({"edges": rows}, fh)
+        evaluated = tmp_path / "eval.json"
+        r = runner.invoke(main, ["evaluate", "--store", store, "--reference", refs, "--out", str(evaluated)])
+        assert r.exit_code == 0, r.output
+        samples = json.loads(evaluated.read_text())["samples"]
+        assert sorted({row["n"] for row in samples}) == list(range(3, 11))
+        assert 0 < sum(bool(row["projection_removed"]) for row in samples) < len(samples)
+
+        ratings = tmp_path / "ratings.csv"
+        lines = ["text_id,i,j,rater_id,label"]
+        for t in range(12):
+            n = 3 + t % 8
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.5]
+            for i, j in pairs:
+                yes = int(rng.choice([5, 6])) if rng.random() < 0.3 else int(rng.integers(0, 12))
+                labels = rng.permutation([1] * yes + [0] * (11 - yes))
+                lines += [f"text{t},{i},{j},{rater},{label}" for rater, label in enumerate(labels.tolist())
+                          if rng.random() < 0.9]
+        ratings.write_text("\n".join(lines) + "\n")
+        agreed = tmp_path / "consensus.json"
+        r = runner.invoke(main, ["consensus", "--ratings", str(ratings), "--out", str(agreed)])
+        assert r.exit_code == 0, r.output
+        result = json.loads(agreed.read_text())
+        assert result["flags"]["borderline_edges"]
+        assert any(text["removed"] for text in result["texts"].values())
+
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (evaluated, agreed)}
+        assert digests == {
+            "eval.json": "fc74e2dff5fb1906047dfa946a1361b39234da9775091ce80179211dc6d8f169",
+            "consensus.json": "caa4786e1c253374db761f992781300e3a577f9cc2ab5822312e5b61373a9a1d",
+        }
+
     def test_sampled_transfer_outputs_are_pinned(self, tmp_path):
         """``transfer --sampled --loo`` JSON for each fixture score table hashes to the value a refactor must keep."""
         digests = {}

@@ -30,11 +30,12 @@ from .gateway import (
 from .graphs import Dag
 
 DETERMINERS = ("a", "an", "the")
+PUNCTUATION = re.compile(r"[^\w\s]")
 
 
 def normalize_concept(s: str) -> str:
     """Lowercase, strip punctuation, drop leading determiners."""
-    s = re.sub(r"[^\w\s]", " ", s.lower())
+    s = PUNCTUATION.sub(" ", s.lower())
     tokens = s.split()
     while tokens and tokens[0] in DETERMINERS:
         tokens.pop(0)

@@ -330,16 +330,17 @@ def evaluate(store_path, reference, out):
         else:
             try:
                 with open(os.path.join(reference, f"{rec.id}.json")) as fh:
-                    edges = as_adjacency(json.load(fh)["edges"], f"reference graph for id {rec.id!r}")
+                    edges = json.load(fh)["edges"]
+                    n = len(as_adjacency(edges, f"reference graph for id {rec.id!r}"))
             except FileNotFoundError:
                 raise MissingReference(f"no reference graph for id {rec.id!r}") from None
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise click.ClickException(f"cannot read reference graph for id {rec.id!r}: {exc!r}")
-            if len(edges) != rec.dag.n:
+            if n != rec.dag.n:
                 raise click.ClickException(
-                    f"reference graph for id {rec.id!r} has {len(edges)} nodes, the stored graph {rec.dag.n}")
+                    f"reference graph for id {rec.id!r} has {n} nodes, the stored graph {rec.dag.n}")
             # projection leaves an acyclic reference as it is
-            ref, removed = project_dag(SupportGraph(n=edges.shape[0], support=edges), threshold=0.5)
+            ref, removed = project_dag(SupportGraph(n=n, support=edges), threshold=0.5)
         report = edge_prf(rec.dag, ref)
         report.shd = shd(rec.dag, ref)
         report.sid = sid(rec.dag, ref)

@@ -568,9 +568,11 @@ class OracleMockBackend:
     parses the adjacency matrix out of the proposal prompt and hands back
     concept names that encode node indices, for ``verify`` it answers from
     the stored matrix, and for ``phase3`` it writes a paragraph containing
-    every concept.  Any other template, or a proposal prompt without an
-    ``Adjacency Matrix:`` block, is a TransportError, which ends only the
-    sample that sent it.  State is per proposal, so samples must be
+    every concept.  Any other template, a proposal prompt without an
+    ``Adjacency Matrix:`` block, a verify prompt before any proposal, without
+    both candidate lines or naming a concept it did not assign, and a phase3
+    prompt of fewer than two lines are each a TransportError, which ends only
+    the sample that sent it.  State is per proposal, so samples must be
     processed sequentially: it has no ``submit``, so a ``Gateway`` calls it
     when each reply is read, with a window of one, and runs one sample at a
     time.
@@ -600,8 +602,15 @@ class OracleMockBackend:
                 return rows
         raise TransportError("oracle mock found no 'Adjacency Matrix:' block in the phase2 prompt")
 
-    def _index_of(self, concept: str) -> int:
-        return self.concepts.index(concept.strip())
+    def _index_of(self, prompt: str, role: str) -> int:
+        """The node of the concept on the verify prompt's ``{role} candidate:`` line."""
+        found = re.search(rf"{role} candidate: (.+)", prompt)
+        if found is None:
+            raise TransportError(f"oracle mock found no '{role} candidate:' line in the verify prompt")
+        concept = found.group(1).strip()
+        if concept not in self.concepts:
+            raise TransportError(f"oracle mock did not assign the concept {concept!r}")
+        return self.concepts.index(concept)
 
     def complete(self, payload: dict, meta: dict | None = None):
         if payload is self._last_payload and meta is self._last_meta:
@@ -637,12 +646,14 @@ class OracleMockBackend:
                 },
             }
         if template == "verify":
-            cause = re.search(r"Cause candidate: (.+)", prompt).group(1)
-            effect = re.search(r"Effect candidate: (.+)", prompt).group(1)
-            i, j = self._index_of(cause), self._index_of(effect)
+            if self.concepts is None:
+                raise TransportError("oracle mock got a verify prompt before any phase2 prompt")
+            i, j = self._index_of(prompt, "Cause"), self._index_of(prompt, "Effect")
             return {key: "yes" if self.matrix[i][j] else "no"}
-        concepts_line = prompt.splitlines()[1]  # phase3
-        concepts = [c.strip() for c in concepts_line.split(",")]
+        lines = prompt.splitlines()  # phase3: the concepts are on the second line
+        if len(lines) < 2:
+            raise TransportError("oracle mock found no concept line in the phase3 prompt")
+        concepts = [c.strip() for c in lines[1].split(",")]
         return {key: "The situation unfolds through " + "; then ".join(concepts) + "."}
 
 

@@ -10,6 +10,9 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 import numpy as np
 
@@ -86,37 +89,73 @@ class GraphSpec:
         )
 
 
-def as_adjacency(adj, name="adjacency") -> np.ndarray:
-    """Check that ``adj`` is square, binary and zero on the diagonal; return it as int8."""
-    a = np.asarray(adj)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
-    if not ((a == 0) | (a == 1)).all():
+_BINARY = frozenset((0, 1))  # False, True, 0.0 and 1.0 are in it too
+_BIT = (1).__lshift__  # j -> the bit set {j}
+
+
+def as_adjacency(adj, name="adjacency") -> list:
+    """Check that ``adj`` is square, binary and zero on the diagonal; return its rows as child bit sets.
+
+    Bit j of row i is the edge i -> j.  One pass over the Python rows checks
+    and packs them: a JSON list is read as given, an ndarray through
+    ``.tolist()``.  A refused matrix is described by numpy: the error names
+    its numpy shape, and a ragged list raises numpy's own ValueError.
+    """
+    rows = adj.tolist() if isinstance(adj, np.ndarray) else adj
+    try:
+        n = len(rows)
+        cols = range(n)
+        bits = [sum(map(_BIT, compress(cols, row))) for row in rows if len(row) == n and _BINARY.issuperset(row)]
+    except TypeError:  # a scalar, a row that is one, or an entry that is a sequence
+        bits = None
+    # no rows is square only for a (0, 0) array: an empty list has shape (0,)
+    if bits is None or len(bits) != n or not n and np.shape(adj) != (0, 0):
+        a = np.asarray(adj)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
         raise ShapeMismatch(f"{name} must be binary")
-    if np.diagonal(a).any():
+    if any(b >> i & 1 for i, b in enumerate(bits)):
         raise ShapeMismatch(f"{name} must have a zero diagonal")
-    return a.astype(np.int8, copy=False)
+    return bits
 
 
 @dataclass
 class Dag:
     """A directed acyclic graph given as an n x n binary adjacency matrix.
 
-    Entry ``edges[i, j] == 1`` means a directed edge i -> j.  Checked once, when built.
+    Entry ``edges[i, j] == 1`` means a directed edge i -> j.  Checked once,
+    when built, which also fills ``rows``: bit j of ``rows[i]`` is that edge.
     """
 
     n: int
     edges: np.ndarray
+    rows: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.edges = as_adjacency(self.edges)
-        if self.edges.shape != (self.n, self.n):
+        self.rows = as_adjacency(self.edges)
+        self.edges = np.asarray(self.edges, dtype=np.int8)
+        if len(self.rows) != self.n:
             raise ShapeMismatch(f"adjacency must be {self.n}x{self.n}, got shape {self.edges.shape}")
-        if not is_acyclic(self.edges):
+        if not is_acyclic(self.rows):
             raise CyclicInput("adjacency has a directed cycle")
 
+    @classmethod
+    def _from_rows(cls, rows: list) -> "Dag":
+        """The DAG whose child bit sets are ``rows``, which must be those of a square matrix with a zero diagonal.
+
+        Only acyclicity is checked, on the rows; ``edges`` is unpacked from them.
+        """
+        if not is_acyclic(rows):
+            raise CyclicInput("adjacency has a directed cycle")
+        n, width = len(rows), (len(rows) + 7) // 8
+        packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), dtype=np.uint8)
+        dag = cls.__new__(cls)
+        dag.n, dag.rows = n, rows
+        dag.edges = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(np.int8)
+        return dag
+
     def to_json(self) -> dict:
-        return {"n": self.n, "edges": self.edges.astype(int).tolist()}
+        return {"n": self.n, "edges": self.edges.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dag":
@@ -140,21 +179,26 @@ class MotifReport:
         return {f"{kind}s": {"requested": self.requested[kind], "injected": self.injected[kind]} for kind in MOTIFS}
 
 
-def is_acyclic(adj: np.ndarray) -> bool:
-    """Check acyclicity by iteratively peeling nodes with zero in-degree."""
-    rows = np.asarray(adj, dtype=bool).tolist()
-    children = [[v for v, edge in enumerate(row) if edge] for row in rows]
-    indeg = [sum(col) for col in zip(*rows)]
-    stack = [v for v, d in enumerate(indeg) if d == 0]
-    peeled = 0
-    while stack:
-        u = stack.pop()
-        peeled += 1
-        for v in children[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
-    return peeled == len(indeg)
+def is_acyclic(adj) -> bool:
+    """Check acyclicity by peeling the sources of what is left until nothing, or no source, is left.
+
+    ``adj`` is a list of child bit sets, as ``Dag.rows`` keeps them, or a
+    square matrix whose nonzero entries are the edges.
+    """
+    if not isinstance(adj, list) or adj and not isinstance(adj[0], int):
+        adj = [sum(map(_BIT, compress(range(len(row)), row))) for row in np.asarray(adj, dtype=bool).tolist()]
+    rows = list(adj)  # a peeled node's row is cleared
+    left = (1 << len(rows)) - 1
+    while left:
+        sources = left & ~reduce(or_, rows, 0)
+        if not sources:
+            return False
+        left ^= sources
+        while sources:
+            low = sources & -sources
+            rows[low.bit_length() - 1] = 0
+            sources ^= low
+    return True
 
 
 def sample_spec_space(n: int, seed: int) -> GraphSpec:

@@ -11,7 +11,10 @@ direction-sensitive disagreement count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import and_, or_, xor
 
 import numpy as np
 
@@ -56,12 +59,17 @@ class ErrorDecomposition:
 
 
 def _pair(target, predicted):
-    # a Dag was checked when it was built; only raw arrays are checked here
-    t = target.edges if isinstance(target, Dag) else as_adjacency(target, "target")
-    p = predicted.edges if isinstance(predicted, Dag) else as_adjacency(predicted, "predicted")
-    if t.shape != p.shape:
-        raise ShapeMismatch(f"node counts differ: {t.shape[0]} vs {p.shape[0]}")
+    """The child bit sets of two graphs on as many nodes; a Dag brings its ``rows``, a raw matrix is checked here."""
+    t = target.rows if isinstance(target, Dag) else as_adjacency(target, "target")
+    p = predicted.rows if isinstance(predicted, Dag) else as_adjacency(predicted, "predicted")
+    if len(t) != len(p):
+        raise ShapeMismatch(f"node counts differ: {len(t)} vs {len(p)}")
     return t, p
+
+
+def _count(rows) -> int:
+    """The number of edges in a list of child bit sets."""
+    return sum(map(int.bit_count, rows))
 
 
 def edge_prf(target, predicted) -> MetricReport:
@@ -71,9 +79,9 @@ def edge_prf(target, predicted) -> MetricReport:
     F1 = 1; if TP = 0 but errors exist, all three are 0.
     """
     t, p = _pair(target, predicted)
-    tp = int(np.count_nonzero(t & p))
-    fp = int(np.count_nonzero(p)) - tp
-    fn = int(np.count_nonzero(t)) - tp
+    tp = _count(map(and_, t, p))
+    fp = _count(p) - tp
+    fn = _count(t) - tp
     if tp == 0 and fp == 0 and fn == 0:
         prec = rec = f1 = 1.0
     elif tp == 0:
@@ -88,24 +96,24 @@ def edge_prf(target, predicted) -> MetricReport:
 def shd(g1, g2) -> int:
     """Edge-wise Hamming distance between two binary adjacency matrices."""
     a, b = _pair(g1, g2)
-    return int(np.count_nonzero(a != b))
+    return _count(map(xor, a, b))
 
 
 def sid(g, g_hat) -> int:
     """Parent-set disagreement count over ordered node pairs (see module docstring)."""
     a, b = _pair(g, g_hat)
-    if not all(isinstance(x, Dag) or is_acyclic(x) for x in (g, g_hat)):
+    if not all(isinstance(x, Dag) or is_acyclic(rows) for x, rows in ((g, a), (g_hat, b))):
         raise CyclicInput("sid requires acyclic inputs; project cyclic graphs first")
-    n = a.shape[0]
-    differing = int(np.count_nonzero((a != b).any(axis=0)))  # nodes whose parent sets differ
-    return (n - 1) * differing
+    differing = reduce(or_, map(xor, a, b), 0).bit_count()  # nodes whose parent sets differ
+    return (len(a) - 1) * differing
 
 
 def decompose_errors(target, predicted) -> ErrorDecomposition:
     """Explicit lists of missed-required (FN) and spurious (FP) edges."""
     t, p = _pair(target, predicted)
-    missed = [(int(i), int(j)) for i, j in zip(*np.nonzero(t > p))]
-    spurious = [(int(i), int(j)) for i, j in zip(*np.nonzero(p > t))]
+    cols = range(len(t))
+    missed = [(i, j) for i, (a, b) in enumerate(zip(t, p)) for j in cols if (a & ~b) >> j & 1]
+    spurious = [(i, j) for i, (a, b) in enumerate(zip(t, p)) for j in cols if (b & ~a) >> j & 1]
     return ErrorDecomposition(missed=missed, spurious=spurious)
 
 
@@ -142,16 +150,20 @@ def project_dag(sg: SupportGraph, threshold: float = 0.5):
     later, and an edge still on a cycle when the scan reaches it is the
     lowest-keyed cycle edge left, the one the rule removes next.
     """
-    edges = (sg.support >= threshold).astype(np.int8)
-    np.fill_diagonal(edges, 0)
-    us, vs = (ix.tolist() for ix in np.nonzero(edges))
-    children = [0] * sg.n
-    for u, v in zip(us, vs):
-        children[u] |= 1 << v
+    n = sg.n
+    support = sg.support.ravel().tolist()  # cell k is the pair (k // n, k % n)
+    present = list(map(float(threshold).__le__, support))
+    present[::n + 1] = [False] * n  # no self-loops
+    cells = list(compress(range(n * n), present))
+    rows = [0] * n  # child bit sets
+    for k in cells:
+        u, v = divmod(k, n)
+        rows[u] |= 1 << v
     removed: list[tuple[int, int]] = []
-    for _, u, v in sorted(zip(sg.support[us, vs].tolist(), us, vs)):
-        if _reaches(children, v, u):
-            children[u] &= ~(1 << v)
-            edges[u, v] = 0
+    # k = u * n + v orders the pairs as (u, v) does
+    for _, k in sorted(zip(compress(support, present), cells)):
+        u, v = divmod(k, n)
+        if _reaches(rows, v, u):
+            rows[u] &= ~(1 << v)
             removed.append((u, v))
-    return Dag(n=sg.n, edges=edges), removed
+    return Dag._from_rows(rows), removed

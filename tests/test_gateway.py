@@ -270,6 +270,11 @@ class TestScriptedMock:
         ("discovery", "Text: Rain wets the grass."),
         ("extraction", "Text: Rain wets the grass."),
         (None, "p"),
+        ("verify", "Cause candidate: Factor 0\nEffect candidate: Factor 7"),  # a concept it did not assign
+        ("verify", "Cause candidate: Rain\nEffect candidate: Factor 1"),
+        ("verify", "Effect candidate: Factor 1"),  # no cause line
+        ("verify", "Cause candidate: Factor 0"),  # no effect line
+        ("phase3", "Concepts:"),  # no concept line
     ])
     def test_the_oracle_refuses_a_prompt_generate_does_not_send(self, template, prompt):
         b = OracleMockBackend()
@@ -284,6 +289,16 @@ class TestScriptedMock:
             (sid, request_steps(Request(PROPOSER, prompt, keys, "phase2"))) for sid, prompt in prompts.items())
         (a, _, refused), (b, reply, error) = runs
         assert (a, b) == ("a", "b") and isinstance(refused, TransportError) and error is None
+        assert reply[ASSIGNED] == ["Node 0: Factor 0", "Node 1: Factor 1"]
+
+    def test_a_verify_prompt_before_any_proposal_fails_only_its_own_sample(self):
+        verifier = BackendProfile.for_role("m", "verifier")
+        early = Request(verifier, "Cause candidate: Factor 0\nEffect candidate: Factor 1", ("direct cause",), "verify")
+        good = Request(PROPOSER, "Adjacency Matrix:\n01\n00", TEMPLATE_SPECS["phase2"][1], "phase2")
+        runs = Gateway(OracleMockBackend()).run_samples([("a", request_steps(early)), ("b", request_steps(good))])
+        (a, _, refused), (b, reply, error) = runs
+        assert (a, b) == ("a", "b") and error is None
+        assert isinstance(refused, TransportError) and "before any phase2 prompt" in str(refused)
         assert reply[ASSIGNED] == ["Node 0: Factor 0", "Node 1: Factor 1"]
 
     def test_factory(self):

@@ -111,9 +111,9 @@ def outcome(fn, *args):
 
 
 @st.composite
-def matrices(draw, n=None):
+def matrices(draw):
     """A 0/1 matrix on 1..12 nodes, diagonal included: random, or an order-respecting DAG."""
-    n = draw(st.integers(1, 12)) if n is None else n
+    n = draw(st.integers(1, 12))
     a = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=np.int8).reshape(n, n)
     if draw(st.booleans()):
         order = draw(st.permutations(range(n)))

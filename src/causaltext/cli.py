@@ -33,7 +33,7 @@ from .gateway import (
     make_mock_backend,
 )
 from .graphs import Dag, GraphSpec, as_adjacency, sample_dag, sample_spec_space
-from .metrics import SupportGraph, edge_prf, project_dag, shd, sid
+from .metrics import edge_prf, project_dag, shd, sid
 from .store import RunManifest, SampleRecord, SampleStore
 from .textgen import generate_text_steps, missing_concepts
 
@@ -330,17 +330,16 @@ def evaluate(store_path, reference, out):
         else:
             try:
                 with open(os.path.join(reference, f"{rec.id}.json")) as fh:
-                    edges = json.load(fh)["edges"]
-                    n = len(as_adjacency(edges, f"reference graph for id {rec.id!r}"))
+                    ref_rows = as_adjacency(json.load(fh)["edges"], f"reference graph for id {rec.id!r}")
             except FileNotFoundError:
                 raise MissingReference(f"no reference graph for id {rec.id!r}") from None
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise click.ClickException(f"cannot read reference graph for id {rec.id!r}: {exc!r}")
-            if n != rec.dag.n:
+            if len(ref_rows) != rec.dag.n:
                 raise click.ClickException(
-                    f"reference graph for id {rec.id!r} has {n} nodes, the stored graph {rec.dag.n}")
+                    f"reference graph for id {rec.id!r} has {len(ref_rows)} nodes, the stored graph {rec.dag.n}")
             # projection leaves an acyclic reference as it is
-            ref, removed = project_dag(SupportGraph(n=n, support=edges), threshold=0.5)
+            ref, removed = project_dag(ref_rows)
         report = edge_prf(rec.dag, ref)
         report.shd = shd(rec.dag, ref)
         report.sid = sid(rec.dag, ref)

@@ -10,7 +10,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 
@@ -119,40 +119,40 @@ def as_adjacency(adj, name="adjacency") -> list:
     return bits
 
 
-@dataclass
 class Dag:
-    """A directed acyclic graph given as an n x n binary adjacency matrix.
+    """A directed acyclic graph on ``n`` nodes, kept as its child bit sets.
 
-    Entry ``edges[i, j] == 1`` means a directed edge i -> j.  Checked once,
-    when built, which also fills ``rows``: bit j of ``rows[i]`` is that edge.
+    Bit j of ``rows[i]`` is the edge i -> j.  Built from an n x n binary
+    adjacency matrix, which is checked once and packed into ``rows``; the
+    metrics and the projection read only ``rows``.  ``edges``, the int8 matrix
+    with ``edges[i, j] == 1`` for the edge i -> j, is unpacked from ``rows``
+    the first time it is read and kept from then on.  It is the Dag's own
+    read-only array: a later write to the matrix the Dag was built from
+    changes neither, and a write to ``edges`` raises ValueError.
     """
 
-    n: int
-    edges: np.ndarray
-    rows: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.rows = as_adjacency(self.edges)
-        self.edges = np.asarray(self.edges, dtype=np.int8)
-        if len(self.rows) != self.n:
-            raise ShapeMismatch(f"adjacency must be {self.n}x{self.n}, got shape {self.edges.shape}")
-        if not is_acyclic(self.rows):
+    def __init__(self, n: int, edges):
+        rows = as_adjacency(edges)
+        if len(rows) != n:
+            raise ShapeMismatch(f"adjacency must be {n}x{n}, got shape {np.shape(edges)}")
+        if not is_acyclic(rows):
             raise CyclicInput("adjacency has a directed cycle")
+        self.n, self.rows = n, rows
 
     @classmethod
     def _from_rows(cls, rows: list) -> "Dag":
-        """The DAG whose child bit sets are ``rows``, which must be those of a square matrix with a zero diagonal.
-
-        Only acyclicity is checked, on the rows; ``edges`` is unpacked from them.
-        """
-        if not is_acyclic(rows):
-            raise CyclicInput("adjacency has a directed cycle")
-        n, width = len(rows), (len(rows) + 7) // 8
-        packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), dtype=np.uint8)
+        """The DAG whose child bit sets are ``rows``, unchecked: the caller knows they are acyclic and square with a zero diagonal."""
         dag = cls.__new__(cls)
-        dag.n, dag.rows = n, rows
-        dag.edges = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(np.int8)
+        dag.n, dag.rows = len(rows), rows
         return dag
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        n, width = self.n, (self.n + 7) // 8
+        packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in self.rows]), dtype=np.uint8)
+        edges = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(np.int8)
+        edges.flags.writeable = False  # a write would leave ``rows``, which the metrics read, behind
+        return edges
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": self.edges.tolist()}
@@ -162,9 +162,7 @@ class Dag:
         return cls(n=int(obj["n"]), edges=obj["edges"])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Dag) and self.n == other.n and np.array_equal(
-            self.edges, other.edges
-        )
+        return isinstance(other, Dag) and self.n == other.n and self.rows == other.rows
 
 
 @dataclass
@@ -320,4 +318,4 @@ def sample_dag(spec: GraphSpec) -> tuple[Dag, MotifReport]:
                     report.motifs.append((kind, tuple(nodes)))
                     break
 
-    return Dag(n=n, edges=np.array(adj, dtype=np.int8)), report
+    return Dag(n=n, edges=adj), report

@@ -46,7 +46,7 @@ class SupportGraph:
     support: np.ndarray
 
     def __post_init__(self):
-        self.support = np.asarray(self.support, dtype=float)
+        self.support = np.array(self.support, dtype=float)  # a copy: the diagonal is zeroed below
         if self.support.shape != (self.n, self.n):
             raise ShapeMismatch(f"support must be {self.n}x{self.n}")
         np.fill_diagonal(self.support, 0.0)
@@ -134,34 +134,47 @@ def _reaches(children: list, src: int, dst: int) -> bool:
     return False
 
 
-def project_dag(sg: SupportGraph, threshold: float = 0.5):
+def project_dag(sg, threshold: float = 0.5):
     """Deterministic cycle removal by deleting the lowest-support cycle edge.
 
-    Starts from the edge set {(i, j): s_ij >= threshold}.  While a directed
-    cycle exists, among edges lying on at least one cycle the single
+    ``sg`` is a ``SupportGraph``, whose edge set is {(i, j): s_ij >= threshold},
+    or the child bit sets of a binary matrix, as ``as_adjacency`` returns them,
+    whose edges all have the same support (``threshold`` is not read).  While a
+    directed cycle exists, among edges lying on at least one cycle the single
     lowest-support edge is removed; ties break by lexicographic (i, j) order.
     Returns (Dag, removal_log) where removal_log is the ordered list of
-    removed edges.
+    removed edges; an acyclic edge set comes back as it is, with no removals.
 
-    This takes one scan over the edges in ascending (support, i, j) order,
-    removing each edge (u, v) whose head v still reaches its tail u.
-    Removing an edge only breaks cycles, so the set of edges on a cycle only
-    shrinks: an edge on no cycle when the scan reaches it never lies on one
-    later, and an edge still on a cycle when the scan reaches it is the
-    lowest-keyed cycle edge left, the one the rule removes next.
+    A cyclic edge set takes one scan over its edges in ascending
+    (support, i, j) order, removing each edge (u, v) whose head v still
+    reaches its tail u.  Removing an edge only breaks cycles, so the set of
+    edges on a cycle only shrinks: an edge on no cycle when the scan reaches
+    it never lies on one later, and an edge still on a cycle when the scan
+    reaches it is the lowest-keyed cycle edge left, the one the rule removes
+    next.  So the scan leaves no cycle, and its rows need no further check.
     """
-    n = sg.n
-    support = sg.support.ravel().tolist()  # cell k is the pair (k // n, k % n)
-    present = list(map(float(threshold).__le__, support))
-    present[::n + 1] = [False] * n  # no self-loops
-    cells = list(compress(range(n * n), present))
-    rows = [0] * n  # child bit sets
-    for k in cells:
-        u, v = divmod(k, n)
-        rows[u] |= 1 << v
+    if isinstance(sg, SupportGraph):
+        n = sg.n
+        support = sg.support.ravel().tolist()  # cell k is the pair (k // n, k % n)
+        present = list(map(float(threshold).__le__, support))
+        present[::n + 1] = [False] * n  # no self-loops
+        cells = list(compress(range(n * n), present))
+        rows = [0] * n  # child bit sets
+        for k in cells:
+            u, v = divmod(k, n)
+            rows[u] |= 1 << v
+    else:
+        rows = list(sg)
+        n = len(rows)
     removed: list[tuple[int, int]] = []
-    # k = u * n + v orders the pairs as (u, v) does
-    for _, k in sorted(zip(compress(support, present), cells)):
+    if is_acyclic(rows):
+        return Dag._from_rows(rows), removed
+    if isinstance(sg, SupportGraph):
+        # k = u * n + v orders the pairs as (u, v) does
+        scan = [k for _, k in sorted(zip(compress(support, present), cells))]
+    else:
+        scan = [u * n + v for u, row in enumerate(rows) for v in range(n) if row >> v & 1]
+    for k in scan:
         u, v = divmod(k, n)
         if _reaches(rows, v, u):
             rows[u] &= ~(1 << v)

@@ -6,6 +6,8 @@ i -> j).  Inputs cover n = 1..12 as int8, bool and float 0/1 arrays and as
 nested Python lists.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,16 +124,18 @@ def matrices(draw):
 
 
 @st.composite
+def dags(draw, n):
+    """A 0/1 int8 DAG on ``n`` nodes whose edges respect a random order."""
+    order = draw(st.permutations(range(n)))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.triu(np.array(bits, dtype=np.int8).reshape(n, n), 1)[np.ix_(order, order)]
+
+
+@st.composite
 def dag_pairs(draw):
     """Two DAGs on one node count, each as a random kind."""
     n = draw(st.integers(1, 12))
-    pair = []
-    for _ in range(2):
-        order = draw(st.permutations(range(n)))
-        bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-        a = np.triu(np.array(bits, dtype=np.int8).reshape(n, n), 1)[np.ix_(order, order)]
-        pair.append(as_kind(a, draw(st.sampled_from(KINDS))))
-    return pair
+    return [as_kind(draw(dags(n)), draw(st.sampled_from(KINDS))) for _ in range(2)]
 
 
 def bit_rows(a):
@@ -225,6 +229,76 @@ class TestMetrics:
         assert removed == want
         assert dag.edges.dtype == np.int8 and np.array_equal(dag.edges, edges)
         assert dag.rows == bit_rows(edges) and dag.n == n
+
+
+class TestDag:
+    @given(st.integers(1, 12).flatmap(dags), st.sampled_from(KINDS))
+    @settings(max_examples=300, deadline=None)
+    def test_edges_read_late_are_the_int8_matrix_and_to_json_is_unchanged(self, a, kind):
+        n = len(a)
+        want = np.asarray(as_kind(a, kind), dtype=np.int8)
+        for dag in (Dag(n, as_kind(a, kind)), Dag._from_rows(bit_rows(a))):
+            assert "edges" not in vars(dag)  # not unpacked until read
+            edges = dag.edges
+            assert edges.dtype == np.int8 and edges.shape == want.shape and np.array_equal(edges, want)
+            assert dag.edges is edges
+            # the bytes the parent's to_json wrote: n and the int8 array's nested lists
+            assert json.dumps(dag.to_json()) == json.dumps({"n": n, "edges": want.tolist()})
+
+    @given(st.integers(2, 12).flatmap(dags), st.sampled_from(KINDS), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_later_write_to_the_callers_matrix_moves_neither_edges_nor_a_metric(self, a, kind, read_first, data):
+        n = len(a)
+        x = as_kind(a, kind)
+        dag, same = Dag(n, x), Dag(n, a.copy())
+        if read_first:
+            assert np.array_equal(dag.edges, a)
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        x[i][j] = 0 if x[i][j] else 1
+        assert np.array_equal(dag.edges, a) and dag.rows == bit_rows(a)
+        with pytest.raises(ValueError, match="read-only"):
+            dag.edges[i, j] = 1
+        report = edge_prf(dag, same)
+        assert (report.fp, report.fn, shd(dag, same), sid(dag, same)) == (0, 0, 0, 0)
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(dags(n), dags(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_eq_compares_the_graphs_whatever_built_them(self, pair):
+        a, b = pair
+        n = len(a)
+
+        def builds(m):
+            return [Dag(n, as_kind(m, kind)) for kind in KINDS] + [
+                Dag._from_rows(bit_rows(m)),
+                project_dag(bit_rows(m))[0],
+                project_dag(SupportGraph(n, m), 0.5)[0],
+            ]
+
+        same = np.array_equal(a, b)
+        for x in builds(a):
+            assert all(x == y for y in builds(a))
+            assert all((x == y) == same for y in builds(b))
+            assert x != a and x != Dag(n + 1, np.zeros((n + 1, n + 1)))
+
+
+class TestProjectionOnBitRows:
+    @given(matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_rows_project_as_the_binary_support_graph_does(self, a):
+        n = len(a)
+        np.fill_diagonal(a, 0)  # as_adjacency refuses a self-loop
+        rows = bit_rows(a)
+        dag, removed = project_dag(rows)
+        want, want_removed = project_dag(SupportGraph(n, a), 0.5)
+        assert dag.rows == want.rows and removed == want_removed
+        edges, numpy_removed = numpy_project_dag(SupportGraph(n, a), 0.5)
+        assert removed == numpy_removed and np.array_equal(dag.edges, edges)
+        assert rows == bit_rows(a)  # the caller's list is left as it is
+        if numpy_is_acyclic(a):
+            assert removed == [] and dag.rows == rows
+        else:
+            assert removed and is_acyclic(dag.rows)
 
 
 @pytest.mark.parametrize("x", [[[0, 1], [0]], [[0, 1, 0], [0, 0, 1]], [[0, 2], [0, 0]], [[0, 0.5], [0, 0]],

@@ -296,5 +296,7 @@ class TestProjection:
             SupportGraph(n=3, support=np.zeros(shape))
 
     def test_support_diagonal_zeroed(self):
-        sg = SupportGraph(n=2, support=np.array([[0.9, 0.2], [0.1, 0.8]]))
+        s = np.array([[0.9, 0.2], [0.1, 0.8]])
+        sg = SupportGraph(n=2, support=s)
         assert sg.support[0, 0] == 0.0 and sg.support[1, 1] == 0.0
+        assert s.tolist() == [[0.9, 0.2], [0.1, 0.8]]  # the caller's own float64 array is left as it is
